@@ -5,6 +5,7 @@ from .errors import (
     DegenerateSpan,
     DegreeMismatch,
     Empty,
+    InternalInvariant,
     NotFullDimensional,
     NotLatticePolytope,
     NotReflexive,
@@ -22,8 +23,8 @@ from .lattice import EhrhartPoly, ehrhart, lattice_points, refined_points
 from .linalg import (
     ANY_S,
     AnyS,
-    Rat,
     interpolate_poly,
+    rank,
     rat,
     rat_str,
     solve_linear,
@@ -61,7 +62,6 @@ from .stability import (
     chow_necessary,
     destabilizer_search,
     extremal_affine,
-    futaki,
     futaki_vector,
     k_classify,
     l_functional,

@@ -59,3 +59,7 @@ class ParseError(ToricStabError):
 
 class ValidationError(ToricStabError):
     """Input violates a structural invariant; the message names it."""
+
+
+class InternalInvariant(ToricStabError):
+    """An exact identity the computation guarantees failed to hold: a bug."""

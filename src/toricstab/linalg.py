@@ -7,12 +7,12 @@ anywhere in the library.
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
 from .errors import DegreeMismatch, SingularMatrix
 
-Rat = Fraction
 RatLike = Union[int, str, Fraction]
 
 
@@ -44,44 +44,42 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def vec_add(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], int]:
+    """Forward Gaussian elimination: the nonzero rows of a row echelon form,
+    the pivot column of each, and the sign of the row swaps.
 
-
-def vec_sub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
-
-
-def vec_scale(c: RatLike, u):
-    c = rat(c)
-    return tuple(c * a for a in u)
-
-
-def mat_vec(m: Sequence[Sequence[Fraction]], v: Sequence[Fraction]):
-    return tuple(dot(row, v) for row in m)
+    Each column pivots on its first nonzero entry; exactness makes any
+    nonzero pivot as good as any other.
+    """
+    a = [[rat(x) for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivots: list[int] = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        prow = a[r]
+        inv = prow[col]
+        for row in a[r + 1:]:
+            if row[col] != 0:
+                f = row[col] / inv
+                for c in range(col, ncols):
+                    row[c] -= f * prow[c]
+        pivots.append(col)
+    return a[: len(pivots)], pivots, sign
 
 
 def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant by fraction-free-ish Gaussian elimination."""
-    n = len(m)
-    a = [[rat(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            return Fraction(0)
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col] == 0:
-                continue
-            f = a[r][col] / inv
-            for c in range(col, n):
-                a[r][c] -= f * a[col][c]
-    return det
+    """Exact determinant: the signed product of the echelon pivots."""
+    echelon, pivots, sign = _eliminate(m)
+    if len(pivots) < len(m):
+        return Fraction(0)
+    return math.prod((row[col] for row, col in zip(echelon, pivots)), start=Fraction(sign))
 
 
 def solve_linear(
@@ -89,28 +87,51 @@ def solve_linear(
 ) -> tuple[Fraction, ...]:
     """Solve the square system ``m x = b`` exactly.
 
-    Pivots on the first nonzero entry in each column; exactness makes any
-    nonzero pivot as good as any other.  Raises :class:`SingularMatrix` when
-    the matrix is not invertible.
+    Raises :class:`SingularMatrix` when the matrix is not invertible.
     """
     n = len(m)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("solve_linear expects a square system")
-    a = [[rat(x) for x in row] + [rat(y)] for row, y in zip(m, b)]
-    for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-        if piv is None:
-            raise SingularMatrix(f"zero pivot column {col}")
-        if piv != col:
-            a[col], a[piv] = a[piv], a[col]
-        inv = a[col][col]
-        for r in range(n):
-            if r == col or a[r][col] == 0:
-                continue
-            f = a[r][col] / inv
-            for c in range(col, n + 1):
-                a[r][c] -= f * a[col][c]
-    return tuple(a[r][n] / a[r][r] for r in range(n))
+    echelon, pivots, _ = _eliminate([list(row) + [y] for row, y in zip(m, b)])
+    if pivots[:n] != list(range(n)):
+        raise SingularMatrix("the matrix is not invertible")
+    x = [Fraction(0)] * n
+    for k in range(n - 1, -1, -1):
+        row = echelon[k]
+        x[k] = (row[n] - sum((row[j] * x[j] for j in range(k + 1, n)), Fraction(0))) / row[k]
+    return tuple(x)
+
+
+def rank(rows: Sequence[Sequence]) -> int:
+    """Exact rank of a list of rows."""
+    return len(_eliminate(rows)[1])
+
+
+def nullvector(rows: Sequence[Sequence], dim: int) -> Optional[tuple[int, ...]]:
+    """The primitive integer vector orthogonal to every row of length ``dim``,
+    with its free coordinate positive, when the nullity is 1; else ``None``."""
+    echelon, pivots, _ = _eliminate(rows)
+    if len(pivots) != dim - 1:
+        return None
+    free = next(c for c in range(dim) if c not in pivots)
+    sol = [Fraction(0)] * dim
+    sol[free] = Fraction(1)
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        sol[col] = -sum((row[j] * sol[j] for j in range(col + 1, dim)), Fraction(0)) / row[col]
+    return _primitive_ints(sol)[0]
+
+
+def _primitive_ints(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
+    """Clear denominators and common factors of a nonzero rational vector:
+    the primitive integer vector ``k * xs`` and the factor ``k > 0``."""
+    lcm = 1
+    for x in xs:
+        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
+    ints = [int(x * lcm) for x in xs]
+    g = 0
+    for v in ints:
+        g = math.gcd(g, abs(v))
+    return tuple(v // g for v in ints), Fraction(lcm, g)
 
 
 class AnyS:

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional, Sequence
 
-from .errors import DegenerateSpan, ValidationError
+from .errors import DegenerateSpan, InternalInvariant, ValidationError
 from .integrate import Poly, integrate
 from .linalg import dot, rat, rat_str, vec
 from .polytope import (
@@ -236,7 +236,7 @@ def upper_hull(nodes: Sequence[tuple[Sequence, Fraction]]) -> PLFn:
     hull = PLFn.concave(sorted(pieces, key=lambda f: (f.a, f.c)))
     for a, v in pts:
         if hull(a) < v:
-            raise AssertionError("upper hull dipped below a node value")
+            raise InternalInvariant("upper hull dipped below a node value")
     return hull
 
 
@@ -255,7 +255,7 @@ def _affine_through(pts, dim) -> AffineFn:
     fn = AffineFn(tuple(sol[:dim]), sol[dim])
     for a, v in pts:
         if fn(a) != v:
-            raise AssertionError("graph points are not affine after all")
+            raise InternalInvariant("graph points are not affine after all")
     return fn
 
 

@@ -1,11 +1,13 @@
 """Exact convex polytope kernel.
 
-A polytope carries both descriptions at once: an irredundant list of facet
-half-spaces ``<l, x> <= rhs`` with primitive integer normals, and the exact
-rational vertex set.  Construction from either side synthesizes the other by
-brute force (all n-subsets of facets, resp. all n-subsets of points), which is
-entirely adequate at the dimensions this library targets (n <= 6, a few dozen
-facets) and keeps every step in rational arithmetic.
+A polytope carries an irredundant list of facet half-spaces ``<l, x> <= rhs``
+with primitive integer normals, its exact rational vertices, and their
+incidence: one int bitmask per facet, bit j set when vertex j lies on it.
+Points give the facets by a brute-force hull over their n-subsets, and the
+vertices are the points whose tight facet normals span the space; half-spaces
+give the vertices from every n-subset of facets.  That is adequate at the
+dimensions this library targets (n <= 6, a few dozen facets) and keeps every
+step rational.
 """
 
 from __future__ import annotations
@@ -24,16 +26,19 @@ from .errors import (
     Unbounded,
     ValidationError,
 )
-from .linalg import SingularMatrix, determinant, dot, rat, solve_linear, vec
+from .linalg import (
+    SingularMatrix,
+    _primitive_ints,
+    determinant,
+    dot,
+    nullvector,
+    rank,
+    rat,
+    solve_linear,
+    vec,
+)
 
 MAX_DIM = 6
-
-
-def _gcd_all(ints) -> int:
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return g
 
 
 def primitive_normal(normal: Sequence, rhs) -> tuple[tuple[int, ...], Fraction]:
@@ -42,12 +47,8 @@ def primitive_normal(normal: Sequence, rhs) -> tuple[tuple[int, ...], Fraction]:
     rhs = rat(rhs)
     if all(x == 0 for x in normal):
         raise ValidationError("half-space normal must be nonzero")
-    lcm = 1
-    for x in normal:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in normal]
-    g = _gcd_all(ints)
-    return tuple(v // g for v in ints), rhs * lcm / g
+    ints, scale = _primitive_ints(normal)
+    return ints, rhs * scale
 
 
 @dataclass(frozen=True)
@@ -95,66 +96,19 @@ def _affine_rank(points) -> int:
     if not points:
         return -1
     base = points[0]
-    rows = [[p[i] - base[i] for i in range(len(base))] for p in points[1:]]
-    return _row_rank(rows)
+    return rank([[p[i] - base[i] for i in range(len(base))] for p in points[1:]])
 
 
-def _row_rank(rows) -> int:
-    rows = [list(map(rat, r)) for r in rows if any(x != 0 for x in r)]
-    rank = 0
-    ncols = len(rows[0]) if rows else 0
-    col = 0
-    while rows and col < ncols:
-        piv = next((i for i, r in enumerate(rows) if r[col] != 0), None)
-        if piv is None:
-            col += 1
-            continue
-        rows[0], rows[piv] = rows[piv], rows[0]
-        prow = rows[0]
-        rest = []
-        for r in rows[1:]:
-            if r[col] != 0:
-                f = r[col] / prow[col]
-                r = [a - f * b for a, b in zip(r, prow)]
-            if any(x != 0 for x in r):
-                rest.append(r)
-        rows = rest
-        rank += 1
-        col += 1
-    return rank
+def _tight_masks(halfspaces, points) -> tuple[int, ...]:
+    """The incidence: per half-space, the bitmask of the points on it."""
+    return tuple(
+        sum(1 << j for j, v in enumerate(points) if h.tight(v)) for h in halfspaces
+    )
 
 
-def _integer_nullvector(rows, dim) -> Optional[tuple[int, ...]]:
-    """A primitive integer vector orthogonal to all rows, when the nullity is 1."""
-    # Gaussian elimination over the rationals, then clear denominators.
-    mat = [list(map(rat, r)) for r in rows]
-    pivots = []
-    r = 0
-    for col in range(dim):
-        piv = next((i for i in range(r, len(mat)) if mat[i][col] != 0), None)
-        if piv is None:
-            continue
-        mat[r], mat[piv] = mat[piv], mat[r]
-        inv = mat[r][col]
-        for i in range(len(mat)):
-            if i != r and mat[i][col] != 0:
-                f = mat[i][col] / inv
-                mat[i] = [a - f * b for a, b in zip(mat[i], mat[r])]
-        pivots.append(col)
-        r += 1
-    if r != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    sol = [Fraction(0)] * dim
-    sol[free] = Fraction(1)
-    for row_i, col in enumerate(pivots):
-        sol[col] = -mat[row_i][free] / mat[row_i][col]
-    lcm = 1
-    for x in sol:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in sol]
-    g = _gcd_all(ints)
-    return tuple(v // g for v in ints)
+def _on(mask: int, items) -> list:
+    """The items whose bit is set in ``mask``."""
+    return [x for j, x in enumerate(items) if mask >> j & 1]
 
 
 def vertices_from_halfspaces(
@@ -168,12 +122,12 @@ def vertices_from_halfspaces(
     """
     hs = list(halfspaces)
     normals = [h.normal for h in hs]
-    if _row_rank(normals) < dim:
+    if rank(normals) < dim:
         raise Unbounded("facet normals do not span the space")
     # Recession cone check: a nontrivial recession ray would be tight on
     # dim-1 independent normals (the cone is pointed once normals span).
     for subset in combinations(range(len(hs)), dim - 1):
-        d = _integer_nullvector([normals[i] for i in subset], dim)
+        d = nullvector([normals[i] for i in subset], dim)
         if d is None:
             continue
         for ray in (d, tuple(-x for x in d)):
@@ -198,20 +152,24 @@ def vertices_from_halfspaces(
 
 
 def halfspaces_from_vertices(points: Sequence[Sequence], dim: int) -> list[HalfSpace]:
-    """Brute-force convex hull: the irredundant facet list of a point set.
+    """Brute-force convex hull: the irredundant facet list of a point set."""
+    return [h for h, _ in _hull([vec(p) for p in points], dim)]
+
+
+def _hull(pts, dim) -> list[tuple[HalfSpace, int]]:
+    """The facets of the hull of ``pts``, each with the bitmask of the points on it.
 
     Tests the hyperplane through every ``dim``-subset of points; a facet is a
     hyperplane with all points on one side and a full ``(dim-1)``-dimensional
     tight set.  Normals come out primitive integer, oriented inward-feasible.
     """
-    pts = [vec(p) for p in points]
     if _affine_rank(pts) < dim:
         raise NotFullDimensional("points do not affinely span the space")
     facets = {}
     for subset in combinations(range(len(pts)), dim):
         base = pts[subset[0]]
         rows = [[pts[i][k] - base[k] for k in range(dim)] for i in subset[1:]]
-        normal = _integer_nullvector(rows, dim) if dim > 1 else (1,)
+        normal = nullvector(rows, dim)
         if normal is None:
             continue
         rhs = dot(normal, base)
@@ -226,10 +184,10 @@ def halfspaces_from_vertices(points: Sequence[Sequence], dim: int) -> list[HalfS
         key = (h.normal, h.rhs)
         if key in facets:
             continue
-        tight = [p for p in pts if h.tight(p)]
-        if _affine_rank(tight) == dim - 1:
-            facets[key] = h
-    return sorted(facets.values(), key=lambda h: (h.normal, h.rhs))
+        tight = [j for j, p in enumerate(pts) if h.tight(p)]
+        if _affine_rank([pts[j] for j in tight]) == dim - 1:
+            facets[key] = (h, sum(1 << j for j in tight))
+    return [facets[key] for key in sorted(facets)]
 
 
 class Polytope:
@@ -250,6 +208,7 @@ class Polytope:
         self.vertices = tuple(vertices)
         self.name = name
         self.cache: dict = {}
+        self._incidence: Optional[tuple[int, ...]] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -273,18 +232,25 @@ class Polytope:
                 tightest[h.normal] = h
         hs = list(tightest.values())
         verts = vertices_from_halfspaces(hs, dim)
-        hs = _prune_redundant(hs, verts, dim)
-        return Polytope(hs, verts, name)
+        return _prune_redundant(hs, verts, name)
 
     @staticmethod
     def from_vertices(points: Sequence[Sequence], name: Optional[str] = None) -> "Polytope":
-        pts = [vec(p) for p in points]
+        """Hull of a point set; repeated and non-extreme points are dropped."""
+        pts = sorted({vec(p) for p in points})
         dim = len(pts[0])
         _check_dim(dim)
-        hs = halfspaces_from_vertices(pts, dim)
-        # Recomputing the vertex set drops any non-extreme input points.
-        verts = vertices_from_halfspaces(hs, dim)
-        return Polytope(hs, verts, name)
+        facets = _hull(pts, dim)
+        # A point is a vertex when the normals of the facets through it span.
+        keep = [
+            j for j in range(len(pts))
+            if rank([h.normal for h, mask in facets if mask >> j & 1]) == dim
+        ]
+        return _assemble(
+            [(h, sum(1 << k for k, j in enumerate(keep) if mask >> j & 1)) for h, mask in facets],
+            [pts[j] for j in keep],
+            name,
+        )
 
     # -- basic queries -----------------------------------------------------
 
@@ -299,17 +265,18 @@ class Polytope:
         point = vec(point)
         return all(h.contains(point) for h in self.halfspaces)
 
+    @property
+    def incidence(self) -> tuple[int, ...]:
+        """Per facet, the bitmask of the vertices on it (bit j for vertex j)."""
+        if self._incidence is None:
+            self._incidence = _tight_masks(self.halfspaces, self.vertices)
+        return self._incidence
+
     def facet_vertices(self, i: int) -> list[tuple[Fraction, ...]]:
-        h = self.halfspaces[i]
-        return [v for v in self.vertices if h.tight(v)]
+        return _on(self.incidence[i], self.vertices)
 
     def is_lattice(self) -> bool:
         return all(x.denominator == 1 for v in self.vertices for x in v)
-
-    def with_name(self, name: str) -> "Polytope":
-        q = Polytope(self.halfspaces, self.vertices, name)
-        q.cache = self.cache
-        return q
 
     # -- measures ----------------------------------------------------------
 
@@ -352,13 +319,23 @@ def _check_dim(dim: int):
         raise ValidationError(f"dimension {dim} exceeds the exact-kernel guard ({MAX_DIM})")
 
 
-def _prune_redundant(hs, verts, dim) -> list[HalfSpace]:
-    kept = []
-    for h in hs:
-        tight = [v for v in verts if h.tight(v)]
-        if len(tight) >= dim and _affine_rank(tight) == dim - 1:
-            kept.append(h)
-    return sorted(kept, key=lambda h: (h.normal, h.rhs))
+def _prune_redundant(hs, verts, name) -> Polytope:
+    """The polytope with vertices ``verts`` and, as facets, the half-spaces of
+    ``hs`` whose tight vertices span a hyperplane."""
+    dim = len(verts[0])
+    facets = [
+        (h, mask)
+        for h, mask in zip(hs, _tight_masks(hs, verts))
+        if mask.bit_count() >= dim and _affine_rank(_on(mask, verts)) == dim - 1
+    ]
+    return _assemble(sorted(facets, key=lambda f: (f[0].normal, f[0].rhs)), verts, name)
+
+
+def _assemble(facets, verts, name) -> Polytope:
+    """A polytope from sorted (facet, incidence mask) pairs and its vertices."""
+    p = Polytope([h for h, _ in facets], verts, name)
+    p._incidence = tuple(mask for _, mask in facets)
+    return p
 
 
 @dataclass(frozen=True)
@@ -420,15 +397,15 @@ def facet_chart(p: Polytope, facet_index: int) -> FacetChart:
 def _triangulate(p: Polytope, apex_last: bool) -> list[Simplex]:
     if p.dim == 1:
         return [Simplex((p.vertices[0], p.vertices[-1]))]
-    apex = p.vertices[-1] if apex_last else p.vertices[0]
+    apex = len(p.vertices) - 1 if apex_last else 0
     cells = []
-    for i, h in enumerate(p.halfspaces):
-        if h.tight(apex):
+    for i, mask in enumerate(p.incidence):
+        if mask >> apex & 1:
             continue
         chart = facet_chart(p, i)
         for sub in chart.polytope.triangulation(apex_last):
             lifted = tuple(chart.lift(v) for v in sub.vertices)
-            cell = Simplex((apex,) + lifted)
+            cell = Simplex((p.vertices[apex],) + lifted)
             if cell.volume() > 0:
                 cells.append(cell)
     return cells
@@ -466,10 +443,6 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     keep = [v for v, val in zip(p.vertices, vals) if val <= h.rhs]
     if not keep:
         return None
-    tight_sets = [
-        frozenset(i for i, hs in enumerate(p.halfspaces) if hs.tight(v))
-        for v in p.vertices
-    ]
     n = p.dim
     crossings = []
     for i, u in enumerate(p.vertices):
@@ -478,10 +451,9 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
         for j, w in enumerate(p.vertices):
             if vals[j] <= h.rhs:
                 continue
-            common = tight_sets[i] & tight_sets[j]
-            if len(common) < n - 1:
-                continue
-            if _row_rank([p.halfspaces[k].normal for k in common]) != n - 1:
+            pair = 1 << i | 1 << j
+            common = [f.normal for f, mask in zip(p.halfspaces, p.incidence) if mask & pair == pair]
+            if len(common) < n - 1 or rank(common) != n - 1:
                 continue
             t = (h.rhs - vals[i]) / (vals[j] - vals[i])
             crossings.append(
@@ -494,8 +466,7 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     for cand in list(p.halfspaces) + [h]:
         if cand.normal not in hs or cand.rhs < hs[cand.normal].rhs:
             hs[cand.normal] = cand
-    pruned = _prune_redundant(list(hs.values()), verts, n)
-    return Polytope(pruned, verts, p.name)
+    return _prune_redundant(list(hs.values()), verts, p.name)
 
 
 def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:
@@ -511,8 +482,8 @@ def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:
         and all(h.value([Fraction(0)] * p.dim) < h.rhs for h in p.halfspaces)
     )
     delzant = True
-    for v in p.vertices:
-        tight = [h.normal for h in p.halfspaces if h.tight(v)]
+    for j in range(len(p.vertices)):
+        tight = [h.normal for h, mask in zip(p.halfspaces, p.incidence) if mask >> j & 1]
         if len(tight) != p.dim or abs(determinant(tight)) != 1:
             delzant = False
             break

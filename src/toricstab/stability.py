@@ -28,12 +28,18 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Optional
 
-from .errors import NotReflexive, PreconditionFailed, ThetaConstant, ValidationError
+from .errors import (
+    InternalInvariant,
+    NotReflexive,
+    PreconditionFailed,
+    ThetaConstant,
+    ValidationError,
+)
 from .integrate import Poly, boundary_integral, integrate, moment_vector
 from .lattice import ehrhart, refined_points
-from .linalg import AnyS, dot, rat, rat_str, solve_linear, solve_overdetermined_1d
+from .linalg import AnyS, dot, rank, rat, rat_str, solve_linear, solve_overdetermined_1d
 from .plfun import (
     AffineFn,
     PLFn,
@@ -42,7 +48,7 @@ from .plfun import (
     linearity_regions,
     pl_is_rational_lattice_cone,
 )
-from .polytope import Polytope, intersect_halfspace, is_reflexive_delzant
+from .polytope import Polytope, intersect_halfspace, is_reflexive_delzant, primitive_normal
 
 
 # ---------------------------------------------------------------------------
@@ -87,10 +93,6 @@ def futaki_vector(p: Polytope) -> tuple[Fraction, ...]:
     return tuple(out)
 
 
-def futaki(p: Polytope, k: int) -> Fraction:
-    return futaki_vector(p)[k]
-
-
 def extremal_affine(p: Polytope) -> ExtremalData:
     """Solve the (n+1)-dimensional exact system L(x_k) = 0, integral(theta) = 0.
 
@@ -124,7 +126,8 @@ def extremal_affine(p: Polytope) -> ExtremalData:
         gram=tuple(tuple(row) for row in gram),
     )
     # Normalization is exact by construction; keep it loud if it ever breaks.
-    assert integrate(p, data.theta.as_poly()) == 0
+    if integrate(p, data.theta.as_poly()) != 0:
+        raise InternalInvariant("theta does not integrate to zero")
     p.cache["extremal"] = data
     return data
 
@@ -148,7 +151,7 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     if all(h.rhs == 1 for h in p.halfspaces) and p.is_lattice():
         alt = _l_functional_parts_form(p, ed, u)
         if alt != value:
-            raise AssertionError(
+            raise InternalInvariant(
                 f"boundary-form {rat_str(value)} != parts-form {rat_str(alt)}"
             )
     return value
@@ -223,16 +226,12 @@ def reflexive_translate(p: Polytope) -> Optional[Polytope]:
     meaningful in this normalized position; working on the translate makes
     the verdict invariant under integer translations of the input.
     """
-    from .polytope import _row_rank  # reuse the exact rank routine
-
-    normals: list = []
     rows = []
     rhs = []
     for h in p.halfspaces:
-        if _row_rank(rows + [list(h.normal)]) > len(rows):
+        if rank(rows + [list(h.normal)]) > len(rows):
             rows.append(list(h.normal))
             rhs.append(h.rhs - 1)
-            normals.append(h)
         if len(rows) == p.dim:
             break
     if len(rows) < p.dim:
@@ -285,7 +284,8 @@ def k_classify(p: Polytope, grid: Optional[SearchGrid] = None) -> KVerdict:
             [AffineFn.zero(p.dim), AffineFn(ed.theta.a, ed.theta.c - 1)]
         )
         value = l_functional(p, ed, witness)
-        assert value < 0, "criterion held but the witness failed to go negative"
+        if value >= 0:
+            raise InternalInvariant("criterion held but the witness failed to go negative")
         return KVerdict(
             UNSTABLE_MEAN_CRITERION, ed.theta, minus, lhs, rhs, witness, value
         )
@@ -294,22 +294,6 @@ def k_classify(p: Polytope, grid: Optional[SearchGrid] = None) -> KVerdict:
         value = l_functional(p, ed, witness)
         return KVerdict(UNSTABLE_WITNESS, ed.theta, minus, lhs, rhs, witness, value)
     return KVerdict(UNDETERMINED, ed.theta, minus, lhs, rhs, None, None)
-
-
-def _primitive_direction(xs: Sequence[Fraction]) -> Optional[tuple[int, ...]]:
-    import math
-
-    if all(x == 0 for x in xs):
-        return None
-    lcm = 1
-    for x in xs:
-        x = rat(x)
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(rat(x) * lcm) for x in xs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return tuple(v // g for v in ints)
 
 
 def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: SearchGrid):
@@ -330,11 +314,13 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: SearchGrid):
     if grid.include_facet_normals:
         for h in p.halfspaces:
             add(h.normal)
+    # A zero vector has no direction and adds nothing.
     if grid.include_vertex_directions:
         for v in p.vertices:
-            add(_primitive_direction(v))
-    if grid.include_theta_gradient:
-        add(_primitive_direction(ed.theta.a))
+            if any(v):
+                add(primitive_normal(v, 0)[0])
+    if grid.include_theta_gradient and any(ed.theta.a):
+        add(primitive_normal(ed.theta.a, 0)[0])
     if grid.box_bound > 0:
         from itertools import product
 
@@ -522,8 +508,8 @@ def q_weight(
     value = nd.count * integrate_pl(
         p, Poly.constant(p.dim, 1), g
     ) - p.volume() * total_nodes
-    if s_from_system and len(set(g.pieces)) == 1:
-        assert value == 0, "affine input must have zero weight under the balance system"
+    if s_from_system and len(set(g.pieces)) == 1 and value != 0:
+        raise InternalInvariant("affine input must have zero weight under the balance system")
     return value
 
 
@@ -550,7 +536,8 @@ def p_weight(p: Polytope, i: int, u: PLFn, bound) -> PWeightReport:
     value = count * int_u - vol * sum_u
     # R-independence: the same weight from the (R - u) data.
     shifted = count * (bound * vol - int_u) - vol * (count * bound - sum_u)
-    assert value == -shifted
+    if value != -shifted:
+        raise InternalInvariant("the Chow weight depends on the bound R")
     return PWeightReport(
         value=value,
         chow_weight=-i * value,
@@ -591,7 +578,8 @@ def project_perp(p: Polytope, ed: ExtremalData, i: int, u: PLFn) -> Projection:
     pairing = sum(
         (values[j] * nd.deviations[j] for j in range(nd.count)), Fraction(0)
     )
-    assert pairing == 0
+    if pairing != 0:
+        raise InternalInvariant("the projection is not perpendicular to theta on the nodes")
     return Projection(kappa=kappa, node_values=values, function=projected)
 
 

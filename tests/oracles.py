@@ -8,7 +8,7 @@ random data generators.
 import random
 from fractions import Fraction as F
 
-from toricstab import Poly, Polytope, Simplex, integrate, intersect_halfspace
+from toricstab import NotFullDimensional, Poly, Polytope, Simplex, integrate, intersect_halfspace
 from toricstab.plfun import AffineFn, PLFn
 
 
@@ -57,17 +57,37 @@ def random_simplex(rng: random.Random, dim: int) -> Simplex:
             return s
 
 
-def random_polytope(rng: random.Random, dim: int) -> Polytope:
-    """Small random full-dimensional polytope: hull of a random point cloud."""
+def random_polytope(rng: random.Random, dim: int, points=None) -> Polytope:
+    """Small random full-dimensional polytope: hull of a random point cloud
+    of ``points`` points (default ``dim + 3``)."""
     while True:
         pts = [
             tuple(random_fraction(rng) for _ in range(dim))
-            for _ in range(dim + 3)
+            for _ in range(points or dim + 3)
         ]
         try:
             return Polytope.from_vertices(pts)
-        except Exception:
+        except NotFullDimensional:
             continue
+
+
+def cloud_with_extras(rng: random.Random, p: Polytope, extras: int) -> list:
+    """The vertices of P plus ``extras`` points of each kind that are not
+    vertices: repeats, midpoints of two vertices on a common facet, facet
+    centroids, and interior points; shuffled."""
+    pts = list(p.vertices)
+    facets = [[v for v in p.vertices if h.tight(v)] for h in p.halfspaces]
+
+    def mean(vs):
+        return tuple(sum(v[k] for v in vs) / len(vs) for k in range(p.dim))
+
+    for _ in range(extras):
+        pts.append(rng.choice(p.vertices))
+        pts.append(mean(rng.sample(rng.choice(facets), 2)))
+        pts.append(mean(rng.choice(facets)))
+        pts.append(mean(rng.sample(p.vertices, p.dim + 1)))
+    rng.shuffle(pts)
+    return pts
 
 
 def random_affine(rng: random.Random, dim: int) -> AffineFn:

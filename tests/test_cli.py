@@ -117,3 +117,27 @@ def test_tables_deterministic():
     assert code1 == code2 == 0
     assert out1 == out2
     assert "B1" in out1 and "ORB-530571" in out1
+
+
+def test_internal_invariant_exit_3(tmp_path, monkeypatch):
+    # Skew the constant of theta: its normalization check must fail loudly.
+    from toricstab import stability
+
+    solve = stability.solve_linear
+
+    def skewed(m, b):
+        x = solve(m, b)
+        return x[:-1] + (x[-1] + 1,)
+
+    monkeypatch.setattr(stability, "solve_linear", skewed)
+    square = tmp_path / "square.json"
+    square.write_text(
+        json.dumps({"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})
+    )
+    code, _ = run_cli("theta", str(square))
+    assert code == 3
+    code, out = run_cli("theta", str(square), "--format", "json")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert error["type"] == "InternalInvariant"
+    assert error["exit_code"] == 3

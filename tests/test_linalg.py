@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -8,10 +9,22 @@ from toricstab import (
     DegreeMismatch,
     SingularMatrix,
     interpolate_poly,
+    rank,
     solve_linear,
     solve_overdetermined_1d,
 )
-from toricstab.linalg import poly_eval, rat, rat_str
+from toricstab.linalg import determinant, nullvector, poly_eval, rat, rat_str
+
+# Singular square matrices: dependent rows, a zero row, a zero column, a
+# pivot that only appears after a row swap, and rational entries.
+SINGULAR = [
+    [[1, 2], [2, 4]],
+    [[0, 0], [3, 1]],
+    [[0, 1, 2], [0, 3, 4], [0, 5, 6]],
+    [[0, 1, 1], [1, 1, 2], [2, 2, 4]],
+    [[F(1, 2), F(1, 3), 1], [F(3, 2), 1, 3], [1, 1, 1]],
+    [[1, 2, 3, 4], [2, 3, 4, 5], [3, 4, 5, 6], [4, 5, 6, 7]],
+]
 
 
 def test_solve_identity():
@@ -25,8 +38,17 @@ def test_solve_diagonal():
 
 
 def test_singular_raises():
-    with pytest.raises(SingularMatrix):
-        solve_linear([[1, 2], [2, 4]], [1, 1])
+    for m in SINGULAR:
+        with pytest.raises(SingularMatrix):
+            solve_linear(m, [1] * len(m))
+        assert determinant(m) == 0
+        assert rank(m) < len(m)
+        d = nullvector(m, len(m))
+        if rank(m) == len(m) - 1:
+            assert math.gcd(*d) == 1
+            assert all(sum(a * b for a, b in zip(row, d)) == 0 for row in m)
+        else:
+            assert d is None
 
 
 def test_solve_random_roundtrip():
@@ -42,9 +64,13 @@ def test_solve_random_roundtrip():
         try:
             x = solve_linear(a, b)
         except SingularMatrix:
+            assert determinant(a) == 0
+            assert rank(a) < n
             continue
         back = [sum(row[j] * x[j] for j in range(n)) for row in a]
         assert back == b
+        assert determinant(a) != 0
+        assert rank(a) == n
         done += 1
 
 
@@ -125,3 +151,48 @@ def test_interpolate_reproduces_ordinates():
         got = interpolate_poly(pts, deg)
         for x, y in pts:
             assert poly_eval(got, x) == y
+
+
+def test_determinant_row_swaps_and_scaling():
+    assert determinant([[0, 1], [1, 0]]) == -1
+    assert determinant([[0, 0, 1], [0, 1, 0], [1, 0, 0]]) == -1
+    assert determinant([[0, 1, 0], [0, 0, 1], [1, 0, 0]]) == 1
+    assert determinant([[F(1, 2), 0], [0, F(2, 3)]]) == F(1, 3)
+    assert determinant([[2, 1, 0], [1, 2, 1], [0, 1, 2]]) == 4
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([], 0),
+        ([[0, 0, 0]], 0),
+        ([[1, 2, 3]], 1),
+        ([[1, 2, 3], [2, 4, 6]], 1),
+        ([[0, 1, 0], [1, 0, 0], [1, 1, 0]], 2),
+        ([[1, 0], [0, 1], [1, 1]], 2),
+        ([[F(1, 3), F(2, 3)], [1, 2]], 1),
+    ]
+    + list(zip(SINGULAR, [1, 1, 2, 2, 2, 2])),
+)
+def test_rank_cases(rows, want):
+    assert rank(rows) == want
+
+
+@pytest.mark.parametrize(
+    "rows, dim, want",
+    [
+        ([], 1, (1,)),
+        ([[1, 1]], 2, (-1, 1)),
+        ([[2, 4]], 2, (-2, 1)),
+        ([[F(1, 2), F(1, 3)]], 2, (-2, 3)),
+        ([[1, 0, 0], [0, 1, 0]], 3, (0, 0, 1)),
+        ([[0, 1, 1], [0, 2, 2]], 3, None),
+        ([[1, 0, 0], [0, 1, 0], [0, 0, 1]], 3, None),
+        ([[1, 2, 3], [4, 5, 6]], 3, (1, -2, 1)),
+    ],
+)
+def test_nullvector_cases(rows, dim, want):
+    got = nullvector(rows, dim)
+    assert got == want
+    if got is not None:
+        assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
