@@ -7,7 +7,10 @@ Points give the facets by a brute-force hull over their n-subsets, and the
 vertices are the points whose tight facet normals span the space; half-spaces
 give the vertices from every n-subset of facets.  That is adequate at the
 dimensions this library targets (n <= 6, a few dozen facets) and keeps every
-step rational.
+step rational.  A facet chart (a facet projected along one axis, on which
+boundary integrals and the triangulation recurse) is read off the incidence:
+its facets are the ridges, found by bitmask tests, and their half-spaces are
+integer combinations of two facet normals, so no chart is hulled again.
 """
 
 from __future__ import annotations
@@ -221,16 +224,8 @@ class Polytope:
                 item = (item.normal, item.rhs)
             normal, rhs = item
             hs.append(HalfSpace.make(normal, rhs))
-        dim = len(hs[0].normal)
-        _check_dim(dim)
-        if any(len(h.normal) != dim for h in hs):
-            raise ValidationError("mixed ambient dimensions")
-        # Same normal twice: only the tighter constraint can matter.
-        tightest = {}
-        for h in hs:
-            if h.normal not in tightest or h.rhs < tightest[h.normal].rhs:
-                tightest[h.normal] = h
-        hs = list(tightest.values())
+        dim = _common_dim([h.normal for h in hs], "no half-spaces")
+        hs = _tightest(hs)
         verts = vertices_from_halfspaces(hs, dim)
         return _prune_redundant(hs, verts, name)
 
@@ -238,8 +233,7 @@ class Polytope:
     def from_vertices(points: Sequence[Sequence], name: Optional[str] = None) -> "Polytope":
         """Hull of a point set; repeated and non-extreme points are dropped."""
         pts = sorted({vec(p) for p in points})
-        dim = len(pts[0])
-        _check_dim(dim)
+        dim = _common_dim(pts, "no points")
         facets = _hull(pts, dim)
         # A point is a vertex when the normals of the facets through it span.
         keep = [
@@ -312,11 +306,27 @@ class Polytope:
         return self.cache[key]
 
 
-def _check_dim(dim: int):
+def _common_dim(rows, empty: str) -> int:
+    """The one length of ``rows``, checked against the kernel's dimension guard."""
+    if not rows:
+        raise ValidationError(empty)
+    dim = len(rows[0])
+    if any(len(r) != dim for r in rows):
+        raise ValidationError("mixed ambient dimensions")
     if dim < 1:
         raise ValidationError("ambient dimension must be positive")
     if dim > MAX_DIM:
         raise ValidationError(f"dimension {dim} exceeds the exact-kernel guard ({MAX_DIM})")
+    return dim
+
+
+def _tightest(hs) -> list[HalfSpace]:
+    """Same normal twice: keep only the tighter constraint, which is all that can matter."""
+    tightest = {}
+    for h in hs:
+        if h.normal not in tightest or h.rhs < tightest[h.normal].rhs:
+            tightest[h.normal] = h
+    return list(tightest.values())
 
 
 def _prune_redundant(hs, verts, name) -> Polytope:
@@ -376,22 +386,55 @@ def facet_chart(p: Polytope, facet_index: int) -> FacetChart:
     axis = next((k for k, c in enumerate(h.normal) if c != 0), None)
     if axis is None:
         raise DegenerateNormal("zero normal")
-    tight = p.facet_vertices(facet_index)
-    projected = [tuple(v[j] for j in range(p.dim) if j != axis) for v in tight]
     if p.dim == 1:
         # A facet of a segment is the single endpoint; represent it trivially.
         raise ValidationError("facet charts need ambient dimension >= 2")
-    sub = Polytope.from_vertices(projected)
     chart = FacetChart(
         facet_index=facet_index,
         axis=axis,
         scale=Fraction(1, abs(h.normal[axis])),
-        polytope=sub,
+        polytope=_chart_polytope(p, facet_index, axis),
         normal=h.normal,
         rhs=h.rhs,
     )
     p.cache[key] = chart
     return chart
+
+
+def _chart_polytope(p: Polytope, i: int, axis: int) -> Polytope:
+    """Facet ``i`` of P with coordinate ``axis`` dropped, read off the incidence.
+
+    The vertices are the facet's vertices, projected and sorted.  The facets
+    are the ridges F_i & F_j: a k-face lies on at least n-k facets, so a
+    non-empty F_i & F_j is a ridge exactly when no third facet contains it.
+    Each ridge's half-space is l_j on the hyperplane of F_i with x_axis
+    eliminated, scaled by a = l_i[axis] (negated when a < 0): integer work,
+    no hull.
+    """
+    inc = p.incidence
+    own = inc[i]
+    li = p.halfspaces[i]
+    a = li.normal[axis]
+    sign = 1 if a > 0 else -1
+
+    def drop(v):
+        return v[:axis] + v[axis + 1:]
+
+    order = sorted(_on(own, range(len(p.vertices))), key=lambda j: drop(p.vertices[j]))
+    bit = {j: 1 << k for k, j in enumerate(order)}
+    facets = []
+    for j, (lj, mask) in enumerate(zip(p.halfspaces, inc)):
+        ridge = own & mask
+        if j == i or not ridge or any(
+            m & ridge == ridge for k, m in enumerate(inc) if k != i and k != j
+        ):
+            continue
+        c = lj.normal[axis]
+        normal = [sign * (lj.normal[k] * a - c * li.normal[k]) for k in range(p.dim) if k != axis]
+        h = HalfSpace.make(normal, sign * (lj.rhs * a - c * li.rhs))
+        facets.append((h, sum(b for v, b in bit.items() if ridge >> v & 1)))
+    facets.sort(key=lambda f: (f[0].normal, f[0].rhs))
+    return _assemble(facets, [drop(p.vertices[j]) for j in order], None)
 
 
 def _triangulate(p: Polytope, apex_last: bool) -> list[Simplex]:
@@ -462,11 +505,7 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     verts = sorted(set(keep + crossings))
     if len(verts) <= n or _affine_rank(verts) < n:
         return None
-    hs = {}
-    for cand in list(p.halfspaces) + [h]:
-        if cand.normal not in hs or cand.rhs < hs[cand.normal].rhs:
-            hs[cand.normal] = cand
-    return _prune_redundant(list(hs.values()), verts, p.name)
+    return _prune_redundant(_tightest(list(p.halfspaces) + [h]), verts, p.name)
 
 
 def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:

@@ -303,13 +303,19 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: SearchGrid):
     gradient, a small integer box, and any extras; offsets step through the
     vertex-critical values of each direction (where the cut hyperplane meets
     a vertex) and their midpoints.
+
+    Only one direction of each pair +-b is scanned, the first one met.  L
+    vanishes on affine functions and max{0, -f} = max{0, f} - f, so
+    max{0, -b.x - d} has the same L as max{0, b.x + d}; and the offsets of
+    -b are those of b negated.  The scan of b therefore covers -b, and the
+    first witness found is the same as with both directions scanned.
     """
     dirs: dict[tuple[int, ...], None] = {}
 
     def add(d):
         if d is not None and any(x != 0 for x in d):
-            dirs.setdefault(tuple(d), None)
-            dirs.setdefault(tuple(-x for x in d), None)
+            if tuple(-x for x in d) not in dirs:
+                dirs.setdefault(tuple(d), None)
 
     if grid.include_facet_normals:
         for h in p.halfspaces:

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 from contextlib import redirect_stdout
@@ -93,6 +94,25 @@ def test_validation_error_exit_2(tmp_path):
     )
     code, _ = run_cli("theta", str(flat))
     assert code == 2
+
+
+def test_mixed_vertex_lengths_exit_2(tmp_path):
+    mixed = tmp_path / "mixed.json"
+    mixed.write_text(json.dumps({"vertices": [["0", "0", "0"], ["1", "0"], ["0", "1"]]}))
+    code, out = run_cli("theta", str(mixed), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"] == "mixed ambient dimensions"
+
+
+def test_kstab_b1_json_bytes():
+    # The exact output of the default-grid search, pinned byte for byte.
+    code, out = run_cli("kstab", "corpus:B1", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "535c9060122b8181a3e751cfb42d3288c97a8cee18c1da5aae934cc87c98830a"
+    )
 
 
 def test_strict_undetermined_exit_4():

@@ -274,3 +274,14 @@ def test_orbifold_model_not_reflexive(corpus_entries):
 def test_dimension_guard():
     with pytest.raises(ValidationError):
         Polytope.from_halfspaces([((1,) + (0,) * 6, 1), ((-1,) + (0,) * 6, 1)])
+
+
+def test_empty_and_mixed_input_rejected():
+    for build, raw, message in (
+        (Polytope.from_vertices, [], "no points"),
+        (Polytope.from_halfspaces, [], "no half-spaces"),
+        (Polytope.from_vertices, [(0, 0), (1, 0, 0), (0, 1)], "mixed ambient dimensions"),
+        (Polytope.from_halfspaces, [((1, 0), 1), ((-1, 0, 0), 1)], "mixed ambient dimensions"),
+    ):
+        with pytest.raises(ValidationError, match=message):
+            build(raw)

@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -36,6 +37,7 @@ from toricstab.stability import (
     STABLE_EMPTY_EXCESS,
     UNDETERMINED,
     SearchGrid,
+    destabilizer_candidates,
     excess_region,
     reflexive_translate,
 )
@@ -240,11 +242,54 @@ def test_destabilizer_search_degenerate_grid(corpus_entries):
     assert destabilizer_search(p, ed, grid) is None
 
 
-def test_destabilizer_search_b1_default_outcome(corpus_entries):
-    # frozen outcome of the exhaustive default grid: no simple destabilizer
-    p = corpus_entries["B1"].polytope
+def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
+    # frozen outcome of the exhaustive default grid: no simple destabilizer;
+    # and the search builds no hull (facet charts come from the incidence)
+    from toricstab import polytope
+
+    # A fresh copy, so no chart comes from a cache filled by another test.
+    b1 = corpus_entries["B1"].polytope
+    p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in b1.halfspaces])
     ed = extremal_affine(p)
+    calls = []
+    hull = polytope._hull
+
+    def counted(*args):
+        calls.append(args)
+        return hull(*args)
+
+    monkeypatch.setattr(polytope, "_hull", counted)
     assert destabilizer_search(p, ed, SearchGrid(box_bound=1)) is None
+    assert calls == []
+
+
+def test_l_mirror_identity(cube, corpus_entries):
+    # L kills affine functions and max{0, -f} = max{0, f} - f, so a simple
+    # function and its mirror have the same L.
+    rng = random.Random(5)
+    for p in (corpus_entries["B1"].polytope, corpus_entries["C4"].polytope, cube):
+        ed = extremal_affine(p)
+        for _ in range(3):
+            b = [0] * p.dim
+            while not any(b):
+                b = [rng.randint(-2, 2) for _ in range(p.dim)]
+            # An offset strictly between the vertex values: u is not affine.
+            values = [sum(x * y for x, y in zip(b, v)) for v in p.vertices]
+            d = rng.randint(math.floor(-max(values)) + 1, math.ceil(-min(values)) - 1)
+            u = PLFn.simple(b, d)
+            mirror = PLFn.simple([-x for x in b], -d)
+            assert l_functional(p, ed, u) == l_functional(p, ed, mirror)
+
+
+def test_candidates_skip_mirrors(cube, corpus_entries):
+    for p in (corpus_entries["B1"].polytope, cube):
+        ed = extremal_affine(p)
+        seen = set()
+        for u in destabilizer_candidates(p, ed, SearchGrid(box_bound=1)):
+            f = u.pieces[1]
+            assert (tuple(-x for x in f.a), -f.c) not in seen
+            seen.add((f.a, f.c))
+        assert seen
 
 
 # -- node statistics and the balance system ----------------------------------
