@@ -2,53 +2,72 @@
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
-from .errors import DegreeMismatch, NotLatticePolytope
+from .errors import DegreeMismatch, NotLatticePolytope, ValidationError
 from .linalg import interpolate_poly, poly_eval, rat_str
-from .polytope import Polytope
+from .polytope import HalfSpace, Polytope
 
 
 def lattice_points(p: Polytope, i: int) -> list[tuple[int, ...]]:
     """All integer points of the dilation ``i * P``, sorted lexicographically.
 
-    Scans the exact bounding box; membership tests are pure integer
-    arithmetic (each half-space rhs is cleared of denominators once).
+    Enumerates by prefixes.  For k = 1..n, the facets of proj_k(P) (the hull
+    of the vertices' first k coordinates; proj_n is P) bound x_k given
+    x_1..x_{k-1}, so every prefix of a point of iP gets the exact integer
+    range of its next coordinate and no empty cell of the bounding box is
+    visited.  Each row ``<a, prefix> + c*t <= i*rhs`` is cleared of
+    denominators once per call, which makes the bounds integer floor and
+    ceiling divisions.  The innermost range lies in iP whole, so its points
+    need no membership test, and they come out in lexicographic order.
     """
-    if i <= 0:
-        raise ValueError("dilation factor must be a positive integer")
+    if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
+        raise ValidationError(f"dilation level must be a positive int, got {i!r}")
     key = ("lattice_points", i)
     if key in p.cache:
         return p.cache[key]
-    n = p.dim
-    lo = [math.ceil(min(v[k] for v in p.vertices) * i) for k in range(n)]
-    hi = [math.floor(max(v[k] for v in p.vertices) * i) for k in range(n)]
-    # <l, z> <= i * rhs  with rhs = a/b  becomes  b*<l, z> <= i*a.
-    constraints = [
-        (h.normal, h.rhs.denominator, i * h.rhs.numerator) for h in p.halfspaces
-    ]
+    # <a, prefix> + c*t <= i*num/den  becomes  c*den*t <= i*num - den*<a, prefix>;
+    # rows with c > 0 bound t from above, rows with c < 0 (stored as |c|*den)
+    # from below.
+    bounds = []
+    for rows in _projections(p):
+        lower, upper = [], []
+        for h in rows:
+            den, c = h.rhs.denominator, h.normal[-1]
+            row = (tuple(den * a for a in h.normal[:-1]), abs(c) * den, i * h.rhs.numerator)
+            (upper if c > 0 else lower).append(row)
+        bounds.append((lower, upper))
+    last = len(bounds) - 1
     points = []
-    ranges = [range(lo[k], hi[k] + 1) for k in range(n)]
 
-    def scan(prefix: list[int], depth: int):
-        if depth == n:
-            z = tuple(prefix)
-            for normal, den, bound in constraints:
-                if den * sum(a * b for a, b in zip(normal, z)) > bound:
-                    return
-            points.append(z)
-            return
-        for val in ranges[depth]:
-            prefix.append(val)
-            scan(prefix, depth + 1)
-            prefix.pop()
+    def walk(prefix: tuple[int, ...], k: int):
+        lower, upper = bounds[k]
+        lo = max(-((b - sum(map(mul, w, prefix))) // g) for w, g, b in lower)
+        hi = min((b - sum(map(mul, w, prefix))) // g for w, g, b in upper)
+        if k == last:
+            points.extend(prefix + (t,) for t in range(lo, hi + 1))
+        else:
+            for t in range(lo, hi + 1):
+                walk(prefix + (t,), k + 1)
 
-    scan([], 0)
-    points.sort()
+    walk((), 0)
     p.cache[key] = points
     return points
+
+
+def _projections(p: Polytope) -> tuple[tuple[HalfSpace, ...], ...]:
+    """Per k = 1..n, the facets of proj_k(P) whose normal has a non-zero k-th
+    coordinate; the others only restate a bound of proj_{k-1}(P)."""
+    key = "lattice_projections"
+    if key not in p.cache:
+        rows = []
+        for k in range(1, p.dim + 1):
+            q = p if k == p.dim else Polytope.from_vertices([v[:k] for v in p.vertices])
+            rows.append(tuple(h for h in q.halfspaces if h.normal[-1] != 0))
+        p.cache[key] = tuple(rows)
+    return p.cache[key]
 
 
 def refined_points(p: Polytope, i: int) -> list[tuple[Fraction, ...]]:

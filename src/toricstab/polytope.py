@@ -475,9 +475,10 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     top of this.
 
     Works incrementally on the vertex set: surviving vertices stay vertices,
-    and the new ones are the crossings of the cut plane with the edges of P
-    (pairs of vertices whose common tight facets span a hyperplane's worth of
-    normals).
+    and the new ones are the crossings of the cut plane with the edges of P.
+    Two vertices span an edge exactly when the smallest face through both,
+    the AND of the incidence masks of the facets through both, has no third
+    vertex.
     """
     h = HalfSpace.make(normal, rhs)
     vals = [h.value(v) for v in p.vertices]
@@ -487,6 +488,7 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     if not keep:
         return None
     n = p.dim
+    everything = (1 << len(p.vertices)) - 1
     crossings = []
     for i, u in enumerate(p.vertices):
         if vals[i] >= h.rhs:
@@ -495,8 +497,11 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
             if vals[j] <= h.rhs:
                 continue
             pair = 1 << i | 1 << j
-            common = [f.normal for f, mask in zip(p.halfspaces, p.incidence) if mask & pair == pair]
-            if len(common) < n - 1 or rank(common) != n - 1:
+            face = everything
+            for mask in p.incidence:
+                if mask & pair == pair:
+                    face &= mask
+            if face != pair:
                 continue
             t = (h.rhs - vals[i]) / (vals[j] - vals[i])
             crossings.append(

@@ -1,10 +1,11 @@
 """Independent computation routes used to validate the main code paths.
 
 These deliberately avoid the library's own kernels wherever a second route
-exists: the degree-2 simplex formula, slice-and-sum subdivision, and plain
-random data generators.
+exists: the degree-2 simplex formula, slice-and-sum subdivision, a scan of the
+bounding box for lattice points, and plain random data generators.
 """
 
+import math
 import random
 from fractions import Fraction as F
 
@@ -36,6 +37,47 @@ def slice_and_sum(p: Polytope, poly: Poly, normal, rhs) -> F:
     return total
 
 
+def box_lattice_points(p: Polytope, i: int) -> list:
+    """The integer points of ``i * P`` by scanning every cell of its bounding
+    box and testing each against every facet, sorted lexicographically."""
+    n = p.dim
+    lo = [math.ceil(min(v[k] for v in p.vertices) * i) for k in range(n)]
+    hi = [math.floor(max(v[k] for v in p.vertices) * i) for k in range(n)]
+    # <l, z> <= i * rhs  with rhs = a/b  becomes  b*<l, z> <= i*a.
+    constraints = [
+        (h.normal, h.rhs.denominator, i * h.rhs.numerator) for h in p.halfspaces
+    ]
+    points = []
+    ranges = [range(lo[k], hi[k] + 1) for k in range(n)]
+
+    def scan(prefix: list, depth: int):
+        if depth == n:
+            z = tuple(prefix)
+            for normal, den, bound in constraints:
+                if den * sum(a * b for a, b in zip(normal, z)) > bound:
+                    return
+            points.append(z)
+            return
+        for val in ranges[depth]:
+            prefix.append(val)
+            scan(prefix, depth + 1)
+            prefix.pop()
+
+    scan([], 0)
+    points.sort()
+    return points
+
+
+def box_cells(p: Polytope, i: int) -> int:
+    """The number of cells of the bounding box of ``i * P``."""
+    cells = 1
+    for k in range(p.dim):
+        lo = math.ceil(min(v[k] for v in p.vertices) * i)
+        hi = math.floor(max(v[k] for v in p.vertices) * i)
+        cells *= max(0, hi - lo + 1)
+    return cells
+
+
 def interior_point(p: Polytope) -> tuple:
     """Average of the vertices: strictly interior for any polytope."""
     n = p.dim
@@ -57,12 +99,13 @@ def random_simplex(rng: random.Random, dim: int) -> Simplex:
             return s
 
 
-def random_polytope(rng: random.Random, dim: int, points=None) -> Polytope:
+def random_polytope(rng: random.Random, dim: int, points=None, num=6, den=4) -> Polytope:
     """Small random full-dimensional polytope: hull of a random point cloud
-    of ``points`` points (default ``dim + 3``)."""
+    of ``points`` points (default ``dim + 3``), coordinates drawn by
+    ``random_fraction(rng, num, den)``."""
     while True:
         pts = [
-            tuple(random_fraction(rng) for _ in range(dim))
+            tuple(random_fraction(rng, num, den) for _ in range(dim))
             for _ in range(points or dim + 3)
         ]
         try:

@@ -115,6 +115,15 @@ def test_kstab_b1_json_bytes():
     )
 
 
+def test_tables_survey_json_bytes():
+    # The whole-corpus table at levels 1-3 and grid 0, pinned byte for byte.
+    code, out = run_cli("tables", "--i-max", "3", "--grid", "0", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "1d58cf74137fbbb94cb063a0cdfc2ead0926cc42208d81e1a4a10be96ec6d58f"
+    )
+
+
 def test_strict_undetermined_exit_4():
     code, _ = run_cli("kstab", "corpus:B1", "--grid", "0", "--strict")
     assert code == 4

@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction as F
 
 import pytest
@@ -5,12 +6,26 @@ import pytest
 from toricstab import (
     NotLatticePolytope,
     Polytope,
+    ValidationError,
     ehrhart,
     lattice_points,
     refined_points,
 )
+from toricstab import lattice
 from toricstab.lattice import interior_lattice_point_count
 from toricstab.linalg import poly_eval
+
+import oracles
+
+# (dimension, polytopes, random coordinate numerator and denominator bound,
+# highest dilation).  The box scan is the oracle, and its cost is the box
+# size, so the higher dimensions take smaller coordinates and fewer levels.
+CLOUDS = [(1, 6, 6, 4, 4), (2, 6, 6, 4, 4), (3, 4, 3, 3, 4), (4, 3, 2, 2, 2), (5, 2, 1, 2, 2)]
+
+
+def assert_matches_box_scan(p, levels):
+    for i in levels:
+        assert lattice_points(p, i) == oracles.box_lattice_points(p, i), i
 
 
 def test_cube_counts(cube):
@@ -86,3 +101,62 @@ def test_refined_count_matches_polynomial(corpus_entries, cube):
         poly = ehrhart(p)
         for i in range(1, 5):
             assert len(refined_points(p, i)) == poly(i)
+
+
+@pytest.mark.parametrize("level", [0, -1, True, 2.5])
+def test_bad_levels_rejected(simplex2d, level):
+    with pytest.raises(ValidationError):
+        lattice_points(simplex2d, level)
+
+
+@pytest.mark.parametrize("dim, count, num, den, top", CLOUDS)
+def test_matches_box_scan_on_random_clouds(dim, count, num, den, top):
+    rng = random.Random(400 + dim)
+    for _ in range(count):
+        p = oracles.random_polytope(rng, dim, num=num, den=den)
+        assert_matches_box_scan(p, range(1, top + 1))
+
+
+@pytest.mark.parametrize("scale", [F(1, 2), F(1, 3)])
+def test_matches_box_scan_on_rational_vertices(scale):
+    rng = random.Random(int(1 / scale))
+    for dim, top in ((2, 4), (3, 4), (4, 2)):
+        base = oracles.random_polytope(rng, dim, num=3, den=1)
+        p = Polytope.from_vertices([tuple(x * scale for x in v) for v in base.vertices])
+        assert not p.is_lattice()
+        assert_matches_box_scan(p, range(1, top + 1))
+    # A square with no lattice point in its first dilation.
+    square = Polytope.from_vertices([(a * scale / 2, b * scale / 2) for a in (1, 3) for b in (1, 3)])
+    assert lattice_points(square, 1) == []
+    assert_matches_box_scan(square, range(1, 7))
+
+
+def test_matches_box_scan_on_sheared_cube():
+    # (x, y, z) -> (x, 20x + y, 400x + 20y + z) is unimodular, so the image of
+    # the unit cube has (i+1)^3 points in its i-th dilation, in a box over
+    # 1000x larger.
+    cube = [(x, y, z) for x in (0, 1) for y in (0, 1) for z in (0, 1)]
+    p = Polytope.from_vertices([(x, 20 * x + y, 400 * x + 20 * y + z) for x, y, z in cube])
+    for i in (1, 2):
+        points = lattice_points(p, i)
+        assert len(points) == (i + 1) ** 3
+        assert oracles.box_cells(p, i) > 1000 * len(points)
+    assert_matches_box_scan(p, (1, 2))
+
+
+def test_projections_built_once_per_polytope(corpus_entries, monkeypatch):
+    e3 = corpus_entries["E3"].polytope
+    p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in e3.halfspaces])
+    built = []
+    hull = Polytope.from_vertices
+
+    def counted(points, name=None):
+        built.append(len(points[0]))
+        return hull(points, name)
+
+    monkeypatch.setattr(Polytope, "from_vertices", staticmethod(counted))
+    for i in (1, 2, 3, 1, 2):
+        lattice_points(p, i)
+    assert sorted(built) == list(range(1, p.dim))
+    assert lattice._projections(p) is p.cache["lattice_projections"]
+    assert_matches_box_scan(p, (1, 2))
