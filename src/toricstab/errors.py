@@ -13,15 +13,19 @@ class DegreeMismatch(ToricStabError):
     """Supplied points do not lie on a polynomial of the stated degree."""
 
 
-class Unbounded(ToricStabError):
+class ValidationError(ToricStabError):
+    """Input violates a structural invariant; the message names it."""
+
+
+class Unbounded(ValidationError):
     """Half-space system has a nontrivial recession cone."""
 
 
-class Empty(ToricStabError):
+class Empty(ValidationError):
     """Half-space system has no feasible point."""
 
 
-class NotFullDimensional(ToricStabError):
+class NotFullDimensional(ValidationError):
     """Point set or feasible region does not affinely span the ambient space."""
 
 
@@ -55,10 +59,6 @@ class PreconditionFailed(ToricStabError):
 
 class ParseError(ToricStabError):
     """Malformed polytope or function file."""
-
-
-class ValidationError(ToricStabError):
-    """Input violates a structural invariant; the message names it."""
 
 
 class InternalInvariant(ToricStabError):

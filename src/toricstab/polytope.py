@@ -3,14 +3,22 @@
 A polytope carries an irredundant list of facet half-spaces ``<l, x> <= rhs``
 with primitive integer normals, its exact rational vertices, and their
 incidence: one int bitmask per facet, bit j set when vertex j lies on it.
+
 Points give the facets by a brute-force hull over their n-subsets, and the
-vertices are the points whose tight facet normals span the space; half-spaces
-give the vertices from every n-subset of facets.  That is adequate at the
-dimensions this library targets (n <= 6, a few dozen facets) and keeps every
-step rational.  A facet chart (a facet projected along one axis, on which
-boundary integrals and the triangulation recurse) is read off the incidence:
-its facets are the ridges, found by bitmask tests, and their half-spaces are
-integer combinations of two facet normals, so no chart is hulled again.
+vertices are the points whose tight facet normals span the space.  Half-spaces
+give the vertices by the double-description method: the homogenized cone is
+built one constraint at a time on exact primitive integer rays, and two rays
+are adjacent when the bitmasks of the constraints tight on them (their zero
+sets) meet in a set that no third zero set contains.  The final zero sets are
+the incidence.  A cut by one more half-space is the same step on the vertices,
+so the incidence is carried through every cut rather than recomputed.  A
+facet is a half-space whose tight set lies in no other's.
+
+A facet chart (a facet projected along one axis, on which boundary integrals
+and the triangulation recurse) is read off the incidence: its facets are the
+ridges, found by bitmask tests, and their half-spaces are integer combinations
+of two facet normals, so no chart is hulled again.  Everything stays rational
+at the dimensions this library targets (n <= 6, a few dozen facets).
 """
 
 from __future__ import annotations
@@ -18,7 +26,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import combinations
+from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -30,14 +40,12 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
-    SingularMatrix,
     _primitive_ints,
     determinant,
     dot,
     nullvector,
     rank,
     rat,
-    solve_linear,
     vec,
 )
 
@@ -87,6 +95,12 @@ class Simplex:
         return len(self.vertices) - 1
 
     def volume(self) -> Fraction:
+        """The volume, computed once per simplex: the triangulation's flat-cell
+        test, every integrand over the cell and ``Polytope.volume`` share it."""
+        return self._volume
+
+    @cached_property
+    def _volume(self) -> Fraction:
         n = self.dim
         v0 = self.vertices[0]
         edges = [[v[i] - v0[i] for i in range(n)] for v in self.vertices[1:]]
@@ -117,41 +131,94 @@ def _on(mask: int, items) -> list:
 def vertices_from_halfspaces(
     halfspaces: Sequence[HalfSpace], dim: int
 ) -> list[tuple[Fraction, ...]]:
-    """Enumerate the exact vertex set of a bounded full-dimensional system.
+    """The sorted exact vertices of a bounded full-dimensional system.
 
-    Tries every ``dim``-subset of facets, keeps the feasible intersection
-    points, and deduplicates.  Raises :class:`Unbounded`, :class:`Empty` or
-    :class:`NotFullDimensional` when the system is degenerate.
+    Uses the double-description method (see :func:`_double_description`).
+    Raises :class:`Unbounded` when the system has a recession ray, even if it
+    is also empty; else :class:`Empty` when nothing is feasible and
+    :class:`NotFullDimensional` when the feasible set has empty interior.
     """
-    hs = list(halfspaces)
-    normals = [h.normal for h in hs]
-    if rank(normals) < dim:
+    return _double_description(list(halfspaces), dim)[0]
+
+
+def _double_description(hs, dim) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+    """The sorted vertices of the system ``hs`` and, per vertex, the bitmask of
+    the half-spaces of ``hs`` tight on it.
+
+    Works on the homogenized cone {(x, t) : <l, x> - rhs*t <= 0, t >= 0}: its
+    extreme rays with t > 0 are the vertices scaled by t, those with t = 0 the
+    recession rays (Fukuda & Prodon, "Double description method revisited",
+    1996).  Each row is cleared to integers once, so every ray stays an exact
+    primitive integer vector.  The cone starts simplicial on n+1 independent
+    rows; each further row keeps the rays on its non-positive side and adds,
+    for each adjacent pair across its hyperplane, the combination on it.
+    """
+    t_row = len(hs)
+    rows = [
+        tuple(h.rhs.denominator * a for a in h.normal) + (-h.rhs.numerator,) for h in hs
+    ] + [(0,) * dim + (-1,)]
+    basis: list[int] = []
+    for r in [t_row, *range(len(hs))]:
+        if rank([rows[k] for k in basis] + [rows[r]]) > len(basis):
+            basis.append(r)
+            if len(basis) > dim:
+                break
+    else:
         raise Unbounded("facet normals do not span the space")
-    # Recession cone check: a nontrivial recession ray would be tight on
-    # dim-1 independent normals (the cone is pointed once normals span).
-    for subset in combinations(range(len(hs)), dim - 1):
-        d = nullvector([normals[i] for i in subset], dim)
-        if d is None:
+    rays, zero_sets = [], []
+    for k in basis:
+        others = [rows[b] for b in basis if b != k]
+        ray = nullvector(others, dim + 1)
+        if sum(map(mul, rows[k], ray)) > 0:
+            ray = tuple(-c for c in ray)
+        rays.append(ray)
+        zero_sets.append(sum(1 << b for b in basis if b != k))
+    for r in range(len(rows)):
+        if r in basis:
             continue
-        for ray in (d, tuple(-x for x in d)):
-            if all(dot(h.normal, ray) <= 0 for h in hs):
-                raise Unbounded(f"recession ray {ray}")
-    found = set()
-    for subset in combinations(range(len(hs)), dim):
-        mat = [normals[i] for i in subset]
-        b = [hs[i].rhs for i in subset]
-        try:
-            point = solve_linear(mat, b)
-        except SingularMatrix:
-            continue
-        if all(h.contains(point) for h in hs):
-            found.add(point)
-    if not found:
+        vals = [sum(map(mul, rows[r], y)) for y in rays]
+        bit = 1 << r
+        new_rays = [y for y, s in zip(rays, vals) if s <= 0]
+        new_zero_sets = [z | bit if s == 0 else z for z, s in zip(zero_sets, vals) if s <= 0]
+        below = [i for i, s in enumerate(vals) if s < 0]
+        above = [j for j, s in enumerate(vals) if s > 0]
+        for i, j, common in _adjacent_pairs(zero_sets, below, above, dim - 1):
+            y = [vals[j] * a - vals[i] * b for a, b in zip(rays[i], rays[j])]
+            g = math.gcd(*y)
+            new_rays.append(tuple(c // g for c in y))
+            new_zero_sets.append(common | bit)
+        rays, zero_sets = new_rays, new_zero_sets
+    vertices = {}
+    for y, z in zip(rays, zero_sets):
+        if y[dim] == 0:
+            raise Unbounded(f"recession ray {y[:dim]}")
+        vertices[tuple(Fraction(c, y[dim]) for c in y[:dim])] = z
+    if not vertices:
         raise Empty("no feasible vertex")
-    verts = sorted(found)
+    verts = sorted(vertices)
     if _affine_rank(verts) < dim:
         raise NotFullDimensional("feasible set has empty interior")
-    return verts
+    return verts, [vertices[v] for v in verts]
+
+
+def _adjacent_pairs(zero_sets, below, above, need):
+    """The adjacent pairs across a hyperplane, as (i, j, common zero set), for
+    i in ``below`` and j in ``above``.
+
+    ``zero_sets[k]`` is the bitmask of the constraints tight on extreme ray k
+    of a pointed cone, or on vertex k of a polytope.  Two are adjacent when
+    the face through both holds no third: their common zero set has at least
+    ``need`` bits (the codimension of a 2-face of the cone, or of an edge of
+    the polytope) and lies in no other zero set.
+    """
+    for i in below:
+        zi = zero_sets[i]
+        for j in above:
+            common = zi & zero_sets[j]
+            if common.bit_count() >= need and not any(
+                z & common == common for k, z in enumerate(zero_sets) if k != i and k != j
+            ):
+                yield i, j, common
 
 
 def halfspaces_from_vertices(points: Sequence[Sequence], dim: int) -> list[HalfSpace]:
@@ -226,8 +293,8 @@ class Polytope:
             hs.append(HalfSpace.make(normal, rhs))
         dim = _common_dim([h.normal for h in hs], "no half-spaces")
         hs = _tightest(hs)
-        verts = vertices_from_halfspaces(hs, dim)
-        return _prune_redundant(hs, verts, name)
+        verts, zero_sets = _double_description(hs, dim)
+        return _prune_redundant(hs, verts, zero_sets, name)
 
     @staticmethod
     def from_vertices(points: Sequence[Sequence], name: Optional[str] = None) -> "Polytope":
@@ -329,14 +396,22 @@ def _tightest(hs) -> list[HalfSpace]:
     return list(tightest.values())
 
 
-def _prune_redundant(hs, verts, name) -> Polytope:
-    """The polytope with vertices ``verts`` and, as facets, the half-spaces of
-    ``hs`` whose tight vertices span a hyperplane."""
-    dim = len(verts[0])
+def _prune_redundant(hs, verts, zero_sets, name) -> Polytope:
+    """The full-dimensional polytope with the sorted vertices ``verts`` whose
+    facets are the half-spaces of ``hs`` with maximal tight sets;
+    ``zero_sets[j]`` is the bitmask of the half-spaces tight on ``verts[j]``.
+
+    No two half-spaces share a hyperplane, so a facet's tight set, which spans
+    its hyperplane, lies in no other tight set, while every other face lies in
+    some facet.
+    """
+    masks = [
+        sum(1 << j for j, z in enumerate(zero_sets) if z >> k & 1) for k in range(len(hs))
+    ]
     facets = [
         (h, mask)
-        for h, mask in zip(hs, _tight_masks(hs, verts))
-        if mask.bit_count() >= dim and _affine_rank(_on(mask, verts)) == dim - 1
+        for h, mask in zip(hs, masks)
+        if not any(other != mask and other & mask == mask for other in masks)
     ]
     return _assemble(sorted(facets, key=lambda f: (f[0].normal, f[0].rhs)), verts, name)
 
@@ -474,43 +549,44 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     dimensional); measure-zero slices never matter to the integrals built on
     top of this.
 
-    Works incrementally on the vertex set: surviving vertices stay vertices,
-    and the new ones are the crossings of the cut plane with the edges of P.
-    Two vertices span an edge exactly when the smallest face through both,
-    the AND of the incidence masks of the facets through both, has no third
-    vertex.
+    Works incrementally on the vertex set, as one step of the double
+    description: surviving vertices stay vertices with the facets they were
+    on, and the new ones are the crossings of the cut plane with the edges of
+    P, each on the facets of its edge and on the cut.  Two vertices span an
+    edge exactly when no third vertex lies on every facet through both.  A
+    facet left with no vertex (the old one parallel to the cut) is dropped.
     """
     h = HalfSpace.make(normal, rhs)
     vals = [h.value(v) for v in p.vertices]
     if all(val <= h.rhs for val in vals):
         return p
-    keep = [v for v, val in zip(p.vertices, vals) if val <= h.rhs]
-    if not keep:
+    if all(val > h.rhs for val in vals):
         return None
     n = p.dim
-    everything = (1 << len(p.vertices)) - 1
-    crossings = []
-    for i, u in enumerate(p.vertices):
-        if vals[i] >= h.rhs:
-            continue
-        for j, w in enumerate(p.vertices):
-            if vals[j] <= h.rhs:
-                continue
-            pair = 1 << i | 1 << j
-            face = everything
-            for mask in p.incidence:
-                if mask & pair == pair:
-                    face &= mask
-            if face != pair:
-                continue
-            t = (h.rhs - vals[i]) / (vals[j] - vals[i])
-            crossings.append(
-                tuple(a + t * (b - a) for a, b in zip(u, w))
-            )
-    verts = sorted(set(keep + crossings))
+    # Per vertex, the bitmask of the facets through it; the cut is the bit
+    # after the last facet.
+    zero_sets = [
+        sum(1 << k for k, mask in enumerate(p.incidence) if mask >> j & 1)
+        for j in range(len(p.vertices))
+    ]
+    cut = 1 << len(p.halfspaces)
+    points = {
+        v: z | cut if val == h.rhs else z
+        for v, val, z in zip(p.vertices, vals, zero_sets)
+        if val <= h.rhs
+    }
+    below = [i for i, val in enumerate(vals) if val < h.rhs]
+    above = [j for j, val in enumerate(vals) if val > h.rhs]
+    for i, j, common in _adjacent_pairs(zero_sets, below, above, n - 1):
+        u, w = p.vertices[i], p.vertices[j]
+        t = (h.rhs - vals[i]) / (vals[j] - vals[i])
+        points[tuple(a + t * (b - a) for a, b in zip(u, w))] = common | cut
+    verts = sorted(points)
     if len(verts) <= n or _affine_rank(verts) < n:
         return None
-    return _prune_redundant(_tightest(list(p.halfspaces) + [h]), verts, p.name)
+    return _prune_redundant(
+        [*p.halfspaces, h], verts, [points[v] for v in verts], p.name
+    )
 
 
 def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:

@@ -2,14 +2,27 @@
 
 These deliberately avoid the library's own kernels wherever a second route
 exists: the degree-2 simplex formula, slice-and-sum subdivision, a scan of the
-bounding box for lattice points, and plain random data generators.
+bounding box for lattice points, vertices from every n-subset of facets, and
+plain random data generators.
 """
 
 import math
 import random
 from fractions import Fraction as F
+from itertools import combinations
 
-from toricstab import NotFullDimensional, Poly, Polytope, Simplex, integrate, intersect_halfspace
+from toricstab import (
+    Empty,
+    NotFullDimensional,
+    Poly,
+    Polytope,
+    Simplex,
+    SingularMatrix,
+    Unbounded,
+    integrate,
+    intersect_halfspace,
+)
+from toricstab.linalg import dot, nullvector, rank, solve_linear
 from toricstab.plfun import AffineFn, PLFn
 
 
@@ -66,6 +79,43 @@ def box_lattice_points(p: Polytope, i: int) -> list:
     scan([], 0)
     points.sort()
     return points
+
+
+def brute_vertices(halfspaces, dim: int) -> list:
+    """The sorted vertices of a half-space system by solving every
+    ``dim``-subset of facets and keeping the feasible points.
+
+    Raises what ``vertices_from_halfspaces`` raises, in the same order: a
+    recession ray (tight on ``dim - 1`` independent normals, so found by
+    scanning every ``(dim - 1)``-subset) makes the system unbounded even when
+    it is also empty.
+    """
+    hs = list(halfspaces)
+    normals = [h.normal for h in hs]
+    if rank(normals) < dim:
+        raise Unbounded("facet normals do not span the space")
+    for subset in combinations(range(len(hs)), dim - 1):
+        d = nullvector([normals[i] for i in subset], dim)
+        if d is None:
+            continue
+        for ray in (d, tuple(-x for x in d)):
+            if all(dot(h.normal, ray) <= 0 for h in hs):
+                raise Unbounded(f"recession ray {ray}")
+    found = set()
+    for subset in combinations(range(len(hs)), dim):
+        try:
+            point = solve_linear([normals[i] for i in subset], [hs[i].rhs for i in subset])
+        except SingularMatrix:
+            continue
+        if all(h.contains(point) for h in hs):
+            found.add(point)
+    if not found:
+        raise Empty("no feasible vertex")
+    verts = sorted(found)
+    base = verts[0]
+    if rank([[v[k] - base[k] for k in range(dim)] for v in verts[1:]]) < dim:
+        raise NotFullDimensional("feasible set has empty interior")
+    return verts
 
 
 def box_cells(p: Polytope, i: int) -> int:

@@ -106,6 +106,28 @@ def test_mixed_vertex_lengths_exit_2(tmp_path):
     assert error["message"] == "mixed ambient dimensions"
 
 
+def test_unbounded_halfspaces_exit_2(tmp_path):
+    # x <= 1 and |y| <= 1 leave the ray (-1, 0) free.
+    strip = tmp_path / "strip.json"
+    strip.write_text(
+        json.dumps(
+            {
+                "halfspaces": [
+                    {"normal": [1, 0], "rhs": "1"},
+                    {"normal": [0, 1], "rhs": "1"},
+                    {"normal": [0, -1], "rhs": "1"},
+                ]
+            }
+        )
+    )
+    code, out = run_cli("theta", str(strip), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "Unbounded"
+    assert error["message"] == "recession ray (-1, 0)"
+    assert error["exit_code"] == 2
+
+
 def test_kstab_b1_json_bytes():
     # The exact output of the default-grid search, pinned byte for byte.
     code, out = run_cli("kstab", "corpus:B1", "--format", "json")

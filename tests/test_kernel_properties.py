@@ -1,17 +1,25 @@
 """Seeded property tests for the polytope kernel: hull round trips, the
-vertex-facet incidence, facet charts and cuts against rebuilds from scratch."""
+vertex-facet incidence, vertex enumeration against the subset scan, facet
+charts and cuts against rebuilds from scratch."""
 
 import random
+from collections import Counter
 from fractions import Fraction as F
+from itertools import product
+from operator import mul
 
 import pytest
 
 from toricstab import (
     Empty,
+    HalfSpace,
     NotFullDimensional,
     Polytope,
+    Unbounded,
     facet_chart,
     intersect_halfspace,
+    linalg,
+    polytope,
     vertices_from_halfspaces,
 )
 
@@ -104,6 +112,135 @@ def test_cut_skips_diagonals_of_faces_on_many_facets():
     assert fast.vertices == slow.vertices
     assert halfspace_pairs(fast) == halfspace_pairs(slow)
     assert_incidence(fast)
+
+
+def outcome(enumerate_vertices, hs, dim):
+    """The sorted vertices of a system, or the type of the error raised."""
+    try:
+        return enumerate_vertices(hs, dim)
+    except (Unbounded, Empty, NotFullDimensional) as exc:
+        return type(exc)
+
+
+def assert_vertices_match_oracle(pairs, dim):
+    """Double description and the subset scan agree on the vertices, or on
+    the error; returns what they agree on."""
+    hs = [HalfSpace.make(normal, rhs) for normal, rhs in pairs]
+    want = outcome(oracles.brute_vertices, hs, dim)
+    assert outcome(vertices_from_halfspaces, hs, dim) == want
+    return want
+
+
+# (dimension, base polytopes, random points per base polytope).  The subset
+# scan grows with C(facets, dim), so the higher dimensions take fewer points.
+SYSTEMS = [(1, 10, 3), (2, 10, 5), (3, 8, 6), (4, 5, 6), (5, 2, 7)]
+
+
+@pytest.mark.parametrize("dim, systems, points", SYSTEMS)
+def test_vertices_match_subset_scan_on_random_systems(dim, systems, points):
+    # Each base system gains random cuts with rational offsets, and is then
+    # checked as it is; with one half-space dropped (bounded or not); with
+    # every half-space dropped whose normal has a positive product with a
+    # direction d, which leaves d a recession direction; and with a cut
+    # beyond every vertex (empty).
+    rng = random.Random(4000 + dim)
+    seen = Counter()
+    for _ in range(systems):
+        p = oracles.random_polytope(rng, dim, points)
+        pairs = halfspace_pairs(p)
+        for _ in range(rng.randint(1, 3)):
+            normal, rhs = random_cut(rng, p)
+            pairs.append((normal, rhs + oracles.random_fraction(rng, num=1, den=3)))
+        dropped = list(pairs)
+        dropped.pop(rng.randrange(len(dropped)))
+        d, _ = random_cut(rng, p)
+        opened = [(normal, rhs) for normal, rhs in pairs if sum(map(mul, normal, d)) <= 0]
+        normal, _ = random_cut(rng, p)
+        lowest = min(sum(map(mul, normal, v)) for v in p.vertices)
+        emptied = pairs + [(normal, lowest - F(1, 2))]
+        for system in (pairs, dropped, opened, emptied):
+            got = assert_vertices_match_oracle(system, dim)
+            seen[got if isinstance(got, type) else list] += 1
+    assert seen[list] and seen[Unbounded] and seen[Empty]
+
+
+def cross_polytope(dim):
+    return [(signs, 1) for signs in product((-1, 1), repeat=dim)]
+
+
+# name: (system, dimension, vertex count or the error expected)
+SPECIAL_SYSTEMS = {
+    "flat-segment": ([((1,), 0), ((-1,), 0)], 1, NotFullDimensional),
+    "flat-square": ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)], 2, NotFullDimensional),
+    "cross-polytope-3": (cross_polytope(3), 3, 6),
+    "cross-polytope-4": (cross_polytope(4), 4, 8),
+    "octahedron-x-square": (
+        [((*signs, 0, 0), 1) for signs in product((-1, 1), repeat=3)]
+        + [((0, 0, 0, a, b), 1) for a, b in ((1, 0), (-1, 0), (0, 1), (0, -1))],
+        5,
+        24,
+    ),
+    # x <= 0 and x >= 1 cannot both hold, yet (0, -1) is a recession ray.
+    "empty-with-recession-ray": ([((1, 0), 0), ((-1, 0), -1), ((0, 1), 0)], 2, Unbounded),
+    "empty-and-bounded": ([((1, 0), -2)] + cross_polytope(2), 2, Empty),
+    "cube-without-a-facet": (
+        [((1, 0, 0), 1), ((-1, 0, 0), 1), ((0, 1, 0), 1), ((0, -1, 0), 1), ((0, 0, 1), 1)],
+        3,
+        Unbounded,
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(SPECIAL_SYSTEMS))
+def test_vertices_match_subset_scan_on_special_systems(name):
+    pairs, dim, expected = SPECIAL_SYSTEMS[name]
+    got = assert_vertices_match_oracle(pairs, dim)
+    assert (got if isinstance(got, type) else len(got)) == expected
+
+
+def cyclic_polytope(m, d):
+    """C(m, d): the hull of m points on the moment curve (t, t^2, ..., t^d)."""
+    return Polytope.from_vertices([tuple(t**k for k in range(1, d + 1)) for t in range(m)])
+
+
+def test_from_halfspaces_solves_no_linear_system(monkeypatch):
+    p = cyclic_polytope(18, 3)
+    assert len(p.halfspaces) == 2 * 18 - 4
+    calls = []
+    solve = linalg.solve_linear
+
+    def counting(m, b):
+        calls.append(len(m))
+        return solve(m, b)
+
+    monkeypatch.setattr(linalg, "solve_linear", counting)
+    monkeypatch.setattr(polytope, "solve_linear", counting, raising=False)
+    q = Polytope.from_halfspaces(halfspace_pairs(p))
+    assert calls == []
+    assert q.vertices == p.vertices
+    assert halfspace_pairs(q) == halfspace_pairs(p)
+    assert q.incidence == p.incidence
+
+
+def test_builds_and_cuts_carry_the_incidence(monkeypatch):
+    # The incidence of a polytope built from half-spaces, and of every cut,
+    # comes from the zero sets; no facet is tested against every vertex.
+    def tight_masks(halfspaces, points):
+        raise AssertionError("the incidence was recomputed")
+
+    monkeypatch.setattr(polytope, "_tight_masks", tight_masks)
+    rng = random.Random(5000)
+    cuts = 0
+    for dim in (2, 3, 4):
+        base = oracles.random_polytope(rng, dim, dim + 3)
+        p = Polytope.from_halfspaces(halfspace_pairs(base))
+        assert p.incidence == base.incidence
+        for _ in range(4):
+            cut = intersect_halfspace(p, *random_cut(rng, p))
+            if cut is not None and cut is not p:
+                assert_incidence(cut)
+                cuts += 1
+    assert cuts
 
 
 def assert_charts_match_hulls(p, depth):

@@ -8,12 +8,15 @@ from toricstab import (
     HalfSpace,
     NotFullDimensional,
     OriginNotInterior,
+    Poly,
     Polytope,
     Unbounded,
     facet_chart,
+    integrate,
     intersect_halfspace,
     is_reflexive_delzant,
     polar_dual,
+    polytope,
 )
 from toricstab.errors import ValidationError
 
@@ -224,6 +227,27 @@ def test_triangulation_apex_choice_conserves_volume(corpus_entries, cube):
         a = sum(s.volume() for s in p.triangulation())
         b = sum(s.volume() for s in p.triangulation(apex_last=True))
         assert a == b == p.volume()
+
+
+def test_one_determinant_per_simplex(monkeypatch):
+    # The triangulation takes each cell's volume to drop flat cells; the
+    # polytope's volume and every integral over the cells reuse it.
+    calls = []
+    det = polytope.determinant
+
+    def counting(m):
+        calls.append(len(m))
+        return det(m)
+
+    monkeypatch.setattr(polytope, "determinant", counting)
+    p = Polytope.from_halfspaces(B2_SYSTEM)
+    cells = p.triangulation()
+    taken = len(calls)
+    assert taken >= len(cells)
+    assert p.volume() == F(28, 3)
+    integrate(p, Poly.coordinate(3, 0))
+    integrate(p, Poly.coordinate(3, 1) * Poly.coordinate(3, 2))
+    assert len(calls) == taken
 
 
 def test_b2_volume(corpus_entries):
