@@ -218,6 +218,8 @@ def upper_hull(nodes: Sequence[tuple[Sequence, Fraction]]) -> PLFn:
         raise DegenerateSpan("no nodes")
     dim = len(pts[0][0])
     bases = [a for a, _ in pts]
+    if any(len(a) != dim for a in bases):
+        raise ValidationError("mixed ambient dimensions")
     if _affine_rank(bases) < dim:
         raise DegenerateSpan("hull nodes must affinely span the base space")
     lifted = [a + (v,) for a, v in pts]

@@ -4,15 +4,17 @@ A polytope carries an irredundant list of facet half-spaces ``<l, x> <= rhs``
 with primitive integer normals, its exact rational vertices, and their
 incidence: one int bitmask per facet, bit j set when vertex j lies on it.
 
-Points give the facets by a brute-force hull over their n-subsets, and the
-vertices are the points whose tight facet normals span the space.  Half-spaces
-give the vertices by the double-description method: the homogenized cone is
-built one constraint at a time on exact primitive integer rays, and two rays
-are adjacent when the bitmasks of the constraints tight on them (their zero
-sets) meet in a set that no third zero set contains.  The final zero sets are
-the incidence.  A cut by one more half-space is the same step on the vertices,
+Both directions of the hull run one double-description core,
+:func:`_extreme_rays`: a pointed cone is built one constraint at a time on
+exact primitive integer rays, and two rays are adjacent when the bitmasks of
+the constraints tight on them (their zero sets) meet in a set that no third
+zero set contains.  Half-spaces give the vertices as the rays of their
+homogenized cone; points give the facets as the rays of the cone of
+half-spaces that hold them all.  Either way the final zero sets are the
+incidence.  A cut by one more half-space is the same step on the vertices,
 so the incidence is carried through every cut rather than recomputed.  A
-facet is a half-space whose tight set lies in no other's.
+facet is a half-space whose tight set lies in no other's, and a vertex is a
+point whose set of facets lies in no other point's.
 
 A facet chart (a facet projected along one axis, on which boundary integrals
 and the triangulation recurse) is read off the incidence: its facets are the
@@ -27,7 +29,6 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import combinations
 from operator import mul
 from typing import Optional, Sequence
 
@@ -42,7 +43,6 @@ from .errors import (
 from .linalg import (
     _primitive_ints,
     determinant,
-    dot,
     nullvector,
     rank,
     rat,
@@ -62,7 +62,7 @@ def primitive_normal(normal: Sequence, rhs) -> tuple[tuple[int, ...], Fraction]:
     return ints, rhs * scale
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, order=True)
 class HalfSpace:
     """Constraint ``<normal, x> <= rhs`` with a primitive integer normal."""
 
@@ -116,16 +116,20 @@ def _affine_rank(points) -> int:
     return rank([[p[i] - base[i] for i in range(len(base))] for p in points[1:]])
 
 
-def _tight_masks(halfspaces, points) -> tuple[int, ...]:
-    """The incidence: per half-space, the bitmask of the points on it."""
-    return tuple(
-        sum(1 << j for j, v in enumerate(points) if h.tight(v)) for h in halfspaces
-    )
-
-
 def _on(mask: int, items) -> list:
     """The items whose bit is set in ``mask``."""
     return [x for j, x in enumerate(items) if mask >> j & 1]
+
+
+def _transpose(masks, count: int) -> list[int]:
+    """Bitmasks of items over ``count`` others, turned into bitmasks of the
+    others over the items: bit k of result j is bit j of ``masks[k]``."""
+    return [sum(1 << k for k, m in enumerate(masks) if m >> j & 1) for j in range(count)]
+
+
+def _maximal(masks) -> list[int]:
+    """The indices of the masks that lie in no other mask."""
+    return [k for k, m in enumerate(masks) if not any(o != m and o & m == m for o in masks)]
 
 
 def vertices_from_halfspaces(
@@ -133,42 +137,90 @@ def vertices_from_halfspaces(
 ) -> list[tuple[Fraction, ...]]:
     """The sorted exact vertices of a bounded full-dimensional system.
 
-    Uses the double-description method (see :func:`_double_description`).
+    Uses the double-description method (see :func:`_extreme_rays`).
     Raises :class:`Unbounded` when the system has a recession ray, even if it
     is also empty; else :class:`Empty` when nothing is feasible and
     :class:`NotFullDimensional` when the feasible set has empty interior.
     """
-    return _double_description(list(halfspaces), dim)[0]
+    return _vertices(list(halfspaces), dim)[0]
 
 
-def _double_description(hs, dim) -> tuple[list[tuple[Fraction, ...]], list[int]]:
+def _vertices(hs, dim) -> tuple[list[tuple[Fraction, ...]], list[int]]:
     """The sorted vertices of the system ``hs`` and, per vertex, the bitmask of
     the half-spaces of ``hs`` tight on it.
 
-    Works on the homogenized cone {(x, t) : <l, x> - rhs*t <= 0, t >= 0}: its
-    extreme rays with t > 0 are the vertices scaled by t, those with t = 0 the
-    recession rays (Fukuda & Prodon, "Double description method revisited",
-    1996).  Each row is cleared to integers once, so every ray stays an exact
-    primitive integer vector.  The cone starts simplicial on n+1 independent
-    rows; each further row keeps the rays on its non-positive side and adds,
-    for each adjacent pair across its hyperplane, the combination on it.
+    They are the extreme rays with t > 0 of the homogenized cone
+    {(x, t) : <l, x> - rhs*t <= 0, t >= 0}, scaled by t; a ray with t = 0 is a
+    recession ray.  The row t >= 0 comes first, as bit 0, so the simplicial
+    start holds it and the cone never leaves t >= 0.
     """
-    t_row = len(hs)
-    rows = [
+    rows = [(0,) * dim + (-1,)] + [
         tuple(h.rhs.denominator * a for a in h.normal) + (-h.rhs.numerator,) for h in hs
-    ] + [(0,) * dim + (-1,)]
+    ]
+    cone = _extreme_rays(rows, dim + 1)
+    if cone is None:
+        raise Unbounded("facet normals do not span the space")
+    vertices = {}
+    for y, z in zip(*cone):
+        if y[dim] == 0:
+            raise Unbounded(f"recession ray {y[:dim]}")
+        vertices[tuple(Fraction(c, y[dim]) for c in y[:dim])] = z >> 1
+    if not vertices:
+        raise Empty("no feasible vertex")
+    verts = sorted(vertices)
+    if _affine_rank(verts) < dim:
+        raise NotFullDimensional("feasible set has empty interior")
+    return verts, [vertices[v] for v in verts]
+
+
+def halfspaces_from_vertices(points: Sequence[Sequence], dim: int) -> list[HalfSpace]:
+    """The sorted irredundant facet list of the hull of a point set, by the
+    double-description method (see :func:`_extreme_rays`); repeated points
+    count once."""
+    return [h for h, _ in _facets(sorted({vec(p) for p in points}), dim)]
+
+
+def _facets(pts, dim) -> list[tuple[HalfSpace, int]]:
+    """The sorted facets of the hull of the distinct points ``pts``, each with
+    the bitmask of the points on it.
+
+    The facets (l, r) are the extreme rays of the cone
+    {(l, r) : <l, p> - r <= 0 for every p}, which is pointed exactly when the
+    points affinely span the space; the zero set of a ray is the points on
+    its facet.
+    """
+    if any(len(p) != dim for p in pts):
+        raise ValidationError("mixed ambient dimensions")
+    cone = _extreme_rays([_primitive_ints((*p, Fraction(-1)))[0] for p in pts], dim + 1)
+    if cone is None:
+        raise NotFullDimensional("points do not affinely span the space")
+    return sorted((HalfSpace.make(y[:dim], y[dim]), z) for y, z in zip(*cone))
+
+
+def _extreme_rays(rows, dim) -> Optional[tuple[list[tuple[int, ...]], list[int]]]:
+    """The extreme rays of the cone {y : <a, y> <= 0 for every row a} in
+    dimension ``dim``, as primitive integer vectors, and per ray its zero set:
+    the bitmask of the rows tight on it, bit r for ``rows[r]``.  ``None`` when
+    the rows do not span, so the cone is not pointed.
+
+    The double-description method (Fukuda & Prodon, "Double description
+    method revisited", 1996) on integer rows: the cone starts simplicial on
+    the first ``dim`` independent rows; each further row keeps the rays on
+    its non-positive side and adds, for each adjacent pair across its
+    hyperplane, the combination on it.
+    """
     basis: list[int] = []
-    for r in [t_row, *range(len(hs))]:
+    for r in range(len(rows)):
         if rank([rows[k] for k in basis] + [rows[r]]) > len(basis):
             basis.append(r)
-            if len(basis) > dim:
+            if len(basis) == dim:
                 break
     else:
-        raise Unbounded("facet normals do not span the space")
+        return None
     rays, zero_sets = [], []
     for k in basis:
         others = [rows[b] for b in basis if b != k]
-        ray = nullvector(others, dim + 1)
+        ray = nullvector(others, dim)
         if sum(map(mul, rows[k], ray)) > 0:
             ray = tuple(-c for c in ray)
         rays.append(ray)
@@ -182,23 +234,13 @@ def _double_description(hs, dim) -> tuple[list[tuple[Fraction, ...]], list[int]]
         new_zero_sets = [z | bit if s == 0 else z for z, s in zip(zero_sets, vals) if s <= 0]
         below = [i for i, s in enumerate(vals) if s < 0]
         above = [j for j, s in enumerate(vals) if s > 0]
-        for i, j, common in _adjacent_pairs(zero_sets, below, above, dim - 1):
+        for i, j, common in _adjacent_pairs(zero_sets, below, above, dim - 2):
             y = [vals[j] * a - vals[i] * b for a, b in zip(rays[i], rays[j])]
             g = math.gcd(*y)
             new_rays.append(tuple(c // g for c in y))
             new_zero_sets.append(common | bit)
         rays, zero_sets = new_rays, new_zero_sets
-    vertices = {}
-    for y, z in zip(rays, zero_sets):
-        if y[dim] == 0:
-            raise Unbounded(f"recession ray {y[:dim]}")
-        vertices[tuple(Fraction(c, y[dim]) for c in y[:dim])] = z
-    if not vertices:
-        raise Empty("no feasible vertex")
-    verts = sorted(vertices)
-    if _affine_rank(verts) < dim:
-        raise NotFullDimensional("feasible set has empty interior")
-    return verts, [vertices[v] for v in verts]
+    return rays, zero_sets
 
 
 def _adjacent_pairs(zero_sets, below, above, need):
@@ -221,45 +263,6 @@ def _adjacent_pairs(zero_sets, below, above, need):
                 yield i, j, common
 
 
-def halfspaces_from_vertices(points: Sequence[Sequence], dim: int) -> list[HalfSpace]:
-    """Brute-force convex hull: the irredundant facet list of a point set."""
-    return [h for h, _ in _hull([vec(p) for p in points], dim)]
-
-
-def _hull(pts, dim) -> list[tuple[HalfSpace, int]]:
-    """The facets of the hull of ``pts``, each with the bitmask of the points on it.
-
-    Tests the hyperplane through every ``dim``-subset of points; a facet is a
-    hyperplane with all points on one side and a full ``(dim-1)``-dimensional
-    tight set.  Normals come out primitive integer, oriented inward-feasible.
-    """
-    if _affine_rank(pts) < dim:
-        raise NotFullDimensional("points do not affinely span the space")
-    facets = {}
-    for subset in combinations(range(len(pts)), dim):
-        base = pts[subset[0]]
-        rows = [[pts[i][k] - base[k] for k in range(dim)] for i in subset[1:]]
-        normal = nullvector(rows, dim)
-        if normal is None:
-            continue
-        rhs = dot(normal, base)
-        above = any(dot(normal, p) > rhs for p in pts)
-        below = any(dot(normal, p) < rhs for p in pts)
-        if above and below:
-            continue
-        if above:
-            normal = tuple(-x for x in normal)
-            rhs = -rhs
-        h = HalfSpace(normal, rhs)
-        key = (h.normal, h.rhs)
-        if key in facets:
-            continue
-        tight = [j for j, p in enumerate(pts) if h.tight(p)]
-        if _affine_rank([pts[j] for j in tight]) == dim - 1:
-            facets[key] = (h, sum(1 << j for j in tight))
-    return [facets[key] for key in sorted(facets)]
-
-
 class Polytope:
     """Full-dimensional bounded rational polytope with both representations.
 
@@ -271,14 +274,16 @@ class Polytope:
         self,
         halfspaces: Sequence[HalfSpace],
         vertices: Sequence[tuple[Fraction, ...]],
+        incidence: Sequence[int],
         name: Optional[str] = None,
     ):
         self.dim = len(halfspaces[0].normal)
         self.halfspaces = tuple(halfspaces)
         self.vertices = tuple(vertices)
+        # Per facet, the bitmask of the vertices on it (bit j for vertex j).
+        self.incidence = tuple(incidence)
         self.name = name
         self.cache: dict = {}
-        self._incidence: Optional[tuple[int, ...]] = None
 
     # -- constructors ------------------------------------------------------
 
@@ -293,25 +298,19 @@ class Polytope:
             hs.append(HalfSpace.make(normal, rhs))
         dim = _common_dim([h.normal for h in hs], "no half-spaces")
         hs = _tightest(hs)
-        verts, zero_sets = _double_description(hs, dim)
+        verts, zero_sets = _vertices(hs, dim)
         return _prune_redundant(hs, verts, zero_sets, name)
 
     @staticmethod
     def from_vertices(points: Sequence[Sequence], name: Optional[str] = None) -> "Polytope":
         """Hull of a point set; repeated and non-extreme points are dropped."""
         pts = sorted({vec(p) for p in points})
-        dim = _common_dim(pts, "no points")
-        facets = _hull(pts, dim)
-        # A point is a vertex when the normals of the facets through it span.
-        keep = [
-            j for j in range(len(pts))
-            if rank([h.normal for h, mask in facets if mask >> j & 1]) == dim
-        ]
-        return _assemble(
-            [(h, sum(1 << k for k, j in enumerate(keep) if mask >> j & 1)) for h, mask in facets],
-            [pts[j] for j in keep],
-            name,
-        )
+        facets = _facets(pts, _common_dim(pts, "no points"))
+        # A point is a vertex when no other point lies on every facet through it.
+        on = _transpose([mask for _, mask in facets], len(pts))
+        keep = _maximal(on)
+        masks = _transpose([on[j] for j in keep], len(facets))
+        return Polytope([h for h, _ in facets], [pts[j] for j in keep], masks, name)
 
     # -- basic queries -----------------------------------------------------
 
@@ -325,13 +324,6 @@ class Polytope:
     def contains(self, point) -> bool:
         point = vec(point)
         return all(h.contains(point) for h in self.halfspaces)
-
-    @property
-    def incidence(self) -> tuple[int, ...]:
-        """Per facet, the bitmask of the vertices on it (bit j for vertex j)."""
-        if self._incidence is None:
-            self._incidence = _tight_masks(self.halfspaces, self.vertices)
-        return self._incidence
 
     def facet_vertices(self, i: int) -> list[tuple[Fraction, ...]]:
         return _on(self.incidence[i], self.vertices)
@@ -405,22 +397,9 @@ def _prune_redundant(hs, verts, zero_sets, name) -> Polytope:
     its hyperplane, lies in no other tight set, while every other face lies in
     some facet.
     """
-    masks = [
-        sum(1 << j for j, z in enumerate(zero_sets) if z >> k & 1) for k in range(len(hs))
-    ]
-    facets = [
-        (h, mask)
-        for h, mask in zip(hs, masks)
-        if not any(other != mask and other & mask == mask for other in masks)
-    ]
-    return _assemble(sorted(facets, key=lambda f: (f[0].normal, f[0].rhs)), verts, name)
-
-
-def _assemble(facets, verts, name) -> Polytope:
-    """A polytope from sorted (facet, incidence mask) pairs and its vertices."""
-    p = Polytope([h for h, _ in facets], verts, name)
-    p._incidence = tuple(mask for _, mask in facets)
-    return p
+    masks = _transpose(zero_sets, len(hs))
+    facets, incidence = zip(*sorted((hs[k], masks[k]) for k in _maximal(masks)))
+    return Polytope(facets, verts, incidence, name)
 
 
 @dataclass(frozen=True)
@@ -508,8 +487,8 @@ def _chart_polytope(p: Polytope, i: int, axis: int) -> Polytope:
         normal = [sign * (lj.normal[k] * a - c * li.normal[k]) for k in range(p.dim) if k != axis]
         h = HalfSpace.make(normal, sign * (lj.rhs * a - c * li.rhs))
         facets.append((h, sum(b for v, b in bit.items() if ridge >> v & 1)))
-    facets.sort(key=lambda f: (f[0].normal, f[0].rhs))
-    return _assemble(facets, [drop(p.vertices[j]) for j in order], None)
+    halfspaces, incidence = zip(*sorted(facets))
+    return Polytope(halfspaces, [drop(p.vertices[j]) for j in order], incidence)
 
 
 def _triangulate(p: Polytope, apex_last: bool) -> list[Simplex]:
@@ -565,10 +544,7 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     n = p.dim
     # Per vertex, the bitmask of the facets through it; the cut is the bit
     # after the last facet.
-    zero_sets = [
-        sum(1 << k for k, mask in enumerate(p.incidence) if mask >> j & 1)
-        for j in range(len(p.vertices))
-    ]
+    zero_sets = _transpose(p.incidence, len(p.vertices))
     cut = 1 << len(p.halfspaces)
     points = {
         v: z | cut if val == h.rhs else z

@@ -401,11 +401,15 @@ def theta_nodes(p: Polytope, ed: ExtremalData, i: int) -> NodeData:
 def s_closed_form(p: Polytope, ed: ExtremalData, i: int) -> Optional[Fraction]:
     """-i * theta_bar * E(i) / sum (theta(a) - theta_bar)^2, or None when theta
     is constant on the nodes (then every s balances and the ratio is 0/0)."""
-    nd = theta_nodes(p, ed, i)
+    return _s_closed(theta_nodes(p, ed, i))
+
+
+def _s_closed(nd: NodeData) -> Optional[Fraction]:
+    """:func:`s_closed_form` on the node data of its level."""
     denom = nd.deviation_square_sum
     if denom == 0:
         return None
-    return -Fraction(i) * nd.theta_bar * nd.count / denom
+    return -Fraction(nd.level) * nd.theta_bar * nd.count / denom
 
 
 HOLDS = "holds"
@@ -440,7 +444,11 @@ def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
     A fails verdict at any level certifies asymptotic relative Chow
     instability in the toric sense.
     """
-    nd = theta_nodes(p, ed, i)
+    return _balance(p, theta_nodes(p, ed, i))
+
+
+def _balance(p: Polytope, nd: NodeData) -> ChowCondition:
+    """:func:`chow_necessary` on the node data of its level."""
     n = p.dim
     vol = p.volume()
     moments = moment_vector(p)
@@ -465,7 +473,7 @@ def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
     else:
         status, s = HOLDS, sol
     return ChowCondition(
-        level=i,
+        level=nd.level,
         status=status,
         s=s,
         coeffs=coeffs,
@@ -496,18 +504,24 @@ def q_weight(
     balance system has no solution -- Q is then undefined and the variety is
     already unstable at this level.
     """
-    cond = chow_necessary(p, ed, i)
+    nd = theta_nodes(p, ed, i)
+    return _q_weight(p, nd, _balance(p, nd), g, s)
+
+
+def _q_weight(
+    p: Polytope, nd: NodeData, cond: ChowCondition, g: PLFn, s: Optional[Fraction] = None
+) -> Fraction:
+    """:func:`q_weight` on the node data of its level and the balance outcome there."""
     if cond.status == FAILS:
         raise PreconditionFailed(
-            f"balance system has no solution at level {i}; Q undefined"
+            f"balance system has no solution at level {nd.level}; Q undefined"
         )
     s_from_system = s is None
     if s is None:
         if cond.status == HOLDS:
             s = cond.s
         else:
-            s = s_closed_form(p, ed, i) or Fraction(0)
-    nd = theta_nodes(p, ed, i)
+            s = _s_closed(nd) or Fraction(0)
     total_nodes = Fraction(0)
     for j, a in enumerate(nd.nodes):
         total_nodes += (1 + s * nd.ttilde(j)) * g(a)
@@ -646,8 +660,8 @@ def analyze(
         kverdict = k_classify(p, grid)
     except NotReflexive:
         kerror = "not reflexive (even up to translation): excess-region criteria not applicable"
-    chow = [chow_necessary(p, ed, i) for i in range(1, i_max + 1)]
-    s_closed = {i: s_closed_form(p, ed, i) for i in range(1, i_max + 1)}
+    chow: list[ChowCondition] = []
+    s_closed: dict[int, Optional[Fraction]] = {}
     # diagnostic weight samples: the boundary-distance concave function for Q,
     # a simple convex kink through the first coordinate for P
     q_samples: dict[int, Fraction] = {}
@@ -655,10 +669,16 @@ def analyze(
     g_sample = facet_distance_pl(p)
     u_sample = PLFn.simple([1] + [0] * (p.dim - 1), 0)
     bound = max(u_sample(v) for v in p.vertices) + 1
-    for cond in chow:
+    for i in range(1, i_max + 1):
+        # theta at the nodes once per level, shared by the balance system,
+        # the closed-form s and the Q sample, and dropped after the level
+        nd = theta_nodes(p, ed, i)
+        cond = _balance(p, nd)
+        chow.append(cond)
+        s_closed[i] = _s_closed(nd)
         if cond.status != FAILS:
-            q_samples[cond.level] = q_weight(p, ed, cond.level, g_sample)
-        p_samples[cond.level] = p_weight(p, cond.level, u_sample, bound).value
+            q_samples[i] = _q_weight(p, nd, cond, g_sample)
+        p_samples[i] = p_weight(p, i, u_sample, bound).value
     ehr = None
     if p.is_lattice():
         ehr = ehrhart(p).coeffs

@@ -2,17 +2,19 @@
 
 These deliberately avoid the library's own kernels wherever a second route
 exists: the degree-2 simplex formula, slice-and-sum subdivision, a scan of the
-bounding box for lattice points, vertices from every n-subset of facets, and
-plain random data generators.
+bounding box for lattice points, vertices from every n-subset of facets,
+facets from every n-subset of points, and plain random data generators.
 """
 
 import math
 import random
 from fractions import Fraction as F
 from itertools import combinations
+from operator import mul
 
 from toricstab import (
     Empty,
+    HalfSpace,
     NotFullDimensional,
     Poly,
     Polytope,
@@ -116,6 +118,61 @@ def brute_vertices(halfspaces, dim: int) -> list:
     if rank([[v[k] - base[k] for k in range(dim)] for v in verts[1:]]) < dim:
         raise NotFullDimensional("feasible set has empty interior")
     return verts
+
+
+def _det(m) -> int:
+    """Determinant of a small square integer matrix by Laplace expansion."""
+    if not m:
+        return 1
+    return sum(
+        (-1) ** j * m[0][j] * _det([row[:j] + row[j + 1:] for row in m[1:]])
+        for j in range(len(m))
+        if m[0][j]
+    )
+
+
+def brute_hull(points, dim: int) -> list:
+    """The sorted facets of the hull of a point set, each as a pair
+    (HalfSpace, bitmask of the distinct sorted points on it), by trying the
+    hyperplane through every ``dim``-subset of points.
+
+    A facet is a hyperplane with every point on one side whose tight points
+    affinely span ``dim - 1`` dimensions.  The points are scaled to integers
+    by their common denominator, and each hyperplane's normal is the vector
+    of signed maximal minors (the generalized cross product) of its
+    ``dim - 1`` edge vectors.  Raises ``NotFullDimensional`` when the points
+    do not affinely span the space.
+    """
+    pts = sorted({tuple(F(x) for x in p) for p in points})
+    scale = math.lcm(*(x.denominator for p in pts for x in p))
+    ints = [tuple(int(x * scale) for x in p) for p in pts]
+
+    def affine_rank(vs):
+        return rank([[v[k] - vs[0][k] for k in range(dim)] for v in vs[1:]]) if vs else -1
+
+    if affine_rank(ints) < dim:
+        raise NotFullDimensional("points do not affinely span the space")
+    facets = {}
+    for subset in combinations(ints, dim):
+        base = subset[0]
+        edges = [[p[k] - base[k] for k in range(dim)] for p in subset[1:]]
+        normal = [
+            (-1) ** k * _det([row[:k] + row[k + 1:] for row in edges]) for k in range(dim)
+        ]
+        if not any(normal):
+            continue
+        rhs = sum(map(mul, normal, base))
+        values = [sum(map(mul, normal, p)) for p in ints]
+        if max(values) > rhs and min(values) < rhs:
+            continue
+        sign = -1 if max(values) > rhs else 1
+        h = HalfSpace.make([sign * x for x in normal], F(sign * rhs, scale))
+        if h in facets:
+            continue
+        tight = [j for j, v in enumerate(values) if v == rhs]
+        if affine_rank([ints[j] for j in tight]) == dim - 1:
+            facets[h] = sum(1 << j for j in tight)
+    return sorted(facets.items(), key=lambda f: (f[0].normal, f[0].rhs))
 
 
 def box_cells(p: Polytope, i: int) -> int:

@@ -1,4 +1,5 @@
-"""The library's invariants stay on in every run, including under ``python -O``."""
+"""Source-level guards on the library: its invariants stay on in every run,
+including under ``python -O``, and no hull falls back to a subset scan."""
 
 import ast
 from pathlib import Path
@@ -12,3 +13,24 @@ def test_no_assert_statements_in_library():
         tree = ast.parse(path.read_text(), filename=str(path))
         found += [f"{path.name}:{node.lineno}" for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not found, f"assert statements vanish under python -O: {found}"
+
+
+def test_no_subset_scans_in_library():
+    # Hulls and vertex enumeration run the double description; scans over
+    # every subset of points or facets live only in the test oracles.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            imported = isinstance(node, ast.ImportFrom) and node.module == "itertools" and any(
+                alias.name == "combinations" for alias in node.names
+            )
+            qualified = (
+                isinstance(node, ast.Attribute)
+                and node.attr == "combinations"
+                and isinstance(node.value, ast.Name)
+                and node.value.id == "itertools"
+            )
+            if imported or qualified:
+                found.append(f"{path.name}:{node.lineno}")
+    assert not found, f"itertools.combinations used in the library: {found}"

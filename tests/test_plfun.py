@@ -13,6 +13,7 @@ from toricstab import (
     linearity_regions,
     upper_hull,
 )
+from toricstab.errors import ValidationError
 from toricstab.plfun import AffineFn, PLFn, pl_is_rational_lattice_cone
 from toricstab.stability import excess_region, extremal_affine
 
@@ -151,6 +152,13 @@ def test_upper_hull_dominates_nodes_and_concave():
 def test_upper_hull_needs_span():
     with pytest.raises(DegenerateSpan):
         upper_hull([((0, 0), F(1)), ((1, 1), F(2)), ((2, 2), F(0))])
+
+
+def test_upper_hull_mixed_lengths_rejected():
+    with pytest.raises(ValidationError, match="mixed ambient dimensions"):
+        upper_hull([((0, 0), F(1)), ((1, 0, 0), F(2)), ((0, 1), F(0)), ((1, 1), F(0))])
+    with pytest.raises(ValidationError, match="mixed ambient dimensions"):
+        upper_hull([((0, 0, 0), F(1)), ((1, 0), F(2)), ((0, 1), F(0)), ((1, 1), F(0))])
 
 
 def test_lattice_cone_predicate(cube):

@@ -80,6 +80,20 @@ def test_hull_of_flat_points_rejected():
         Polytope.from_vertices([(0, 0, 0), (1, 0, 0), (0, 1, 0), (1, 1, 0)])
 
 
+@pytest.mark.parametrize(
+    "points, dim",
+    [
+        ([(0, 0), (1, 0, 0), (0, 1)], 2),
+        ([(0, 0, 0), (1, 0), (0, 1)], 2),
+        ([(0, 0), (1, 0), (0, 1)], 3),
+        ([(0, 0, 0), (1, 0, 0), (0, 1, 0), (0, 0, 1)], 2),
+    ],
+)
+def test_halfspaces_from_vertices_mixed_lengths_rejected(points, dim):
+    with pytest.raises(ValidationError, match="mixed ambient dimensions"):
+        polytope.halfspaces_from_vertices(points, dim)
+
+
 def test_hull_2simplex(simplex2d):
     got = sorted((h.normal, h.rhs) for h in simplex2d.halfspaces)
     assert got == sorted([((-1, 0), F(0)), ((0, -1), F(0)), ((1, 1), F(1))])

@@ -244,7 +244,8 @@ def test_destabilizer_search_degenerate_grid(corpus_entries):
 
 def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # frozen outcome of the exhaustive default grid: no simple destabilizer;
-    # and the search builds no hull (facet charts come from the incidence)
+    # and the search builds no polytope from scratch (facet charts come from
+    # the incidence, cuts are one step on the vertices)
     from toricstab import polytope
 
     # A fresh copy, so no chart comes from a cache filled by another test.
@@ -252,13 +253,13 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in b1.halfspaces])
     ed = extremal_affine(p)
     calls = []
-    hull = polytope._hull
+    extreme_rays = polytope._extreme_rays
 
     def counted(*args):
         calls.append(args)
-        return hull(*args)
+        return extreme_rays(*args)
 
-    monkeypatch.setattr(polytope, "_hull", counted)
+    monkeypatch.setattr(polytope, "_extreme_rays", counted)
     assert destabilizer_search(p, ed, SearchGrid(box_bound=1)) is None
     assert calls == []
 
@@ -349,6 +350,47 @@ def test_s_trend_toward_minus_half(corpus_entries):
         abs(s_closed_form(p, ed, i) + F(1, 2)) for i in (2, 4, 6, 8)
     ]
     assert all(a > b for a, b in zip(deviations, deviations[1:]))
+
+
+def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
+    # The balance system, the closed-form s, Q and the projection each read
+    # theta at the nodes of their level once (Q used to read it three times:
+    # for itself, for the balance system and for the closed-form s), and
+    # analyze reads it once per level.
+    from toricstab import stability
+
+    p = corpus_entries["B2"].polytope
+    ed = extremal_affine(p)
+    nodes = sorted(theta_nodes(p, ed, 1).nodes)
+    evaluations = []
+    call = AffineFn.__call__
+
+    def counting(fn, point):
+        if fn is ed.theta:
+            evaluations.append(point)
+        return call(fn, point)
+
+    monkeypatch.setattr(AffineFn, "__call__", counting)
+    g = PLFn.concave([AffineFn.make((1, 0, 0), 0), AffineFn.make((-1, 0, 0), 0)])
+    for run in (
+        lambda: chow_necessary(p, ed, 1),
+        lambda: s_closed_form(p, ed, 1),
+        lambda: q_weight(p, ed, 1, g),
+        lambda: project_perp(p, ed, 1, PLFn.simple((1, 0, 0), 0)),
+    ):
+        evaluations.clear()
+        run()
+        assert sorted(evaluations) == nodes
+    levels = []
+    build = stability.theta_nodes
+
+    def counted(p, ed, i):
+        levels.append(i)
+        return build(p, ed, i)
+
+    monkeypatch.setattr(stability, "theta_nodes", counted)
+    analyze(p, i_max=3, grid=FAST_GRID)
+    assert levels == [1, 2, 3]
 
 
 def test_chow_cube_any(cube):
