@@ -1,7 +1,17 @@
 """Exact integration of polynomials over polytopes and their boundaries.
 
-One kernel does all the work: on a simplex, expand the integrand in
-barycentric coordinates and apply the Dirichlet moment formula
+Everything reduces to integrals over simplices.  Every integrand the
+pipeline builds has degree at most 2, and those have a closed form in two
+moments of the vertices that each simplex computes once, S = sum v_i and
+Q = sum v_i v_i^T (Baldoni, Berline, De Loera, Koeppe, Vergne, "How to
+integrate a polynomial over a simplex", Math. Comp. 2011):
+
+    integral over S of 1        =  Vol(S)
+    integral over S of x_k      =  Vol(S) * S_k / (n + 1)
+    integral over S of x_j x_k  =  Vol(S) * (Q_jk + S_j S_k) / ((n + 1)(n + 2))
+
+Above degree 2 the integrand is expanded in barycentric coordinates and the
+Dirichlet moment formula applies:
 
     integral over S of  lam^alpha dx  =  n! Vol(S) * (prod alpha_j!) / (n + |alpha|)!
 
@@ -139,11 +149,32 @@ class Poly:
 
 
 def integrate_simplex(simplex: Simplex, p: Poly) -> Fraction:
-    """Exact integral of ``p`` over one simplex via the Dirichlet formula."""
-    n = simplex.dim
+    """Exact integral of ``p`` over one simplex: the vertex moments up to
+    degree 2, the Dirichlet formula above."""
     vol = simplex.volume()
     if vol == 0:
         return Fraction(0)
+    if p.degree() > 2:
+        return _dirichlet(simplex, vol, p)
+    n = simplex.dim
+    s, q = simplex.vertex_sum, simplex.vertex_products
+    const = linear = quadratic = Fraction(0)
+    for expo, coeff in p.terms.items():
+        axes = [k for k, e in enumerate(expo) for _ in range(e)]
+        if not axes:
+            const += coeff
+        elif len(axes) == 1:
+            linear += coeff * s[axes[0]]
+        else:
+            j, k = axes
+            quadratic += coeff * (q[j][k] + s[j] * s[k])
+    return vol * (const + linear / (n + 1) + quadratic / ((n + 1) * (n + 2)))
+
+
+def _dirichlet(simplex: Simplex, vol: Fraction, p: Poly) -> Fraction:
+    """The integral of ``p`` over the simplex of volume ``vol`` by expanding
+    ``p`` in barycentric coordinates."""
+    n = simplex.dim
     v0 = simplex.vertices[0]
     # x_i = v0_i + sum_j (v_j - v0)_i * lam_j as polynomials in lam_1..lam_n
     maps = []

@@ -3,7 +3,8 @@
 A PLFn is max (convex mode) or min (concave mode) of affine pieces.  All
 integration reduces to the polynomial kernel by decomposing the domain into
 the closed linearity regions of the function; regions share facets but only
-in measure zero, which the integrals never see.
+in measure zero, which the integrals never see.  An integrand with the factor
+u vanishes on the region of a zero piece, so that region is never built.
 """
 
 from __future__ import annotations
@@ -16,6 +17,7 @@ from .errors import DegenerateSpan, InternalInvariant, ValidationError
 from .integrate import Poly, integrate
 from .linalg import dot, rat, rat_str, vec
 from .polytope import (
+    FacetChart,
     Polytope,
     _affine_rank,
     facet_chart,
@@ -151,14 +153,21 @@ def linearity_regions(
     Regions of zero volume (redundant pieces) are dropped; the survivors have
     pairwise disjoint interiors and cover P.
     """
+    return _regions(p, u, u.pieces)
+
+
+def _regions(
+    p: Polytope, u: PLFn, wanted: Sequence[AffineFn]
+) -> list[tuple[Polytope, AffineFn]]:
+    """The linearity regions of the pieces of ``u`` in ``wanted``, each cut
+    out of P by one half-space per other piece; regions without interior are
+    dropped."""
     pieces = list(dict.fromkeys(u.pieces))  # exact duplicates double-count
-    if len(pieces) == 1:
-        return [(p, pieces[0])]
     regions = []
-    for k, f in enumerate(pieces):
+    for f in dict.fromkeys(wanted):
         region: Optional[Polytope] = p
-        for j, g in enumerate(pieces):
-            if j == k:
+        for g in pieces:
+            if g == f:
                 continue
             diff = g - f  # need f >= g (convex) i.e. diff <= 0
             if u.mode == CONCAVE:
@@ -176,32 +185,50 @@ def linearity_regions(
     return regions
 
 
+def _nonzero_regions(p: Polytope, u: PLFn) -> list[tuple[Polytope, AffineFn]]:
+    """The linearity regions of the pieces of ``u`` that are not identically
+    zero: an integrand with the factor u vanishes on the others, so they are
+    never built."""
+    return _regions(p, u, [f for f in u.pieces if f.c or any(f.a)])
+
+
+def _boundary_charts(p: Polytope, region: Polytope) -> list[FacetChart]:
+    """The charts of the facets of ``region`` (a subpolytope of P) that lie on
+    facets of P.
+
+    Such a facet carries the very half-space of its facet of P, so it has
+    the same lattice measure; together they cover the boundary of P inside
+    ``region`` up to a set of measure zero.
+    """
+    on_p = set(p.halfspaces)
+    return [facet_chart(region, i) for i, h in enumerate(region.halfspaces) if h in on_p]
+
+
 def integrate_pl(p: Polytope, poly: Poly, u: PLFn) -> Fraction:
     """Exact integral of ``poly * u`` over P."""
     key = ("integral_pl", tuple(sorted(poly.terms.items())), u)
     if key in p.cache:
         return p.cache[key]
     total = Fraction(0)
-    for region, piece in linearity_regions(p, u):
+    for region, piece in _nonzero_regions(p, u):
         total += integrate(region, poly * piece.as_poly())
     p.cache[key] = total
     return total
 
 
 def boundary_integrate_pl(p: Polytope, poly: Poly, u: PLFn) -> Fraction:
-    """Exact integral of ``poly * u`` over the boundary of P (lattice measure)."""
+    """Exact integral of ``poly * u`` over the boundary of P (lattice measure).
+
+    Each piece of u that is not identically zero is integrated over the
+    facets of its linearity region that lie on facets of P, so each region
+    is cut once and no facet of P is cut again.
+    """
     total = Fraction(0)
-    for i in range(len(p.halfspaces)):
-        chart = facet_chart(p, i)
-        poly_f = poly.eliminate_axis(chart.axis, chart.normal, chart.rhs)
-        u_f = PLFn(
-            tuple(
-                f.restrict_to_facet(chart.axis, chart.normal, chart.rhs)
-                for f in u.pieces
-            ),
-            u.mode,
-        )
-        total += chart.scale * integrate_pl(chart.polytope, poly_f, u_f)
+    for region, piece in _nonzero_regions(p, u):
+        for chart in _boundary_charts(p, region):
+            restricted = poly.eliminate_axis(chart.axis, chart.normal, chart.rhs)
+            f = piece.restrict_to_facet(chart.axis, chart.normal, chart.rhs)
+            total += chart.scale * integrate(chart.polytope, restricted * f.as_poly())
     return total
 
 

@@ -107,6 +107,32 @@ class Simplex:
         d = determinant(edges)
         return abs(d) / math.factorial(n)
 
+    @cached_property
+    def vertex_sum(self) -> tuple[Fraction, ...]:
+        """S = sum of the vertices; with ``vertex_products`` it gives every
+        integral of degree at most 2 over the cell."""
+        den, rows = _over_common_denominator(self.vertices)
+        return tuple(Fraction(sum(col), den) for col in zip(*rows))
+
+    @cached_property
+    def vertex_products(self) -> tuple[tuple[Fraction, ...], ...]:
+        """Q = sum of v v^T over the vertices, a symmetric matrix."""
+        n = self.dim
+        den, rows = _over_common_denominator(self.vertices)
+        den *= den
+        q = [[Fraction(0)] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j, n):
+                q[j][k] = q[k][j] = Fraction(sum(r[j] * r[k] for r in rows), den)
+        return tuple(map(tuple, q))
+
+
+def _over_common_denominator(points) -> tuple[int, list[list[int]]]:
+    """(d, rows) with rows[i][k] = d * points[i][k] integers, d the least
+    common denominator: sums of products then need no fraction arithmetic."""
+    den = math.lcm(*(x.denominator for p in points for x in p))
+    return den, [[x.numerator * (den // x.denominator) for x in p] for p in points]
+
 
 def _affine_rank(points) -> int:
     """Dimension of the affine span of a point list."""

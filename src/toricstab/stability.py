@@ -43,9 +43,9 @@ from .linalg import AnyS, dot, rank, rat, rat_str, solve_linear, solve_overdeter
 from .plfun import (
     AffineFn,
     PLFn,
-    boundary_integrate_pl,
+    _boundary_charts,
+    _nonzero_regions,
     integrate_pl,
-    linearity_regions,
     pl_is_rational_lattice_cone,
 )
 from .polytope import Polytope, intersect_halfspace, is_reflexive_delzant, primitive_normal
@@ -63,6 +63,8 @@ class ExtremalData:
     theta: AffineFn
     sbar: Fraction
     gram: tuple[tuple[Fraction, ...], ...]
+    # The right-hand side of the system: the Futaki vector.
+    futaki: tuple[Fraction, ...]
 
     @property
     def gradient(self) -> tuple[Fraction, ...]:
@@ -83,14 +85,10 @@ def futaki_vector(p: Polytope) -> tuple[Fraction, ...]:
 
     Up to a positive dimensional constant this is the classical obstruction
     character evaluated on the torus generators; it vanishes iff theta = 0.
+    It is the right-hand side of the extremal system, so it is read off
+    :func:`extremal_affine`.
     """
-    sbar = average_scalar(p)
-    moments = moment_vector(p)
-    out = []
-    for k in range(p.dim):
-        xk = Poly.coordinate(p.dim, k)
-        out.append(boundary_integral(p, xk) - sbar * moments[k])
-    return tuple(out)
+    return extremal_affine(p).futaki
 
 
 def extremal_affine(p: Polytope) -> ExtremalData:
@@ -115,15 +113,16 @@ def extremal_affine(p: Polytope) -> ExtremalData:
     ]
     gram = [second[k] + [moments[k]] for k in range(n)]
     gram.append(list(moments) + [vol])
-    rhs = [
+    futaki = tuple(
         boundary_integral(p, Poly.coordinate(n, k)) - sbar * moments[k]
         for k in range(n)
-    ] + [Fraction(0)]
-    sol = solve_linear(gram, rhs)
+    )
+    sol = solve_linear(gram, [*futaki, Fraction(0)])
     data = ExtremalData(
         theta=AffineFn(tuple(sol[:n]), sol[n]),
         sbar=sbar,
         gram=tuple(tuple(row) for row in gram),
+        futaki=futaki,
     )
     # Normalization is exact by construction; keep it loud if it ever breaks.
     if integrate(p, data.theta.as_poly()) != 0:
@@ -140,34 +139,33 @@ def extremal_affine(p: Polytope) -> ExtremalData:
 def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     """L(u) = boundary integral of u minus integral of (Sbar + theta) u.
 
-    On a reflexive polytope the divergence-theorem form
-    integral of (sum x_i du_i - u) + (1 - theta) u dx is computed as well and
-    the two must agree exactly; a mismatch means a kernel bug.
+    Evaluated on the linearity regions R_k of the pieces f_k of u that are
+    not identically zero, so max{0, b.x + d} costs one cut: the boundary
+    term integrates f_k over the facets of R_k that lie on facets of P, the
+    volume term (Sbar + theta) f_k over R_k.  On a reflexive polytope the
+    divergence-theorem form, the sum over the same regions of
+    -c_k Vol(R_k) + integral of (1 - theta) f_k, is computed as well and the
+    two must agree exactly; a mismatch means a kernel bug.
     """
     weight = Poly.affine(ed.theta.a, ed.theta.c + ed.sbar)
-    value = boundary_integrate_pl(p, Poly.constant(p.dim, 1), u) - integrate_pl(
-        p, weight, u
-    )
-    if all(h.rhs == 1 for h in p.halfspaces) and p.is_lattice():
-        alt = _l_functional_parts_form(p, ed, u)
-        if alt != value:
-            raise InternalInvariant(
-                f"boundary-form {rat_str(value)} != parts-form {rat_str(alt)}"
-            )
+    one_minus_theta = Poly.affine([-x for x in ed.theta.a], 1 - ed.theta.c)
+    check = all(h.rhs == 1 for h in p.halfspaces) and p.is_lattice()
+    boundary = volume = parts = Fraction(0)
+    for region, piece in _nonzero_regions(p, u):
+        f = piece.as_poly()
+        for chart in _boundary_charts(p, region):
+            f_chart = piece.restrict_to_facet(chart.axis, chart.normal, chart.rhs)
+            boundary += chart.scale * integrate(chart.polytope, f_chart.as_poly())
+        volume += integrate(region, weight * f)
+        if check:
+            # On the region, sum x_i du_i - u = -piece.c (the gradient terms cancel).
+            parts += -piece.c * region.volume() + integrate(region, one_minus_theta * f)
+    value = boundary - volume
+    if check and parts != value:
+        raise InternalInvariant(
+            f"boundary-form {rat_str(value)} != parts-form {rat_str(parts)}"
+        )
     return value
-
-
-def _l_functional_parts_form(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
-    """Integration-by-parts form, valid when every facet sits at rhs 1."""
-    total = Fraction(0)
-    one_minus_theta = Poly.affine(
-        [-x for x in ed.theta.a], 1 - ed.theta.c
-    )
-    for region, piece in linearity_regions(p, u):
-        # On the region, sum x_i du_i - u = -piece.c (the gradient terms cancel).
-        total += -piece.c * region.volume()
-        total += integrate(region, one_minus_theta * piece.as_poly())
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -690,7 +688,7 @@ def analyze(
         reflexive=reflexive,
         delzant=delzant,
         theta=ed.theta,
-        futaki=futaki_vector(p),
+        futaki=ed.futaki,
         kverdict=kverdict,
         kverdict_error=kerror,
         chow=chow,

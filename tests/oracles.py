@@ -1,7 +1,9 @@
 """Independent computation routes used to validate the main code paths.
 
 These deliberately avoid the library's own kernels wherever a second route
-exists: the degree-2 simplex formula, slice-and-sum subdivision, a scan of the
+exists: the degree-2 simplex formula, the barycentric (Dirichlet) simplex
+kernel at every degree, slice-and-sum subdivision, L over every facet chart
+and every linearity region, its integration-by-parts form, a scan of the
 bounding box for lattice points, vertices from every n-subset of facets,
 facets from every n-subset of points, and plain random data generators.
 """
@@ -21,8 +23,10 @@ from toricstab import (
     Simplex,
     SingularMatrix,
     Unbounded,
+    facet_chart,
     integrate,
     intersect_halfspace,
+    linearity_regions,
 )
 from toricstab.linalg import dot, nullvector, rank, solve_linear
 from toricstab.plfun import AffineFn, PLFn
@@ -37,6 +41,70 @@ def degree2_simplex_integral(simplex: Simplex, l1: AffineFn, l2: AffineFn) -> F:
     vals2 = [l2(v) for v in simplex.vertices]
     paired = sum((a * b for a, b in zip(vals1, vals2)), F(0))
     return vol * (paired + sum(vals1) * sum(vals2)) / ((n + 1) * (n + 2))
+
+
+def dirichlet_simplex_integral(simplex: Simplex, poly: Poly) -> F:
+    """The integral of ``poly`` over the simplex at any degree: expand it in
+    barycentric coordinates and apply the Dirichlet moment formula
+    n! Vol * (prod alpha_j!) / (n + |alpha|)! to each monomial."""
+    n = simplex.dim
+    vol = simplex.volume()
+    v0 = simplex.vertices[0]
+    maps = [
+        Poly.affine([simplex.vertices[j + 1][i] - v0[i] for j in range(n)], v0[i])
+        for i in range(n)
+    ]
+    total = F(0)
+    for expo, coeff in poly.compose_affine(maps).terms.items():
+        num = math.prod(math.factorial(e) for e in expo)
+        total += coeff * math.factorial(n) * vol * F(num, math.factorial(n + sum(expo)))
+    return total
+
+
+def _pl_integral(p: Polytope, poly: Poly, u: PLFn) -> F:
+    """The integral of ``poly * u`` over P summed over every linearity region
+    of u, the zero piece's included."""
+    return sum(
+        (integrate(region, poly * piece.as_poly()) for region, piece in linearity_regions(p, u)),
+        F(0),
+    )
+
+
+def chart_route_boundary_pl(p: Polytope, poly: Poly, u: PLFn) -> F:
+    """The integral of ``poly * u`` over the boundary of P facet by facet: u
+    is restricted to each facet chart, the chart is split into every
+    linearity region of the restriction, and each region is integrated."""
+    total = F(0)
+    for i in range(len(p.halfspaces)):
+        chart = facet_chart(p, i)
+        u_f = PLFn(
+            tuple(f.restrict_to_facet(chart.axis, chart.normal, chart.rhs) for f in u.pieces),
+            u.mode,
+        )
+        poly_f = poly.eliminate_axis(chart.axis, chart.normal, chart.rhs)
+        total += chart.scale * _pl_integral(chart.polytope, poly_f, u_f)
+    return total
+
+
+def chart_route_l(p: Polytope, ed, u: PLFn) -> F:
+    """L(u) with the boundary term by :func:`chart_route_boundary_pl` and the
+    volume term over every linearity region of u in P."""
+    weight = Poly.affine(ed.theta.a, ed.theta.c + ed.sbar)
+    one = Poly.constant(p.dim, 1)
+    return chart_route_boundary_pl(p, one, u) - _pl_integral(p, weight, u)
+
+
+def l_functional_parts_form(p: Polytope, ed, u: PLFn) -> F:
+    """The integration-by-parts form of L, valid when every facet sits at
+    rhs 1: the sum over every linearity region R of u, with active piece
+    f = a.x + c, of -c Vol(R) + integral over R of (1 - theta) f, since
+    sum x_i du_i - u = -c on R."""
+    total = F(0)
+    one_minus_theta = Poly.affine([-x for x in ed.theta.a], 1 - ed.theta.c)
+    for region, piece in linearity_regions(p, u):
+        total += -piece.c * region.volume()
+        total += integrate(region, one_minus_theta * piece.as_poly())
+    return total
 
 
 def slice_and_sum(p: Polytope, poly: Poly, normal, rhs) -> F:

@@ -39,7 +39,6 @@ from toricstab.stability import (
     FAILS,
     STABLE_EMPTY_EXCESS,
     SearchGrid,
-    _l_functional_parts_form,
     excess_region,
 )
 
@@ -264,7 +263,7 @@ def test_criterion_7b_two_formula_agreement(corpus_entries):
             ed = extremal_affine(p)
             for _ in range(20):
                 u = oracles.random_convex_pl(rng, 3)
-                assert l_functional(p, ed, u) == _l_functional_parts_form(p, ed, u)
+                assert l_functional(p, ed, u) == oracles.l_functional_parts_form(p, ed, u)
 
 
 def test_criterion_7c_integration_oracles():

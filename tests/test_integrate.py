@@ -143,3 +143,24 @@ def test_degree2_closed_form_oracle():
         l2 = oracles.random_affine(rng, dim)
         via_kernel = integrate_simplex(s, l1.as_poly() * l2.as_poly())
         assert via_kernel == oracles.degree2_simplex_integral(s, l1, l2)
+
+
+def test_moment_kernel_matches_dirichlet():
+    # Up to degree 2 integrate_simplex reads the integral off the cached
+    # vertex moments; the barycentric expansion is the independent route.
+    rng = random.Random(23)
+    for dim in range(1, 7):
+        monomials = [()] + [(k,) for k in range(dim)] + [
+            (j, k) for j in range(dim) for k in range(j, dim)
+        ]
+        for _ in range(2):
+            s = oracles.random_simplex(rng, dim)
+            for axes in monomials:
+                expo = [0] * dim
+                for k in axes:
+                    expo[k] += 1
+                poly = Poly(dim, {tuple(expo): 1})
+                assert integrate_simplex(s, poly) == oracles.dirichlet_simplex_integral(s, poly)
+            for _ in range(3):
+                poly = oracles.random_poly(rng, dim, max_degree=2)
+                assert integrate_simplex(s, poly) == oracles.dirichlet_simplex_integral(s, poly)

@@ -174,3 +174,15 @@ def test_plfn_json_roundtrip():
     again = PLFn.from_json(u.to_json())
     assert again == u
     assert again.to_json()["mode"] == "convex"
+
+
+def test_boundary_integrate_pl_matches_chart_split(corpus_entries):
+    # Each facet chart split into the linearity regions of the restriction
+    # is the second route to the region-facet one.
+    rng = random.Random(41)
+    for p in (corpus_entries["B1"].polytope, corpus_entries["C4"].polytope):
+        for pieces in (1, 2, 3):
+            u = oracles.random_convex_pl(rng, 3, pieces)
+            poly = oracles.random_poly(rng, 3, max_degree=1)
+            want = oracles.chart_route_boundary_pl(p, poly, u)
+            assert boundary_integrate_pl(p, poly, u) == want

@@ -1,11 +1,13 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction as F
 
 import pytest
 
 from toricstab import (
     ANY_S,
+    InternalInvariant,
     NotReflexive,
     Poly,
     Polytope,
@@ -129,6 +131,17 @@ def test_futaki_vanishing(cube, corpus_entries):
 # -- the linear functional ---------------------------------------------------
 
 
+def test_futaki_is_the_extremal_right_hand_side(corpus_entries):
+    for entry in corpus_entries.values():
+        p = entry.polytope
+        sbar = average_scalar(p)
+        moments = moment_vector(p)
+        assert futaki_vector(p) == tuple(
+            boundary_integral(p, Poly.coordinate(p.dim, k)) - sbar * moments[k]
+            for k in range(p.dim)
+        )
+
+
 def test_l_affine_zero(corpus_entries):
     rng = random.Random(61)
     p = corpus_entries["B3"].polytope
@@ -245,23 +258,62 @@ def test_destabilizer_search_degenerate_grid(corpus_entries):
 def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # frozen outcome of the exhaustive default grid: no simple destabilizer;
     # and the search builds no polytope from scratch (facet charts come from
-    # the incidence, cuts are one step on the vertices)
-    from toricstab import polytope
+    # the incidence, cuts are one step on the vertices), cuts P once per
+    # candidate (only the region of the nonzero piece), integrates without
+    # the barycentric expansion and adds nothing to the cache of P
+    from toricstab import plfun, polytope, stability
 
     # A fresh copy, so no chart comes from a cache filled by another test.
     b1 = corpus_entries["B1"].polytope
     p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in b1.halfspaces])
     ed = extremal_affine(p)
-    calls = []
-    extreme_rays = polytope._extreme_rays
+    counts = {"rays": 0, "cuts": 0, "compose": 0, "l": 0}
 
-    def counted(*args):
-        calls.append(args)
-        return extreme_rays(*args)
+    def counting(name, fn):
+        def counted(*args):
+            counts[name] += 1
+            return fn(*args)
 
-    monkeypatch.setattr(polytope, "_extreme_rays", counted)
+        return counted
+
+    monkeypatch.setattr(polytope, "_extreme_rays", counting("rays", polytope._extreme_rays))
+    monkeypatch.setattr(plfun, "intersect_halfspace", counting("cuts", plfun.intersect_halfspace))
+    monkeypatch.setattr(Poly, "compose_affine", counting("compose", Poly.compose_affine))
+    monkeypatch.setattr(stability, "l_functional", counting("l", stability.l_functional))
+    keys = set(p.cache)
     assert destabilizer_search(p, ed, SearchGrid(box_bound=1)) is None
-    assert calls == []
+    assert counts["l"] > 0
+    assert counts == {"rays": 0, "cuts": counts["l"], "compose": 0, "l": counts["l"]}
+    assert set(p.cache) == keys
+
+
+def test_l_cross_check_fires_on_a_skewed_sbar(corpus_entries):
+    # A skewed Sbar changes the boundary form by -integral of u and leaves
+    # the parts form alone, so the cross-check must fire.
+    b1 = corpus_entries["B1"].polytope
+    ed = extremal_affine(b1)
+    with pytest.raises(InternalInvariant):
+        l_functional(b1, replace(ed, sbar=ed.sbar + 1), PLFn.simple((1, 0, 0), 0))
+
+
+def test_l_matches_chart_route_on_search_candidates(corpus_entries, cube):
+    # L on the regions of the nonzero pieces against L over every facet
+    # chart and every linearity region, on the real search candidates.
+    b1 = corpus_entries["B1"].polytope
+    ed = extremal_affine(b1)
+    for u in destabilizer_candidates(b1, ed, SearchGrid()):
+        assert l_functional(b1, ed, u) == oracles.chart_route_l(b1, ed, u)
+    e2 = corpus_entries["E2"].polytope
+    ed = extremal_affine(e2)
+    rng = random.Random(13)
+    candidates = list(destabilizer_candidates(e2, ed, SearchGrid()))
+    for u in rng.sample(candidates, 12):
+        assert l_functional(e2, ed, u) == oracles.chart_route_l(e2, ed, u)
+    for p in (cube, corpus_entries["C4"].polytope):
+        ed = extremal_affine(p)
+        for pieces in (1, 2, 3, 4):
+            u = oracles.random_convex_pl(rng, 3, pieces)
+            assert l_functional(p, ed, u) == oracles.chart_route_l(p, ed, u)
 
 
 def test_l_mirror_identity(cube, corpus_entries):
