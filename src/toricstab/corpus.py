@@ -266,14 +266,7 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
             )
     if "weighted_node_sum" in exp:
         ed = extremal_affine(p)
-        nd = theta_nodes(p, ed, 1)
-        got = tuple(
-            sum(
-                (nd.deviations[j] * nd.nodes[j][k] for j in range(nd.count)),
-                Fraction(0),
-            )
-            for k in range(p.dim)
-        )
+        got = theta_nodes(p, ed, 1).deviation_moment
         check("weighted_node_sum", got, tuple(rat(x) for x in exp["weighted_node_sum"]))
     if "chow_level1" in exp:
         ed = extremal_affine(p)

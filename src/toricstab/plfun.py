@@ -205,14 +205,14 @@ def _boundary_charts(p: Polytope, region: Polytope) -> list[FacetChart]:
 
 
 def integrate_pl(p: Polytope, poly: Poly, u: PLFn) -> Fraction:
-    """Exact integral of ``poly * u`` over P."""
-    key = ("integral_pl", tuple(sorted(poly.terms.items())), u)
-    if key in p.cache:
-        return p.cache[key]
+    """Exact integral of ``poly * u`` over P.
+
+    Not cached: a cache keyed by u would keep every function ever integrated
+    against P alive for the life of P.
+    """
     total = Fraction(0)
     for region, piece in _nonzero_regions(p, u):
         total += integrate(region, poly * piece.as_poly())
-    p.cache[key] = total
     return total
 
 

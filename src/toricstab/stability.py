@@ -28,7 +28,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Optional
+from functools import cached_property
+from math import lcm
+from operator import mul
+from typing import Optional, Sequence
 
 from .errors import (
     InternalInvariant,
@@ -38,9 +41,10 @@ from .errors import (
     ValidationError,
 )
 from .integrate import Poly, boundary_integral, integrate, moment_vector
-from .lattice import ehrhart, refined_points
+from .lattice import ehrhart, lattice_points
 from .linalg import AnyS, dot, rank, rat, rat_str, solve_linear, solve_overdetermined_1d
 from .plfun import (
+    CONVEX,
     AffineFn,
     PLFn,
     _boundary_charts,
@@ -363,37 +367,98 @@ def destabilizer_search(
 
 @dataclass(frozen=True)
 class NodeData:
-    """theta sampled on the refined lattice points of one dilation level."""
+    """theta sampled on the refined lattice points of one dilation level.
+
+    The nodes are z / level for the integer points z of level * P, and theta
+    there is ``numerators[j] / den``.  Every statistic is an integer sum
+    with one division at the end: with N nodes and T the sum of the
+    numerators, theta_bar = T / (den N) and the deviation at node j is
+    e_j / (den N) with e_j = N numerators[j] - T.  The rational ``nodes`` and
+    ``deviations`` are only built when a caller asks for them.
+    """
 
     level: int
-    nodes: tuple[tuple[Fraction, ...], ...]
-    theta_bar: Fraction
-    deviations: tuple[Fraction, ...]  # theta(a) - theta_bar, undivided
+    points: list[tuple[int, ...]]  # the integer points of level * P
+    numerators: list[int]  # theta at points[j] / level, times den
+    den: int
 
     @property
     def count(self) -> int:
-        return len(self.nodes)
+        return len(self.points)
 
-    def ttilde(self, j: int) -> Fraction:
-        return self.deviations[j] / self.level
+    @cached_property
+    def _total(self) -> int:
+        return sum(self.numerators)
+
+    @cached_property
+    def centered(self) -> list[int]:
+        """e_j = N * numerators[j] - T: the deviations over den * N."""
+        n, total = self.count, self._total
+        return [n * t - total for t in self.numerators]
 
     @property
+    def theta_bar(self) -> Fraction:
+        return Fraction(self._total, self.den * self.count)
+
+    @cached_property
+    def nodes(self) -> tuple[tuple[Fraction, ...], ...]:
+        return tuple(tuple(Fraction(x, self.level) for x in z) for z in self.points)
+
+    @cached_property
+    def deviations(self) -> tuple[Fraction, ...]:
+        """theta(a) - theta_bar at each node, undivided."""
+        scale = self.den * self.count
+        return tuple(Fraction(e, scale) for e in self.centered)
+
+    def ttilde(self, j: int) -> Fraction:
+        return Fraction(self.centered[j], self.den * self.count * self.level)
+
+    @cached_property
     def deviation_square_sum(self) -> Fraction:
-        return sum((d * d for d in self.deviations), Fraction(0))
+        return Fraction(sum(e * e for e in self.centered), (self.den * self.count) ** 2)
+
+    @cached_property
+    def deviation_moment(self) -> tuple[Fraction, ...]:
+        """sum over the nodes a of (theta(a) - theta_bar) * a, componentwise."""
+        scale = self.den * self.count * self.level
+        return tuple(
+            Fraction(sum(map(mul, self.centered, column)), scale)
+            for column in zip(*self.points)
+        )
+
+
+def _level_values(
+    fn: AffineFn | PLFn, points: Sequence[tuple[int, ...]], i: int
+) -> tuple[list[int], int]:
+    """An :class:`AffineFn` or :class:`PLFn` at the nodes z / i, for the
+    integer points z of i * P, as integer numerators over one denominator.
+
+    With D the least common denominator of the coefficients of every piece,
+    a piece a.x + c takes the value (<D a, z> + D c i) / (D i) at z / i.  The
+    denominator D i is shared and positive, so the max (convex) or min
+    (concave) of the pieces' numerators is the numerator of the value.
+    """
+    pieces = fn.pieces if isinstance(fn, PLFn) else (fn,)
+    den = lcm(*(x.denominator for f in pieces for x in (*f.a, f.c)))
+    columns = []
+    for f in dict.fromkeys(pieces):
+        a = [x.numerator * (den // x.denominator) for x in f.a]
+        c = f.c.numerator * (den // f.c.denominator) * i
+        columns.append([sum(map(mul, a, z)) + c for z in points])
+    if len(columns) == 1:
+        return columns[0], den * i
+    pick = max if fn.mode == CONVEX else min
+    return list(map(pick, *columns)), den * i
 
 
 def theta_nodes(p: Polytope, ed: ExtremalData, i: int) -> NodeData:
-    nodes = tuple(refined_points(p, i))
-    if not nodes:
+    """theta on the refined sample P meet (Z/i)^n, read off the cached
+    integer points of iP."""
+    points = lattice_points(p, i)
+    if not points:
         raise PreconditionFailed(f"no refined sample points at level {i}")
-    values = [ed.theta(a) for a in nodes]
-    bar = sum(values, Fraction(0)) / len(values)
-    return NodeData(
-        level=i,
-        nodes=nodes,
-        theta_bar=bar,
-        deviations=tuple(v - bar for v in values),
-    )
+    numerators, den = _level_values(ed.theta, points, i)
+    return NodeData(level=i, points=points, numerators=numerators, den=den)
 
 
 def s_closed_form(p: Polytope, ed: ExtremalData, i: int) -> Optional[Fraction]:
@@ -446,22 +511,17 @@ def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
 
 
 def _balance(p: Polytope, nd: NodeData) -> ChowCondition:
-    """:func:`chow_necessary` on the node data of its level."""
-    n = p.dim
+    """:func:`chow_necessary` on the node data of its level.
+
+    The node sum is the integer sum of the points of iP over i, and the
+    coefficient sum_a ttilde(a) a is the deviation moment over i.
+    """
     vol = p.volume()
     moments = moment_vector(p)
-    node_sum = tuple(
-        sum((a[k] for a in nd.nodes), Fraction(0)) for k in range(n)
-    )
-    coeffs = tuple(
-        sum(
-            (nd.ttilde(j) * nd.nodes[j][k] for j in range(nd.count)),
-            Fraction(0),
-        )
-        for k in range(n)
-    )
+    node_sum = tuple(Fraction(sum(column), nd.level) for column in zip(*nd.points))
+    coeffs = tuple(m / nd.level for m in nd.deviation_moment)
     targets = tuple(
-        Fraction(nd.count) * moments[k] / vol - node_sum[k] for k in range(n)
+        Fraction(nd.count) * moment / vol - total for moment, total in zip(moments, node_sum)
     )
     sol = solve_overdetermined_1d(coeffs, targets)
     if sol is None:
@@ -503,13 +563,24 @@ def q_weight(
     already unstable at this level.
     """
     nd = theta_nodes(p, ed, i)
-    return _q_weight(p, nd, _balance(p, nd), g, s)
+    integral = integrate_pl(p, Poly.constant(p.dim, 1), g)
+    return _q_weight(p, nd, _balance(p, nd), g, integral, s)
 
 
 def _q_weight(
-    p: Polytope, nd: NodeData, cond: ChowCondition, g: PLFn, s: Optional[Fraction] = None
+    p: Polytope,
+    nd: NodeData,
+    cond: ChowCondition,
+    g: PLFn,
+    integral: Fraction,
+    s: Optional[Fraction] = None,
 ) -> Fraction:
-    """:func:`q_weight` on the node data of its level and the balance outcome there."""
+    """:func:`q_weight` on the node data of its level, the balance outcome
+    there and the integral of g over P.
+
+    With g(a_j) = G_j / g_den and ttilde(a_j) = e_j / (den N i), the node
+    total is sum G / g_den + s * sum e_j G_j / (den N i g_den).
+    """
     if cond.status == FAILS:
         raise PreconditionFailed(
             f"balance system has no solution at level {nd.level}; Q undefined"
@@ -520,12 +591,12 @@ def _q_weight(
             s = cond.s
         else:
             s = _s_closed(nd) or Fraction(0)
-    total_nodes = Fraction(0)
-    for j, a in enumerate(nd.nodes):
-        total_nodes += (1 + s * nd.ttilde(j)) * g(a)
-    value = nd.count * integrate_pl(
-        p, Poly.constant(p.dim, 1), g
-    ) - p.volume() * total_nodes
+    values, g_den = _level_values(g, nd.points, nd.level)
+    weighted = Fraction(
+        sum(map(mul, nd.centered, values)), nd.den * nd.count * nd.level * g_den
+    )
+    total_nodes = Fraction(sum(values), g_den) + s * weighted
+    value = nd.count * integral - p.volume() * total_nodes
     if s_from_system and len(set(g.pieces)) == 1 and value != 0:
         raise InternalInvariant("affine input must have zero weight under the balance system")
     return value
@@ -545,12 +616,16 @@ def p_weight(p: Polytope, i: int, u: PLFn, bound) -> PWeightReport:
     P(i, u) = E(i) * integral(u) - Vol * sum over nodes of u; the bound R only
     enters the integrality report and cancels from the weight (asserted).
     """
-    bound = rat(bound)
-    nd_points = refined_points(p, i)
-    count = len(nd_points)
+    return _p_weight(p, i, u, rat(bound), integrate_pl(p, Poly.constant(p.dim, 1), u))
+
+
+def _p_weight(p: Polytope, i: int, u: PLFn, bound: Fraction, int_u: Fraction) -> PWeightReport:
+    """:func:`p_weight` with the integral of u over P given."""
+    points = lattice_points(p, i)
+    count = len(points)
     vol = p.volume()
-    int_u = integrate_pl(p, Poly.constant(p.dim, 1), u)
-    sum_u = sum((u(a) for a in nd_points), Fraction(0))
+    values, u_den = _level_values(u, points, i)
+    sum_u = Fraction(sum(values), u_den)
     value = count * int_u - vol * sum_u
     # R-independence: the same weight from the (R - u) data.
     shifted = count * (bound * vol - int_u) - vol * (count * bound - sum_u)
@@ -583,22 +658,22 @@ def project_perp(p: Polytope, ed: ExtremalData, i: int, u: PLFn) -> Projection:
     denom = nd.deviation_square_sum
     if denom == 0:
         raise ThetaConstant("potential constant on the sample nodes")
-    num = sum(
-        (u(a) * nd.deviations[j] for j, a in enumerate(nd.nodes)), Fraction(0)
-    )
-    kappa = num / denom
+    # the pairing of u with the deviations, e_j / (den N), at the nodes
+    values, u_den = _level_values(u, nd.points, i)
+    kappa = Fraction(sum(map(mul, values, nd.centered)), u_den * nd.den * nd.count) / denom
     shift = AffineFn(
         tuple(-kappa * x for x in ed.theta.a),
         -kappa * (ed.theta.c - nd.theta_bar),
     )
     projected = u.add_affine(shift)
-    values = tuple(projected(a) for a in nd.nodes)
-    pairing = sum(
-        (values[j] * nd.deviations[j] for j in range(nd.count)), Fraction(0)
-    )
-    if pairing != 0:
+    values, v_den = _level_values(projected, nd.points, i)
+    if sum(map(mul, values, nd.centered)) != 0:
         raise InternalInvariant("the projection is not perpendicular to theta on the nodes")
-    return Projection(kappa=kappa, node_values=values, function=projected)
+    return Projection(
+        kappa=kappa,
+        node_values=tuple(Fraction(v, v_den) for v in values),
+        function=projected,
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -667,6 +742,11 @@ def analyze(
     g_sample = facet_distance_pl(p)
     u_sample = PLFn.simple([1] + [0] * (p.dim - 1), 0)
     bound = max(u_sample(v) for v in p.vertices) + 1
+    # the samples do not depend on the level: each is integrated once, g only
+    # when some level needs it
+    one = Poly.constant(p.dim, 1)
+    g_integral = None
+    u_integral = integrate_pl(p, one, u_sample)
     for i in range(1, i_max + 1):
         # theta at the nodes once per level, shared by the balance system,
         # the closed-form s and the Q sample, and dropped after the level
@@ -675,8 +755,10 @@ def analyze(
         chow.append(cond)
         s_closed[i] = _s_closed(nd)
         if cond.status != FAILS:
-            q_samples[i] = _q_weight(p, nd, cond, g_sample)
-        p_samples[i] = p_weight(p, i, u_sample, bound).value
+            if g_integral is None:
+                g_integral = integrate_pl(p, one, g_sample)
+            q_samples[i] = _q_weight(p, nd, cond, g_sample, g_integral)
+        p_samples[i] = _p_weight(p, i, u_sample, bound, u_integral).value
     ehr = None
     if p.is_lattice():
         ehr = ehrhart(p).coeffs

@@ -5,7 +5,8 @@ exists: the degree-2 simplex formula, the barycentric (Dirichlet) simplex
 kernel at every degree, slice-and-sum subdivision, L over every facet chart
 and every linearity region, its integration-by-parts form, a scan of the
 bounding box for lattice points, vertices from every n-subset of facets,
-facets from every n-subset of points, and plain random data generators.
+facets from every n-subset of points, the node statistics summed in
+rationals point by point, and plain random data generators.
 """
 
 import math
@@ -25,10 +26,13 @@ from toricstab import (
     Unbounded,
     facet_chart,
     integrate,
+    integrate_pl,
     intersect_halfspace,
     linearity_regions,
+    moment_vector,
+    refined_points,
 )
-from toricstab.linalg import dot, nullvector, rank, solve_linear
+from toricstab.linalg import AnyS, dot, nullvector, rank, solve_linear, solve_overdetermined_1d
 from toricstab.plfun import AffineFn, PLFn
 
 
@@ -105,6 +109,69 @@ def l_functional_parts_form(p: Polytope, ed, u: PLFn) -> F:
         total += -piece.c * region.volume()
         total += integrate(region, one_minus_theta * piece.as_poly())
     return total
+
+
+def fraction_node_stats(p: Polytope, theta: AffineFn, i: int, g: PLFn, u: PLFn, bound) -> dict:
+    """The node statistics of level i summed in rationals, point by point.
+
+    theta, g and u are evaluated at every node of the refined sample
+    P meet (Z/i)^n; from those values come theta_bar, the deviations, the
+    sums of the balance system and its outcome, the closed-form s, the gate's
+    weighted node sum, Q(i, g) with s from the system (None when the system
+    fails), P(i, u) against the bound R, and the projection of u
+    perpendicular to theta (None when theta is constant on the nodes).
+    """
+    n = p.dim
+    nodes = refined_points(p, i)
+    count = len(nodes)
+    values = [theta(a) for a in nodes]
+    bar = sum(values, F(0)) / count
+    deviations = [v - bar for v in values]
+    ttilde = [d / i for d in deviations]
+    squares = sum((d * d for d in deviations), F(0))
+    vol = p.volume()
+    moments = moment_vector(p)
+    node_sum = tuple(sum((a[k] for a in nodes), F(0)) for k in range(n))
+    coeffs = tuple(
+        sum((ttilde[j] * nodes[j][k] for j in range(count)), F(0)) for k in range(n)
+    )
+    targets = tuple(F(count) * moments[k] / vol - node_sum[k] for k in range(n))
+    sol = solve_overdetermined_1d(coeffs, targets)
+    s_closed = None if squares == 0 else -F(i) * bar * count / squares
+    one = Poly.constant(n, 1)
+    q = None
+    if sol is not None:
+        s = (s_closed or F(0)) if isinstance(sol, AnyS) else sol
+        total = sum(((1 + s * ttilde[j]) * g(a) for j, a in enumerate(nodes)), F(0))
+        q = count * integrate_pl(p, one, g) - vol * total
+    int_u = integrate_pl(p, one, u)
+    sum_u = sum((u(a) for a in nodes), F(0))
+    kappa = node_values = None
+    if squares != 0:
+        kappa = sum((u(a) * deviations[j] for j, a in enumerate(nodes)), F(0)) / squares
+        shift = AffineFn(tuple(-kappa * x for x in theta.a), -kappa * (theta.c - bar))
+        projected = u.add_affine(shift)
+        node_values = tuple(projected(a) for a in nodes)
+    return {
+        "count": count,
+        "nodes": tuple(nodes),
+        "theta_bar": bar,
+        "deviations": tuple(deviations),
+        "ttilde": tuple(ttilde),
+        "deviation_square_sum": squares,
+        "weighted_node_sum": tuple(
+            sum((deviations[j] * nodes[j][k] for j in range(count)), F(0)) for k in range(n)
+        ),
+        "node_sum": node_sum,
+        "coeffs": coeffs,
+        "targets": targets,
+        "balance": sol,
+        "s_closed": s_closed,
+        "q": q,
+        "p": count * int_u - vol * sum_u,
+        "kappa": kappa,
+        "node_values": node_values,
+    }
 
 
 def slice_and_sum(p: Polytope, poly: Poly, normal, rhs) -> F:
@@ -318,6 +385,19 @@ def random_affine(rng: random.Random, dim: int) -> AffineFn:
 def random_convex_pl(rng: random.Random, dim: int, pieces=None) -> PLFn:
     k = pieces or rng.randint(2, 3)
     return PLFn.convex([random_affine(rng, dim) for _ in range(k)])
+
+
+def mixed_denominator_pl(rng: random.Random, dim: int, mode: str, pieces=2) -> PLFn:
+    """A PL function whose pieces have coefficients over different
+    denominators (2, 3, 5, 7, ... in turn), so no two share one."""
+    dens = (2, 3, 5, 7, 11)
+    fns = [
+        AffineFn.make(
+            [F(rng.randint(-9, 9), dens[k]) for _ in range(dim)], F(rng.randint(-9, 9), dens[k])
+        )
+        for k in range(pieces)
+    ]
+    return PLFn(tuple(fns), mode)
 
 
 def random_poly(rng: random.Random, dim: int, max_degree=2) -> Poly:

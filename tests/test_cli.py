@@ -2,6 +2,9 @@ import hashlib
 import io
 import json
 from contextlib import redirect_stdout
+from pathlib import Path
+
+import pytest
 
 from toricstab.cli import main
 
@@ -192,3 +195,16 @@ def test_internal_invariant_exit_3(tmp_path, monkeypatch):
     error = json.loads(out)["error"]
     assert error["type"] == "InternalInvariant"
     assert error["exit_code"] == 3
+
+
+REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
+
+
+@pytest.mark.parametrize("job", ["chow-CP3", "chow-F1", "chow-C3"])
+def test_chow_deep_levels_match_reference(job):
+    # the balance system at levels 1-8 runs through the largest integer sums;
+    # the recorded digests come from the benchmark's reference file
+    ref = json.loads(REFERENCE.read_text())["jobs"][job]
+    code, out = run_cli(*ref["argv"])
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]

@@ -13,6 +13,7 @@ from toricstab import (
     linearity_regions,
     upper_hull,
 )
+from toricstab import corpus
 from toricstab.errors import ValidationError
 from toricstab.plfun import AffineFn, PLFn, pl_is_rational_lattice_cone
 from toricstab.stability import excess_region, extremal_affine
@@ -186,3 +187,18 @@ def test_boundary_integrate_pl_matches_chart_split(corpus_entries):
             poly = oracles.random_poly(rng, 3, max_degree=1)
             want = oracles.chart_route_boundary_pl(p, poly, u)
             assert boundary_integrate_pl(p, poly, u) == want
+
+
+def _holds_plfn(key):
+    if isinstance(key, PLFn):
+        return True
+    return isinstance(key, tuple) and any(_holds_plfn(k) for k in key)
+
+
+def test_integrate_pl_keeps_no_function_in_the_cache():
+    # a cache keyed by u would keep every integrated function alive with P
+    b1 = corpus.load_entry("B1").polytope
+    one = Poly.constant(3, 1)
+    for b, d in [((1, 0, 0), -1), ((1, 0, 0), 0), ((1, 0, 0), 1), ((0, 1, -1), 0), ((1, 1, 1), F(1, 2))]:
+        integrate_pl(b1, one, PLFn.simple(b, d))
+    assert not any(_holds_plfn(key) for key in b1.cache)

@@ -406,23 +406,33 @@ def test_s_trend_toward_minus_half(corpus_entries):
 
 def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
     # The balance system, the closed-form s, Q and the projection each read
-    # theta at the nodes of their level once (Q used to read it three times:
-    # for itself, for the balance system and for the closed-form s), and
+    # theta at the nodes of their level once, as integer numerators over the
+    # lattice points of iP, and never through AffineFn.__call__ at a node;
     # analyze reads it once per level.
     from toricstab import stability
 
     p = corpus_entries["B2"].polytope
     ed = extremal_affine(p)
-    nodes = sorted(theta_nodes(p, ed, 1).nodes)
-    evaluations = []
+    points = lattice_points(p, 1)
+    nodes = {tuple(F(x) for x in z) for z in points}
+    at_nodes = []
     call = AffineFn.__call__
 
     def counting(fn, point):
-        if fn is ed.theta:
-            evaluations.append(point)
+        if tuple(F(x) for x in point) in nodes:
+            at_nodes.append((fn, point))
         return call(fn, point)
 
+    theta_reads = []
+    level_values = stability._level_values
+
+    def recording(fn, pts, i):
+        if fn is ed.theta:
+            theta_reads.append((list(pts), i))
+        return level_values(fn, pts, i)
+
     monkeypatch.setattr(AffineFn, "__call__", counting)
+    monkeypatch.setattr(stability, "_level_values", recording)
     g = PLFn.concave([AffineFn.make((1, 0, 0), 0), AffineFn.make((-1, 0, 0), 0)])
     for run in (
         lambda: chow_necessary(p, ed, 1),
@@ -430,9 +440,11 @@ def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
         lambda: q_weight(p, ed, 1, g),
         lambda: project_perp(p, ed, 1, PLFn.simple((1, 0, 0), 0)),
     ):
-        evaluations.clear()
+        at_nodes.clear()
+        theta_reads.clear()
         run()
-        assert sorted(evaluations) == nodes
+        assert at_nodes == []
+        assert theta_reads == [(points, 1)]
     levels = []
     build = stability.theta_nodes
 
@@ -443,6 +455,131 @@ def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
     monkeypatch.setattr(stability, "theta_nodes", counted)
     analyze(p, i_max=3, grid=FAST_GRID)
     assert levels == [1, 2, 3]
+
+
+def _node_stats(p, ed, i, g, u, bound):
+    """The library's node statistics at level i, keyed as in
+    :func:`oracles.fraction_node_stats`."""
+    nd = theta_nodes(p, ed, i)
+    cond = chow_necessary(p, ed, i)
+    try:
+        q = q_weight(p, ed, i, g)
+    except PreconditionFailed:
+        q = None
+    try:
+        proj = project_perp(p, ed, i, u)
+    except ThetaConstant:
+        proj = None
+    return {
+        "count": nd.count,
+        "nodes": nd.nodes,
+        "theta_bar": nd.theta_bar,
+        "deviations": nd.deviations,
+        "ttilde": tuple(nd.ttilde(j) for j in range(nd.count)),
+        "deviation_square_sum": nd.deviation_square_sum,
+        "weighted_node_sum": nd.deviation_moment,
+        "node_sum": cond.node_sum,
+        "coeffs": cond.coeffs,
+        "targets": cond.targets,
+        "balance": {HOLDS: cond.s, ANY: ANY_S, FAILS: None}[cond.status],
+        "s_closed": s_closed_form(p, ed, i),
+        "q": q,
+        "p": p_weight(p, i, u, bound).value,
+        "kappa": None if proj is None else proj.kappa,
+        "node_values": None if proj is None else proj.node_values,
+    }
+
+
+def _assert_node_stats_match(p, ed, levels, rng):
+    bound = max(abs(x) for v in p.vertices for x in v) * 20 + 20
+    for i in levels:
+        g = oracles.mixed_denominator_pl(rng, p.dim, "concave")
+        u = oracles.mixed_denominator_pl(rng, p.dim, "convex")
+        got = _node_stats(p, ed, i, g, u, bound)
+        want = oracles.fraction_node_stats(p, ed.theta, i, g, u, bound)
+        for key, value in want.items():
+            assert got[key] == value, (p.name, i, key)
+
+
+def test_node_stats_match_fraction_route_on_corpus(corpus_entries):
+    rng = random.Random(811)
+    for name, entry in sorted(corpus_entries.items()):
+        p = entry.polytope
+        _assert_node_stats_match(p, extremal_affine(p), (1, 2, 3), rng)
+
+
+def test_node_stats_match_fraction_route_at_deep_levels(corpus_entries):
+    rng = random.Random(812)
+    for name in ("E4", "F1"):
+        p = corpus_entries[name].polytope
+        _assert_node_stats_match(p, extremal_affine(p), range(1, 7), rng)
+
+
+def test_node_stats_match_fraction_route_on_non_lattice_polytopes():
+    # random theta on halved and thirded lattice polytopes: every node
+    # statistic has non-trivial denominators at every level
+    rng = random.Random(813)
+    checked = 0
+    for dim, num in ((2, 6), (3, 4), (4, 3)):
+        for shrink in (2, 3):
+            lattice = oracles.random_polytope(rng, dim, num=num, den=1)
+            p = Polytope.from_vertices([tuple(x / shrink for x in v) for v in lattice.vertices])
+            assert not p.is_lattice()
+            ed = replace(extremal_affine(p), theta=oracles.random_affine(rng, dim))
+            for i in (1, 2, 3):
+                if not lattice_points(p, i):
+                    with pytest.raises(PreconditionFailed):
+                        theta_nodes(p, ed, i)
+                    continue
+                _assert_node_stats_match(p, ed, (i,), rng)
+                checked += 1
+    assert checked >= 15
+
+
+def test_node_stats_match_fraction_route_on_affine_samples(corpus_entries):
+    # a single piece, and pieces that tie on the nodes, take the same route
+    rng = random.Random(814)
+    p = corpus_entries["B2"].polytope
+    ed = extremal_affine(p)
+    ell = oracles.random_affine(rng, 3)
+    tied = PLFn.concave([ell, ell.scale(1), oracles.random_affine(rng, 3).scale(F(1, 7))])
+    for g, u in ((PLFn.concave([ell]), PLFn.convex([ell])), (tied, tied.add_affine(ell))):
+        for i in (1, 2):
+            got = _node_stats(p, ed, i, g, PLFn.convex(u.pieces), 10)
+            want = oracles.fraction_node_stats(p, ed.theta, i, g, PLFn.convex(u.pieces), 10)
+            assert got == want
+    assert _node_stats(p, ed, 1, PLFn.concave([ell]), PLFn.convex([ell]), 10)["q"] == 0
+
+
+def test_node_checks_fire(corpus_entries, monkeypatch):
+    # The three identities guarding the integer node sums stay live: Q of an
+    # affine g vanishes under the balance system, P does not depend on the
+    # bound R (it can only break in inexact arithmetic, so a float integral
+    # stands in for a kernel bug), and u_perp is perpendicular to theta.
+    from toricstab import stability
+
+    p = corpus_entries["B2"].polytope
+    ed = extremal_affine(p)
+    integral = stability.integrate_pl
+    monkeypatch.setattr(stability, "integrate_pl", lambda *args: integral(*args) + 1)
+    with pytest.raises(InternalInvariant, match="affine input"):
+        q_weight(p, ed, 1, PLFn.concave([AffineFn.make((1, 2, 0), 1)]))
+    monkeypatch.undo()
+    with pytest.raises(InternalInvariant, match="bound R"):
+        stability._p_weight(p, 1, PLFn.simple((1, 0, 0), 0), F(10), 0.1)
+    level_values = stability._level_values
+    calls = []
+
+    def skewed(fn, points, i):
+        values, den = level_values(fn, points, i)
+        calls.append(fn)
+        if len(calls) == 3:  # theta, u, then the projected u
+            values = [values[0] + 1, *values[1:]]
+        return values, den
+
+    monkeypatch.setattr(stability, "_level_values", skewed)
+    with pytest.raises(InternalInvariant, match="perpendicular"):
+        project_perp(p, ed, 1, PLFn.simple((1, 0, 0), 0))
 
 
 def test_chow_cube_any(cube):
