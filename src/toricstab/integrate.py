@@ -15,20 +15,23 @@ Dirichlet moment formula applies:
 
     integral over S of  lam^alpha dx  =  n! Vol(S) * (prod alpha_j!) / (n + |alpha|)!
 
-Polytope integrals sum the kernel over a triangulation; boundary integrals
-sum facet-chart projections weighted by the exact Jacobian 1/|l_k|, which
-realizes the lattice-normalized boundary measure without leaving the
-rationals.
+Over a polytope or a facet the same formulas summed over the cells of its
+triangulation give the moment record of :class:`Polytope` (``moments`` and
+``facet_moments``: the integrals of 1, x_k and x_j x_k, the facet ones in
+the lattice-normalized measure and in ambient coordinates), and every
+integral of degree at most 2 is a contraction with it.  Higher degrees run
+the Dirichlet formula over the same cells; a facet cell is a simplex in the
+ambient space, weighted by its lattice measure.
 """
 
 from __future__ import annotations
 
 import math
 from fractions import Fraction
-from typing import Sequence
+from typing import Optional, Sequence
 
 from .linalg import rat, rat_str
-from .polytope import Polytope, Simplex, facet_chart
+from .polytope import Moments, Polytope, Simplex, _weighted_cells
 
 
 class Poly:
@@ -172,13 +175,14 @@ def integrate_simplex(simplex: Simplex, p: Poly) -> Fraction:
 
 
 def _dirichlet(simplex: Simplex, vol: Fraction, p: Poly) -> Fraction:
-    """The integral of ``p`` over the simplex of volume ``vol`` by expanding
-    ``p`` in barycentric coordinates."""
+    """The integral of ``p`` over the simplex of measure ``vol`` by expanding
+    ``p`` in barycentric coordinates; the simplex may have fewer dimensions
+    than its ambient space."""
     n = simplex.dim
     v0 = simplex.vertices[0]
     # x_i = v0_i + sum_j (v_j - v0)_i * lam_j as polynomials in lam_1..lam_n
     maps = []
-    for i in range(n):
+    for i in range(len(v0)):
         grad = [simplex.vertices[j + 1][i] - v0[i] for j in range(n)]
         maps.append(Poly.affine(grad, v0[i]))
     in_bary = p.compose_affine(maps)
@@ -192,26 +196,54 @@ def _dirichlet(simplex: Simplex, vol: Fraction, p: Poly) -> Fraction:
     return total
 
 
+def _contract(m: Moments, p: Poly) -> Fraction:
+    """The integral of ``p``, of degree at most 2, read off a moment record."""
+    total = Fraction(0)
+    for expo, coeff in p.terms.items():
+        axes = [k for k, e in enumerate(expo) for _ in range(e)]
+        if not axes:
+            total += coeff * m.measure
+        elif len(axes) == 1:
+            total += coeff * m.first[axes[0]]
+        else:
+            total += coeff * m.second[axes[0]][axes[1]]
+    return total
+
+
+def _over_cells(p: Polytope, facet: Optional[int], poly: Poly) -> Fraction:
+    """The Dirichlet formula summed over the cells of P (``facet`` None) or
+    of one facet."""
+    cells, weights, base = _weighted_cells(p, facet)
+    return sum(
+        (
+            _dirichlet(Simplex(tuple(p.vertices[j] for j in cell)), Fraction(w, base), poly)
+            for cell, w in zip(cells, weights)
+        ),
+        Fraction(0),
+    )
+
+
 def integrate(p: Polytope, poly: Poly) -> Fraction:
-    """Integral of a polynomial over the polytope (triangulation sum)."""
-    key = ("integral", tuple(sorted(poly.terms.items())))
-    if key in p.cache:
-        return p.cache[key]
-    val = sum((integrate_simplex(s, poly) for s in p.triangulation()), Fraction(0))
-    p.cache[key] = val
-    return val
+    """Integral of a polynomial over the polytope."""
+    if poly.degree() <= 2:
+        return _contract(p.moments(), poly)
+    return _over_cells(p, None, poly)
+
+
+def facet_integral(p: Polytope, i: int, poly: Poly) -> Fraction:
+    """Integral of ``poly`` over facet ``i`` with the lattice-normalized measure."""
+    if poly.degree() <= 2:
+        return _contract(p.facet_moments(i), poly)
+    return _over_cells(p, i, poly)
 
 
 def moment_vector(p: Polytope) -> tuple[Fraction, ...]:
     """Componentwise integral of the coordinate functions."""
-    return tuple(integrate(p, Poly.coordinate(p.dim, k)) for k in range(p.dim))
+    return p.moments().first
 
 
 def boundary_integral(p: Polytope, poly: Poly) -> Fraction:
     """Integral of ``poly`` over the boundary with the lattice-normalized measure."""
-    total = Fraction(0)
-    for i in range(len(p.halfspaces)):
-        chart = facet_chart(p, i)
-        restricted = poly.eliminate_axis(chart.axis, chart.normal, chart.rhs)
-        total += chart.scale * integrate(chart.polytope, restricted)
-    return total
+    return sum(
+        (facet_integral(p, i, poly) for i in range(len(p.halfspaces))), Fraction(0)
+    )

@@ -14,13 +14,11 @@ from fractions import Fraction
 from typing import Optional, Sequence
 
 from .errors import DegenerateSpan, InternalInvariant, ValidationError
-from .integrate import Poly, integrate
+from .integrate import Poly, facet_integral, integrate
 from .linalg import dot, rat, rat_str, vec
 from .polytope import (
-    FacetChart,
     Polytope,
     _affine_rank,
-    facet_chart,
     halfspaces_from_vertices,
     intersect_halfspace,
 )
@@ -192,16 +190,16 @@ def _nonzero_regions(p: Polytope, u: PLFn) -> list[tuple[Polytope, AffineFn]]:
     return _regions(p, u, [f for f in u.pieces if f.c or any(f.a)])
 
 
-def _boundary_charts(p: Polytope, region: Polytope) -> list[FacetChart]:
-    """The charts of the facets of ``region`` (a subpolytope of P) that lie on
-    facets of P.
+def _boundary_facets(p: Polytope, region: Polytope) -> list[int]:
+    """The indices of the facets of ``region`` (a subpolytope of P) that lie
+    on facets of P.
 
     Such a facet carries the very half-space of its facet of P, so it has
     the same lattice measure; together they cover the boundary of P inside
     ``region`` up to a set of measure zero.
     """
     on_p = set(p.halfspaces)
-    return [facet_chart(region, i) for i, h in enumerate(region.halfspaces) if h in on_p]
+    return [i for i, h in enumerate(region.halfspaces) if h in on_p]
 
 
 def integrate_pl(p: Polytope, poly: Poly, u: PLFn) -> Fraction:
@@ -225,10 +223,9 @@ def boundary_integrate_pl(p: Polytope, poly: Poly, u: PLFn) -> Fraction:
     """
     total = Fraction(0)
     for region, piece in _nonzero_regions(p, u):
-        for chart in _boundary_charts(p, region):
-            restricted = poly.eliminate_axis(chart.axis, chart.normal, chart.rhs)
-            f = piece.restrict_to_facet(chart.axis, chart.normal, chart.rhs)
-            total += chart.scale * integrate(chart.polytope, restricted * f.as_poly())
+        integrand = poly * piece.as_poly()
+        for i in _boundary_facets(p, region):
+            total += facet_integral(region, i, integrand)
     return total
 
 

@@ -16,11 +16,24 @@ so the incidence is carried through every cut rather than recomputed.  A
 facet is a half-space whose tight set lies in no other's, and a vertex is a
 point whose set of facets lies in no other point's.
 
-A facet chart (a facet projected along one axis, on which boundary integrals
-and the triangulation recurse) is read off the incidence: its facets are the
-ridges, found by bitmask tests, and their half-spaces are integer combinations
-of two facet normals, so no chart is hulled again.  Everything stays rational
-at the dimensions this library targets (n <= 6, a few dozen facets).
+Faces are vertex bitmasks too.  The facets of a face F are the maximal
+proper non-empty sets F & incidence[j], and the triangulation of F cones from
+its lowest vertex index (its highest with ``apex_last``) over the
+triangulations of the facets of F that miss it, memoized per face mask.  Its
+cells are tuples of P's own vertices: no face is projected, lifted or hulled.
+Over those cells each polytope keeps one integer moment record (volume and
+the integrals of x_k and x_j x_k), and each facet one in the lattice measure.
+The vertices share one denominator: a facet cell costs one integer
+determinant, a cell of P (the apex over a facet cell) follows from it and the
+apex's lattice height, and the sums stay integers until one division per
+entry.
+
+A facet chart (a facet projected along one axis) is read off the incidence:
+its facets are the ridges, found by bitmask tests, and their half-spaces are
+integer combinations of two facet normals, so no chart is hulled again.
+Charts are the independent route the tests compare the facet records with.
+Everything stays rational at the dimensions this library targets (n <= 6, a
+few dozen facets).
 """
 
 from __future__ import annotations
@@ -95,8 +108,8 @@ class Simplex:
         return len(self.vertices) - 1
 
     def volume(self) -> Fraction:
-        """The volume, computed once per simplex: the triangulation's flat-cell
-        test, every integrand over the cell and ``Polytope.volume`` share it."""
+        """The volume, computed once per simplex and shared by every
+        integrand over the cell."""
         return self._volume
 
     @cached_property
@@ -360,35 +373,172 @@ class Polytope:
     # -- measures ----------------------------------------------------------
 
     def volume(self) -> Fraction:
-        if "volume" not in self.cache:
-            self.cache["volume"] = sum(
-                (s.volume() for s in self.triangulation()), Fraction(0)
-            )
-        return self.cache["volume"]
+        return self.moments().measure
 
     def boundary_volume(self) -> Fraction:
         """Total lattice-normalized measure of the boundary."""
-        if "boundary_volume" not in self.cache:
-            total = Fraction(0)
-            for i in range(len(self.halfspaces)):
-                chart = facet_chart(self, i)
-                total += chart.scale * chart.polytope.volume()
-            self.cache["boundary_volume"] = total
-        return self.cache["boundary_volume"]
+        return sum(
+            (self.facet_moments(i).measure for i in range(len(self.halfspaces))), Fraction(0)
+        )
+
+    def moments(self) -> Moments:
+        """The integrals of 1, x_k and x_j x_k over P."""
+        return _moments(self, None)
+
+    def facet_moments(self, i: int) -> Moments:
+        """The integrals of 1, x_k and x_j x_k over facet ``i`` in the
+        lattice-normalized measure, in the coordinates of P."""
+        return _moments(self, i)
 
     # -- triangulation -----------------------------------------------------
 
     def triangulation(self, apex_last: bool = False) -> list[Simplex]:
-        """Cone-over-facet triangulation from the lex-smallest vertex.
+        """Pulling triangulation from the lex-smallest vertex (see the module
+        docstring).
 
         ``apex_last`` cones from the lex-largest vertex instead, which gives a
         genuinely different decomposition; the two are used to cross-check
         integral invariance.
         """
-        key = ("triangulation", apex_last)
-        if key not in self.cache:
-            self.cache[key] = _triangulate(self, apex_last)
-        return self.cache[key]
+        cells = _weighted_cells(self, None, apex_last)[0]
+        return [Simplex(tuple(self.vertices[j] for j in cell)) for cell in cells]
+
+
+@dataclass(frozen=True)
+class Moments:
+    """The integrals of 1, x_k and x_j x_k over a polytope, or over one of
+    its facets in the lattice-normalized measure: every integral of degree
+    at most 2 is a contraction with them."""
+
+    measure: Fraction
+    first: tuple[Fraction, ...]
+    second: tuple[tuple[Fraction, ...], ...]
+
+
+def _face_cells(p: Polytope, face: int, apex_last: bool) -> tuple[tuple[int, ...], ...]:
+    """The cells of the triangulation of the face with vertex bitmask
+    ``face``, as tuples of vertex indices: the cone from its lowest vertex
+    (highest with ``apex_last``) over the cells of its facets that miss it.
+
+    Every face of P is the meet of the facets of P through it, so the faces
+    of F are the sets F & incidence[j]; its facets are the maximal proper
+    non-empty ones.  A facet missing the apex does not hold it in its affine
+    span, so no cell is flat.
+    """
+    memo = p.cache.setdefault(("faces", apex_last), {})
+    if face not in memo:
+        apex = face.bit_length() - 1 if apex_last else (face & -face).bit_length() - 1
+        if face == 1 << apex:
+            memo[face] = ((apex,),)
+        else:
+            subs = [g for g in dict.fromkeys(face & m for m in p.incidence) if g and g != face]
+            memo[face] = tuple(
+                (apex,) + cell
+                for g in (subs[k] for k in _maximal(subs))
+                if not g >> apex & 1
+                for cell in _face_cells(p, g, apex_last)
+            )
+    return memo[face]
+
+
+def _weighted_cells(p: Polytope, facet: Optional[int], apex_last: bool = False):
+    """(cells, weights, base) for facet ``facet`` of P, or for P when it is
+    None: the cells as tuples of vertex indices and per cell an integer
+    weight, its measure times ``base``.
+
+    With the vertices over their common denominator den, a facet cell weighs
+    the absolute determinant of its edges without coordinate ``axis``, the
+    first non-zero entry of the normal l; scaled by 1/|l_axis| that is the
+    lattice measure, so base = (n-1)! den^(n-1) |l_axis|.  A cell of P is the
+    apex over a facet cell, and n! times its volume is the apex's lattice
+    distance to the facet times (n-1)! times the cell's lattice measure: it
+    weighs den times that distance times the facet cell's weight over
+    |l_axis|, with base n! den^n.
+    """
+    key = ("cells", facet, apex_last)
+    if key not in p.cache:
+        den, rows = _integer_vertices(p)
+        n = p.dim
+        cells, weights = [], []
+        if facet is None:
+            apex = len(p.vertices) - 1 if apex_last else 0
+            for i, (h, mask) in enumerate(zip(p.halfspaces, p.incidence)):
+                if mask >> apex & 1:
+                    continue
+                sub_cells, sub_weights, _ = _weighted_cells(p, i, apex_last)
+                on = rows[sub_cells[0][0]]
+                height = abs(sum(map(mul, h.normal, on)) - sum(map(mul, h.normal, rows[apex])))
+                scale = abs(next(c for c in h.normal if c))
+                cells += [(apex,) + cell for cell in sub_cells]
+                weights += [height * w // scale for w in sub_weights]
+            base = math.factorial(n) * den**n
+        else:
+            normal = p.halfspaces[facet].normal
+            axis = next(k for k, c in enumerate(normal) if c)
+            keep = [k for k in range(n) if k != axis]
+            cells = _face_cells(p, p.incidence[facet], apex_last)
+            for cell in cells:
+                r0 = rows[cell[0]]
+                edges = [[rows[j][k] - r0[k] for k in keep] for j in cell[1:]]
+                weights.append(abs(determinant(edges).numerator))
+            base = math.factorial(n - 1) * den ** (n - 1) * abs(normal[axis])
+        p.cache[key] = (cells, weights, base)
+    return p.cache[key]
+
+
+def _integer_vertices(p: Polytope) -> tuple[int, list[list[int]]]:
+    """P's vertices over their least common denominator."""
+    if "integer vertices" not in p.cache:
+        p.cache["integer vertices"] = _over_common_denominator(p.vertices)
+    return p.cache["integer vertices"]
+
+
+def _moments(p: Polytope, facet: Optional[int]) -> Moments:
+    """The moment record of P or of one facet, summed over its cells.
+
+    On a d-cell with vertex sum S and Q = sum v v^T, x_k integrates to
+    vol S_k / (d+1) and x_j x_k to vol (Q_jk + S_j S_k) / ((d+1)(d+2)).  With
+    the vertices over den and vol = weight / base, the sums of weight,
+    weight S and weight (Q + S S^T) are integers, divided once at the end.
+    """
+    key = ("moments", facet)
+    if key not in p.cache:
+        cells, weights, base = _weighted_cells(p, facet)
+        den, rows = _integer_vertices(p)
+        n = p.dim
+        d = len(cells[0]) - 1
+        # the cell sums of weight * v and weight * v v^T, vertex by vertex:
+        # each vertex weighted by the total weight of its cells
+        mass = [0] * len(rows)
+        w2 = [[0] * n for _ in range(n)]
+        for cell, w in zip(cells, weights):
+            s = [sum(rows[j][k] for j in cell) for k in range(n)]
+            for j in cell:
+                mass[j] += w
+            for j in range(n):
+                ws = w * s[j]
+                for k in range(j, n):
+                    w2[j][k] += ws * s[k]
+        w1 = [0] * n
+        for r, w in zip(rows, mass):
+            if w:
+                for j in range(n):
+                    wr = w * r[j]
+                    w1[j] += wr
+                    for k in range(j, n):
+                        w2[j][k] += wr * r[k]
+        first_den = base * den * (d + 1)
+        second_den = first_den * den * (d + 2)
+        second = [[Fraction(0)] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j, n):
+                second[j][k] = second[k][j] = Fraction(w2[j][k], second_den)
+        p.cache[key] = Moments(
+            Fraction(sum(weights), base),
+            tuple(Fraction(x, first_den) for x in w1),
+            tuple(map(tuple, second)),
+        )
+    return p.cache[key]
 
 
 def _common_dim(rows, empty: str) -> int:
@@ -515,23 +665,6 @@ def _chart_polytope(p: Polytope, i: int, axis: int) -> Polytope:
         facets.append((h, sum(b for v, b in bit.items() if ridge >> v & 1)))
     halfspaces, incidence = zip(*sorted(facets))
     return Polytope(halfspaces, [drop(p.vertices[j]) for j in order], incidence)
-
-
-def _triangulate(p: Polytope, apex_last: bool) -> list[Simplex]:
-    if p.dim == 1:
-        return [Simplex((p.vertices[0], p.vertices[-1]))]
-    apex = len(p.vertices) - 1 if apex_last else 0
-    cells = []
-    for i, mask in enumerate(p.incidence):
-        if mask >> apex & 1:
-            continue
-        chart = facet_chart(p, i)
-        for sub in chart.polytope.triangulation(apex_last):
-            lifted = tuple(chart.lift(v) for v in sub.vertices)
-            cell = Simplex((p.vertices[apex],) + lifted)
-            if cell.volume() > 0:
-                cells.append(cell)
-    return cells
 
 
 def polar_dual(p: Polytope) -> Polytope:

@@ -47,7 +47,7 @@ from .plfun import (
     CONVEX,
     AffineFn,
     PLFn,
-    _boundary_charts,
+    _boundary_facets,
     _nonzero_regions,
     integrate_pl,
     pl_is_rational_lattice_cone,
@@ -105,17 +105,10 @@ def extremal_affine(p: Polytope) -> ExtremalData:
     if "extremal" in p.cache:
         return p.cache["extremal"]
     n = p.dim
-    vol = p.volume()
+    record = p.moments()
+    vol, moments = record.measure, record.first
     sbar = average_scalar(p)
-    moments = moment_vector(p)
-    second = [
-        [
-            integrate(p, Poly.coordinate(n, j) * Poly.coordinate(n, k))
-            for j in range(n)
-        ]
-        for k in range(n)
-    ]
-    gram = [second[k] + [moments[k]] for k in range(n)]
+    gram = [list(record.second[k]) + [moments[k]] for k in range(n)]
     gram.append(list(moments) + [vol])
     futaki = tuple(
         boundary_integral(p, Poly.coordinate(n, k)) - sbar * moments[k]
@@ -145,11 +138,13 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
 
     Evaluated on the linearity regions R_k of the pieces f_k of u that are
     not identically zero, so max{0, b.x + d} costs one cut: the boundary
-    term integrates f_k over the facets of R_k that lie on facets of P, the
-    volume term (Sbar + theta) f_k over R_k.  On a reflexive polytope the
-    divergence-theorem form, the sum over the same regions of
-    -c_k Vol(R_k) + integral of (1 - theta) f_k, is computed as well and the
-    two must agree exactly; a mismatch means a kernel bug.
+    term is c_k m_0 + a_k . m_1 over the facets of R_k that lie on facets of
+    P, read off their moment records, and the volume term integrates
+    (Sbar + theta) f_k against the record of R_k.  On a reflexive polytope
+    the divergence-theorem form, the sum over the same regions of
+    -c_k Vol(R_k) + integral of (1 - theta) f_k, needs no facet record; it is
+    computed as well and the two must agree exactly, so a mismatch means a
+    kernel bug.
     """
     weight = Poly.affine(ed.theta.a, ed.theta.c + ed.sbar)
     one_minus_theta = Poly.affine([-x for x in ed.theta.a], 1 - ed.theta.c)
@@ -157,9 +152,9 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     boundary = volume = parts = Fraction(0)
     for region, piece in _nonzero_regions(p, u):
         f = piece.as_poly()
-        for chart in _boundary_charts(p, region):
-            f_chart = piece.restrict_to_facet(chart.axis, chart.normal, chart.rhs)
-            boundary += chart.scale * integrate(chart.polytope, f_chart.as_poly())
+        for i in _boundary_facets(p, region):
+            facet = region.facet_moments(i)
+            boundary += piece.c * facet.measure + dot(piece.a, facet.first)
         volume += integrate(region, weight * f)
         if check:
             # On the region, sum x_i du_i - u = -piece.c (the gradient terms cancel).
@@ -616,11 +611,19 @@ def p_weight(p: Polytope, i: int, u: PLFn, bound) -> PWeightReport:
     P(i, u) = E(i) * integral(u) - Vol * sum over nodes of u; the bound R only
     enters the integrality report and cancels from the weight (asserted).
     """
-    return _p_weight(p, i, u, rat(bound), integrate_pl(p, Poly.constant(p.dim, 1), u))
+    bound = rat(bound)
+    value = _p_weight(p, i, u, bound, integrate_pl(p, Poly.constant(p.dim, 1), u))
+    return PWeightReport(
+        value=value,
+        chow_weight=-i * value,
+        lattice_cone_integral=pl_is_rational_lattice_cone(p, u, i, bound),
+        bound=bound,
+    )
 
 
-def _p_weight(p: Polytope, i: int, u: PLFn, bound: Fraction, int_u: Fraction) -> PWeightReport:
-    """:func:`p_weight` with the integral of u over P given."""
+def _p_weight(p: Polytope, i: int, u: PLFn, bound: Fraction, int_u: Fraction) -> Fraction:
+    """The weight P(i, u) of :func:`p_weight`, with the integral of u over P
+    given; the integrality report is left to :func:`p_weight`."""
     points = lattice_points(p, i)
     count = len(points)
     vol = p.volume()
@@ -631,12 +634,7 @@ def _p_weight(p: Polytope, i: int, u: PLFn, bound: Fraction, int_u: Fraction) ->
     shifted = count * (bound * vol - int_u) - vol * (count * bound - sum_u)
     if value != -shifted:
         raise InternalInvariant("the Chow weight depends on the bound R")
-    return PWeightReport(
-        value=value,
-        chow_weight=-i * value,
-        lattice_cone_integral=pl_is_rational_lattice_cone(p, u, i, bound),
-        bound=bound,
-    )
+    return value
 
 
 @dataclass(frozen=True)
@@ -758,7 +756,7 @@ def analyze(
             if g_integral is None:
                 g_integral = integrate_pl(p, one, g_sample)
             q_samples[i] = _q_weight(p, nd, cond, g_sample, g_integral)
-        p_samples[i] = _p_weight(p, i, u_sample, bound, u_integral).value
+        p_samples[i] = _p_weight(p, i, u_sample, bound, u_integral)
     ehr = None
     if p.is_lattice():
         ehr = ehrhart(p).coeffs

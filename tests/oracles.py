@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own kernels wherever a second route
 exists: the degree-2 simplex formula, the barycentric (Dirichlet) simplex
-kernel at every degree, slice-and-sum subdivision, L over every facet chart
+kernel at every degree, the triangulation recursing through facet charts,
+slice-and-sum subdivision, L over every facet chart
 and every linearity region, its integration-by-parts form, a scan of the
 bounding box for lattice points, vertices from every n-subset of facets,
 facets from every n-subset of points, the node statistics summed in
@@ -63,6 +64,40 @@ def dirichlet_simplex_integral(simplex: Simplex, poly: Poly) -> F:
         num = math.prod(math.factorial(e) for e in expo)
         total += coeff * math.factorial(n) * vol * F(num, math.factorial(n + sum(expo)))
     return total
+
+
+def chart_triangulation(p: Polytope, apex_last: bool = False) -> list:
+    """The cone from the lex-smallest vertex (lex-largest with ``apex_last``)
+    over the triangulations of the facets that miss it, each triangulated in
+    its facet chart by the same recursion and lifted back; flat cells are
+    dropped."""
+    if p.dim == 1:
+        return [Simplex((p.vertices[0], p.vertices[-1]))]
+    apex = len(p.vertices) - 1 if apex_last else 0
+    cells = []
+    for i, mask in enumerate(p.incidence):
+        if mask >> apex & 1:
+            continue
+        chart = facet_chart(p, i)
+        for sub in chart_triangulation(chart.polytope, apex_last):
+            cell = Simplex((p.vertices[apex],) + tuple(chart.lift(v) for v in sub.vertices))
+            if cell.volume() > 0:
+                cells.append(cell)
+    return cells
+
+
+def chart_facet_integrals(p: Polytope, i: int, polys) -> list:
+    """The integrals of ``polys`` over facet i in the lattice measure: each
+    is restricted to the facet chart and the Dirichlet kernel is summed over
+    the chart cells of :func:`chart_triangulation`, times the chart's scale."""
+    chart = facet_chart(p, i)
+    cells = chart_triangulation(chart.polytope)
+    out = []
+    for poly in polys:
+        restricted = poly.eliminate_axis(chart.axis, chart.normal, chart.rhs)
+        total = sum((dirichlet_simplex_integral(c, restricted) for c in cells), F(0))
+        out.append(chart.scale * total)
+    return out
 
 
 def _pl_integral(p: Polytope, poly: Poly, u: PLFn) -> F:

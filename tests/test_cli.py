@@ -197,6 +197,50 @@ def test_internal_invariant_exit_3(tmp_path, monkeypatch):
     assert error["exit_code"] == 3
 
 
+
+@pytest.fixture
+def segment(tmp_path):
+    """CP^1: the segment [-1, 1], whose facets are its two endpoints."""
+    path = tmp_path / "segment.json"
+    path.write_text(json.dumps({"vertices": [["-1"], ["1"]]}))
+    return str(path)
+
+
+def test_segment_theta(segment):
+    code, out = run_cli("theta", segment, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    # each endpoint has lattice measure 1: Sbar = 2 / 2
+    assert doc["theta"] == {"a": ["0"], "c": "0"}
+    assert doc["average_scalar"] == "1"
+    assert doc["futaki"] == ["0"]
+
+
+def test_segment_ehrhart(segment):
+    code, out = run_cli("ehrhart", segment, "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["polynomial"] == "2*t + 1"
+    assert all(
+        row["count"] == 2 * int(i) + 1 and row["polynomial"] == str(2 * int(i) + 1)
+        for i, row in doc["verification_rows"].items()
+    )
+
+
+def test_segment_analyze(segment):
+    code, out = run_cli("analyze", segment, "--i-max", "2", "--format", "json")
+    assert code == 0
+    doc = json.loads(out)
+    assert (doc["dim"], doc["volume"], doc["average_scalar"]) == (1, "2", "1")
+    assert doc["k_stability"]["label"] == "stable"
+    assert doc["ehrhart"] == ["2", "1"]
+    # E(i) = 2i + 1; the Q sample min(1 - x, 1 + x) and the P sample max{0, x}
+    # give 3*1 - 2*1 = 1 and 3/2 - 2*1 = -1/2 at level 1, and the same at 2
+    assert [(c["node_count"], c["status"], c["q_sample"], c["p_sample"]) for c in doc["chow"]] == [
+        (3, "any", "1", "-1/2"),
+        (5, "any", "1", "-1/2"),
+    ]
+
 REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
 
 

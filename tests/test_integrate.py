@@ -1,8 +1,11 @@
 import random
 from fractions import Fraction as F
 
+import pytest
+
 from toricstab import (
     Poly,
+    Polytope,
     Simplex,
     boundary_integral,
     integrate,
@@ -164,3 +167,57 @@ def test_moment_kernel_matches_dirichlet():
             for _ in range(3):
                 poly = oracles.random_poly(rng, dim, max_degree=2)
                 assert integrate_simplex(s, poly) == oracles.dirichlet_simplex_integral(s, poly)
+
+
+def _up_to_degree_2(dim):
+    """1, every x_j and every x_j x_k with j <= k."""
+    xs = [Poly.coordinate(dim, j) for j in range(dim)]
+    return [Poly.constant(dim, 1)] + xs + [xs[j] * xs[k] for j in range(dim) for k in range(j, dim)]
+
+
+def assert_matches_chart_oracle(p, rng):
+    """The bitmask cells and the moment records of P against the recursion
+    through facet charts, for both apex choices: the volume, every monomial
+    of degree <= 2 and a random quartic; then every facet's record, and a
+    random cubic over the boundary, against the facet charts."""
+    n = p.dim
+    polys = _up_to_degree_2(n) + [oracles.random_poly(rng, n, max_degree=4)]
+    for apex_last in (False, True):
+        cells = p.triangulation(apex_last)
+        oracle = oracles.chart_triangulation(p, apex_last)
+        # every face cones from its lowest vertex (its highest with
+        # apex_last), so each cell lists its vertices in sorted order
+        assert all(list(c.vertices) == sorted(c.vertices, reverse=apex_last) for c in cells)
+        assert {c.vertices[0] for c in cells} == {o.vertices[0] for o in oracle}
+        assert sum(c.volume() for c in cells) == sum(c.volume() for c in oracle) == p.volume()
+        for poly in polys:
+            want = sum((oracles.dirichlet_simplex_integral(c, poly) for c in oracle), F(0))
+            assert sum((integrate_simplex(c, poly) for c in cells), F(0)) == want
+            assert integrate(p, poly) == want
+    cubic = oracles.random_poly(rng, n, max_degree=3)
+    boundary = F(0)
+    for i in range(len(p.halfspaces)):
+        want = oracles.chart_facet_integrals(p, i, _up_to_degree_2(n) + [cubic])
+        m = p.facet_moments(i)
+        got = [m.measure, *m.first, *(m.second[j][k] for j in range(n) for k in range(j, n))]
+        assert got == want[:-1]
+        boundary += want[-1]
+    assert boundary_integral(p, cubic) == boundary
+
+
+def test_bitmask_route_matches_chart_oracle_on_corpus(corpus_entries, cube, cross_polytope):
+    rng = random.Random(9100)
+    for p in [cube, cross_polytope] + [e.polytope for e in corpus_entries.values()]:
+        assert_matches_chart_oracle(p, rng)
+
+
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_bitmask_route_matches_chart_oracle_on_clouds(dim):
+    # a rational cloud, and a lattice cloud halved and thirded
+    rng = random.Random(9200 + dim)
+    lattice = oracles.random_polytope(rng, dim, dim + 3, num=3, den=1)
+    bodies = [oracles.random_polytope(rng, dim, dim + 3)] + [
+        Polytope.from_vertices([tuple(x / k for x in v) for v in lattice.vertices]) for k in (2, 3)
+    ]
+    for p in bodies:
+        assert_matches_chart_oracle(p, rng)

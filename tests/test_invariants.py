@@ -1,5 +1,6 @@
 """Source-level guards on the library: its invariants stay on in every run,
-including under ``python -O``, and no hull falls back to a subset scan."""
+including under ``python -O``, no hull falls back to a subset scan, and L
+builds no facet chart."""
 
 import ast
 from pathlib import Path
@@ -34,3 +35,21 @@ def test_no_subset_scans_in_library():
             if imported or qualified:
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"itertools.combinations used in the library: {found}"
+
+
+def test_no_charts_on_the_l_path():
+    # L and the PL integrals read the moment records of regions and their
+    # facets; facet charts are the route the test oracles take.
+    found = []
+    for name in ("stability.py", "plfun.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            ident = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if ident in ("facet_chart", "FacetChart"):
+                found.append(f"{name}:{node.lineno}")
+    assert not found, f"facet charts referenced on the L path: {found}"

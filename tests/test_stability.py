@@ -1,3 +1,4 @@
+import importlib
 import math
 import random
 from dataclasses import replace
@@ -257,17 +258,20 @@ def test_destabilizer_search_degenerate_grid(corpus_entries):
 
 def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # frozen outcome of the exhaustive default grid: no simple destabilizer;
-    # and the search builds no polytope from scratch (facet charts come from
-    # the incidence, cuts are one step on the vertices), cuts P once per
-    # candidate (only the region of the nonzero piece), integrates without
-    # the barycentric expansion and adds nothing to the cache of P
+    # and the search builds no polytope from scratch (cuts are one step on
+    # the vertices), cuts P once per candidate (only the region of the
+    # nonzero piece), builds no facet chart, reads every integral off the
+    # moment records of the region and its facets (no simplex kernel, no
+    # barycentric expansion) and adds nothing to the cache of P
     from toricstab import plfun, polytope, stability
 
-    # A fresh copy, so no chart comes from a cache filled by another test.
+    kernel = importlib.import_module("toricstab.integrate")  # the name integrate is the function
+
+    # A fresh copy, so nothing comes from a cache filled by another test.
     b1 = corpus_entries["B1"].polytope
     p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in b1.halfspaces])
     ed = extremal_affine(p)
-    counts = {"rays": 0, "cuts": 0, "compose": 0, "l": 0}
+    counts = {"rays": 0, "cuts": 0, "compose": 0, "charts": 0, "simplex": 0, "l": 0}
 
     def counting(name, fn):
         def counted(*args):
@@ -280,10 +284,14 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     monkeypatch.setattr(plfun, "intersect_halfspace", counting("cuts", plfun.intersect_halfspace))
     monkeypatch.setattr(Poly, "compose_affine", counting("compose", Poly.compose_affine))
     monkeypatch.setattr(stability, "l_functional", counting("l", stability.l_functional))
+    monkeypatch.setattr(polytope, "facet_chart", counting("charts", polytope.facet_chart))
+    monkeypatch.setattr(kernel, "integrate_simplex", counting("simplex", kernel.integrate_simplex))
     keys = set(p.cache)
     assert destabilizer_search(p, ed, SearchGrid(box_bound=1)) is None
     assert counts["l"] > 0
-    assert counts == {"rays": 0, "cuts": counts["l"], "compose": 0, "l": counts["l"]}
+    assert counts == {
+        "rays": 0, "cuts": counts["l"], "compose": 0, "charts": 0, "simplex": 0, "l": counts["l"]
+    }
     assert set(p.cache) == keys
 
 
@@ -680,6 +688,30 @@ def test_p_weight_affine_kernel(cube):
         ell = oracles.random_affine(rng, 3)
         report = p_weight(cube, 1, PLFn.convex([ell]), 10)
         assert report.value == 0
+
+
+def test_analyze_skips_the_lattice_cone_test(corpus_entries, monkeypatch):
+    # analyze keeps only the weight of its P sample, so the integrality flag
+    # is left to p_weight, which reports it; the R-independence check of the
+    # weight stays on (test_node_checks_fire)
+    from toricstab import stability
+
+    calls = []
+    flag = stability.pl_is_rational_lattice_cone
+
+    def counted(*args):
+        calls.append(args)
+        return flag(*args)
+
+    monkeypatch.setattr(stability, "pl_is_rational_lattice_cone", counted)
+    p = corpus_entries["E4"].polytope
+    report = analyze(p, i_max=3, grid=FAST_GRID)
+    assert calls == []
+    u = PLFn.simple((1, 0, 0), 0)
+    bound = max(u(v) for v in p.vertices) + 1
+    for i, value in report.p_samples.items():
+        assert p_weight(p, i, u, bound).value == value
+    assert len(calls) == 3
 
 
 def test_project_perp_constant_untouched(corpus_entries):
