@@ -1,7 +1,6 @@
 """Exact-rational toolkit for stability criteria of polarized toric varieties."""
 
 from .errors import (
-    DegenerateNormal,
     DegenerateSpan,
     DegreeMismatch,
     Empty,
@@ -55,7 +54,6 @@ from .stability import (
     ExtremalData,
     KVerdict,
     NodeData,
-    SearchGrid,
     StabilityReport,
     analyze,
     average_scalar,

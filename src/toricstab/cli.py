@@ -18,7 +18,6 @@ from .errors import ParseError, ToricStabError, ValidationError
 from .lattice import ehrhart, lattice_points
 from .linalg import rat_str
 from .stability import (
-    SearchGrid,
     StabilityReport,
     UNDETERMINED,
     analyze,
@@ -188,19 +187,6 @@ def _entry_for(spec: str):
     return None
 
 
-def _grid(level: int) -> SearchGrid:
-    """Search effort: 0 scans only the potential direction, G >= 1 adds facet
-    and vertex directions plus the integer box [-G, G]^n."""
-    if level <= 0:
-        return SearchGrid(
-            box_bound=0,
-            include_facet_normals=False,
-            include_vertex_directions=False,
-            include_theta_gradient=True,
-        )
-    return SearchGrid(box_bound=level)
-
-
 def _emit(args, doc: dict, text_fn) -> None:
     if args.format == "json":
         print(json.dumps(doc, indent=1))
@@ -213,7 +199,7 @@ def _emit(args, doc: dict, text_fn) -> None:
 def cmd_analyze(args) -> int:
     p = corpus.resolve_input(args.input)
     entry = _entry_for(args.input)
-    report = analyze(p, i_max=args.i_max, grid=_grid(args.grid))
+    report = analyze(p, i_max=args.i_max, grid=args.grid)
     doc = report_json(report, entry)
     _emit(args, doc, report_text)
     if args.strict and report.kverdict and report.kverdict.classification == UNDETERMINED:
@@ -267,7 +253,7 @@ def cmd_ehrhart(args) -> int:
 def cmd_kstab(args) -> int:
     p = corpus.resolve_input(args.input)
     entry = _entry_for(args.input)
-    kv = k_classify(p, _grid(args.grid))
+    kv = k_classify(p, args.grid)
     doc = kverdict_json(kv)
     doc["name"] = p.name or args.input
     if entry is not None and entry.raw.get("notes"):
@@ -295,7 +281,7 @@ def cmd_kstab(args) -> int:
 
 def cmd_chow(args) -> int:
     p = corpus.resolve_input(args.input)
-    report = analyze(p, i_max=args.i_max, grid=_grid(0))
+    report = analyze(p, i_max=args.i_max, grid=0)
     doc = report_json(report)
     slim = {
         "name": doc["name"],
@@ -326,7 +312,7 @@ def cmd_tables(args) -> int:
                 "error": "; ".join(problems),
             })
             continue
-        report = analyze(p, i_max=args.i_max, grid=_grid(args.grid))
+        report = analyze(p, i_max=args.i_max, grid=args.grid)
         doc = report_json(report, entry)
         k = doc["k_stability"]
         if "error" in k:

@@ -33,10 +33,6 @@ class OriginNotInterior(ToricStabError):
     """Polar dual requested for a polytope without 0 in its interior."""
 
 
-class DegenerateNormal(ToricStabError):
-    """Facet normal has no usable projection axis."""
-
-
 class NotLatticePolytope(ToricStabError):
     """Ehrhart reconstruction requires integral vertices."""
 

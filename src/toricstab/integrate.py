@@ -1,27 +1,27 @@
 """Exact integration of polynomials over polytopes and their boundaries.
 
 Everything reduces to integrals over simplices.  Every integrand the
-pipeline builds has degree at most 2, and those have a closed form in two
-moments of the vertices that each simplex computes once, S = sum v_i and
-Q = sum v_i v_i^T (Baldoni, Berline, De Loera, Koeppe, Vergne, "How to
-integrate a polynomial over a simplex", Math. Comp. 2011):
+pipeline builds has degree at most 2, and those are contractions with a
+moment record: the integrals of 1, x_k and x_j x_k.  On a simplex with
+vertex sum S = sum v_i and Q = sum v_i v_i^T (Baldoni, Berline, De Loera,
+Koeppe, Vergne, "How to integrate a polynomial over a simplex", Math. Comp.
+2011):
 
     integral over S of 1        =  Vol(S)
     integral over S of x_k      =  Vol(S) * S_k / (n + 1)
     integral over S of x_j x_k  =  Vol(S) * (Q_jk + S_j S_k) / ((n + 1)(n + 2))
 
-Above degree 2 the integrand is expanded in barycentric coordinates and the
-Dirichlet moment formula applies:
+Each :class:`Simplex` keeps that record, and each :class:`Polytope` keeps
+one summed over the cells of its triangulation and one per facet in the
+lattice-normalized measure (``moments`` and ``facet_moments``).  One
+contraction, :func:`_contract`, reads every integral of degree at most 2
+off any of them.  Above degree 2 the integrand is expanded in barycentric
+coordinates and the Dirichlet moment formula applies:
 
     integral over S of  lam^alpha dx  =  n! Vol(S) * (prod alpha_j!) / (n + |alpha|)!
 
-Over a polytope or a facet the same formulas summed over the cells of its
-triangulation give the moment record of :class:`Polytope` (``moments`` and
-``facet_moments``: the integrals of 1, x_k and x_j x_k, the facet ones in
-the lattice-normalized measure and in ambient coordinates), and every
-integral of degree at most 2 is a contraction with it.  Higher degrees run
-the Dirichlet formula over the same cells; a facet cell is a simplex in the
-ambient space, weighted by its lattice measure.
+Over a polytope or a facet it runs over the same cells; a facet cell is a
+simplex in the ambient space, weighted by its lattice measure.
 """
 
 from __future__ import annotations
@@ -119,23 +119,6 @@ class Poly:
             out = out + term
         return out
 
-    def eliminate_axis(self, axis: int, normal: Sequence[int], rhs: Fraction) -> "Poly":
-        """Restrict to the hyperplane <normal, x> = rhs, dropping coordinate ``axis``.
-
-        The result lives in the (nvars-1)-variable chart obtained by deleting
-        that coordinate.
-        """
-        n = self.nvars
-        keep = [j for j in range(n) if j != axis]
-        maps = []
-        for j in range(n):
-            if j == axis:
-                grad = [-Fraction(normal[k]) / normal[axis] for k in keep]
-                maps.append(Poly.affine(grad, rat(rhs) / normal[axis]))
-            else:
-                maps.append(Poly.coordinate(n - 1, keep.index(j)))
-        return self.compose_affine(maps)
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -152,26 +135,11 @@ class Poly:
 
 
 def integrate_simplex(simplex: Simplex, p: Poly) -> Fraction:
-    """Exact integral of ``p`` over one simplex: the vertex moments up to
+    """Exact integral of ``p`` over one simplex: its moment record up to
     degree 2, the Dirichlet formula above."""
-    vol = simplex.volume()
-    if vol == 0:
-        return Fraction(0)
     if p.degree() > 2:
-        return _dirichlet(simplex, vol, p)
-    n = simplex.dim
-    s, q = simplex.vertex_sum, simplex.vertex_products
-    const = linear = quadratic = Fraction(0)
-    for expo, coeff in p.terms.items():
-        axes = [k for k, e in enumerate(expo) for _ in range(e)]
-        if not axes:
-            const += coeff
-        elif len(axes) == 1:
-            linear += coeff * s[axes[0]]
-        else:
-            j, k = axes
-            quadratic += coeff * (q[j][k] + s[j] * s[k])
-    return vol * (const + linear / (n + 1) + quadratic / ((n + 1) * (n + 2)))
+        return _dirichlet(simplex, simplex.volume(), p)
+    return _contract(simplex.moments(), p)
 
 
 def _dirichlet(simplex: Simplex, vol: Fraction, p: Poly) -> Fraction:

@@ -100,7 +100,7 @@ class EhrhartPoly:
         return " + ".join(bits) if bits else "0"
 
 
-def ehrhart(p: Polytope, verify_identities: bool = True) -> EhrhartPoly:
+def ehrhart(p: Polytope) -> EhrhartPoly:
     """Reconstruct the counting polynomial of a lattice polytope.
 
     Interpolates through the exact counts at 0..n and then cross-checks the
@@ -119,21 +119,12 @@ def ehrhart(p: Polytope, verify_identities: bool = True) -> EhrhartPoly:
     samples = [(0, 1)] + [(i, len(lattice_points(p, i))) for i in range(1, n + 3)]
     coeffs = interpolate_poly(samples, n)
     poly = EhrhartPoly(tuple(coeffs))
-    if verify_identities:
-        if poly.coeffs[0] != p.volume():
-            raise DegreeMismatch("leading coefficient differs from the volume")
-        if 2 * poly.coeffs[1] != p.boundary_volume():
-            raise DegreeMismatch("second coefficient differs from half the boundary measure")
-        if poly.coeffs[-1] != 1:
-            raise DegreeMismatch("constant coefficient is not 1")
+    if poly.coeffs[0] != p.volume():
+        raise DegreeMismatch("leading coefficient differs from the volume")
+    if 2 * poly.coeffs[1] != p.boundary_volume():
+        raise DegreeMismatch("second coefficient differs from half the boundary measure")
+    if poly.coeffs[-1] != 1:
+        raise DegreeMismatch("constant coefficient is not 1")
     p.cache["ehrhart"] = poly
     return poly
 
-
-def interior_lattice_point_count(p: Polytope) -> int:
-    """Number of integer points strictly inside P (used for reciprocity checks)."""
-    count = 0
-    for z in lattice_points(p, 1):
-        if all(h.value(z) < h.rhs for h in p.halfspaces):
-            count += 1
-    return count

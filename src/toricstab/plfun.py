@@ -58,16 +58,6 @@ class AffineFn:
         k = rat(k)
         return AffineFn(tuple(k * x for x in self.a), k * self.c)
 
-    def restrict_to_facet(self, axis: int, normal, rhs) -> "AffineFn":
-        """The affine function induced on a facet chart (coordinate ``axis`` dropped)."""
-        coeff = self.a[axis] / normal[axis]
-        grad = [
-            self.a[j] - coeff * normal[j]
-            for j in range(len(self.a))
-            if j != axis
-        ]
-        return AffineFn(tuple(grad), self.c + coeff * rat(rhs))
-
     def __str__(self):
         terms = [(rat_str(coef), f"x{i+1}") for i, coef in enumerate(self.a) if coef != 0]
         if self.c != 0 or not terms:

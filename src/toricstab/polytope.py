@@ -28,12 +28,11 @@ determinant, a cell of P (the apex over a facet cell) follows from it and the
 apex's lattice height, and the sums stay integers until one division per
 entry.
 
-A facet chart (a facet projected along one axis) is read off the incidence:
-its facets are the ridges, found by bitmask tests, and their half-spaces are
-integer combinations of two facet normals, so no chart is hulled again.
-Charts are the independent route the tests compare the facet records with.
-Everything stays rational at the dimensions this library targets (n <= 6, a
-few dozen facets).
+A facet chart (a facet projected along one axis) is the hull of the facet's
+vertices with that coordinate dropped.  No integral in the package reads a
+chart; charts are the independent route the tests compare the facet records
+with.  Everything stays rational at the dimensions this library targets
+(n <= 6, a few dozen facets).
 """
 
 from __future__ import annotations
@@ -46,7 +45,6 @@ from operator import mul
 from typing import Optional, Sequence
 
 from .errors import (
-    DegenerateNormal,
     Empty,
     NotFullDimensional,
     OriginNotInterior,
@@ -120,24 +118,27 @@ class Simplex:
         d = determinant(edges)
         return abs(d) / math.factorial(n)
 
-    @cached_property
-    def vertex_sum(self) -> tuple[Fraction, ...]:
-        """S = sum of the vertices; with ``vertex_products`` it gives every
-        integral of degree at most 2 over the cell."""
-        den, rows = _over_common_denominator(self.vertices)
-        return tuple(Fraction(sum(col), den) for col in zip(*rows))
+    def moments(self) -> Moments:
+        """The integrals of 1, x_k and x_j x_k over the cell, computed once
+        and shared by every integrand of degree at most 2 over it."""
+        return self._moments
 
     @cached_property
-    def vertex_products(self) -> tuple[tuple[Fraction, ...], ...]:
-        """Q = sum of v v^T over the vertices, a symmetric matrix."""
+    def _moments(self) -> Moments:
+        # With S the sum of the vertices and Q the sum of v v^T: vol,
+        # vol S / (n+1) and vol (Q + S S^T) / ((n+1)(n+2)).
         n = self.dim
+        vol = self._volume
         den, rows = _over_common_denominator(self.vertices)
-        den *= den
-        q = [[Fraction(0)] * n for _ in range(n)]
+        s = [sum(col) for col in zip(*rows)]
+        scale = vol / (den * den * (n + 1) * (n + 2))
+        second = [[Fraction(0)] * n for _ in range(n)]
         for j in range(n):
             for k in range(j, n):
-                q[j][k] = q[k][j] = Fraction(sum(r[j] * r[k] for r in rows), den)
-        return tuple(map(tuple, q))
+                q = sum(r[j] * r[k] for r in rows)
+                second[j][k] = second[k][j] = scale * (q + s[j] * s[k])
+        first = tuple(vol * Fraction(x, den * (n + 1)) for x in s)
+        return Moments(vol, first, tuple(map(tuple, second)))
 
 
 def _over_common_denominator(points) -> tuple[int, list[list[int]]]:
@@ -608,63 +609,29 @@ class FacetChart:
 
 
 def facet_chart(p: Polytope, facet_index: int) -> FacetChart:
-    """Project facet ``facet_index`` along its first usable coordinate axis."""
+    """Project facet ``facet_index`` along its first usable coordinate axis:
+    the chart is the hull of the facet's vertices with that coordinate
+    dropped."""
     key = ("chart", facet_index)
     if key in p.cache:
         return p.cache[key]
-    h = p.halfspaces[facet_index]
-    axis = next((k for k, c in enumerate(h.normal) if c != 0), None)
-    if axis is None:
-        raise DegenerateNormal("zero normal")
     if p.dim == 1:
         # A facet of a segment is the single endpoint; represent it trivially.
         raise ValidationError("facet charts need ambient dimension >= 2")
+    h = p.halfspaces[facet_index]
+    axis = next(k for k, c in enumerate(h.normal) if c)
     chart = FacetChart(
         facet_index=facet_index,
         axis=axis,
         scale=Fraction(1, abs(h.normal[axis])),
-        polytope=_chart_polytope(p, facet_index, axis),
+        polytope=Polytope.from_vertices(
+            [v[:axis] + v[axis + 1:] for v in p.facet_vertices(facet_index)]
+        ),
         normal=h.normal,
         rhs=h.rhs,
     )
     p.cache[key] = chart
     return chart
-
-
-def _chart_polytope(p: Polytope, i: int, axis: int) -> Polytope:
-    """Facet ``i`` of P with coordinate ``axis`` dropped, read off the incidence.
-
-    The vertices are the facet's vertices, projected and sorted.  The facets
-    are the ridges F_i & F_j: a k-face lies on at least n-k facets, so a
-    non-empty F_i & F_j is a ridge exactly when no third facet contains it.
-    Each ridge's half-space is l_j on the hyperplane of F_i with x_axis
-    eliminated, scaled by a = l_i[axis] (negated when a < 0): integer work,
-    no hull.
-    """
-    inc = p.incidence
-    own = inc[i]
-    li = p.halfspaces[i]
-    a = li.normal[axis]
-    sign = 1 if a > 0 else -1
-
-    def drop(v):
-        return v[:axis] + v[axis + 1:]
-
-    order = sorted(_on(own, range(len(p.vertices))), key=lambda j: drop(p.vertices[j]))
-    bit = {j: 1 << k for k, j in enumerate(order)}
-    facets = []
-    for j, (lj, mask) in enumerate(zip(p.halfspaces, inc)):
-        ridge = own & mask
-        if j == i or not ridge or any(
-            m & ridge == ridge for k, m in enumerate(inc) if k != i and k != j
-        ):
-            continue
-        c = lj.normal[axis]
-        normal = [sign * (lj.normal[k] * a - c * li.normal[k]) for k in range(p.dim) if k != axis]
-        h = HalfSpace.make(normal, sign * (lj.rhs * a - c * li.rhs))
-        facets.append((h, sum(b for v, b in bit.items() if ridge >> v & 1)))
-    halfspaces, incidence = zip(*sorted(facets))
-    return Polytope(halfspaces, [drop(p.vertices[j]) for j in order], incidence)
 
 
 def polar_dual(p: Polytope) -> Polytope:
@@ -685,7 +652,8 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
 
     Returns ``None`` when the slice has empty interior (empty or lower
     dimensional); measure-zero slices never matter to the integrals built on
-    top of this.
+    top of this.  That is exactly when no vertex lies strictly inside the
+    half-space: points of P near such a vertex lie strictly inside too.
 
     Works incrementally on the vertex set, as one step of the double
     description: surviving vertices stay vertices with the facets they were
@@ -698,9 +666,8 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     vals = [h.value(v) for v in p.vertices]
     if all(val <= h.rhs for val in vals):
         return p
-    if all(val > h.rhs for val in vals):
+    if all(val >= h.rhs for val in vals):
         return None
-    n = p.dim
     # Per vertex, the bitmask of the facets through it; the cut is the bit
     # after the last facet.
     zero_sets = _transpose(p.incidence, len(p.vertices))
@@ -712,13 +679,11 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     }
     below = [i for i, val in enumerate(vals) if val < h.rhs]
     above = [j for j, val in enumerate(vals) if val > h.rhs]
-    for i, j, common in _adjacent_pairs(zero_sets, below, above, n - 1):
+    for i, j, common in _adjacent_pairs(zero_sets, below, above, p.dim - 1):
         u, w = p.vertices[i], p.vertices[j]
         t = (h.rhs - vals[i]) / (vals[j] - vals[i])
         points[tuple(a + t * (b - a) for a, b in zip(u, w))] = common | cut
     verts = sorted(points)
-    if len(verts) <= n or _affine_rank(verts) < n:
-        return None
     return _prune_redundant(
         [*p.halfspaces, h], verts, [points[v] for v in verts], p.name
     )

@@ -29,6 +29,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
+from itertools import product
 from math import lcm
 from operator import mul
 from typing import Optional, Sequence
@@ -40,7 +41,7 @@ from .errors import (
     ThetaConstant,
     ValidationError,
 )
-from .integrate import Poly, boundary_integral, integrate, moment_vector
+from .integrate import Poly, boundary_integral, facet_integral, integrate, moment_vector
 from .lattice import ehrhart, lattice_points
 from .linalg import AnyS, dot, rank, rat, rat_str, solve_linear, solve_overdetermined_1d
 from .plfun import (
@@ -138,13 +139,13 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
 
     Evaluated on the linearity regions R_k of the pieces f_k of u that are
     not identically zero, so max{0, b.x + d} costs one cut: the boundary
-    term is c_k m_0 + a_k . m_1 over the facets of R_k that lie on facets of
-    P, read off their moment records, and the volume term integrates
-    (Sbar + theta) f_k against the record of R_k.  On a reflexive polytope
-    the divergence-theorem form, the sum over the same regions of
-    -c_k Vol(R_k) + integral of (1 - theta) f_k, needs no facet record; it is
-    computed as well and the two must agree exactly, so a mismatch means a
-    kernel bug.
+    term integrates f_k = c_k + a_k . x against the moment records of the
+    facets of R_k that lie on facets of P (c_k m_0 + a_k . m_1), and the
+    volume term integrates (Sbar + theta) f_k against the record of R_k.  On
+    a reflexive polytope the divergence-theorem form, the sum over the same
+    regions of -c_k Vol(R_k) + integral of (1 - theta) f_k, needs no facet
+    record; it is computed as well and the two must agree exactly, so a
+    mismatch means a kernel bug.
     """
     weight = Poly.affine(ed.theta.a, ed.theta.c + ed.sbar)
     one_minus_theta = Poly.affine([-x for x in ed.theta.a], 1 - ed.theta.c)
@@ -153,8 +154,7 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     for region, piece in _nonzero_regions(p, u):
         f = piece.as_poly()
         for i in _boundary_facets(p, region):
-            facet = region.facet_moments(i)
-            boundary += piece.c * facet.measure + dot(piece.a, facet.first)
+            boundary += facet_integral(region, i, f)
         volume += integrate(region, weight * f)
         if check:
             # On the region, sum x_i du_i - u = -piece.c (the gradient terms cancel).
@@ -175,17 +175,6 @@ STABLE_EMPTY_EXCESS = "stable_no_excess_region"
 UNSTABLE_MEAN_CRITERION = "unstable_excess_mean_criterion"
 UNSTABLE_WITNESS = "unstable_witness_found"
 UNDETERMINED = "undetermined"
-
-
-@dataclass(frozen=True)
-class SearchGrid:
-    """Finite direction/offset grid scanned for simple PL destabilizers."""
-
-    box_bound: int = 1
-    include_facet_normals: bool = True
-    include_vertex_directions: bool = True
-    include_theta_gradient: bool = True
-    extra_directions: tuple[tuple[int, ...], ...] = ()
 
 
 @dataclass(frozen=True)
@@ -250,7 +239,7 @@ def reflexive_translate(p: Polytope) -> Optional[Polytope]:
     return translated if reflexive else None
 
 
-def k_classify(p: Polytope, grid: Optional[SearchGrid] = None) -> KVerdict:
+def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
     """Sufficient-criteria classifier for anticanonically polarized input.
 
     Empty excess region => stable.  Otherwise, if the mean of (1-theta)^2
@@ -260,8 +249,10 @@ def k_classify(p: Polytope, grid: Optional[SearchGrid] = None) -> KVerdict:
     (the criteria are sufficient, not exhaustive).
 
     Input must be reflexive up to an integer translation; the verdict and
-    the reported data refer to the normalized (reflexive) position.
+    the reported data refer to the normalized (reflexive) position.  ``grid``
+    is the search level of :func:`destabilizer_candidates`.
     """
+    _check_search_level(grid)
     normalized = reflexive_translate(p)
     if normalized is None:
         raise NotReflexive(
@@ -286,18 +277,24 @@ def k_classify(p: Polytope, grid: Optional[SearchGrid] = None) -> KVerdict:
         return KVerdict(
             UNSTABLE_MEAN_CRITERION, ed.theta, minus, lhs, rhs, witness, value
         )
-    witness = destabilizer_search(p, ed, grid or SearchGrid())
+    witness = destabilizer_search(p, ed, grid)
     if witness is not None:
         value = l_functional(p, ed, witness)
         return KVerdict(UNSTABLE_WITNESS, ed.theta, minus, lhs, rhs, witness, value)
     return KVerdict(UNDETERMINED, ed.theta, minus, lhs, rhs, None, None)
 
 
-def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: SearchGrid):
-    """Yield simple PL candidates max{0, b.x + d} over the configured grid.
+def _check_search_level(grid: int) -> None:
+    if grid < 0:
+        raise ValidationError(f"search grid must be at least 0, got {grid}")
 
-    Directions: facet normals, primitive vertex directions, the potential
-    gradient, a small integer box, and any extras; offsets step through the
+
+def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
+    """Yield simple PL candidates max{0, b.x + d} over the search grid.
+
+    Directions: at ``grid`` 0 only the potential gradient; at G >= 1 the
+    facet normals, the primitive vertex directions, the potential gradient
+    and the integer box [-G, G]^n, in that order.  Offsets step through the
     vertex-critical values of each direction (where the cut hyperplane meets
     a vertex) and their midpoints.
 
@@ -307,30 +304,25 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: SearchGrid):
     -b are those of b negated.  The scan of b therefore covers -b, and the
     first witness found is the same as with both directions scanned.
     """
+    _check_search_level(grid)
     dirs: dict[tuple[int, ...], None] = {}
 
     def add(d):
-        if d is not None and any(x != 0 for x in d):
+        if any(x != 0 for x in d):
             if tuple(-x for x in d) not in dirs:
                 dirs.setdefault(tuple(d), None)
 
-    if grid.include_facet_normals:
+    if grid > 0:
         for h in p.halfspaces:
             add(h.normal)
-    # A zero vector has no direction and adds nothing.
-    if grid.include_vertex_directions:
+        # A zero vector has no direction and adds nothing.
         for v in p.vertices:
             if any(v):
                 add(primitive_normal(v, 0)[0])
-    if grid.include_theta_gradient and any(ed.theta.a):
+    if any(ed.theta.a):
         add(primitive_normal(ed.theta.a, 0)[0])
-    if grid.box_bound > 0:
-        from itertools import product
-
-        for combo in product(range(-grid.box_bound, grid.box_bound + 1), repeat=p.dim):
-            add(combo)
-    for d in grid.extra_directions:
-        add(d)
+    for combo in product(range(-grid, grid + 1), repeat=p.dim):
+        add(combo)
 
     for b in dirs:
         crit = sorted({-dot(b, v) for v in p.vertices})
@@ -342,11 +334,8 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: SearchGrid):
             yield PLFn.simple(b, d)
 
 
-def destabilizer_search(
-    p: Polytope, ed: ExtremalData, grid: Optional[SearchGrid] = None
-) -> Optional[PLFn]:
+def destabilizer_search(p: Polytope, ed: ExtremalData, grid: int = 1) -> Optional[PLFn]:
     """First simple PL function on the grid with L < 0, or None."""
-    grid = grid or SearchGrid()
     for u in destabilizer_candidates(p, ed, grid):
         if len(set(u.pieces)) < 2:
             continue
@@ -717,7 +706,7 @@ def facet_distance_pl(p: Polytope) -> PLFn:
 def analyze(
     p: Polytope,
     i_max: int = 6,
-    grid: Optional[SearchGrid] = None,
+    grid: int = 1,
     name: Optional[str] = None,
 ) -> StabilityReport:
     """Full pipeline on one polytope: potential, K-verdict, balance levels."""

@@ -3,11 +3,13 @@
 These deliberately avoid the library's own kernels wherever a second route
 exists: the degree-2 simplex formula, the barycentric (Dirichlet) simplex
 kernel at every degree, the triangulation recursing through facet charts,
-slice-and-sum subdivision, L over every facet chart
-and every linearity region, its integration-by-parts form, a scan of the
-bounding box for lattice points, vertices from every n-subset of facets,
-facets from every n-subset of points, the node statistics summed in
-rationals point by point, and plain random data generators.
+facet integrals with the integrand restricted to each chart (the chart
+restrictions live only here), slice-and-sum subdivision, L over every facet
+chart and every linearity region, its integration-by-parts form, a scan of
+the bounding box for lattice points and the interior count for reciprocity,
+vertices from every n-subset of facets, facets from every n-subset of
+points, the node statistics summed in rationals point by point, and plain
+random data generators.
 """
 
 import math
@@ -29,11 +31,20 @@ from toricstab import (
     integrate,
     integrate_pl,
     intersect_halfspace,
+    lattice_points,
     linearity_regions,
     moment_vector,
     refined_points,
 )
-from toricstab.linalg import AnyS, dot, nullvector, rank, solve_linear, solve_overdetermined_1d
+from toricstab.linalg import (
+    AnyS,
+    dot,
+    nullvector,
+    rank,
+    rat,
+    solve_linear,
+    solve_overdetermined_1d,
+)
 from toricstab.plfun import AffineFn, PLFn
 
 
@@ -86,6 +97,29 @@ def chart_triangulation(p: Polytope, apex_last: bool = False) -> list:
     return cells
 
 
+def eliminate_axis(poly: Poly, axis: int, normal, rhs) -> Poly:
+    """Restrict ``poly`` to the hyperplane <normal, x> = rhs, dropping
+    coordinate ``axis``: a polynomial on the facet chart."""
+    n = poly.nvars
+    keep = [j for j in range(n) if j != axis]
+    maps = []
+    for j in range(n):
+        if j == axis:
+            grad = [-F(normal[k]) / normal[axis] for k in keep]
+            maps.append(Poly.affine(grad, rat(rhs) / normal[axis]))
+        else:
+            maps.append(Poly.coordinate(n - 1, keep.index(j)))
+    return poly.compose_affine(maps)
+
+
+def restrict_to_facet(f: AffineFn, axis: int, normal, rhs) -> AffineFn:
+    """The affine function induced by ``f`` on a facet chart (coordinate
+    ``axis`` dropped)."""
+    coeff = f.a[axis] / normal[axis]
+    grad = [f.a[j] - coeff * normal[j] for j in range(len(f.a)) if j != axis]
+    return AffineFn(tuple(grad), f.c + coeff * rat(rhs))
+
+
 def chart_facet_integrals(p: Polytope, i: int, polys) -> list:
     """The integrals of ``polys`` over facet i in the lattice measure: each
     is restricted to the facet chart and the Dirichlet kernel is summed over
@@ -94,7 +128,7 @@ def chart_facet_integrals(p: Polytope, i: int, polys) -> list:
     cells = chart_triangulation(chart.polytope)
     out = []
     for poly in polys:
-        restricted = poly.eliminate_axis(chart.axis, chart.normal, chart.rhs)
+        restricted = eliminate_axis(poly, chart.axis, chart.normal, chart.rhs)
         total = sum((dirichlet_simplex_integral(c, restricted) for c in cells), F(0))
         out.append(chart.scale * total)
     return out
@@ -117,10 +151,10 @@ def chart_route_boundary_pl(p: Polytope, poly: Poly, u: PLFn) -> F:
     for i in range(len(p.halfspaces)):
         chart = facet_chart(p, i)
         u_f = PLFn(
-            tuple(f.restrict_to_facet(chart.axis, chart.normal, chart.rhs) for f in u.pieces),
+            tuple(restrict_to_facet(f, chart.axis, chart.normal, chart.rhs) for f in u.pieces),
             u.mode,
         )
-        poly_f = poly.eliminate_axis(chart.axis, chart.normal, chart.rhs)
+        poly_f = eliminate_axis(poly, chart.axis, chart.normal, chart.rhs)
         total += chart.scale * _pl_integral(chart.polytope, poly_f, u_f)
     return total
 
@@ -343,6 +377,14 @@ def brute_hull(points, dim: int) -> list:
         if affine_rank([ints[j] for j in tight]) == dim - 1:
             facets[h] = sum(1 << j for j in tight)
     return sorted(facets.items(), key=lambda f: (f[0].normal, f[0].rhs))
+
+
+def interior_lattice_point_count(p: Polytope) -> int:
+    """The number of integer points strictly inside P, for the reciprocity
+    checks of the counting polynomial."""
+    return sum(
+        all(h.value(z) < h.rhs for h in p.halfspaces) for z in lattice_points(p, 1)
+    )
 
 
 def box_cells(p: Polytope, i: int) -> int:

@@ -38,18 +38,10 @@ from toricstab.stability import (
     ANY,
     FAILS,
     STABLE_EMPTY_EXCESS,
-    SearchGrid,
     excess_region,
 )
 
 import oracles
-
-FAST_GRID = SearchGrid(
-    box_bound=0,
-    include_facet_normals=False,
-    include_vertex_directions=False,
-    include_theta_gradient=True,
-)
 
 
 @contextmanager
@@ -85,7 +77,7 @@ def test_criterion_1_b2_pipeline():
         ed = extremal_affine(p)
         assert ed.theta == AffineFn.make((0, 0, F(-70, 97)), F(-15, 97))
         assert excess_region(p, ed) is None
-        assert k_classify(p, FAST_GRID).classification == STABLE_EMPTY_EXCESS
+        assert k_classify(p, grid=0).classification == STABLE_EMPTY_EXCESS
 
 
 def test_criterion_2_b1_pipeline(corpus_entries):
@@ -115,7 +107,7 @@ def test_criterion_2_b1_pipeline(corpus_entries):
             == F(7351, 12000)
         )
         # both sides of the mean criterion are reported exactly
-        kv = k_classify(p, FAST_GRID)
+        kv = k_classify(p, grid=0)
         assert kv.cond_lhs == F(589, 349)
         assert kv.cond_rhs == F(23785711, 8953591510)
         # and the command-line surface prints them plus the documented flag
@@ -182,7 +174,7 @@ def test_criterion_5_counterexample_threefold(corpus_entries, corpus_gate):
             (F(-34208, 78995), F(7936, 78995), 0), F(-24929, 394975)
         )
         assert excess_region(p, ed) is None
-        assert k_classify(p, FAST_GRID).classification == STABLE_EMPTY_EXCESS
+        assert k_classify(p, grid=0).classification == STABLE_EMPTY_EXCESS
         cond = chow_necessary(p, ed, 1)
         assert cond.coeffs == (
             F(-11134272, 1816885),
@@ -233,7 +225,7 @@ def test_criterion_6_theta_table_regression(corpus_entries, corpus_gate):
                 assert minus is None, name
             else:
                 assert minus is not None, name
-            kv = k_classify(p, FAST_GRID)
+            kv = k_classify(p, grid=0)
             assert (kv.delta_minus is None) == (name in EMPTY_EXCESS), name
             if name in EMPTY_EXCESS:
                 assert kv.classification == STABLE_EMPTY_EXCESS, name
@@ -295,8 +287,6 @@ def test_criterion_7c_integration_oracles():
 
 def test_criterion_7d_ehrhart_identities(corpus_entries):
     with criterion(7, "d: counting polynomial identities"):
-        from toricstab.lattice import interior_lattice_point_count
-
         for entry in corpus_entries.values():
             p = entry.polytope
             if not p.is_lattice():
@@ -304,7 +294,7 @@ def test_criterion_7d_ehrhart_identities(corpus_entries):
             poly = ehrhart(p)
             assert poly.coeffs[0] == p.volume()
             assert 2 * poly.coeffs[1] == p.boundary_volume()
-            interior = interior_lattice_point_count(p)
+            interior = oracles.interior_lattice_point_count(p)
             assert poly_eval(poly.coeffs, -1) == -interior
             if all(h.rhs == 1 for h in p.halfspaces):
                 assert interior == 1
@@ -314,7 +304,7 @@ def test_criterion_7e_equivariance(corpus_entries):
     with criterion(7, "e: lattice symmetry equivariance on B2"):
         p = corpus_entries["B2"].polytope
         ed = extremal_affine(p)
-        base_k = k_classify(p, FAST_GRID).classification
+        base_k = k_classify(p, grid=0).classification
         base_chow = [chow_necessary(p, ed, i).status for i in (1, 2)]
 
         moved = Polytope.from_halfspaces(
@@ -328,7 +318,7 @@ def test_criterion_7e_equivariance(corpus_entries):
         assert edm.sbar == ed.sbar
         assert edm.theta.a == ed.theta.a
         assert edm.theta((1, -2, 1)) == ed.theta((0, 0, 0))
-        assert k_classify(moved, FAST_GRID).classification == base_k
+        assert k_classify(moved, grid=0).classification == base_k
         assert [chow_necessary(moved, edm, i).status for i in (1, 2)] == base_chow
 
         mat = [[1, 0, 1], [0, 1, -1], [0, 0, 1]]
@@ -342,7 +332,7 @@ def test_criterion_7e_equivariance(corpus_entries):
         assert image.volume() == p.volume()
         assert edi.sbar == ed.sbar
         assert len(lattice_points(image, 2)) == len(lattice_points(p, 2))
-        assert k_classify(image, FAST_GRID).classification == base_k
+        assert k_classify(image, grid=0).classification == base_k
         assert [chow_necessary(image, edi, i).status for i in (1, 2)] == base_chow
 
 

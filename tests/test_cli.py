@@ -154,6 +154,15 @@ def test_strict_undetermined_exit_4():
     assert code == 4
 
 
+def test_negative_grid_is_rejected():
+    # A negative search grid is a validation error (exit 2), on a verdict that
+    # needs the search (B1) and on one that does not (CP3, stable).
+    for name in ("B1", "CP3"):
+        code, out = run_cli("kstab", f"corpus:{name}", "--grid", "-1", "--format", "json")
+        assert code == 2
+        assert json.loads(out)["error"]["type"] == "ValidationError"
+
+
 def test_save_then_analyze_file(tmp_path, corpus_entries):
     from toricstab import corpus as corpus_mod
 

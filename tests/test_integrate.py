@@ -149,8 +149,8 @@ def test_degree2_closed_form_oracle():
 
 
 def test_moment_kernel_matches_dirichlet():
-    # Up to degree 2 integrate_simplex reads the integral off the cached
-    # vertex moments; the barycentric expansion is the independent route.
+    # Up to degree 2 integrate_simplex contracts the simplex's cached moment
+    # record; the barycentric expansion is the independent route.
     rng = random.Random(23)
     for dim in range(1, 7):
         monomials = [()] + [(k,) for k in range(dim)] + [

@@ -1,6 +1,6 @@
 """Seeded property tests for the polytope kernel: hull round trips, facets
 and vertex enumeration against the subset scans, the vertex-facet
-incidence, facet charts and cuts against rebuilds from scratch."""
+incidence, and cuts against rebuilds from scratch."""
 
 import random
 from collections import Counter
@@ -16,7 +16,6 @@ from toricstab import (
     NotFullDimensional,
     Polytope,
     Unbounded,
-    facet_chart,
     halfspaces_from_vertices,
     intersect_halfspace,
     linalg,
@@ -272,33 +271,3 @@ def test_builds_and_cuts_carry_the_incidence():
                 assert_incidence(cut)
                 cuts += 1
     assert cuts
-
-
-def assert_charts_match_hulls(p, depth):
-    """Every facet chart of P, and of its charts down to ``depth`` levels, is
-    the hull of the projected facet vertices."""
-    for i in range(len(p.halfspaces)):
-        chart = facet_chart(p, i)
-        axis = chart.axis
-        want = Polytope.from_vertices([v[:axis] + v[axis + 1:] for v in p.facet_vertices(i)])
-        got = chart.polytope
-        assert got.vertices == want.vertices
-        assert got.halfspaces == want.halfspaces
-        assert got.incidence == want.incidence
-        if depth > 1 and got.dim > 1:
-            assert_charts_match_hulls(got, depth - 1)
-
-
-@pytest.mark.parametrize("dim, points, clouds", [(2, 7, 4), (3, 7, 4), (4, 7, 3), (5, 8, 2)])
-def test_charts_match_hulls_on_clouds(dim, points, clouds):
-    rng = random.Random(3000 + dim)
-    for _ in range(clouds):
-        assert_charts_match_hulls(oracles.random_polytope(rng, dim, points), 2)
-
-
-def test_charts_match_hulls_on_cube_cross_polytope_and_corpus(cube, cross_polytope, corpus_entries):
-    # The cross-polytope is not simple: four facets meet at each vertex.
-    assert_charts_match_hulls(cube, 3)
-    assert_charts_match_hulls(cross_polytope, 3)
-    for entry in corpus_entries.values():
-        assert_charts_match_hulls(entry.polytope, 1)

@@ -14,6 +14,7 @@ from toricstab import (
     Polytope,
     PreconditionFailed,
     ThetaConstant,
+    ValidationError,
     analyze,
     average_scalar,
     boundary_integral,
@@ -39,21 +40,12 @@ from toricstab.stability import (
     HOLDS,
     STABLE_EMPTY_EXCESS,
     UNDETERMINED,
-    SearchGrid,
     destabilizer_candidates,
     excess_region,
     reflexive_translate,
 )
 
 import oracles
-
-FAST_GRID = SearchGrid(
-    box_bound=0,
-    include_facet_normals=False,
-    include_vertex_directions=False,
-    include_theta_gradient=True,
-)
-
 
 def translate(p, t):
     return Polytope.from_halfspaces(
@@ -193,19 +185,19 @@ def test_l_scaling(corpus_entries):
 
 
 def test_k_classify_cp3_stable(corpus_entries):
-    kv = k_classify(corpus_entries["CP3"].polytope, FAST_GRID)
+    kv = k_classify(corpus_entries["CP3"].polytope, grid=0)
     assert kv.classification == STABLE_EMPTY_EXCESS
     assert kv.stable is True
     assert kv.theta == AffineFn.zero(3)
 
 
 def test_k_classify_b2_stable(corpus_entries):
-    kv = k_classify(corpus_entries["B2"].polytope, FAST_GRID)
+    kv = k_classify(corpus_entries["B2"].polytope, grid=0)
     assert kv.classification == STABLE_EMPTY_EXCESS
 
 
 def test_k_classify_b1_reports_exact_criterion(corpus_entries):
-    kv = k_classify(corpus_entries["B1"].polytope, FAST_GRID)
+    kv = k_classify(corpus_entries["B1"].polytope, grid=0)
     published = sorted(
         tuple(map(F, v))
         for v in [
@@ -241,19 +233,19 @@ def test_reflexive_translate_roundtrip(corpus_entries):
 
 def test_destabilizer_search_cube_none(cube):
     ed = extremal_affine(cube)
-    assert destabilizer_search(cube, ed, SearchGrid(box_bound=1)) is None
+    assert destabilizer_search(cube, ed, grid=1) is None
 
 
-def test_destabilizer_search_degenerate_grid(corpus_entries):
-    p = corpus_entries["B1"].polytope
-    ed = extremal_affine(p)
-    grid = SearchGrid(
-        box_bound=0,
-        include_facet_normals=False,
-        include_vertex_directions=False,
-        include_theta_gradient=False,
-    )
-    assert destabilizer_search(p, ed, grid) is None
+def test_destabilizer_search_degenerate_grid(cube):
+    # Grid 0 scans only the potential gradient, and on the cube theta = 0:
+    # there is no direction, so no candidate.
+    ed = extremal_affine(cube)
+    assert not any(ed.theta.a)
+    assert list(destabilizer_candidates(cube, ed, grid=0)) == []
+    assert destabilizer_search(cube, ed, grid=0) is None
+    # A negative grid is rejected, not read as grid 0.
+    with pytest.raises(ValidationError):
+        destabilizer_search(cube, ed, grid=-1)
 
 
 def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
@@ -287,7 +279,7 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     monkeypatch.setattr(polytope, "facet_chart", counting("charts", polytope.facet_chart))
     monkeypatch.setattr(kernel, "integrate_simplex", counting("simplex", kernel.integrate_simplex))
     keys = set(p.cache)
-    assert destabilizer_search(p, ed, SearchGrid(box_bound=1)) is None
+    assert destabilizer_search(p, ed, grid=1) is None
     assert counts["l"] > 0
     assert counts == {
         "rays": 0, "cuts": counts["l"], "compose": 0, "charts": 0, "simplex": 0, "l": counts["l"]
@@ -309,12 +301,12 @@ def test_l_matches_chart_route_on_search_candidates(corpus_entries, cube):
     # chart and every linearity region, on the real search candidates.
     b1 = corpus_entries["B1"].polytope
     ed = extremal_affine(b1)
-    for u in destabilizer_candidates(b1, ed, SearchGrid()):
+    for u in destabilizer_candidates(b1, ed, grid=1):
         assert l_functional(b1, ed, u) == oracles.chart_route_l(b1, ed, u)
     e2 = corpus_entries["E2"].polytope
     ed = extremal_affine(e2)
     rng = random.Random(13)
-    candidates = list(destabilizer_candidates(e2, ed, SearchGrid()))
+    candidates = list(destabilizer_candidates(e2, ed, grid=1))
     for u in rng.sample(candidates, 12):
         assert l_functional(e2, ed, u) == oracles.chart_route_l(e2, ed, u)
     for p in (cube, corpus_entries["C4"].polytope):
@@ -346,7 +338,7 @@ def test_candidates_skip_mirrors(cube, corpus_entries):
     for p in (corpus_entries["B1"].polytope, cube):
         ed = extremal_affine(p)
         seen = set()
-        for u in destabilizer_candidates(p, ed, SearchGrid(box_bound=1)):
+        for u in destabilizer_candidates(p, ed, grid=1):
             f = u.pieces[1]
             assert (tuple(-x for x in f.a), -f.c) not in seen
             seen.add((f.a, f.c))
@@ -461,7 +453,7 @@ def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
         return build(p, ed, i)
 
     monkeypatch.setattr(stability, "theta_nodes", counted)
-    analyze(p, i_max=3, grid=FAST_GRID)
+    analyze(p, i_max=3, grid=0)
     assert levels == [1, 2, 3]
 
 
@@ -705,7 +697,7 @@ def test_analyze_skips_the_lattice_cone_test(corpus_entries, monkeypatch):
 
     monkeypatch.setattr(stability, "pl_is_rational_lattice_cone", counted)
     p = corpus_entries["E4"].polytope
-    report = analyze(p, i_max=3, grid=FAST_GRID)
+    report = analyze(p, i_max=3, grid=0)
     assert calls == []
     u = PLFn.simple((1, 0, 0), 0)
     bound = max(u(v) for v in p.vertices) + 1
@@ -754,20 +746,20 @@ def test_project_perp_theta_constant(cube):
 
 
 def test_analyze_cp3(corpus_entries):
-    report = analyze(corpus_entries["CP3"].polytope, i_max=4, grid=FAST_GRID)
+    report = analyze(corpus_entries["CP3"].polytope, i_max=4, grid=0)
     assert report.kverdict.classification == STABLE_EMPTY_EXCESS
     assert all(c.status == ANY for c in report.chow)
     assert report.chow_unstable_level is None
 
 
 def test_analyze_counterexample(corpus_entries):
-    report = analyze(corpus_entries["E4"].polytope, i_max=2, grid=FAST_GRID)
+    report = analyze(corpus_entries["E4"].polytope, i_max=2, grid=0)
     assert report.kverdict.classification == STABLE_EMPTY_EXCESS
     assert report.chow_unstable_level == 1
 
 
 def test_analyze_orbifold(corpus_entries):
-    report = analyze(corpus_entries["ORB-530571"].polytope, i_max=2, grid=FAST_GRID)
+    report = analyze(corpus_entries["ORB-530571"].polytope, i_max=2, grid=0)
     assert report.kverdict is None
     assert report.kverdict_error
     assert report.futaki == (0, 0, 0)
@@ -784,7 +776,7 @@ def test_translation_equivariance(corpus_entries):
     assert moved.volume() == p.volume()
     assert edm.theta.a == ed.theta.a
     assert edm.theta(tuple(F(x) for x in t)) == ed.theta((0, 0, 0))
-    assert k_classify(moved, FAST_GRID).classification == k_classify(p, FAST_GRID).classification
+    assert k_classify(moved, grid=0).classification == k_classify(p, grid=0).classification
     for i in (1, 2):
         assert chow_necessary(moved, edm, i).status == chow_necessary(p, ed, i).status
     # weights computed against the translated test data agree exactly
@@ -805,7 +797,7 @@ def test_full_pipeline_dimension_two(cp2):
     ed = extremal_affine(cp2)
     assert ed.theta == AffineFn.zero(2)
     assert ed.sbar == 2
-    kv = k_classify(cp2, FAST_GRID)
+    kv = k_classify(cp2, grid=0)
     assert kv.classification == STABLE_EMPTY_EXCESS
     for i in (1, 2, 3):
         assert chow_necessary(cp2, ed, i).status == ANY
@@ -830,8 +822,8 @@ def test_unimodular_equivariance(corpus_entries):
     assert average_scalar(image) == average_scalar(p)
     assert len(lattice_points(image, 2)) == len(lattice_points(p, 2))
     assert (
-        k_classify(image, FAST_GRID).classification
-        == k_classify(p, FAST_GRID).classification
+        k_classify(image, grid=0).classification
+        == k_classify(p, grid=0).classification
     )
     for i in (1, 2):
         assert chow_necessary(image, edi, i).status == chow_necessary(p, ed, i).status
