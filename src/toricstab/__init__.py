@@ -38,11 +38,9 @@ from .plfun import (
     upper_hull,
 )
 from .polytope import (
-    FacetChart,
     HalfSpace,
     Polytope,
     Simplex,
-    facet_chart,
     halfspaces_from_vertices,
     intersect_halfspace,
     is_reflexive_delzant,

@@ -18,12 +18,17 @@ from .errors import ParseError, ToricStabError, ValidationError
 from .lattice import ehrhart, lattice_points
 from .linalg import rat_str
 from .stability import (
+    FAILS,
     StabilityReport,
     UNDETERMINED,
     analyze,
+    check_levels,
+    chow_levels,
+    chow_necessary,
     extremal_affine,
     futaki_vector,
     k_classify,
+    k_verdict_or_error,
 )
 
 VERDICT_LABELS = {
@@ -42,7 +47,13 @@ def _vec(xs) -> list[str]:
     return [_frac(x) for x in xs]
 
 
-def kverdict_json(kv) -> dict:
+def _opt(x) -> str | None:
+    return None if x is None else _frac(x)
+
+
+def kverdict_json(kv, error=None) -> dict:
+    if kv is None:
+        return {"error": error}
     out = {
         "classification": kv.classification,
         "label": VERDICT_LABELS[kv.classification],
@@ -61,6 +72,31 @@ def kverdict_json(kv) -> dict:
     return out
 
 
+def chow_json(chow, s_closed, q_samples, p_samples) -> list[dict]:
+    """One row per level of :func:`~toricstab.stability.chow_levels`."""
+    return [
+        {
+            "i": c.level,
+            "status": c.status,
+            "s": _opt(c.s),
+            "s_closed_form": _opt(s_closed.get(c.level)),
+            "node_count": c.count,
+            "theta_bar": _frac(c.theta_bar),
+            "q_sample": _opt(q_samples.get(c.level)),
+            "p_sample": _opt(p_samples.get(c.level)),
+        }
+        for c in chow
+    ]
+
+
+def chow_summary(conds) -> str:
+    """The summary of the first failing level of ``conds``, read no further."""
+    lvl = next((c.level for c in conds if c.status == FAILS), None)
+    if lvl is None:
+        return "balance system consistent at all tested levels"
+    return f"fails at level {lvl}: asymptotically relatively Chow unstable in the toric sense"
+
+
 def report_json(report: StabilityReport, entry=None) -> dict:
     out = {
         "name": report.name,
@@ -72,36 +108,10 @@ def report_json(report: StabilityReport, entry=None) -> dict:
         "theta": {"a": _vec(report.theta.a), "c": _frac(report.theta.c)},
         "theta_str": str(report.theta),
         "futaki": _vec(report.futaki),
-        "chow": [
-            {
-                "i": c.level,
-                "status": c.status,
-                "s": None if c.s is None else _frac(c.s),
-                "s_closed_form": None
-                if report.s_closed.get(c.level) is None
-                else _frac(report.s_closed[c.level]),
-                "node_count": c.count,
-                "theta_bar": _frac(c.theta_bar),
-                "q_sample": None
-                if c.level not in report.q_samples
-                else _frac(report.q_samples[c.level]),
-                "p_sample": None
-                if c.level not in report.p_samples
-                else _frac(report.p_samples[c.level]),
-            }
-            for c in report.chow
-        ],
+        "chow": chow_json(report.chow, report.s_closed, report.q_samples, report.p_samples),
     }
-    if report.kverdict is not None:
-        out["k_stability"] = kverdict_json(report.kverdict)
-    else:
-        out["k_stability"] = {"error": report.kverdict_error}
-    lvl = report.chow_unstable_level
-    out["chow_summary"] = (
-        "balance system consistent at all tested levels"
-        if lvl is None
-        else f"fails at level {lvl}: asymptotically relatively Chow unstable in the toric sense"
-    )
+    out["k_stability"] = kverdict_json(report.kverdict, report.kverdict_error)
+    out["chow_summary"] = chow_summary(report.chow)
     if report.ehrhart_coeffs is not None:
         out["ehrhart"] = _vec(report.ehrhart_coeffs)
     if entry is not None:
@@ -174,10 +184,8 @@ def report_csv(doc: dict) -> str:
         ("futaki", " ".join(doc["futaki"])),
         ("k_stability", k.get("label", k.get("error"))),
     ]
-    for c in doc["chow"]:
-        rows.append((f"chow_i{c['i']}", c["status"]))
-    for name, value in rows:
-        writer.writerow([name, value])
+    rows += [(f"chow_i{c['i']}", c["status"]) for c in doc["chow"]]
+    writer.writerows(rows)
     return buf.getvalue()
 
 
@@ -188,10 +196,11 @@ def _entry_for(spec: str):
 
 
 def _emit(args, doc: dict, text_fn) -> None:
+    # Of the commands that print through here only analyze offers csv.
     if args.format == "json":
         print(json.dumps(doc, indent=1))
     elif args.format == "csv":
-        print(report_csv(doc) if text_fn is report_text else text_fn(doc), end="")
+        print(report_csv(doc), end="")
     else:
         print(text_fn(doc))
 
@@ -281,14 +290,13 @@ def cmd_kstab(args) -> int:
 
 def cmd_chow(args) -> int:
     p = corpus.resolve_input(args.input)
-    report = analyze(p, i_max=args.i_max, grid=0)
-    doc = report_json(report)
-    slim = {
-        "name": doc["name"],
-        "chow": doc["chow"],
-        "chow_summary": doc["chow_summary"],
+    levels = chow_levels(p, args.i_max)
+    doc = {
+        "name": p.name or "polytope",
+        "chow": chow_json(*levels),
+        "chow_summary": chow_summary(levels[0]),
     }
-    _emit(args, slim, lambda d: "\n".join(
+    _emit(args, doc, lambda d: "\n".join(
         [
             f"chow i={c['i']}: {c['status']}"
             + (f" s = {c['s']}" if c["s"] is not None else "")
@@ -300,9 +308,9 @@ def cmd_chow(args) -> int:
 
 
 def cmd_tables(args) -> int:
+    check_levels(args.i_max)
     rows = []
-    entries = corpus.load_corpus()
-    for entry in entries:
+    for entry in corpus.load_corpus():
         p = entry.polytope
         problems = corpus.verify_entry(entry)
         if problems:
@@ -312,9 +320,10 @@ def cmd_tables(args) -> int:
                 "error": "; ".join(problems),
             })
             continue
-        report = analyze(p, i_max=args.i_max, grid=args.grid)
-        doc = report_json(report, entry)
-        k = doc["k_stability"]
+        # the integrity gate passed: theta, the K verdict and the chow summary
+        ed = extremal_affine(p)
+        summary = chow_summary(chow_necessary(p, ed, i) for i in range(1, args.i_max + 1))
+        k = kverdict_json(*k_verdict_or_error(p, args.grid))
         if "error" in k:
             excess = "-"
             verdict = f"not applicable ({k['error']})"
@@ -329,11 +338,11 @@ def cmd_tables(args) -> int:
         row = {
             "name": entry.name,
             "provenance": entry.provenance,
-            "theta": doc["theta_str"],
+            "theta": str(ed.theta),
             "delta_minus": excess,
             "k_verdict": verdict,
             "published_k": entry.expected.get("published_k_stability", ""),
-            "chow_necessary": doc["chow_summary"],
+            "chow_necessary": summary,
             "published_chow": entry.expected.get("published_chow_stability", ""),
             "notes": " | ".join(entry.raw.get("notes", [])),
         }
@@ -351,8 +360,7 @@ def cmd_tables(args) -> int:
         ]
         writer = csv.DictWriter(buf, fieldnames=fields, lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            writer.writerow(row)
+        writer.writerows(rows)
         print(buf.getvalue(), end="")
     else:
         for row in rows:
@@ -391,30 +399,34 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp, i_max_default=6, needs_input=True, csv_ok=False):
+    def declare(name, help, i_max=None, grid=False, strict=False, needs_input=True, csv_ok=False):
+        sp = sub.add_parser(name, help=help)
         if needs_input:
             sp.add_argument("input", help="polytope JSON file or corpus:NAME")
         formats = ("text", "json", "csv") if csv_ok else ("text", "json")
         sp.add_argument("--format", choices=formats, default="text")
-        sp.add_argument("--i-max", type=int, default=i_max_default)
-        sp.add_argument("--grid", type=int, default=1, metavar="G",
-                        help="destabilizer search effort: 0 scans only the potential "
-                             "direction, G >= 1 adds facet/vertex directions and the "
-                             "integer box [-G, G]^n")
-        sp.add_argument("--strict", action="store_true",
-                        help="exit 4 when the K verdict is undetermined")
+        if i_max is not None:
+            sp.add_argument("--i-max", type=int, default=i_max)
+        if grid:
+            sp.add_argument("--grid", type=int, default=1, metavar="G",
+                            help="destabilizer search effort: 0 scans only the potential "
+                                 "direction, G >= 1 adds facet/vertex directions and the "
+                                 "integer box [-G, G]^n")
+        if strict:
+            sp.add_argument("--strict", action="store_true",
+                            help="exit 4 when the K verdict is undetermined")
 
-    common(sub.add_parser("analyze", help="full stability report"), csv_ok=True)
-    common(sub.add_parser("theta", help="extremal potential, Sbar, obstruction vector"))
-    common(sub.add_parser("ehrhart", help="counting polynomial with verification rows"))
-    common(sub.add_parser("kstab", help="K-stability verdict with excess region"))
-    common(sub.add_parser("chow", help="balance conditions per dilation level"), i_max_default=4)
-    common(sub.add_parser("tables", help="regenerate the survey tables over the corpus"),
-           i_max_default=3, needs_input=False, csv_ok=True)
+    declare("analyze", "full stability report", i_max=6, grid=True, strict=True, csv_ok=True)
+    declare("theta", "extremal potential, Sbar, obstruction vector")
+    declare("ehrhart", "counting polynomial with verification rows")
+    declare("kstab", "K-stability verdict with excess region", grid=True, strict=True)
+    declare("chow", "balance conditions per dilation level", i_max=4)
+    declare("tables", "regenerate the survey tables over the corpus",
+            i_max=3, grid=True, needs_input=False, csv_ok=True)
     corpus_parser = sub.add_parser("corpus", help="corpus utilities")
     corpus_sub = corpus_parser.add_subparsers(dest="corpus_command", required=True)
     listp = corpus_sub.add_parser("list", help="list entries and provenance")
-    listp.add_argument("--format", choices=("text", "json", "csv"), default="text")
+    listp.add_argument("--format", choices=("text", "json"), default="text")
     return parser
 
 
@@ -425,6 +437,7 @@ COMMANDS = {
     "kstab": cmd_kstab,
     "chow": cmd_chow,
     "tables": cmd_tables,
+    "corpus": cmd_corpus_list,
 }
 
 
@@ -432,8 +445,6 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "corpus":
-            return cmd_corpus_list(args)
         return COMMANDS[args.command](args)
     except (ParseError, ValidationError) as exc:
         _error(args, exc, 2)

@@ -31,8 +31,10 @@ entry.
 A facet chart (a facet projected along one axis) is the hull of the facet's
 vertices with that coordinate dropped.  No integral in the package reads a
 chart; charts are the independent route the tests compare the facet records
-with.  Everything stays rational at the dimensions this library targets
-(n <= 6, a few dozen facets).
+with, and every other chart routine lives in the test oracles.  The traced
+benchmark run (``perfbench``) still reports ``facet_chart`` by name, so the
+chart stays here until that probe is dropped.  Everything stays rational at
+the dimensions this library targets (n <= 6, a few dozen facets).
 """
 
 from __future__ import annotations
@@ -596,16 +598,6 @@ class FacetChart:
     polytope: "Polytope"
     normal: tuple[int, ...]
     rhs: Fraction
-
-    def lift(self, point: Sequence[Fraction]) -> tuple[Fraction, ...]:
-        """Map a point of the projection back onto the facet hyperplane."""
-        full = list(point[: self.axis]) + [Fraction(0)] + list(point[self.axis:])
-        others = sum(
-            (Fraction(self.normal[j]) * full[j] for j in range(len(full)) if j != self.axis),
-            Fraction(0),
-        )
-        full[self.axis] = (self.rhs - others) / self.normal[self.axis]
-        return tuple(full)
 
 
 def facet_chart(p: Polytope, facet_index: int) -> FacetChart:

@@ -71,14 +71,6 @@ class ExtremalData:
     # The right-hand side of the system: the Futaki vector.
     futaki: tuple[Fraction, ...]
 
-    @property
-    def gradient(self) -> tuple[Fraction, ...]:
-        return self.theta.a
-
-    @property
-    def constant(self) -> Fraction:
-        return self.theta.c
-
 
 def average_scalar(p: Polytope) -> Fraction:
     """Boundary measure divided by volume; equals n for a reflexive polytope."""
@@ -477,10 +469,6 @@ class ChowCondition:
     theta_bar: Fraction
     count: int
 
-    @property
-    def semistable_possible(self) -> bool:
-        return self.status != FAILS
-
 
 def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
     """Solve the one-unknown balance system at dilation level i.
@@ -703,23 +691,24 @@ def facet_distance_pl(p: Polytope) -> PLFn:
     return PLFn.concave(pieces)
 
 
-def analyze(
-    p: Polytope,
-    i_max: int = 6,
-    grid: int = 1,
-    name: Optional[str] = None,
-) -> StabilityReport:
-    """Full pipeline on one polytope: potential, K-verdict, balance levels."""
+def k_verdict_or_error(p: Polytope, grid: int = 1) -> tuple[Optional[KVerdict], Optional[str]]:
+    """:func:`k_classify`, or (None, the reason) when its criteria do not apply."""
+    try:
+        return k_classify(p, grid), None
+    except NotReflexive:
+        return None, "not reflexive (even up to translation): excess-region criteria not applicable"
+
+
+def check_levels(i_max: int) -> None:
     if i_max < 1:
         raise ValidationError("i_max must be at least 1")
+
+
+def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dict, dict]:
+    """The balance system, the closed-form s and the Q and P weight samples at
+    levels 1..i_max: a report's ``chow``, ``s_closed``, ``q_samples``, ``p_samples``."""
+    check_levels(i_max)
     ed = extremal_affine(p)
-    reflexive, delzant = is_reflexive_delzant(p)
-    kverdict = None
-    kerror = None
-    try:
-        kverdict = k_classify(p, grid)
-    except NotReflexive:
-        kerror = "not reflexive (even up to translation): excess-region criteria not applicable"
     chow: list[ChowCondition] = []
     s_closed: dict[int, Optional[Fraction]] = {}
     # diagnostic weight samples: the boundary-distance concave function for Q,
@@ -746,6 +735,21 @@ def analyze(
                 g_integral = integrate_pl(p, one, g_sample)
             q_samples[i] = _q_weight(p, nd, cond, g_sample, g_integral)
         p_samples[i] = _p_weight(p, i, u_sample, bound, u_integral)
+    return chow, s_closed, q_samples, p_samples
+
+
+def analyze(
+    p: Polytope,
+    i_max: int = 6,
+    grid: int = 1,
+    name: Optional[str] = None,
+) -> StabilityReport:
+    """Full pipeline on one polytope: potential, K-verdict, balance levels."""
+    check_levels(i_max)
+    ed = extremal_affine(p)
+    reflexive, delzant = is_reflexive_delzant(p)
+    kverdict, kerror = k_verdict_or_error(p, grid)
+    chow, s_closed, q_samples, p_samples = chow_levels(p, i_max)
     ehr = None
     if p.is_lattice():
         ehr = ehrhart(p).coeffs

@@ -2,7 +2,8 @@
 
 These deliberately avoid the library's own kernels wherever a second route
 exists: the degree-2 simplex formula, the barycentric (Dirichlet) simplex
-kernel at every degree, the triangulation recursing through facet charts,
+kernel at every degree, the lift of a facet chart's points back onto the
+facet and the triangulation recursing through facet charts,
 facet integrals with the integrand restricted to each chart (the chart
 restrictions live only here), slice-and-sum subdivision, L over every facet
 chart and every linearity region, its integration-by-parts form, a scan of
@@ -27,7 +28,6 @@ from toricstab import (
     Simplex,
     SingularMatrix,
     Unbounded,
-    facet_chart,
     integrate,
     integrate_pl,
     intersect_halfspace,
@@ -46,6 +46,7 @@ from toricstab.linalg import (
     solve_overdetermined_1d,
 )
 from toricstab.plfun import AffineFn, PLFn
+from toricstab.polytope import FacetChart, facet_chart
 
 
 def degree2_simplex_integral(simplex: Simplex, l1: AffineFn, l2: AffineFn) -> F:
@@ -77,6 +78,18 @@ def dirichlet_simplex_integral(simplex: Simplex, poly: Poly) -> F:
     return total
 
 
+def lift_from_chart(chart: FacetChart, point) -> tuple:
+    """Map a point of the chart's projection back onto its facet hyperplane."""
+    axis = chart.axis
+    full = list(point[:axis]) + [F(0)] + list(point[axis:])
+    others = sum(
+        (F(chart.normal[j]) * full[j] for j in range(len(full)) if j != axis),
+        F(0),
+    )
+    full[axis] = (chart.rhs - others) / chart.normal[axis]
+    return tuple(full)
+
+
 def chart_triangulation(p: Polytope, apex_last: bool = False) -> list:
     """The cone from the lex-smallest vertex (lex-largest with ``apex_last``)
     over the triangulations of the facets that miss it, each triangulated in
@@ -91,7 +104,8 @@ def chart_triangulation(p: Polytope, apex_last: bool = False) -> list:
             continue
         chart = facet_chart(p, i)
         for sub in chart_triangulation(chart.polytope, apex_last):
-            cell = Simplex((p.vertices[apex],) + tuple(chart.lift(v) for v in sub.vertices))
+            lifted = tuple(lift_from_chart(chart, v) for v in sub.vertices)
+            cell = Simplex((p.vertices[apex],) + lifted)
             if cell.volume() > 0:
                 cells.append(cell)
     return cells

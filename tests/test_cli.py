@@ -1,6 +1,8 @@
+import argparse
 import hashlib
 import io
 import json
+import sys
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -141,12 +143,116 @@ def test_kstab_b1_json_bytes():
 
 
 def test_tables_survey_json_bytes():
-    # The whole-corpus table at levels 1-3 and grid 0, pinned byte for byte.
-    code, out = run_cli("tables", "--i-max", "3", "--grid", "0", "--format", "json")
+    # The whole-corpus table at levels 1-3 and grid 0 in every format, and the
+    # analyze and chow reports that share its stages, pinned byte for byte.
+    pins = [
+        (("tables", "--i-max", "3", "--grid", "0", "--format", "json"),
+         "1d58cf74137fbbb94cb063a0cdfc2ead0926cc42208d81e1a4a10be96ec6d58f"),
+        (("tables", "--i-max", "3", "--grid", "0"),
+         "abbbf3c09155eb5798a2cc87cd5e6311e0845bd384d0a173aeb2c1182805fc32"),
+        (("tables", "--i-max", "3", "--grid", "0", "--format", "csv"),
+         "3723785afb858f8ef5e5b58e0b7b8bb4e7b786f9200c8fe080fb8f9832415b90"),
+        (("analyze", "corpus:E4", "--i-max", "3", "--grid", "0", "--format", "json"),
+         "89f976a8d5ef70425bc4d84a1bd1881e5082d8b3d12f52be74f0ccf6a472bed1"),
+        (("chow", "corpus:ORB-530571", "--i-max", "3", "--format", "json"),
+         "e4f0292cbd155909c01bd577792643275c71d43eacbaae7ed89a061163921e04"),
+    ]
+    for argv, digest in pins:
+        code, out = run_cli(*argv)
+        assert code == 0, argv
+        assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+
+
+def _record_calls(monkeypatch, fn, calls):
+    """Replace every binding of ``fn`` in the toricstab modules by a wrapper
+    that appends (calling function, name of the first argument) to ``calls``."""
+
+    def recorded(*args, **kwargs):
+        calls.append((sys._getframe(1).f_code.co_name, getattr(args[0], "name", None)))
+        return fn(*args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toricstab" or name.startswith("toricstab."):
+            for attr, value in list(vars(module).items()):
+                if value is fn:
+                    monkeypatch.setattr(module, attr, recorded)
+
+
+def test_tables_and_chow_compute_only_what_they_print(monkeypatch):
+    # tables prints theta, the K verdict and the chow summary: no full
+    # report, no Q/P sample integral, and Ehrhart only where the integrity
+    # gate checks a recorded count polynomial.  chow prints the levels only.
+    from toricstab import lattice, plfun, stability
+
+    watched = {
+        "analyze": stability.analyze,
+        "integrate_pl": plfun.integrate_pl,
+        "ehrhart": lattice.ehrhart,
+        "k_classify": stability.k_classify,
+    }
+    calls = {name: [] for name in watched}
+    for name, fn in watched.items():
+        _record_calls(monkeypatch, fn, calls[name])
+    code, _ = run_cli("tables", "--i-max", "3", "--grid", "0")
     assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == (
-        "1d58cf74137fbbb94cb063a0cdfc2ead0926cc42208d81e1a4a10be96ec6d58f"
-    )
+    assert calls["analyze"] == calls["integrate_pl"] == []
+    assert sorted(calls["ehrhart"]) == [("verify_entry", "E4"), ("verify_entry", "ORB-530571")]
+    assert len(calls["k_classify"]) == 19
+    for record in calls.values():
+        record.clear()
+    code, out = run_cli("chow", "corpus:F1", "--i-max", "3")
+    assert code == 0 and "chow i=3" in out
+    assert calls["k_classify"] == calls["ehrhart"] == calls["analyze"] == []
+
+
+# Per subcommand, the options it declares; every one must be read by its handler.
+DECLARED = {
+    ("analyze", "corpus:CP3", "--i-max", "2", "--grid", "0"): {"format", "i_max", "grid", "strict"},
+    ("theta", "corpus:CP3"): {"format"},
+    ("ehrhart", "corpus:CP3"): {"format"},
+    ("kstab", "corpus:CP3"): {"format", "grid", "strict"},
+    ("chow", "corpus:CP3"): {"format", "i_max"},
+    ("tables", "--i-max", "1", "--grid", "0"): {"format", "i_max", "grid"},
+    ("corpus", "list"): {"format"},
+}
+
+
+@pytest.mark.parametrize("argv", list(DECLARED), ids=lambda argv: argv[0])
+def test_every_declared_option_is_read(argv):
+    from toricstab.cli import COMMANDS, build_parser
+
+    args = build_parser().parse_args(list(argv))
+    options = set(vars(args)) - {"command", "corpus_command", "input"}
+    assert options == DECLARED[argv]
+    reads = set()
+
+    class Recording(argparse.Namespace):
+        def __getattribute__(self, name):
+            reads.add(name)
+            return super().__getattribute__(name)
+
+    with redirect_stdout(io.StringIO()):
+        assert COMMANDS[args.command](Recording(**vars(args))) == 0
+    assert options <= reads, f"declared but never read: {sorted(options - reads)}"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("theta", "corpus:CP3", "--i-max", "2"),
+        ("ehrhart", "corpus:CP3", "--grid", "1"),
+        ("kstab", "corpus:CP3", "--i-max", "2"),
+        ("chow", "corpus:CP3", "--strict"),
+        ("tables", "--strict"),
+        ("corpus", "list", "--format", "csv"),
+    ],
+    ids=lambda argv: argv[0],
+)
+def test_undeclared_options_are_usage_errors(argv, capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        run_cli(*argv)
+    assert exit_info.value.code == 2
+    assert "usage:" in capsys.readouterr().err
 
 
 def test_strict_undetermined_exit_4():
@@ -156,11 +262,25 @@ def test_strict_undetermined_exit_4():
 
 def test_negative_grid_is_rejected():
     # A negative search grid is a validation error (exit 2), on a verdict that
-    # needs the search (B1) and on one that does not (CP3, stable).
-    for name in ("B1", "CP3"):
-        code, out = run_cli("kstab", f"corpus:{name}", "--grid", "-1", "--format", "json")
+    # needs the search (B1), on one that does not (CP3, stable), and in the
+    # survey, which classifies every entry.
+    for argv in (("kstab", "corpus:B1"), ("kstab", "corpus:CP3"), ("tables", "--i-max", "1")):
+        code, out = run_cli(*argv, "--grid", "-1", "--format", "json")
         assert code == 2
-        assert json.loads(out)["error"]["type"] == "ValidationError"
+        error = json.loads(out)["error"]
+        assert (error["type"], error["message"]) == (
+            "ValidationError", "search grid must be at least 0, got -1"
+        )
+
+
+def test_levels_below_one_are_rejected():
+    # --i-max 0 is a validation error (exit 2) in every command that takes
+    # it, checked before the search grid.
+    for argv in (("analyze", "corpus:CP3"), ("chow", "corpus:CP3"), ("tables", "--grid", "-1")):
+        code, out = run_cli(*argv, "--i-max", "0", "--format", "json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert (error["type"], error["message"]) == ("ValidationError", "i_max must be at least 1")
 
 
 def test_save_then_analyze_file(tmp_path, corpus_entries):
