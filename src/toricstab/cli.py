@@ -411,7 +411,7 @@ def build_parser() -> argparse.ArgumentParser:
             sp.add_argument("--grid", type=int, default=1, metavar="G",
                             help="destabilizer search effort: 0 scans only the potential "
                                  "direction, G >= 1 adds facet/vertex directions and the "
-                                 "integer box [-G, G]^n")
+                                 "integer box [-G, G]^n (at most 10,000 directions)")
         if strict:
             sp.add_argument("--strict", action="store_true",
                             help="exit 4 when the K verdict is undetermined")

@@ -3,6 +3,11 @@
 Everything downstream works over ``fractions.Fraction`` (arbitrary precision,
 always in lowest terms, positive denominator), so no rounding can occur
 anywhere in the library.
+
+One elimination routine serves ``determinant``, ``rank``, ``nullvector`` and
+``solve_linear``: fraction-free (Bareiss) elimination on rows cleared to
+integers, whose every division is exact, so no ``Fraction`` is built until
+a result is read off the echelon form.
 """
 
 from __future__ import annotations
@@ -44,17 +49,38 @@ def dot(u: Sequence[Fraction], v: Sequence[Fraction]) -> Fraction:
     return sum((a * b for a, b in zip(u, v)), Fraction(0))
 
 
-def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int], int]:
-    """Forward Gaussian elimination: the nonzero rows of a row echelon form,
-    the pivot column of each, and the sign of the row swaps.
+def _integer_row(row: Sequence) -> tuple[list[int], int]:
+    """A row cleared to integers: (k * row, k) with k the least common
+    denominator of its entries.  An all-``int`` row passes through."""
+    if all(type(x) is int for x in row):
+        return list(row), 1
+    xs = [rat(x) for x in row]
+    scale = math.lcm(*(x.denominator for x in xs))
+    return [x.numerator * (scale // x.denominator) for x in xs], scale
 
-    Each column pivots on its first nonzero entry; exactness makes any
-    nonzero pivot as good as any other.
+
+def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int]:
+    """Fraction-free forward elimination (Bareiss, Math. Comp. 22, 1968): the
+    nonzero rows of an integer row echelon form of ``rows``, the pivot column
+    of each, the sign of the row swaps, and the product of the row scales.
+
+    Each row is first cleared to integers (see :func:`_integer_row`).  After
+    k pivots, the entry in row i and column c is the minor of the cleared
+    rows 1..k, i on the first k pivot columns and c (Sylvester's identity),
+    so every update ``(row[c] * p0 - f * prow[c]) // prev`` divides exactly
+    and the last pivot of a square matrix is the determinant of the cleared
+    rows.  Each echelon row is a nonzero multiple of the row Gaussian
+    elimination would give, so back substitution reads either alike.  Each
+    column pivots on its first nonzero entry.
     """
-    a = [[rat(x) for x in row] for row in rows]
+    a, scale = [], 1
+    for row in rows:
+        ints, k = _integer_row(row)
+        a.append(ints)
+        scale *= k
     ncols = len(a[0]) if a else 0
     pivots: list[int] = []
-    sign = 1
+    sign = prev = 1
     for col in range(ncols):
         r = len(pivots)
         piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
@@ -64,22 +90,25 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[Fraction]], list[int
             a[r], a[piv] = a[piv], a[r]
             sign = -sign
         prow = a[r]
-        inv = prow[col]
+        p0 = prow[col]
         for row in a[r + 1:]:
-            if row[col] != 0:
-                f = row[col] / inv
-                for c in range(col, ncols):
-                    row[c] -= f * prow[c]
+            f = row[col]
+            row[col] = 0
+            for c in range(col + 1, ncols):
+                row[c] = (row[c] * p0 - f * prow[c]) // prev
+        prev = p0
         pivots.append(col)
-    return a[: len(pivots)], pivots, sign
+    return a[: len(pivots)], pivots, sign, scale
 
 
 def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: the signed product of the echelon pivots."""
-    echelon, pivots, sign = _eliminate(m)
+    """Exact determinant: the signed last pivot of the fraction-free echelon
+    form over the product of the row scales."""
+    echelon, pivots, sign, scale = _eliminate(m)
     if len(pivots) < len(m):
         return Fraction(0)
-    return math.prod((row[col] for row, col in zip(echelon, pivots)), start=Fraction(sign))
+    last = echelon[-1][pivots[-1]] if pivots else 1
+    return Fraction(sign * last, scale)
 
 
 def solve_linear(
@@ -92,7 +121,7 @@ def solve_linear(
     n = len(m)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("solve_linear expects a square system")
-    echelon, pivots, _ = _eliminate([list(row) + [y] for row, y in zip(m, b)])
+    echelon, pivots, _, _ = _eliminate([list(row) + [y] for row, y in zip(m, b)])
     if pivots[:n] != list(range(n)):
         raise SingularMatrix("the matrix is not invertible")
     x = [Fraction(0)] * n
@@ -110,7 +139,7 @@ def rank(rows: Sequence[Sequence]) -> int:
 def nullvector(rows: Sequence[Sequence], dim: int) -> Optional[tuple[int, ...]]:
     """The primitive integer vector orthogonal to every row of length ``dim``,
     with its free coordinate positive, when the nullity is 1; else ``None``."""
-    echelon, pivots, _ = _eliminate(rows)
+    echelon, pivots, _, _ = _eliminate(rows)
     if len(pivots) != dim - 1:
         return None
     free = next(c for c in range(dim) if c not in pivots)

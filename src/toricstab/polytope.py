@@ -12,9 +12,12 @@ zero set contains.  Half-spaces give the vertices as the rays of their
 homogenized cone; points give the facets as the rays of the cone of
 half-spaces that hold them all.  Either way the final zero sets are the
 incidence.  A cut by one more half-space is the same step on the vertices,
-so the incidence is carried through every cut rather than recomputed.  A
-facet is a half-space whose tight set lies in no other's, and a vertex is a
-point whose set of facets lies in no other point's.
+so the incidence is carried through every cut rather than recomputed; it
+compares the cut with the vertices over their common denominator in
+integers, and each new vertex is an integer combination of two of them over
+one denominator.  A facet is a half-space whose tight set lies in no
+other's, and a vertex is a point whose set of facets lies in no other
+point's.
 
 Faces are vertex bitmasks too.  The facets of a face F are the maximal
 proper non-empty sets F & incidence[j], and the triangulation of F cones from
@@ -26,7 +29,8 @@ the integrals of x_k and x_j x_k), and each facet one in the lattice measure.
 The vertices share one denominator: a facet cell costs one integer
 determinant, a cell of P (the apex over a facet cell) follows from it and the
 apex's lattice height, and the sums stay integers until one division per
-entry.
+entry.  The second moments are summed only when a caller first reads them:
+L reads them on regions, never on facets.
 
 A facet chart (a facet projected along one axis) is the hull of the facet's
 vertices with that coordinate dropped.  No integral in the package reads a
@@ -44,7 +48,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Optional, Sequence
+from typing import Callable, Optional, Sequence
 
 from .errors import (
     Empty,
@@ -133,14 +137,18 @@ class Simplex:
         vol = self._volume
         den, rows = _over_common_denominator(self.vertices)
         s = [sum(col) for col in zip(*rows)]
-        scale = vol / (den * den * (n + 1) * (n + 2))
-        second = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                q = sum(r[j] * r[k] for r in rows)
-                second[j][k] = second[k][j] = scale * (q + s[j] * s[k])
+
+        def second():
+            scale = vol / (den * den * (n + 1) * (n + 2))
+            out = [[Fraction(0)] * n for _ in range(n)]
+            for j in range(n):
+                for k in range(j, n):
+                    q = sum(r[j] * r[k] for r in rows)
+                    out[j][k] = out[k][j] = scale * (q + s[j] * s[k])
+            return tuple(map(tuple, out))
+
         first = tuple(vol * Fraction(x, den * (n + 1)) for x in s)
-        return Moments(vol, first, tuple(map(tuple, second)))
+        return Moments(vol, first, second)
 
 
 def _over_common_denominator(points) -> tuple[int, list[list[int]]]:
@@ -407,15 +415,28 @@ class Polytope:
         return [Simplex(tuple(self.vertices[j] for j in cell)) for cell in cells]
 
 
-@dataclass(frozen=True)
 class Moments:
     """The integrals of 1, x_k and x_j x_k over a polytope, or over one of
     its facets in the lattice-normalized measure: every integral of degree
-    at most 2 is a contraction with them."""
+    at most 2 is a contraction with them.
 
-    measure: Fraction
-    first: tuple[Fraction, ...]
-    second: tuple[tuple[Fraction, ...], ...]
+    ``measure`` and ``first`` are computed with the record; ``second`` is
+    summed, by the function the record was built with, when first read.
+    """
+
+    def __init__(
+        self,
+        measure: Fraction,
+        first: tuple[Fraction, ...],
+        second: Callable[[], tuple[tuple[Fraction, ...], ...]],
+    ):
+        self.measure = measure
+        self.first = first
+        self._second = second
+
+    @cached_property
+    def second(self) -> tuple[tuple[Fraction, ...], ...]:
+        return self._second()
 
 
 def _face_cells(p: Polytope, face: int, apex_last: bool) -> tuple[tuple[int, ...], ...]:
@@ -503,6 +524,9 @@ def _moments(p: Polytope, facet: Optional[int]) -> Moments:
     vol S_k / (d+1) and x_j x_k to vol (Q_jk + S_j S_k) / ((d+1)(d+2)).  With
     the vertices over den and vol = weight / base, the sums of weight,
     weight S and weight (Q + S S^T) are integers, divided once at the end.
+    Each vertex enters weight S and weight Q with the total weight of its
+    cells; weight S S^T needs the cells themselves, so the second moments
+    are summed only when read.
     """
     key = ("moments", facet)
     if key not in p.cache:
@@ -510,37 +534,38 @@ def _moments(p: Polytope, facet: Optional[int]) -> Moments:
         den, rows = _integer_vertices(p)
         n = p.dim
         d = len(cells[0]) - 1
-        # the cell sums of weight * v and weight * v v^T, vertex by vertex:
-        # each vertex weighted by the total weight of its cells
         mass = [0] * len(rows)
-        w2 = [[0] * n for _ in range(n)]
         for cell, w in zip(cells, weights):
-            s = [sum(rows[j][k] for j in cell) for k in range(n)]
             for j in cell:
                 mass[j] += w
-            for j in range(n):
-                ws = w * s[j]
-                for k in range(j, n):
-                    w2[j][k] += ws * s[k]
-        w1 = [0] * n
-        for r, w in zip(rows, mass):
-            if w:
-                for j in range(n):
-                    wr = w * r[j]
-                    w1[j] += wr
-                    for k in range(j, n):
-                        w2[j][k] += wr * r[k]
         first_den = base * den * (d + 1)
-        second_den = first_den * den * (d + 2)
-        second = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                second[j][k] = second[k][j] = Fraction(w2[j][k], second_den)
-        p.cache[key] = Moments(
-            Fraction(sum(weights), base),
-            tuple(Fraction(x, first_den) for x in w1),
-            tuple(map(tuple, second)),
+        first = tuple(
+            Fraction(sum(w * r[k] for r, w in zip(rows, mass) if w), first_den)
+            for k in range(n)
         )
+
+        def second():
+            w2 = [[0] * n for _ in range(n)]
+            for cell, w in zip(cells, weights):
+                s = [sum(rows[j][k] for j in cell) for k in range(n)]
+                for j in range(n):
+                    ws = w * s[j]
+                    for k in range(j, n):
+                        w2[j][k] += ws * s[k]
+            for r, w in zip(rows, mass):
+                if w:
+                    for j in range(n):
+                        wr = w * r[j]
+                        for k in range(j, n):
+                            w2[j][k] += wr * r[k]
+            second_den = first_den * den * (d + 2)
+            out = [[Fraction(0)] * n for _ in range(n)]
+            for j in range(n):
+                for k in range(j, n):
+                    out[j][k] = out[k][j] = Fraction(w2[j][k], second_den)
+            return tuple(map(tuple, out))
+
+        p.cache[key] = Moments(Fraction(sum(weights), base), first, second)
     return p.cache[key]
 
 
@@ -655,26 +680,34 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     facet left with no vertex (the old one parallel to the cut) is dropped.
     """
     h = HalfSpace.make(normal, rhs)
-    vals = [h.value(v) for v in p.vertices]
-    if all(val <= h.rhs for val in vals):
+    # With the vertices over den, <l, v> <= rhs reads vals[j] <= level in
+    # integers, both sides scaled by den and the denominator of rhs.
+    den, rows = _integer_vertices(p)
+    level = h.rhs.numerator * den
+    vals = [h.rhs.denominator * sum(map(mul, h.normal, r)) for r in rows]
+    if all(val <= level for val in vals):
         return p
-    if all(val >= h.rhs for val in vals):
+    if all(val >= level for val in vals):
         return None
     # Per vertex, the bitmask of the facets through it; the cut is the bit
     # after the last facet.
     zero_sets = _transpose(p.incidence, len(p.vertices))
     cut = 1 << len(p.halfspaces)
     points = {
-        v: z | cut if val == h.rhs else z
+        v: z | cut if val == level else z
         for v, val, z in zip(p.vertices, vals, zero_sets)
-        if val <= h.rhs
+        if val <= level
     }
-    below = [i for i, val in enumerate(vals) if val < h.rhs]
-    above = [j for j, val in enumerate(vals) if val > h.rhs]
+    below = [i for i, val in enumerate(vals) if val < level]
+    above = [j for j, val in enumerate(vals) if val > level]
     for i, j, common in _adjacent_pairs(zero_sets, below, above, p.dim - 1):
-        u, w = p.vertices[i], p.vertices[j]
-        t = (h.rhs - vals[i]) / (vals[j] - vals[i])
-        points[tuple(a + t * (b - a) for a, b in zip(u, w))] = common | cut
+        # (vals[j] - level) v_i + (level - vals[i]) v_j over vals[j] - vals[i]
+        wi, wj = vals[j] - level, level - vals[i]
+        scale = den * (vals[j] - vals[i])
+        point = tuple(
+            Fraction(a * wi + b * wj, scale) for a, b in zip(rows[i], rows[j])
+        )
+        points[point] = common | cut
     verts = sorted(points)
     return _prune_redundant(
         [*p.halfspaces, h], verts, [points[v] for v in verts], p.name

@@ -41,7 +41,7 @@ from .errors import (
     ThetaConstant,
     ValidationError,
 )
-from .integrate import Poly, boundary_integral, facet_integral, integrate, moment_vector
+from .integrate import Poly, boundary_integral, integrate, moment_vector
 from .lattice import ehrhart, lattice_points
 from .linalg import AnyS, dot, rank, rat, rat_str, solve_linear, solve_overdetermined_1d
 from .plfun import (
@@ -130,27 +130,34 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     """L(u) = boundary integral of u minus integral of (Sbar + theta) u.
 
     Evaluated on the linearity regions R_k of the pieces f_k of u that are
-    not identically zero, so max{0, b.x + d} costs one cut: the boundary
-    term integrates f_k = c_k + a_k . x against the moment records of the
-    facets of R_k that lie on facets of P (c_k m_0 + a_k . m_1), and the
-    volume term integrates (Sbar + theta) f_k against the record of R_k.  On
-    a reflexive polytope the divergence-theorem form, the sum over the same
-    regions of -c_k Vol(R_k) + integral of (1 - theta) f_k, needs no facet
+    not identically zero, so max{0, b.x + d} costs one cut.  Both terms are
+    contracted directly on moment records: the boundary term integrates
+    f_k = c + a.x over the facets of R_k that lie on facets of P as
+    c m_0 + a.m_1, and with theta = t.x + theta_c and w = Sbar + theta_c the
+    volume term is w c m_0 + (w a + c t).m_1 + t^T M_2 a over R_k.  On a
+    reflexive polytope the divergence-theorem form, the sum over the same
+    regions of -c Vol(R_k) + integral of (1 - theta) f_k, needs no facet
     record; it is computed as well and the two must agree exactly, so a
     mismatch means a kernel bug.
     """
-    weight = Poly.affine(ed.theta.a, ed.theta.c + ed.sbar)
-    one_minus_theta = Poly.affine([-x for x in ed.theta.a], 1 - ed.theta.c)
+    t, theta_c = ed.theta.a, ed.theta.c
+    w = ed.sbar + theta_c
     check = all(h.rhs == 1 for h in p.halfspaces) and p.is_lattice()
     boundary = volume = parts = Fraction(0)
     for region, piece in _nonzero_regions(p, u):
-        f = piece.as_poly()
+        a, c = piece.a, piece.c
         for i in _boundary_facets(p, region):
-            boundary += facet_integral(region, i, f)
-        volume += integrate(region, weight * f)
+            m = region.facet_moments(i)
+            boundary += c * m.measure + dot(a, m.first)
+        m = region.moments()
+        # the integrals of f, of c t.x and of (t.x)(a.x) over the region
+        f_int = c * m.measure + dot(a, m.first)
+        ct_int = c * dot(t, m.first)
+        quad = dot(t, [dot(row, a) for row in m.second])
+        volume += w * f_int + ct_int + quad
         if check:
-            # On the region, sum x_i du_i - u = -piece.c (the gradient terms cancel).
-            parts += -piece.c * region.volume() + integrate(region, one_minus_theta * f)
+            # On the region, sum x_i du_i - u = -c (the gradient terms cancel).
+            parts += -c * m.measure + (1 - theta_c) * f_int - ct_int - quad
     value = boundary - volume
     if check and parts != value:
         raise InternalInvariant(
@@ -244,7 +251,7 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
     the reported data refer to the normalized (reflexive) position.  ``grid``
     is the search level of :func:`destabilizer_candidates`.
     """
-    _check_search_level(grid)
+    _check_search_level(grid, p.dim)
     normalized = reflexive_translate(p)
     if normalized is None:
         raise NotReflexive(
@@ -276,9 +283,26 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
     return KVerdict(UNDETERMINED, ed.theta, minus, lhs, rhs, None, None)
 
 
-def _check_search_level(grid: int) -> None:
+# The budget of the search box: at most this many directions (2G+1)^n.  A
+# scanned direction costs about 5-9 ms in 3D and 14-17 ms in 4D (B1, D1 and
+# E2 at grid 3, CP^1 x B1 at grids 1-2; Python 3.11 on a 2-core x86-64
+# host), and about half the box is scanned (one of each pair +-b), so the
+# box alone costs at most about 1-2 minutes there.  Grids up to 10 fit in
+# 3D, 4 in 4D.
+MAX_SEARCH_DIRECTIONS = 10_000
+
+
+def _check_search_level(grid: int, dim: int) -> None:
+    """Reject a negative grid, and a box of more than
+    :data:`MAX_SEARCH_DIRECTIONS` directions, before any search starts."""
     if grid < 0:
         raise ValidationError(f"search grid must be at least 0, got {grid}")
+    box = (2 * grid + 1) ** dim
+    if box > MAX_SEARCH_DIRECTIONS:
+        raise ValidationError(
+            f"search grid {grid} spans {box} box directions in dimension {dim}, "
+            f"above the budget of {MAX_SEARCH_DIRECTIONS}"
+        )
 
 
 def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
@@ -296,7 +320,7 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
     -b are those of b negated.  The scan of b therefore covers -b, and the
     first witness found is the same as with both directions scanned.
     """
-    _check_search_level(grid)
+    _check_search_level(grid, p.dim)
     dirs: dict[tuple[int, ...], None] = {}
 
     def add(d):
@@ -746,6 +770,7 @@ def analyze(
 ) -> StabilityReport:
     """Full pipeline on one polytope: potential, K-verdict, balance levels."""
     check_levels(i_max)
+    _check_search_level(grid, p.dim)
     ed = extremal_affine(p)
     reflexive, delzant = is_reflexive_delzant(p)
     kverdict, kerror = k_verdict_or_error(p, grid)

@@ -9,8 +9,8 @@ restrictions live only here), slice-and-sum subdivision, L over every facet
 chart and every linearity region, its integration-by-parts form, a scan of
 the bounding box for lattice points and the interior count for reciprocity,
 vertices from every n-subset of facets, facets from every n-subset of
-points, the node statistics summed in rationals point by point, and plain
-random data generators.
+points, the node statistics summed in rationals point by point, Gaussian
+elimination in rationals, and plain random data generators.
 """
 
 import math
@@ -47,6 +47,80 @@ from toricstab.linalg import (
 )
 from toricstab.plfun import AffineFn, PLFn
 from toricstab.polytope import FacetChart, facet_chart
+
+
+def fraction_echelon(rows) -> tuple:
+    """Forward Gaussian elimination in rationals: the nonzero rows of a row
+    echelon form, the pivot column of each, and the sign of the row swaps.
+
+    Each column pivots on its first nonzero entry, as the library's
+    fraction-free elimination does, so both find the same pivot columns.
+    """
+    a = [[rat(x) for x in row] for row in rows]
+    ncols = len(a[0]) if a else 0
+    pivots = []
+    sign = 1
+    for col in range(ncols):
+        r = len(pivots)
+        piv = next((i for i in range(r, len(a)) if a[i][col] != 0), None)
+        if piv is None:
+            continue
+        if piv != r:
+            a[r], a[piv] = a[piv], a[r]
+            sign = -sign
+        prow = a[r]
+        inv = prow[col]
+        for row in a[r + 1:]:
+            if row[col] != 0:
+                f = row[col] / inv
+                for c in range(col, ncols):
+                    row[c] -= f * prow[c]
+        pivots.append(col)
+    return a[: len(pivots)], pivots, sign
+
+
+def fraction_determinant(m) -> F:
+    """The signed product of the pivots of :func:`fraction_echelon`."""
+    echelon, pivots, sign = fraction_echelon(m)
+    if len(pivots) < len(m):
+        return F(0)
+    return math.prod((row[col] for row, col in zip(echelon, pivots)), start=F(sign))
+
+
+def _back_substitute(echelon, pivots, x) -> list:
+    """Fill the pivot coordinates of ``x`` (its other entries preset) so that
+    every echelon row, with its last entry as right-hand side when it is one
+    longer than ``x``, holds."""
+    dim = len(x)
+    for row, col in zip(reversed(echelon), reversed(pivots)):
+        rhs = row[dim] if len(row) > dim else 0
+        x[col] = (rhs - sum((row[j] * x[j] for j in range(col + 1, dim)), F(0))) / row[col]
+    return x
+
+
+def fraction_solve(m, b):
+    """The solution of the square system ``m x = b``, or None when the
+    elimination finds no pivot in some column of ``m``."""
+    n = len(m)
+    echelon, pivots, _ = fraction_echelon([list(row) + [y] for row, y in zip(m, b)])
+    if pivots[:n] != list(range(n)):
+        return None
+    return tuple(_back_substitute(echelon[:n], pivots[:n], [F(0)] * n))
+
+
+def fraction_nullvector(rows, dim):
+    """The primitive integer kernel vector with its free coordinate positive
+    when the kernel is a line, else None."""
+    echelon, pivots, _ = fraction_echelon(rows)
+    if len(pivots) != dim - 1:
+        return None
+    x = [F(0)] * dim
+    x[next(c for c in range(dim) if c not in pivots)] = F(1)
+    x = _back_substitute(echelon, pivots, x)
+    lcm = math.lcm(*(v.denominator for v in x))
+    ints = [int(v * lcm) for v in x]
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints)
 
 
 def degree2_simplex_integral(simplex: Simplex, l1: AffineFn, l2: AffineFn) -> F:

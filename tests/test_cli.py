@@ -142,6 +142,15 @@ def test_kstab_b1_json_bytes():
     )
 
 
+def test_kstab_e2_json_bytes():
+    # The other default-grid search of the benchmark's verdict workload.
+    code, out = run_cli("kstab", "corpus:E2", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "71694ef037d11bcf47c054f6e8276dcc64f3631480f4c2cffdf7646bc702df99"
+    )
+
+
 def test_tables_survey_json_bytes():
     # The whole-corpus table at levels 1-3 and grid 0 in every format, and the
     # analyze and chow reports that share its stages, pinned byte for byte.
@@ -271,6 +280,26 @@ def test_negative_grid_is_rejected():
         assert (error["type"], error["message"]) == (
             "ValidationError", "search grid must be at least 0, got -1"
         )
+
+
+def test_oversized_grid_is_rejected(monkeypatch):
+    # A search box above the direction budget is a validation error (exit 2),
+    # raised before any stage touches the polytope.
+    from toricstab import stability
+
+    calls = []
+    for fn in ("reflexive_translate", "extremal_affine"):
+        monkeypatch.setattr(stability, fn, lambda p: calls.append(p) or p)
+    for argv in (("kstab", "corpus:B1"), ("analyze", "corpus:CP3")):
+        code, out = run_cli(*argv, "--grid", "1000000000", "--format", "json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert (error["type"], error["message"]) == (
+            "ValidationError",
+            "search grid 1000000000 spans 8000000012000000006000000001 box directions "
+            f"in dimension 3, above the budget of {stability.MAX_SEARCH_DIRECTIONS}",
+        )
+    assert calls == []
 
 
 def test_levels_below_one_are_rejected():

@@ -12,7 +12,8 @@ from toricstab import (
     integrate_simplex,
     moment_vector,
 )
-from toricstab.stability import excess_region, extremal_affine
+from toricstab.plfun import _nonzero_regions
+from toricstab.stability import destabilizer_candidates, excess_region, extremal_affine
 
 import oracles
 
@@ -221,3 +222,40 @@ def test_bitmask_route_matches_chart_oracle_on_clouds(dim):
     ]
     for p in bodies:
         assert_matches_chart_oracle(p, rng)
+
+
+def assert_lasserre(p):
+    """Lasserre's identity (Proc. AMS 1998) on the moment records: for f
+    homogeneous of degree q, (n + q) times the integral of f over P is the
+    sum over the facets <l_i, x> <= rhs_i of rhs_i times the integral of f
+    over F_i in the lattice-normalized measure (primitive l_i).  It cones
+    from the origin over every facet, where the record of P cones from one
+    vertex over the facets that miss it."""
+    n = p.dim
+    m = p.moments()
+    facets = [(h.rhs, p.facet_moments(i)) for i, h in enumerate(p.halfspaces)]
+
+    def facet_sum(read):
+        return sum((rhs * read(f) for rhs, f in facets), F(0))
+
+    assert n * m.measure == facet_sum(lambda f: f.measure)
+    for j in range(n):
+        assert (n + 1) * m.first[j] == facet_sum(lambda f: f.first[j])
+        for k in range(n):
+            assert (n + 2) * m.second[j][k] == facet_sum(lambda f: f.second[j][k])
+
+
+def test_lasserre_identity_on_corpus_and_cut_regions(corpus_entries):
+    # Every corpus polytope, and the regions of seeded search candidates:
+    # the cuts that L integrates over, second moments of the facets included.
+    rng = random.Random(1998)
+    regions = 0
+    for entry in corpus_entries.values():
+        p = entry.polytope
+        assert_lasserre(p)
+        candidates = list(destabilizer_candidates(p, extremal_affine(p), grid=1))
+        for u in rng.sample(candidates, min(3, len(candidates))):
+            for region, _ in _nonzero_regions(p, u):
+                assert_lasserre(region)
+                regions += 1
+    assert regions >= 3 * len(corpus_entries)

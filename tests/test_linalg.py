@@ -13,7 +13,9 @@ from toricstab import (
     solve_linear,
     solve_overdetermined_1d,
 )
-from toricstab.linalg import determinant, nullvector, poly_eval, rat, rat_str
+from toricstab.linalg import _eliminate, determinant, nullvector, poly_eval, rat, rat_str
+
+import oracles
 
 # Singular square matrices: dependent rows, a zero row, a zero column, a
 # pivot that only appears after a row swap, and rational entries.
@@ -196,3 +198,84 @@ def test_nullvector_cases(rows, dim, want):
     assert got == want
     if got is not None:
         assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
+
+
+def _entry(rng, rational):
+    # Zero about a third of the time, so pivots are often skipped or swapped.
+    num = rng.choice([0, 0, 0, 1, -1, 2, -2, 3, -3, 4, -5])
+    return F(num, rng.randint(1, 6)) if rational else num
+
+
+def _matrices(rng, rows, cols):
+    """Seeded matrices of one shape: integer and rational entries, full and
+    deficient rank, zero rows and columns, and rows that must swap."""
+    for rational in (False, True):
+        m = [[_entry(rng, rational) for _ in range(cols)] for _ in range(rows)]
+        yield m
+        if rows == 0 or cols == 0:
+            continue
+        # rank at most k: rows mixed from k random rows, so some pivot
+        # columns are skipped
+        k = rng.randint(1, max(1, min(rows, cols) - 1))
+        basis = [[_entry(rng, rational) for _ in range(cols)] for _ in range(k)]
+        mixed = [
+            [sum((rng.randint(-2, 2) * b[c] for b in basis), 0) for c in range(cols)]
+            for _ in range(rows)
+        ]
+        yield mixed
+        # a zero column in front, and a zero row
+        yield [[0] + row[1:] for row in m[:-1]] + [[0] * cols]
+        # the first row starts with 0 and a later one does not: a row swap
+        swap = [list(row) for row in m]
+        swap[0][0] = 0
+        swap[-1][0] = _entry(rng, rational) or 1
+        yield swap
+        # a column that copies an earlier one: never a pivot
+        if cols > 1:
+            j = rng.randrange(1, cols)
+            yield [row[:j] + [row[0]] + row[j + 1:] for row in m]
+
+
+def test_fraction_free_elimination_matches_fraction_echelon():
+    # The fraction-free elimination against Gaussian elimination in
+    # rationals, on every shape from 0x0 to 6x7: the same pivot columns and
+    # swap sign, each integer row a multiple of the rational one, and the
+    # same determinant, rank, kernel line and solution.
+    rng = random.Random(12)
+    singular = solved = 0
+    for rows in range(7):
+        for cols in range(8):
+            for m in _matrices(rng, rows, cols):
+                echelon, pivots, sign, _ = _eliminate(m)
+                want, want_pivots, want_sign = oracles.fraction_echelon(m)
+                assert (pivots, sign) == (want_pivots, want_sign), m
+                for row, want_row, col in zip(echelon, want, pivots):
+                    assert all(type(x) is int for x in row)
+                    ratio = F(row[col]) / want_row[col]
+                    assert [F(x) for x in row] == [ratio * x for x in want_row], m
+                assert rank(m) == len(want_pivots)
+                if cols:
+                    assert nullvector(m, cols) == oracles.fraction_nullvector(m, cols), m
+                if rows != cols:
+                    continue
+                assert determinant(m) == oracles.fraction_determinant(m), m
+                b = [_entry(rng, True) for _ in range(rows)]
+                want_x = oracles.fraction_solve(m, b)
+                if want_x is None:
+                    singular += 1
+                    with pytest.raises(SingularMatrix):
+                        solve_linear(m, b)
+                else:
+                    solved += 1
+                    assert solve_linear(m, b) == want_x, m
+    # both branches of solve_linear were exercised
+    assert singular > 20 and solved > 10
+
+
+def test_integer_rows_pass_through_unconverted():
+    # An all-int matrix is eliminated in ints, with no row scale.
+    m = [[0, 2, 4], [3, 1, 2], [6, 2, 7]]
+    echelon, pivots, sign, scale = _eliminate(m)
+    assert (pivots, sign, scale) == ([0, 1, 2], -1, 1)
+    assert echelon == [[3, 1, 2], [0, 6, 12], [0, 0, 18]]
+    assert determinant(m) == -18 == oracles.fraction_determinant(m)

@@ -248,13 +248,30 @@ def test_destabilizer_search_degenerate_grid(cube):
         destabilizer_search(cube, ed, grid=-1)
 
 
+def test_search_box_budget(cube):
+    # The box [-G, G]^n may hold at most MAX_SEARCH_DIRECTIONS directions:
+    # in 3D grid 10 (9261) is the last level accepted, and grid 11 (12167)
+    # is rejected before the first candidate.
+    from toricstab.stability import MAX_SEARCH_DIRECTIONS, _check_search_level
+
+    assert 21**3 <= MAX_SEARCH_DIRECTIONS < 23**3
+    _check_search_level(10, 3)
+    ed = extremal_affine(cube)
+    with pytest.raises(ValidationError, match="12167 box directions in dimension 3"):
+        next(destabilizer_candidates(cube, ed, grid=11))
+    with pytest.raises(ValidationError, match="in dimension 6"):
+        _check_search_level(2, 6)
+
+
 def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # frozen outcome of the exhaustive default grid: no simple destabilizer;
     # and the search builds no polytope from scratch (cuts are one step on
     # the vertices), cuts P once per candidate (only the region of the
     # nonzero piece), builds no facet chart, reads every integral off the
     # moment records of the region and its facets (no simplex kernel, no
-    # barycentric expansion) and adds nothing to the cache of P
+    # barycentric expansion, no polynomial product), sums no second moments
+    # of a facet record (L reads c m_0 + a.m_1 there) and adds nothing to
+    # the cache of P
     from toricstab import plfun, polytope, stability
 
     kernel = importlib.import_module("toricstab.integrate")  # the name integrate is the function
@@ -263,7 +280,15 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     b1 = corpus_entries["B1"].polytope
     p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in b1.halfspaces])
     ed = extremal_affine(p)
-    counts = {"rays": 0, "cuts": 0, "compose": 0, "charts": 0, "simplex": 0, "l": 0}
+    counts = {"rays": 0, "cuts": 0, "compose": 0, "charts": 0, "simplex": 0, "mul": 0, "l": 0}
+    facet_records = []
+    moments = polytope._moments
+
+    def recording(region, facet):
+        record = moments(region, facet)
+        if facet is not None:
+            facet_records.append(record)
+        return record
 
     def counting(name, fn):
         def counted(*args):
@@ -278,13 +303,19 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     monkeypatch.setattr(stability, "l_functional", counting("l", stability.l_functional))
     monkeypatch.setattr(polytope, "facet_chart", counting("charts", polytope.facet_chart))
     monkeypatch.setattr(kernel, "integrate_simplex", counting("simplex", kernel.integrate_simplex))
+    monkeypatch.setattr(Poly, "__mul__", counting("mul", Poly.__mul__))
+    monkeypatch.setattr(polytope, "_moments", recording)
     keys = set(p.cache)
     assert destabilizer_search(p, ed, grid=1) is None
     assert counts["l"] > 0
     assert counts == {
-        "rays": 0, "cuts": counts["l"], "compose": 0, "charts": 0, "simplex": 0, "l": counts["l"]
+        "rays": 0, "cuts": counts["l"], "compose": 0, "charts": 0, "simplex": 0, "mul": 0,
+        "l": counts["l"],
     }
     assert set(p.cache) == keys
+    # a record keeps its second moments in its attributes once summed
+    assert len(facet_records) > counts["l"]
+    assert not any("second" in vars(record) for record in facet_records)
 
 
 def test_l_cross_check_fires_on_a_skewed_sbar(corpus_entries):
