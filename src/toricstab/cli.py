@@ -308,9 +308,10 @@ def cmd_chow(args) -> int:
 
 
 def cmd_tables(args) -> int:
-    check_levels(args.i_max)
+    entries = corpus.load_corpus()
+    check_levels(args.i_max, *(entry.polytope for entry in entries))
     rows = []
-    for entry in corpus.load_corpus():
+    for entry in entries:
         p = entry.polytope
         problems = corpus.verify_entry(entry)
         if problems:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import mul
@@ -55,6 +56,28 @@ def lattice_points(p: Polytope, i: int) -> list[tuple[int, ...]]:
     walk((), 0)
     p.cache[key] = points
     return points
+
+
+def node_bound(p: Polytope, i_max: int) -> int:
+    """An upper bound on the number of integer points of iP summed over the
+    levels i = 1..i_max, read off the vertices before any enumeration.
+
+    For lattice P the h*-vector is non-negative (Stanley, Ann. Discrete
+    Math. 6, 1980), so #(iP meet Z^n) = sum_k h*_k C(i+n-k, n) is at most
+    n! vol C(i+n, n), and summed over the levels that is
+    n! vol (C(i_max+n+1, n+1) - 1).  For other P, level i lies in the box of
+    iP, with at most floor(i_max w_k) + 1 integers along an axis of width
+    w_k in P.
+    """
+    n = p.dim
+    if p.is_lattice():
+        normalized = math.factorial(n) * p.volume()
+        return normalized.numerator * (math.comb(i_max + n + 1, n + 1) - 1)
+    box = 1
+    for k in range(n):
+        width = max(v[k] for v in p.vertices) - min(v[k] for v in p.vertices)
+        box *= math.floor(i_max * width) + 1
+    return i_max * box
 
 
 def _projections(p: Polytope) -> tuple[tuple[HalfSpace, ...], ...]:

@@ -28,9 +28,16 @@ Over those cells each polytope keeps one integer moment record (volume and
 the integrals of x_k and x_j x_k), and each facet one in the lattice measure.
 The vertices share one denominator: a facet cell costs one integer
 determinant, a cell of P (the apex over a facet cell) follows from it and the
-apex's lattice height, and the sums stay integers until one division per
-entry.  The second moments are summed only when a caller first reads them:
-L reads them on regions, never on facets.
+apex's lattice height.  A record keeps its cells and the integer sums over
+them; each moment is one division, made when a caller first reads it, and
+a contraction s^T M_2 t with integer s and t is read off the cells without
+the n x n matrix.  L reads records in integers and never builds M_2.
+
+The linear lattice automorphisms of P (the integer matrices with |det| = 1
+that map P onto itself) are found by backtracking over the images of n
+independent vertices, pruned by the facet values at each vertex, which every
+automorphism permutes.  The destabilizer search evaluates L once per orbit
+of its candidates under them.
 
 A facet chart (a facet projected along one axis) is the hull of the facet's
 vertices with that coordinate dropped.  No integral in the package reads a
@@ -48,7 +55,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from operator import mul
-from typing import Callable, Optional, Sequence
+from typing import Optional, Sequence
 
 from .errors import (
     Empty,
@@ -63,6 +70,7 @@ from .linalg import (
     nullvector,
     rank,
     rat,
+    solve_linear,
     vec,
 )
 
@@ -131,24 +139,13 @@ class Simplex:
 
     @cached_property
     def _moments(self) -> Moments:
-        # With S the sum of the vertices and Q the sum of v v^T: vol,
-        # vol S / (n+1) and vol (Q + S S^T) / ((n+1)(n+2)).
+        # One cell over all the vertices: it weighs n! den^n vol, the
+        # absolute determinant of its integer edges.
         n = self.dim
-        vol = self._volume
         den, rows = _over_common_denominator(self.vertices)
-        s = [sum(col) for col in zip(*rows)]
-
-        def second():
-            scale = vol / (den * den * (n + 1) * (n + 2))
-            out = [[Fraction(0)] * n for _ in range(n)]
-            for j in range(n):
-                for k in range(j, n):
-                    q = sum(r[j] * r[k] for r in rows)
-                    out[j][k] = out[k][j] = scale * (q + s[j] * s[k])
-            return tuple(map(tuple, out))
-
-        first = tuple(vol * Fraction(x, den * (n + 1)) for x in s)
-        return Moments(vol, first, second)
+        base = math.factorial(n) * den**n
+        weight = (self._volume * base).numerator
+        return Moments(rows, den, (tuple(range(n + 1)),), (weight,), base)
 
 
 def _over_common_denominator(points) -> tuple[int, list[list[int]]]:
@@ -420,23 +417,67 @@ class Moments:
     its facets in the lattice-normalized measure: every integral of degree
     at most 2 is a contraction with them.
 
-    ``measure`` and ``first`` are computed with the record; ``second`` is
-    summed, by the function the record was built with, when first read.
+    The record keeps the integer sums they are read from.  Its cells are
+    tuples of indices into ``rows``, the vertices over their common
+    denominator den, and a cell weighs w, its measure times ``base``.  On a
+    d-cell with vertex sum S and Q = sum r r^T over its rows, x_k integrates
+    to w S_k / (base den (d+1)) and x_j x_k to
+    w (Q_jk + S_j S_k) / (base den^2 (d+1)(d+2)).  So the measure is ``mass``
+    (the sum of the weights) over ``base``, the first moments are ``sums``
+    over ``first_den``, and s^T M_2 t is :meth:`quadratic` over
+    ``second_den``.  ``measure``, ``first`` and ``second`` are those
+    quotients, divided out when first read.  Each vertex enters the sums of
+    w S and w Q with its ``load``, the total weight of its cells; only the
+    w S S^T part of the second moments needs the cells themselves.
     """
 
-    def __init__(
-        self,
-        measure: Fraction,
-        first: tuple[Fraction, ...],
-        second: Callable[[], tuple[tuple[Fraction, ...], ...]],
-    ):
-        self.measure = measure
-        self.first = first
-        self._second = second
+    def __init__(self, rows, den: int, cells, weights, base: int):
+        self.rows = rows
+        self.cells = cells
+        self.weights = weights
+        load = [0] * len(rows)
+        for cell, w in zip(cells, weights):
+            for j in cell:
+                load[j] += w
+        self.load = load
+        self.mass = sum(weights)
+        self.base = base
+        self.sums = tuple(
+            sum(w * r[k] for r, w in zip(rows, load) if w) for k in range(len(rows[0]))
+        )
+        d = len(cells[0]) - 1
+        self.first_den = base * den * (d + 1)
+        self.second_den = self.first_den * den * (d + 2)
+
+    @cached_property
+    def measure(self) -> Fraction:
+        return Fraction(self.mass, self.base)
+
+    @cached_property
+    def first(self) -> tuple[Fraction, ...]:
+        return tuple(Fraction(s, self.first_den) for s in self.sums)
 
     @cached_property
     def second(self) -> tuple[tuple[Fraction, ...], ...]:
-        return self._second()
+        n = len(self.sums)
+        unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+        out = [[Fraction(0)] * n for _ in range(n)]
+        for j in range(n):
+            for k in range(j, n):
+                value = Fraction(self.quadratic(unit[j], unit[k]), self.second_den)
+                out[j][k] = out[k][j] = value
+        return tuple(map(tuple, out))
+
+    def quadratic(self, s: Sequence[int], t: Sequence[int]) -> int:
+        """s^T M_2 t times ``second_den``, for integer vectors s and t: the
+        sum over the cells of w (s.S)(t.S), plus the sum over the vertices
+        of their load times (s.r)(t.r)."""
+        sr = [sum(map(mul, s, r)) for r in self.rows]
+        tr = [sum(map(mul, t, r)) for r in self.rows]
+        total = sum(w * a * b for w, a, b in zip(self.load, sr, tr) if w)
+        for cell, w in zip(self.cells, self.weights):
+            total += w * sum(sr[j] for j in cell) * sum(tr[j] for j in cell)
+        return total
 
 
 def _face_cells(p: Polytope, face: int, apex_last: bool) -> tuple[tuple[int, ...], ...]:
@@ -518,54 +559,12 @@ def _integer_vertices(p: Polytope) -> tuple[int, list[list[int]]]:
 
 
 def _moments(p: Polytope, facet: Optional[int]) -> Moments:
-    """The moment record of P or of one facet, summed over its cells.
-
-    On a d-cell with vertex sum S and Q = sum v v^T, x_k integrates to
-    vol S_k / (d+1) and x_j x_k to vol (Q_jk + S_j S_k) / ((d+1)(d+2)).  With
-    the vertices over den and vol = weight / base, the sums of weight,
-    weight S and weight (Q + S S^T) are integers, divided once at the end.
-    Each vertex enters weight S and weight Q with the total weight of its
-    cells; weight S S^T needs the cells themselves, so the second moments
-    are summed only when read.
-    """
+    """The moment record of P or of one facet, over the cells of its
+    triangulation and P's vertices over their common denominator."""
     key = ("moments", facet)
     if key not in p.cache:
-        cells, weights, base = _weighted_cells(p, facet)
         den, rows = _integer_vertices(p)
-        n = p.dim
-        d = len(cells[0]) - 1
-        mass = [0] * len(rows)
-        for cell, w in zip(cells, weights):
-            for j in cell:
-                mass[j] += w
-        first_den = base * den * (d + 1)
-        first = tuple(
-            Fraction(sum(w * r[k] for r, w in zip(rows, mass) if w), first_den)
-            for k in range(n)
-        )
-
-        def second():
-            w2 = [[0] * n for _ in range(n)]
-            for cell, w in zip(cells, weights):
-                s = [sum(rows[j][k] for j in cell) for k in range(n)]
-                for j in range(n):
-                    ws = w * s[j]
-                    for k in range(j, n):
-                        w2[j][k] += ws * s[k]
-            for r, w in zip(rows, mass):
-                if w:
-                    for j in range(n):
-                        wr = w * r[j]
-                        for k in range(j, n):
-                            w2[j][k] += wr * r[k]
-            second_den = first_den * den * (d + 2)
-            out = [[Fraction(0)] * n for _ in range(n)]
-            for j in range(n):
-                for k in range(j, n):
-                    out[j][k] = out[k][j] = Fraction(w2[j][k], second_den)
-            return tuple(map(tuple, out))
-
-        p.cache[key] = Moments(Fraction(sum(weights), base), first, second)
+        p.cache[key] = Moments(rows, den, *_weighted_cells(p, facet))
     return p.cache[key]
 
 
@@ -733,3 +732,75 @@ def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:
             delzant = False
             break
     return reflexive, delzant
+
+
+def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
+    """The linear lattice automorphisms of P: the integer matrices M (as
+    rows) with |det M| = 1 and M P = P, sorted; the identity is one of them.
+
+    M maps facets to facets, the facet <l, x> <= r to <l M^-1, y> <= r, so
+    it keeps the signature of every vertex v, the multiset of the values
+    <l, v> over the facets, and of every pair of vertices v, w, the multiset
+    of the pairs (<l, v>, <l, w>).  M is fixed by the images of n linearly
+    independent vertices.  Those are chosen one at a time among the
+    vertices with the signature of their preimage, and with the pair
+    signature of the preimages with every image chosen before; no
+    automorphism is pruned.  A full choice gives M = images * basis^-1, kept
+    when it is integral, unimodular and maps the vertex set onto itself.
+    """
+    n = p.dim
+    den, rows = _integer_vertices(p)
+    values = [tuple(sum(map(mul, h.normal, r)) for h in p.halfspaces) for r in rows]
+    signature = [tuple(sorted(v)) for v in values]
+
+    def pairs(j: int, k: int) -> tuple:
+        return tuple(sorted(zip(values[j], values[k])))
+
+    basis: list[int] = []
+    for j, r in enumerate(rows):
+        if rank([rows[b] for b in basis] + [r]) > len(basis):
+            basis.append(j)
+            if len(basis) == n:
+                break
+    # Row i of M solves <b_k, x> = w_k[i] for the basis rows b_k and their
+    # images w_k, so M[i][c] is row c of basis^-1 dotted with those w_k[i];
+    # ``inverse`` is basis^-1 times ``scale``, in integers.
+    columns = [
+        solve_linear([rows[b] for b in basis], [int(j == k) for j in range(n)])
+        for k in range(n)
+    ]
+    scale = math.lcm(*(x.denominator for col in columns for x in col))
+    inverse = [[(col[c] * scale).numerator for col in columns] for c in range(n)]
+    vertex_set = set(map(tuple, rows))
+    found = []
+    images: list[int] = []
+
+    def extend():
+        k = len(images)
+        if k == n:
+            matrix = []
+            for i in range(n):
+                row = []
+                for inv in inverse:
+                    q, rem = divmod(sum(c * rows[w][i] for c, w in zip(inv, images)), scale)
+                    if rem:
+                        return
+                    row.append(q)
+                matrix.append(tuple(row))
+            if abs(determinant(matrix)) != 1:
+                return
+            if all(tuple(sum(map(mul, m, r)) for m in matrix) in vertex_set for r in rows):
+                found.append(tuple(matrix))
+            return
+        b = basis[k]
+        for w in range(len(rows)):
+            if w in images or signature[w] != signature[b]:
+                continue
+            if any(pairs(basis[i], b) != pairs(images[i], w) for i in range(k)):
+                continue
+            images.append(w)
+            extend()
+            images.pop()
+
+    extend()
+    return sorted(found)

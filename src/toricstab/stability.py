@@ -42,8 +42,17 @@ from .errors import (
     ValidationError,
 )
 from .integrate import Poly, boundary_integral, integrate, moment_vector
-from .lattice import ehrhart, lattice_points
-from .linalg import AnyS, dot, rank, rat, rat_str, solve_linear, solve_overdetermined_1d
+from .lattice import ehrhart, lattice_points, node_bound
+from .linalg import (
+    AnyS,
+    _integer_row,
+    dot,
+    rank,
+    rat,
+    rat_str,
+    solve_linear,
+    solve_overdetermined_1d,
+)
 from .plfun import (
     CONVEX,
     AffineFn,
@@ -53,7 +62,13 @@ from .plfun import (
     integrate_pl,
     pl_is_rational_lattice_cone,
 )
-from .polytope import Polytope, intersect_halfspace, is_reflexive_delzant, primitive_normal
+from .polytope import (
+    Polytope,
+    intersect_halfspace,
+    is_reflexive_delzant,
+    lattice_automorphisms,
+    primitive_normal,
+)
 
 
 # ---------------------------------------------------------------------------
@@ -139,25 +154,40 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     regions of -c Vol(R_k) + integral of (1 - theta) f_k, needs no facet
     record; it is computed as well and the two must agree exactly, so a
     mismatch means a kernel bug.
+
+    The contractions run in integers: a, c and t are cleared to integers
+    and read against the integer sums of each record (see
+    :class:`~toricstab.polytope.Moments`), t^T M_2 a straight off the
+    region's cells, so each boundary facet adds one ``Fraction`` and each
+    region one per form.
     """
-    t, theta_c = ed.theta.a, ed.theta.c
-    w = ed.sbar + theta_c
+    t, t_den = _integer_row(ed.theta.a)
+    w = ed.sbar + ed.theta.c
+    rest = 1 - ed.theta.c
     check = all(h.rhs == 1 for h in p.halfspaces) and p.is_lattice()
     boundary = volume = parts = Fraction(0)
     for region, piece in _nonzero_regions(p, u):
-        a, c = piece.a, piece.c
+        # the piece is (a.x + c) / q with integer a and c
+        (*a, c), q = _integer_row((*piece.a, piece.c))
         for i in _boundary_facets(p, region):
             m = region.facet_moments(i)
-            boundary += c * m.measure + dot(a, m.first)
+            f_int = c * m.mass * (m.first_den // m.base) + sum(map(mul, a, m.sums))
+            boundary += Fraction(f_int, q * m.first_den)
         m = region.moments()
-        # the integrals of f, of c t.x and of (t.x)(a.x) over the region
-        f_int = c * m.measure + dot(a, m.first)
-        ct_int = c * dot(t, m.first)
-        quad = dot(t, [dot(row, a) for row in m.second])
-        volume += w * f_int + ct_int + quad
+        # Times q t_den second_den: the integrals of f, of its constant term
+        # and of (t.x) f, the part of theta f that both forms share.
+        k1, k2 = m.first_den // m.base, m.second_den // m.first_den
+        f_int = (c * m.mass * k1 + sum(map(mul, a, m.sums))) * t_den * k2
+        c_int = c * m.mass * k1 * k2 * t_den
+        ct_quad = c * sum(map(mul, t, m.sums)) * k2 + m.quadratic(t, a)
+        den = q * t_den * m.second_den
+        volume += Fraction(w.numerator * f_int + w.denominator * ct_quad, w.denominator * den)
         if check:
             # On the region, sum x_i du_i - u = -c (the gradient terms cancel).
-            parts += -c * m.measure + (1 - theta_c) * f_int - ct_int - quad
+            parts += Fraction(
+                rest.numerator * f_int - rest.denominator * (c_int + ct_quad),
+                rest.denominator * den,
+            )
     value = boundary - volume
     if check and parts != value:
         raise InternalInvariant(
@@ -306,7 +336,8 @@ def _check_search_level(grid: int, dim: int) -> None:
 
 
 def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
-    """Yield simple PL candidates max{0, b.x + d} over the search grid.
+    """Yield simple PL candidates max{0, b.x + d} over the search grid, one
+    of each symmetry orbit.
 
     Directions: at ``grid`` 0 only the potential gradient; at G >= 1 the
     facet normals, the primitive vertex directions, the potential gradient
@@ -314,19 +345,27 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
     vertex-critical values of each direction (where the cut hyperplane meets
     a vertex) and their midpoints.
 
-    Only one direction of each pair +-b is scanned, the first one met.  L
-    vanishes on affine functions and max{0, -f} = max{0, f} - f, so
-    max{0, -b.x - d} has the same L as max{0, b.x + d}; and the offsets of
-    -b are those of b negated.  The scan of b therefore covers -b, and the
-    first witness found is the same as with both directions scanned.
+    Of each orbit of (b, d) under the maps (b, d) -> (s M^T b, s d), for the
+    lattice automorphisms M of P (:func:`lattice_automorphisms`) and the
+    signs s, only the first candidate met is yielded.  Each such map keeps
+    L.  The automorphism x -> M x preserves P, its volume and the lattice
+    measure of its facets, and theta o M = theta because theta is unique
+    (checked exactly here); so max{0, b.x + d} o M = max{0, (M^T b).x + d}
+    has the L of max{0, b.x + d}.  L vanishes on affine functions and
+    max{0, -f} = max{0, f} - f, so the sign flip keeps it too; it covers the
+    whole mirror direction -b, whose offsets are those of b negated.  A
+    skipped candidate thus has the L of one met before it, which the search
+    found to be >= 0, and the first witness found is the one a scan of every
+    candidate would find.  At grid 0 the one direction t = grad theta has
+    M^T t = t for every M, so no two candidates share an orbit and the
+    automorphisms are not computed.
     """
     _check_search_level(grid, p.dim)
     dirs: dict[tuple[int, ...], None] = {}
 
     def add(d):
         if any(x != 0 for x in d):
-            if tuple(-x for x in d) not in dirs:
-                dirs.setdefault(tuple(d), None)
+            dirs.setdefault(tuple(d), None)
 
     if grid > 0:
         for h in p.halfspaces:
@@ -340,13 +379,26 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
     for combo in product(range(-grid, grid + 1), repeat=p.dim):
         add(combo)
 
+    # The transposes M^T; at grid 0 none, and the orbit of (b, d) is itself
+    # and its mirror.
+    transposes = [tuple(zip(*m)) for m in (lattice_automorphisms(p) if grid > 0 else ())]
+    for mt in transposes:
+        if tuple(dot(row, ed.theta.a) for row in mt) != ed.theta.a:
+            raise InternalInvariant("theta is not invariant under a lattice automorphism of P")
+    seen: set[tuple[tuple[int, ...], Fraction]] = set()
     for b in dirs:
         crit = sorted({-dot(b, v) for v in p.vertices})
         offsets = []
         for lo, hi in zip(crit, crit[1:]):
             offsets.append((lo + hi) / 2)
         offsets.extend(crit[1:-1])
+        images = {tuple(sum(map(mul, row, b)) for row in mt) for mt in transposes} or {b}
         for d in offsets:
+            if (b, d) in seen:
+                continue
+            for image in images:
+                seen.add((image, d))
+                seen.add((tuple(-x for x in image), -d))
             yield PLFn.simple(b, d)
 
 
@@ -723,15 +775,35 @@ def k_verdict_or_error(p: Polytope, grid: int = 1) -> tuple[Optional[KVerdict], 
         return None, "not reflexive (even up to translation): excess-region criteria not applicable"
 
 
-def check_levels(i_max: int) -> None:
+# The budget of the balance levels: at most this many nodes over levels
+# 1..i_max, by :func:`~toricstab.lattice.node_bound`.  Every level's points
+# stay cached on P, and a node costs about 3.6 us and 110 bytes through the
+# whole per-level loop (E4 at levels 1..30: a bound of 1,855,000, 1,538,560
+# nodes, 6.7 s and 175 MiB peak; Python 3.11 on a 2-core x86-64 host), so a
+# run inside the budget takes seconds and a few hundred MiB at most.  E4
+# fits up to level 30; every corpus entry fits the defaults with room.
+MAX_LEVEL_NODES = 2_000_000
+
+
+def check_levels(i_max: int, *polytopes: Polytope) -> None:
+    """Reject i_max below 1, and levels 1..i_max whose node bound exceeds
+    :data:`MAX_LEVEL_NODES` on any of ``polytopes``, before any point is
+    enumerated."""
     if i_max < 1:
         raise ValidationError("i_max must be at least 1")
+    for p in polytopes:
+        bound = node_bound(p, i_max)
+        if bound > MAX_LEVEL_NODES:
+            raise ValidationError(
+                f"levels 1..{i_max} may hold {bound} nodes on {p.name or 'the polytope'}, "
+                f"above the budget of {MAX_LEVEL_NODES}"
+            )
 
 
 def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dict, dict]:
     """The balance system, the closed-form s and the Q and P weight samples at
     levels 1..i_max: a report's ``chow``, ``s_closed``, ``q_samples``, ``p_samples``."""
-    check_levels(i_max)
+    check_levels(i_max, p)
     ed = extremal_affine(p)
     chow: list[ChowCondition] = []
     s_closed: dict[int, Optional[Fraction]] = {}
@@ -769,7 +841,7 @@ def analyze(
     name: Optional[str] = None,
 ) -> StabilityReport:
     """Full pipeline on one polytope: potential, K-verdict, balance levels."""
-    check_levels(i_max)
+    check_levels(i_max, p)
     _check_search_level(grid, p.dim)
     ed = extremal_affine(p)
     reflexive, delzant = is_reflexive_delzant(p)

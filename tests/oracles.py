@@ -16,7 +16,7 @@ elimination in rationals, and plain random data generators.
 import math
 import random
 from fractions import Fraction as F
-from itertools import combinations
+from itertools import combinations, permutations
 from operator import mul
 
 from toricstab import (
@@ -121,6 +121,46 @@ def fraction_nullvector(rows, dim):
     ints = [int(v * lcm) for v in x]
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
+
+
+def brute_lattice_automorphisms(p: Polytope) -> list:
+    """The linear lattice automorphisms of P by a scan of every injective
+    n-tuple of vertices w_k as the images of the first linearly independent
+    n-subset b_k of the vertices: each gives the M with M b_k = w_k, kept
+    when it is integral, has |det M| = 1 and maps the vertex set onto
+    itself."""
+    n = p.dim
+    basis = next(c for c in combinations(p.vertices, n) if fraction_determinant(c) != 0)
+    # Column k of basis^-1 solves basis x = e_k, and M[i][c] is the sum over
+    # k of w_k[i] basis^-1[c][k]; in integers, over den and scale.
+    columns = [fraction_solve(basis, [F(int(j == k)) for j in range(n)]) for k in range(n)]
+    scale = math.lcm(*(x.denominator for col in columns for x in col))
+    inverse = [[int(col[c] * scale) for col in columns] for c in range(n)]
+    den = math.lcm(*(x.denominator for v in p.vertices for x in v))
+    rows = {v: [int(x * den) for x in v] for v in p.vertices}
+    vertices = set(p.vertices)
+    found = set()
+    for images in permutations(p.vertices, n):
+        matrix = []
+        for i in range(n):
+            sums = [sum(rows[w][i] * x for w, x in zip(images, inv)) for inv in inverse]
+            if any(y % (den * scale) for y in sums):
+                break
+            matrix.append(tuple(y // (den * scale) for y in sums))
+        else:
+            if abs(fraction_determinant(matrix)) != 1:
+                continue
+            if {tuple(dot(row, v) for row in matrix) for v in p.vertices} == vertices:
+                found.add(tuple(matrix))
+    return sorted(found)
+
+
+def cp1_times(p: Polytope) -> Polytope:
+    """CP^1 x P: the half-spaces of P with a zero last coordinate, and
+    x_{n+1} <= 1 and -x_{n+1} <= 1."""
+    pad = [((*h.normal, 0), h.rhs) for h in p.halfspaces]
+    ends = [((0,) * p.dim + (s,), 1) for s in (1, -1)]
+    return Polytope.from_halfspaces(pad + ends, f"CP1x{p.name}")
 
 
 def degree2_simplex_integral(simplex: Simplex, l1: AffineFn, l2: AffineFn) -> F:

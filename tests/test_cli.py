@@ -312,6 +312,43 @@ def test_levels_below_one_are_rejected():
         assert (error["type"], error["message"]) == ("ValidationError", "i_max must be at least 1")
 
 
+def test_oversized_levels_are_rejected(monkeypatch):
+    # Levels whose node bound is above the budget are a validation error
+    # (exit 2), raised before any lattice point is enumerated.
+    from toricstab import lattice, stability
+
+    calls = []
+    _record_calls(monkeypatch, lattice.lattice_points, calls)
+    for argv, name in (
+        (("chow", "corpus:E4"), "E4"),
+        (("analyze", "corpus:E4"), "E4"),
+        (("tables",), "CP3"),
+    ):
+        code, out = run_cli(*argv, "--i-max", "1000000000", "--format", "json")
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert error["type"] == "ValidationError"
+        assert error["message"].startswith("levels 1..1000000000 may hold ")
+        assert error["message"].endswith(
+            f" nodes on {name}, above the budget of {stability.MAX_LEVEL_NODES}"
+        )
+    assert calls == []
+
+
+def test_kstab_cp1_times_b1_json_bytes(tmp_path, corpus_entries):
+    # A 4D verdict: CP^1 x B1 from B1's half-spaces and x4 <= 1, -x4 <= 1.
+    b1 = corpus_entries["B1"].polytope
+    halfspaces = [{"normal": [*h.normal, 0], "rhs": str(h.rhs)} for h in b1.halfspaces]
+    halfspaces += [{"normal": [0, 0, 0, s], "rhs": "1"} for s in (1, -1)]
+    path = tmp_path / "cp1xB1.json"
+    path.write_text(json.dumps({"halfspaces": halfspaces}))
+    code, out = run_cli("kstab", str(path), "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == (
+        "bd8787a685b7f104af8075470cbda63cbfe6b402445ff4a47da606322aebec9c"
+    )
+
+
 def test_save_then_analyze_file(tmp_path, corpus_entries):
     from toricstab import corpus as corpus_mod
 

@@ -18,7 +18,7 @@ from toricstab import (
     polytope,
 )
 from toricstab.errors import ValidationError
-from toricstab.polytope import facet_chart
+from toricstab.polytope import facet_chart, lattice_automorphisms
 
 import oracles
 
@@ -323,3 +323,28 @@ def test_empty_and_mixed_input_rejected():
     ):
         with pytest.raises(ValidationError, match=message):
             build(raw)
+
+
+# Orders of the groups of linear lattice automorphisms.
+GROUP_ORDERS = {
+    "cube": 48, "CP3": 24, "C3": 48, "B1": 6, "E2": 2, "CP1xB1": 12, "cp2": 6, "simplex2": 2,
+}
+
+
+def test_lattice_automorphisms_match_the_brute_scan(cube, cp2, simplex2d, corpus_entries):
+    # The pruned enumeration against a scan of every injective tuple of
+    # vertex images; each matrix is integral, unimodular and permutes the
+    # vertices.
+    polytopes = [cube, cp2, simplex2d, oracles.cp1_times(corpus_entries["B1"].polytope)]
+    polytopes += [corpus_entries[name].polytope for name in ("CP3", "C3", "B1", "E2")]
+    for p in polytopes:
+        group = lattice_automorphisms(p)
+        assert len(group) == GROUP_ORDERS[p.name], p.name
+        assert group == oracles.brute_lattice_automorphisms(p), p.name
+        assert tuple(tuple(int(i == j) for j in range(p.dim)) for i in range(p.dim)) in group
+        vertices = set(p.vertices)
+        for m in group:
+            assert all(type(x) is int for row in m for x in row)
+            assert abs(oracles.fraction_determinant(m)) == 1
+            images = {tuple(sum(a * x for a, x in zip(row, v)) for row in m) for v in p.vertices}
+            assert images == vertices

@@ -44,6 +44,7 @@ from toricstab.stability import (
     excess_region,
     reflexive_translate,
 )
+from toricstab.polytope import lattice_automorphisms
 
 import oracles
 
@@ -263,6 +264,29 @@ def test_search_box_budget(cube):
         _check_search_level(2, 6)
 
 
+def test_level_node_budget(corpus_entries):
+    # The node bound of levels 1..m holds the enumerated points, for lattice
+    # polytopes (n! vol C(m+n+1, n+1) - n! vol) and for rational ones (the
+    # box); levels up to 30 of E4 fit MAX_LEVEL_NODES and 31 does not.
+    from toricstab.lattice import node_bound
+    from toricstab.stability import MAX_LEVEL_NODES, check_levels
+
+    rng = random.Random(1980)
+    polytopes = [corpus_entries[name].polytope for name in ("E4", "CP3", "ORB-530571")]
+    polytopes += [oracles.random_polytope(rng, dim) for dim in (1, 2, 3)]
+    for p in polytopes:
+        for m in (1, 2, 4):
+            assert sum(len(lattice_points(p, i)) for i in range(1, m + 1)) <= node_bound(p, m)
+    e4 = Polytope.from_halfspaces(
+        [(h.normal, h.rhs) for h in corpus_entries["E4"].polytope.halfspaces]
+    )
+    assert node_bound(e4, 30) == 1_855_000 <= MAX_LEVEL_NODES < node_bound(e4, 31)
+    check_levels(30, e4)
+    with pytest.raises(ValidationError, match="levels 1..31 may hold 2094360 nodes"):
+        check_levels(31, e4)
+    assert not any(key[0] == "lattice_points" for key in e4.cache if isinstance(key, tuple))
+
+
 def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # frozen outcome of the exhaustive default grid: no simple destabilizer;
     # and the search builds no polytope from scratch (cuts are one step on
@@ -307,7 +331,9 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     monkeypatch.setattr(polytope, "_moments", recording)
     keys = set(p.cache)
     assert destabilizer_search(p, ed, grid=1) is None
-    assert counts["l"] > 0
+    # one evaluation per orbit of the 86 candidates under B1's 6 lattice
+    # automorphisms and the sign flip
+    assert counts["l"] == 44
     assert counts == {
         "rays": 0, "cuts": counts["l"], "compose": 0, "charts": 0, "simplex": 0, "mul": 0,
         "l": counts["l"],
@@ -365,15 +391,74 @@ def test_l_mirror_identity(cube, corpus_entries):
             assert l_functional(p, ed, u) == l_functional(p, ed, mirror)
 
 
+def _orbit(group, b, d):
+    """The images (s M^T b, s d) of a candidate's (b, d), for M in ``group``
+    and s = +-1."""
+    images = set()
+    for m in group:
+        image = tuple(sum(m[i][j] * b[i] for i in range(len(b))) for j in range(len(b)))
+        images |= {(image, d), (tuple(-x for x in image), -d)}
+    return images
+
+
 def test_candidates_skip_mirrors(cube, corpus_entries):
+    # No two yielded candidates lie in one orbit under the lattice
+    # automorphisms and the sign flip; in particular no mirror is yielded.
     for p in (corpus_entries["B1"].polytope, cube):
         ed = extremal_affine(p)
+        group = lattice_automorphisms(p)
         seen = set()
         for u in destabilizer_candidates(p, ed, grid=1):
             f = u.pieces[1]
-            assert (tuple(-x for x in f.a), -f.c) not in seen
+            assert not _orbit(group, f.a, f.c) & seen
             seen.add((f.a, f.c))
         assert seen
+
+
+def test_l_is_invariant_under_lattice_automorphisms(cube, corpus_entries):
+    # L(u o g) = L(u) exactly for every lattice automorphism g of P, on
+    # seeded search candidates: both forms, compared inside l_functional on
+    # every evaluation, and the parts form of the oracle once per candidate.
+    rng = random.Random(1995)
+    for p in [corpus_entries[name].polytope for name in ("B1", "C3", "F1")] + [cube]:
+        ed = extremal_affine(p)
+        group = lattice_automorphisms(p)
+        assert len(group) > 1
+        candidates = list(destabilizer_candidates(p, ed, grid=1))
+        for u in rng.sample(candidates, 3):
+            value = l_functional(p, ed, u)
+            assert value == oracles.l_functional_parts_form(p, ed, u)
+            f = u.pieces[1]
+            for b, d in _orbit(group, f.a, f.c):
+                assert l_functional(p, ed, PLFn.simple(b, d)) == value
+
+
+def test_theta_is_invariant_under_lattice_automorphisms(corpus_entries):
+    # theta o g = theta at every vertex, for every lattice automorphism g of
+    # each reflexive entry (in its reflexive position).
+    reflexive = 0
+    for entry in corpus_entries.values():
+        p = reflexive_translate(entry.polytope)
+        if p is None:
+            continue
+        reflexive += 1
+        theta = extremal_affine(p).theta
+        for m in lattice_automorphisms(p):
+            for v in p.vertices:
+                assert theta([sum(a * x for a, x in zip(row, v)) for row in m]) == theta(v)
+    assert reflexive == 18
+
+
+def test_theta_check_fires_on_a_skewed_potential(corpus_entries):
+    # theta o g = theta is checked exactly before the search: a potential
+    # whose gradient no automorphism but the identity fixes must fail it.
+    b1 = corpus_entries["B1"].polytope
+    ed = extremal_affine(b1)
+    skewed = replace(ed, theta=AffineFn.make((1, 2, 3), ed.theta.c))
+    with pytest.raises(InternalInvariant, match="not invariant"):
+        next(destabilizer_candidates(b1, skewed, grid=1))
+    # grid 0 builds no group and so checks nothing
+    assert list(destabilizer_candidates(b1, skewed, grid=0))
 
 
 # -- node statistics and the balance system ----------------------------------
