@@ -31,14 +31,6 @@ from .stability import (
     k_verdict_or_error,
 )
 
-VERDICT_LABELS = {
-    "stable_no_excess_region": "stable",
-    "unstable_excess_mean_criterion": "unstable",
-    "unstable_witness_found": "unstable",
-    "undetermined": "undetermined",
-}
-
-
 def _frac(x) -> str:
     return rat_str(Fraction(x))
 
@@ -56,7 +48,7 @@ def kverdict_json(kv, error=None) -> dict:
         return {"error": error}
     out = {
         "classification": kv.classification,
-        "label": VERDICT_LABELS[kv.classification],
+        "label": "undetermined" if kv.stable is None else "stable" if kv.stable else "unstable",
         "theta": str(kv.theta),
     }
     if kv.delta_minus is not None:

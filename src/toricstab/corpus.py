@@ -275,8 +275,3 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
         if (want == "fails") != (cond.status == FAILS):
             problems.append(f"chow_level1: computed {cond.status} != expected {want}")
     return problems
-
-
-def verify_corpus() -> dict[str, list[str]]:
-    """Run the integrity gate across the corpus; name -> discrepancy list."""
-    return {entry.name: verify_entry(entry) for entry in load_corpus()}

@@ -4,10 +4,12 @@ Everything downstream works over ``fractions.Fraction`` (arbitrary precision,
 always in lowest terms, positive denominator), so no rounding can occur
 anywhere in the library.
 
-One elimination routine serves ``determinant``, ``rank``, ``nullvector`` and
-``solve_linear``: fraction-free (Bareiss) elimination on rows cleared to
-integers, whose every division is exact, so no ``Fraction`` is built until
-a result is read off the echelon form.
+One elimination routine serves ``determinant``, ``rank``, ``nullvector``,
+``solve_linear`` and the greedy choice of independent rows: fraction-free
+(Bareiss) elimination on rows cleared to integers, whose every division is
+exact, so no ``Fraction`` is built until a result is read off the echelon
+form.  Denominators are cleared in one place, over a matrix
+(:func:`_over_common_denominator`) or one row (:func:`_integer_row`).
 """
 
 from __future__ import annotations
@@ -54,9 +56,16 @@ def _integer_row(row: Sequence) -> tuple[list[int], int]:
     denominator of its entries.  An all-``int`` row passes through."""
     if all(type(x) is int for x in row):
         return list(row), 1
-    xs = [rat(x) for x in row]
-    scale = math.lcm(*(x.denominator for x in xs))
-    return [x.numerator * (scale // x.denominator) for x in xs], scale
+    scale, (ints,) = _over_common_denominator([[rat(x) for x in row]])
+    return ints, scale
+
+
+def _over_common_denominator(rows) -> tuple[int, list[list[int]]]:
+    """(d, ints) with ints[i][k] = d * rows[i][k] integers, d the least
+    common denominator of every entry (ints or Fractions): sums of products
+    then need no fraction arithmetic."""
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    return den, [[x.numerator * (den // x.denominator) for x in row] for row in rows]
 
 
 def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], int, int]:
@@ -136,6 +145,13 @@ def rank(rows: Sequence[Sequence]) -> int:
     return len(_eliminate(rows)[1])
 
 
+def _independent_rows(rows: Sequence[Sequence]) -> list[int]:
+    """The indices of the rows independent of the rows before them, which is
+    the greedy left-to-right basis of their span: the pivot columns of one
+    elimination of the transpose."""
+    return _eliminate(list(zip(*rows)))[1]
+
+
 def nullvector(rows: Sequence[Sequence], dim: int) -> Optional[tuple[int, ...]]:
     """The primitive integer vector orthogonal to every row of length ``dim``,
     with its free coordinate positive, when the nullity is 1; else ``None``."""
@@ -153,14 +169,9 @@ def nullvector(rows: Sequence[Sequence], dim: int) -> Optional[tuple[int, ...]]:
 def _primitive_ints(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
     """Clear denominators and common factors of a nonzero rational vector:
     the primitive integer vector ``k * xs`` and the factor ``k > 0``."""
-    lcm = 1
-    for x in xs:
-        lcm = lcm * x.denominator // math.gcd(lcm, x.denominator)
-    ints = [int(x * lcm) for x in xs]
-    g = 0
-    for v in ints:
-        g = math.gcd(g, abs(v))
-    return tuple(v // g for v in ints), Fraction(lcm, g)
+    ints, scale = _integer_row(xs)
+    g = math.gcd(*ints)
+    return tuple(v // g for v in ints), Fraction(scale, g)
 
 
 class AnyS:

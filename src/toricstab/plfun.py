@@ -15,7 +15,7 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateSpan, InternalInvariant, ValidationError
 from .integrate import Poly, facet_integral, integrate
-from .linalg import dot, rat, rat_str, vec
+from .linalg import _independent_rows, dot, rat, rat_str, solve_linear, vec
 from .polytope import (
     Polytope,
     _affine_rank,
@@ -257,17 +257,12 @@ def upper_hull(nodes: Sequence[tuple[Sequence, Fraction]]) -> PLFn:
 
 
 def _affine_through(pts, dim) -> AffineFn:
-    """The affine function matching dim+1 affinely independent graph points."""
-    from .linalg import solve_linear
-
-    chosen = []
-    for a, v in pts:
-        if _affine_rank([c for c, _ in chosen] + [a]) == len(chosen):
-            chosen.append((a, v))
-        if len(chosen) == dim + 1:
-            break
-    mat = [list(a) + [Fraction(1)] for a, _ in chosen]
-    sol = solve_linear(mat, [v for _, v in chosen])
+    """The affine function through the graph points, read off the first
+    dim+1 affinely independent ones: those whose rows (a, 1) are linearly
+    independent."""
+    mat = [(*a, Fraction(1)) for a, _ in pts]
+    chosen = _independent_rows(mat)
+    sol = solve_linear([mat[k] for k in chosen], [pts[k][1] for k in chosen])
     fn = AffineFn(tuple(sol[:dim]), sol[dim])
     for a, v in pts:
         if fn(a) != v:

@@ -6,18 +6,17 @@ incidence: one int bitmask per facet, bit j set when vertex j lies on it.
 
 Both directions of the hull run one double-description core,
 :func:`_extreme_rays`: a pointed cone is built one constraint at a time on
-exact primitive integer rays, and two rays are adjacent when the bitmasks of
-the constraints tight on them (their zero sets) meet in a set that no third
-zero set contains.  Half-spaces give the vertices as the rays of their
-homogenized cone; points give the facets as the rays of the cone of
-half-spaces that hold them all.  Either way the final zero sets are the
-incidence.  A cut by one more half-space is the same step on the vertices,
-so the incidence is carried through every cut rather than recomputed; it
-compares the cut with the vertices over their common denominator in
-integers, and each new vertex is an integer combination of two of them over
-one denominator.  A facet is a half-space whose tight set lies in no
-other's, and a vertex is a point whose set of facets lies in no other
-point's.
+exact primitive integer rays, one :func:`_dd_step` each, and two rays are
+adjacent when the bitmasks of the constraints tight on them (their zero
+sets) meet in a set that no third zero set contains.  Half-spaces give the
+vertices as the rays of their homogenized cone; points give the facets as
+the rays of the cone of half-spaces that hold them all.  Either way the
+final zero sets are the incidence.  A cut by one more half-space is the same
+step on the cone over the vertices, (r, den) for the vertices r over their
+common denominator den, so the incidence is carried through every cut
+rather than recomputed and the cut is compared with the vertices in
+integers.  A facet is a half-space whose tight set lies in no other's, and
+a vertex is a point whose set of facets lies in no other point's.
 
 Faces are vertex bitmasks too.  The facets of a face F are the maximal
 proper non-empty sets F & incidence[j], and the triangulation of F cones from
@@ -65,6 +64,8 @@ from .errors import (
     ValidationError,
 )
 from .linalg import (
+    _independent_rows,
+    _over_common_denominator,
     _primitive_ints,
     determinant,
     nullvector,
@@ -148,13 +149,6 @@ class Simplex:
         return Moments(rows, den, (tuple(range(n + 1)),), (weight,), base)
 
 
-def _over_common_denominator(points) -> tuple[int, list[list[int]]]:
-    """(d, rows) with rows[i][k] = d * points[i][k] integers, d the least
-    common denominator: sums of products then need no fraction arithmetic."""
-    den = math.lcm(*(x.denominator for p in points for x in p))
-    return den, [[x.numerator * (den // x.denominator) for x in p] for p in points]
-
-
 def _affine_rank(points) -> int:
     """Dimension of the affine span of a point list."""
     if not points:
@@ -207,17 +201,17 @@ def _vertices(hs, dim) -> tuple[list[tuple[Fraction, ...]], list[int]]:
     cone = _extreme_rays(rows, dim + 1)
     if cone is None:
         raise Unbounded("facet normals do not span the space")
-    vertices = {}
-    for y, z in zip(*cone):
+    rays, zero_sets = cone
+    for y in rays:
         if y[dim] == 0:
             raise Unbounded(f"recession ray {y[:dim]}")
-        vertices[tuple(Fraction(c, y[dim]) for c in y[:dim])] = z >> 1
-    if not vertices:
+    if not rays:
         raise Empty("no feasible vertex")
-    verts = sorted(vertices)
+    points = [tuple(Fraction(c, y[dim]) for c in y[:dim]) for y in rays]
+    verts, zero_sets = zip(*sorted(zip(points, (z >> 1 for z in zero_sets))))
     if _affine_rank(verts) < dim:
         raise NotFullDimensional("feasible set has empty interior")
-    return verts, [vertices[v] for v in verts]
+    return list(verts), list(zero_sets)
 
 
 def halfspaces_from_vertices(points: Sequence[Sequence], dim: int) -> list[HalfSpace]:
@@ -252,17 +246,11 @@ def _extreme_rays(rows, dim) -> Optional[tuple[list[tuple[int, ...]], list[int]]
 
     The double-description method (Fukuda & Prodon, "Double description
     method revisited", 1996) on integer rows: the cone starts simplicial on
-    the first ``dim`` independent rows; each further row keeps the rays on
-    its non-positive side and adds, for each adjacent pair across its
-    hyperplane, the combination on it.
+    the first ``dim`` independent rows, and each further row is one
+    :func:`_dd_step`.
     """
-    basis: list[int] = []
-    for r in range(len(rows)):
-        if rank([rows[k] for k in basis] + [rows[r]]) > len(basis):
-            basis.append(r)
-            if len(basis) == dim:
-                break
-    else:
+    basis = _independent_rows(rows)
+    if len(basis) < dim:
         return None
     rays, zero_sets = [], []
     for k in basis:
@@ -272,42 +260,49 @@ def _extreme_rays(rows, dim) -> Optional[tuple[list[tuple[int, ...]], list[int]]
             ray = tuple(-c for c in ray)
         rays.append(ray)
         zero_sets.append(sum(1 << b for b in basis if b != k))
-    for r in range(len(rows)):
-        if r in basis:
+    chosen = set(basis)
+    for r, row in enumerate(rows):
+        if r in chosen:
             continue
-        vals = [sum(map(mul, rows[r], y)) for y in rays]
-        bit = 1 << r
-        new_rays = [y for y, s in zip(rays, vals) if s <= 0]
-        new_zero_sets = [z | bit if s == 0 else z for z, s in zip(zero_sets, vals) if s <= 0]
-        below = [i for i, s in enumerate(vals) if s < 0]
-        above = [j for j, s in enumerate(vals) if s > 0]
-        for i, j, common in _adjacent_pairs(zero_sets, below, above, dim - 2):
-            y = [vals[j] * a - vals[i] * b for a, b in zip(rays[i], rays[j])]
-            g = math.gcd(*y)
-            new_rays.append(tuple(c // g for c in y))
-            new_zero_sets.append(common | bit)
-        rays, zero_sets = new_rays, new_zero_sets
+        vals = [sum(map(mul, row, y)) for y in rays]
+        keep, new_rays, zero_sets = _dd_step(rays, zero_sets, vals, 1 << r, dim)
+        rays = [rays[k] for k in keep] + new_rays
     return rays, zero_sets
 
 
-def _adjacent_pairs(zero_sets, below, above, need):
-    """The adjacent pairs across a hyperplane, as (i, j, common zero set), for
-    i in ``below`` and j in ``above``.
+def _dd_step(rays, zero_sets, vals, bit: int, dim: int):
+    """One double-description step: the extreme rays of a pointed cone in
+    dimension ``dim``, integer vectors with zero sets ``zero_sets``, cut by a
+    constraint whose value on ray k is ``vals[k]`` and whose bit is ``bit``.
 
-    ``zero_sets[k]`` is the bitmask of the constraints tight on extreme ray k
-    of a pointed cone, or on vertex k of a polytope.  Two are adjacent when
+    The rays on the non-positive side stay, with ``bit`` added to the zero
+    sets of those on the hyperplane, and each adjacent pair across it adds
+    the primitive combination that lies on it.  Two rays are adjacent when
     the face through both holds no third: their common zero set has at least
-    ``need`` bits (the codimension of a 2-face of the cone, or of an edge of
-    the polytope) and lies in no other zero set.
+    dim - 2 bits and lies in no other zero set.  A polytope is the cone over
+    its vertices (v, 1), with the facets through each as its zero set.
+
+    Returns the indices of the rays kept, the new rays, and the zero sets of
+    both, those kept first.
     """
-    for i in below:
+    keep = [k for k, s in enumerate(vals) if s <= 0]
+    new_zero_sets = [zero_sets[k] | bit if vals[k] == 0 else zero_sets[k] for k in keep]
+    new_rays = []
+    above = [j for j, s in enumerate(vals) if s > 0]
+    for i, si in enumerate(vals):
+        if si >= 0:
+            continue
         zi = zero_sets[i]
         for j in above:
             common = zi & zero_sets[j]
-            if common.bit_count() >= need and not any(
+            if common.bit_count() >= dim - 2 and not any(
                 z & common == common for k, z in enumerate(zero_sets) if k != i and k != j
             ):
-                yield i, j, common
+                y = [vals[j] * a - si * b for a, b in zip(rays[i], rays[j])]
+                g = math.gcd(*y)
+                new_rays.append(tuple(c // g for c in y))
+                new_zero_sets.append(common | bit)
+    return keep, new_rays, new_zero_sets
 
 
 class Polytope:
@@ -671,46 +666,36 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     top of this.  That is exactly when no vertex lies strictly inside the
     half-space: points of P near such a vertex lie strictly inside too.
 
-    Works incrementally on the vertex set, as one step of the double
-    description: surviving vertices stay vertices with the facets they were
-    on, and the new ones are the crossings of the cut plane with the edges of
-    P, each on the facets of its edge and on the cut.  Two vertices span an
-    edge exactly when no third vertex lies on every facet through both.  A
-    facet left with no vertex (the old one parallel to the cut) is dropped.
+    Works incrementally on the vertex set, as one :func:`_dd_step` on the
+    cone over the vertices: surviving vertices stay vertices with the facets
+    they were on, and the new ones are the crossings of the cut plane with
+    the edges of P, each on the facets of its edge and on the cut.  A facet
+    left with no vertex (the old one parallel to the cut) is dropped.
     """
     h = HalfSpace.make(normal, rhs)
-    # With the vertices over den, <l, v> <= rhs reads vals[j] <= level in
+    # With the vertices over den, <l, v> <= rhs reads vals[j] <= 0 in
     # integers, both sides scaled by den and the denominator of rhs.
     den, rows = _integer_vertices(p)
     level = h.rhs.numerator * den
-    vals = [h.rhs.denominator * sum(map(mul, h.normal, r)) for r in rows]
-    if all(val <= level for val in vals):
+    vals = [h.rhs.denominator * sum(map(mul, h.normal, r)) - level for r in rows]
+    if all(val <= 0 for val in vals):
         return p
-    if all(val >= level for val in vals):
+    if all(val >= 0 for val in vals):
         return None
-    # Per vertex, the bitmask of the facets through it; the cut is the bit
-    # after the last facet.
-    zero_sets = _transpose(p.incidence, len(p.vertices))
-    cut = 1 << len(p.halfspaces)
-    points = {
-        v: z | cut if val == level else z
-        for v, val, z in zip(p.vertices, vals, zero_sets)
-        if val <= level
-    }
-    below = [i for i, val in enumerate(vals) if val < level]
-    above = [j for j, val in enumerate(vals) if val > level]
-    for i, j, common in _adjacent_pairs(zero_sets, below, above, p.dim - 1):
-        # (vals[j] - level) v_i + (level - vals[i]) v_j over vals[j] - vals[i]
-        wi, wj = vals[j] - level, level - vals[i]
-        scale = den * (vals[j] - vals[i])
-        point = tuple(
-            Fraction(a * wi + b * wj, scale) for a, b in zip(rows[i], rows[j])
-        )
-        points[point] = common | cut
-    verts = sorted(points)
-    return _prune_redundant(
-        [*p.halfspaces, h], verts, [points[v] for v in verts], p.name
+    # The step on the cone over the vertices (r, den), each with the bitmask
+    # of the facets through it; the cut is the bit after the last facet.
+    n = p.dim
+    keep, new_rays, zero_sets = _dd_step(
+        [(*r, den) for r in rows],
+        _transpose(p.incidence, len(p.vertices)),
+        vals,
+        1 << len(p.halfspaces),
+        n + 1,
     )
+    points = [p.vertices[k] for k in keep]
+    points += [tuple(Fraction(c, y[n]) for c in y[:n]) for y in new_rays]
+    verts, zero_sets = zip(*sorted(zip(points, zero_sets)))
+    return _prune_redundant([*p.halfspaces, h], verts, zero_sets, p.name)
 
 
 def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:
@@ -720,11 +705,7 @@ def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:
     are guaranteed by construction), with 0 interior.  Delzant: the polytope
     is simple and at every vertex the tight facet normals form a Z-basis.
     """
-    reflexive = (
-        p.is_lattice()
-        and all(h.rhs == 1 for h in p.halfspaces)
-        and all(h.value([Fraction(0)] * p.dim) < h.rhs for h in p.halfspaces)
-    )
+    reflexive = _is_reflexive(p)
     delzant = True
     for j in range(len(p.vertices)):
         tight = [h.normal for h, mask in zip(p.halfspaces, p.incidence) if mask >> j & 1]
@@ -732,6 +713,12 @@ def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:
             delzant = False
             break
     return reflexive, delzant
+
+
+def _is_reflexive(p: Polytope) -> bool:
+    """Every facet at level 1 and every vertex a lattice point.  A positive
+    rhs on every facet already puts 0 in the interior."""
+    return all(h.rhs == 1 for h in p.halfspaces) and p.is_lattice()
 
 
 def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
@@ -756,12 +743,7 @@ def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
     def pairs(j: int, k: int) -> tuple:
         return tuple(sorted(zip(values[j], values[k])))
 
-    basis: list[int] = []
-    for j, r in enumerate(rows):
-        if rank([rows[b] for b in basis] + [r]) > len(basis):
-            basis.append(j)
-            if len(basis) == n:
-                break
+    basis = _independent_rows(rows)
     # Row i of M solves <b_k, x> = w_k[i] for the basis rows b_k and their
     # images w_k, so M[i][c] is row c of basis^-1 dotted with those w_k[i];
     # ``inverse`` is basis^-1 times ``scale``, in integers.
@@ -769,8 +751,7 @@ def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
         solve_linear([rows[b] for b in basis], [int(j == k) for j in range(n)])
         for k in range(n)
     ]
-    scale = math.lcm(*(x.denominator for col in columns for x in col))
-    inverse = [[(col[c] * scale).numerator for col in columns] for c in range(n)]
+    scale, inverse = _over_common_denominator(list(zip(*columns)))
     vertex_set = set(map(tuple, rows))
     found = []
     images: list[int] = []

@@ -30,7 +30,6 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from itertools import product
-from math import lcm
 from operator import mul
 from typing import Optional, Sequence
 
@@ -45,9 +44,10 @@ from .integrate import Poly, boundary_integral, integrate, moment_vector
 from .lattice import ehrhart, lattice_points, node_bound
 from .linalg import (
     AnyS,
+    _independent_rows,
     _integer_row,
+    _over_common_denominator,
     dot,
-    rank,
     rat,
     rat_str,
     solve_linear,
@@ -64,6 +64,7 @@ from .plfun import (
 )
 from .polytope import (
     Polytope,
+    _is_reflexive,
     intersect_halfspace,
     is_reflexive_delzant,
     lattice_automorphisms,
@@ -164,7 +165,7 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     t, t_den = _integer_row(ed.theta.a)
     w = ed.sbar + ed.theta.c
     rest = 1 - ed.theta.c
-    check = all(h.rhs == 1 for h in p.halfspaces) and p.is_lattice()
+    check = _is_reflexive(p)
     boundary = volume = parts = Fraction(0)
     for region, piece in _nonzero_regions(p, u):
         # the piece is (a.x + c) / q with integer a and c
@@ -241,17 +242,11 @@ def reflexive_translate(p: Polytope) -> Optional[Polytope]:
     meaningful in this normalized position; working on the translate makes
     the verdict invariant under integer translations of the input.
     """
-    rows = []
-    rhs = []
-    for h in p.halfspaces:
-        if rank(rows + [list(h.normal)]) > len(rows):
-            rows.append(list(h.normal))
-            rhs.append(h.rhs - 1)
-        if len(rows) == p.dim:
-            break
-    if len(rows) < p.dim:
+    basis = [p.halfspaces[k] for k in _independent_rows([h.normal for h in p.halfspaces])]
+    if len(basis) < p.dim:
         return None
-    shift = solve_linear(rows, rhs)  # <l, t> = rhs - 1 for the independent facets
+    # <l, t> = rhs - 1 for the independent facets
+    shift = solve_linear([h.normal for h in basis], [h.rhs - 1 for h in basis])
     if any(x.denominator != 1 for x in shift):
         return None
     if all(x == 0 for x in shift):
@@ -264,8 +259,7 @@ def reflexive_translate(p: Polytope) -> Optional[Polytope]:
             ],
             p.name,
         )
-    reflexive, _ = is_reflexive_delzant(translated)
-    return translated if reflexive else None
+    return translated if _is_reflexive(translated) else None
 
 
 def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
@@ -405,8 +399,6 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
 def destabilizer_search(p: Polytope, ed: ExtremalData, grid: int = 1) -> Optional[PLFn]:
     """First simple PL function on the grid with L < 0, or None."""
     for u in destabilizer_candidates(p, ed, grid):
-        if len(set(u.pieces)) < 2:
-            continue
         if l_functional(p, ed, u) < 0:
             return u
     return None
@@ -490,12 +482,11 @@ def _level_values(
     denominator D i is shared and positive, so the max (convex) or min
     (concave) of the pieces' numerators is the numerator of the value.
     """
-    pieces = fn.pieces if isinstance(fn, PLFn) else (fn,)
-    den = lcm(*(x.denominator for f in pieces for x in (*f.a, f.c)))
+    pieces = dict.fromkeys(fn.pieces if isinstance(fn, PLFn) else (fn,))
+    den, rows = _over_common_denominator([(*f.a, f.c) for f in pieces])
     columns = []
-    for f in dict.fromkeys(pieces):
-        a = [x.numerator * (den // x.denominator) for x in f.a]
-        c = f.c.numerator * (den // f.c.denominator) * i
+    for *a, c in rows:
+        c *= i
         columns.append([sum(map(mul, a, z)) + c for z in points])
     if len(columns) == 1:
         return columns[0], den * i

@@ -10,7 +10,8 @@ chart and every linearity region, its integration-by-parts form, a scan of
 the bounding box for lattice points and the interior count for reciprocity,
 vertices from every n-subset of facets, facets from every n-subset of
 points, the node statistics summed in rationals point by point, Gaussian
-elimination in rationals, and plain random data generators.
+elimination in rationals, the greedy basis grown by one rank call per row,
+and plain random data generators.
 """
 
 import math
@@ -121,6 +122,16 @@ def fraction_nullvector(rows, dim):
     ints = [int(v * lcm) for v in x]
     g = math.gcd(*ints)
     return tuple(v // g for v in ints)
+
+
+def greedy_independent_rows(rows) -> list:
+    """The indices of the rows that raise the rank of the rows chosen before
+    them: the greedy left-to-right basis, one rank call per row."""
+    basis = []
+    for r, row in enumerate(rows):
+        if rank([rows[b] for b in basis] + [row]) > len(basis):
+            basis.append(r)
+    return basis
 
 
 def brute_lattice_automorphisms(p: Polytope) -> list:

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -118,3 +121,21 @@ def test_integrity_gate_catches_tampering(corpus_entries):
     entry.polytope = corpus_mod.load_entry("B2").polytope
     problems = corpus_mod.verify_entry(entry)
     assert problems  # theta and facet list both disagree
+
+
+def test_build_corpus_script_rebuilds_the_shipped_files(tmp_path):
+    # The builder, run as a user runs it, rebuilds the 19 entries and the
+    # index byte for byte.
+    root = Path(__file__).resolve().parent.parent
+    subprocess.run(
+        [sys.executable, str(root / "scripts" / "build_corpus.py"), str(tmp_path)],
+        check=True,
+        capture_output=True,
+        timeout=600,
+    )
+    shipped = root / "src" / "toricstab" / "data"
+    names = sorted(f.name for f in shipped.iterdir())
+    assert len(names) == 20 and "index.json" in names
+    assert sorted(f.name for f in tmp_path.iterdir()) == names
+    for name in names:
+        assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name

@@ -13,7 +13,15 @@ from toricstab import (
     solve_linear,
     solve_overdetermined_1d,
 )
-from toricstab.linalg import _eliminate, determinant, nullvector, poly_eval, rat, rat_str
+from toricstab.linalg import (
+    _eliminate,
+    _independent_rows,
+    determinant,
+    nullvector,
+    poly_eval,
+    rat,
+    rat_str,
+)
 
 import oracles
 
@@ -279,3 +287,36 @@ def test_integer_rows_pass_through_unconverted():
     assert (pivots, sign, scale) == ([0, 1, 2], -1, 1)
     assert echelon == [[3, 1, 2], [0, 6, 12], [0, 0, 18]]
     assert determinant(m) == -18 == oracles.fraction_determinant(m)
+
+
+@pytest.mark.parametrize(
+    "rows, want",
+    [
+        ([], []),
+        ([[0, 0]], []),
+        ([[], []], []),
+        ([[1, 2], [2, 4], [0, 1]], [0, 2]),
+        ([[0, 0, 0], [1, 1, 0], [1, 1, 0], [F(1, 2), F(1, 2), 0], [0, 0, 3]], [1, 4]),
+        ([[1, 0], [0, 1], [1, 1], [2, 3]], [0, 1]),
+    ],
+)
+def test_independent_rows_cases(rows, want):
+    assert _independent_rows(rows) == want == oracles.greedy_independent_rows(rows)
+
+
+def test_independent_rows_match_the_greedy_rank_loop():
+    # The pivot columns of the transpose against the greedy left-to-right
+    # choice with one rank call per row, on every shape from 0x0 to 7x6:
+    # integer and rational rows, zero and repeated rows, rank-deficient
+    # input, and more and fewer rows than columns.
+    rng = random.Random(15)
+    deficient = 0
+    for rows in range(8):
+        for cols in range(7):
+            for m in _matrices(rng, rows, cols):
+                repeated = [row for row in m for _ in range(rng.randint(1, 2))]
+                for case in (m, repeated, m[::-1] + m):
+                    want = oracles.greedy_independent_rows(case)
+                    assert _independent_rows(case) == want, case
+                    deficient += len(want) < len(case)
+    assert deficient > 200
