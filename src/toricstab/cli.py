@@ -181,10 +181,13 @@ def report_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
-def _entry_for(spec: str):
+def _input_and_entry(spec: str):
+    """The polytope ``spec`` names and its corpus entry (``None`` for a
+    file), the entry read once."""
     if spec.startswith("corpus:"):
-        return corpus.load_entry(spec.split(":", 1)[1])
-    return None
+        entry = corpus.load_entry(spec.split(":", 1)[1])
+        return entry.polytope, entry
+    return corpus.load_polytope(spec), None
 
 
 def _emit(args, doc: dict, text_fn) -> None:
@@ -198,8 +201,7 @@ def _emit(args, doc: dict, text_fn) -> None:
 
 
 def cmd_analyze(args) -> int:
-    p = corpus.resolve_input(args.input)
-    entry = _entry_for(args.input)
+    p, entry = _input_and_entry(args.input)
     report = analyze(p, i_max=args.i_max, grid=args.grid)
     doc = report_json(report, entry)
     _emit(args, doc, report_text)
@@ -252,8 +254,7 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_kstab(args) -> int:
-    p = corpus.resolve_input(args.input)
-    entry = _entry_for(args.input)
+    p, entry = _input_and_entry(args.input)
     kv = k_classify(p, args.grid)
     doc = kverdict_json(kv)
     doc["name"] = p.name or args.input

@@ -47,7 +47,13 @@ def polytope_to_json(p: Polytope) -> dict:
 
 
 def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
-    """Accepts either representation; synthesizes and cross-checks the other."""
+    """Accepts either representation; synthesizes and cross-checks the other.
+
+    With both, the polytope is built from the half-spaces.  A vertex list
+    that, deduplicated and sorted, is its vertices passes with no second
+    hull; any other is hulled and must give the same vertices.  A declared
+    ``dim`` is checked only when one representation is given.
+    """
     if not isinstance(data, dict):
         raise ParseError("polytope document must be a JSON object")
     name = data.get("name") or name
@@ -72,6 +78,8 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
                     pts.append(tuple(rat(x) for x in row))
                 except (TypeError, ValueError, ZeroDivisionError) as exc:
                     raise ParseError(f"vertex {k}: {exc}") from exc
+            if built_h and sorted(set(pts)) == list(built_h.vertices):
+                return built_h
             built_v = Polytope.from_vertices(pts, name)
     except ParseError:
         raise
@@ -193,10 +201,10 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
         dual = polar_dual(fano)
         want = sorted(tuple(rat(x) for x in v) for v in entry.raw["dual_vertices"])
         check("polar_dual_vertices", sorted(dual.vertices), want)
-        doubled = Polytope.from_vertices(
-            [tuple(2 * x for x in v) for v in dual.vertices]
-        )
-        check("doubled_dual", doubled.vertices, p.vertices)
+        # Scaling by 2 keeps both the vertices and their lex order, so the
+        # doubled dual's sorted vertices are 2v over the dual's.
+        doubled = tuple(tuple(2 * x for x in v) for v in dual.vertices)
+        check("doubled_dual", doubled, p.vertices)
     if entry.provenance == "database":
         reflexive, delzant = is_reflexive_delzant(p)
         if not reflexive:

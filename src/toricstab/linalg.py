@@ -8,7 +8,8 @@ One elimination routine serves ``determinant``, ``rank``, ``nullvector``,
 ``solve_linear`` and the greedy choice of independent rows: fraction-free
 (Bareiss) elimination on rows cleared to integers, whose every division is
 exact, so no ``Fraction`` is built until a result is read off the echelon
-form.  Denominators are cleared in one place, over a matrix
+form.  ``nullvector`` reads its result off the integer rows too, with no
+``Fraction`` at all.  Denominators are cleared in one place, over a matrix
 (:func:`_over_common_denominator`) or one row (:func:`_integer_row`).
 """
 
@@ -159,11 +160,23 @@ def nullvector(rows: Sequence[Sequence], dim: int) -> Optional[tuple[int, ...]]:
     if len(pivots) != dim - 1:
         return None
     free = next(c for c in range(dim) if c not in pivots)
-    sol = [Fraction(0)] * dim
-    sol[free] = Fraction(1)
+    # Back substitution on the integer rows keeps ``sol`` a positive multiple
+    # of the solution with sol[free] = 1: where the pivot does not divide,
+    # the partial solution is scaled by |pivot| instead.
+    sol = [0] * dim
+    sol[free] = 1
     for row, col in zip(reversed(echelon), reversed(pivots)):
-        sol[col] = -sum((row[j] * sol[j] for j in range(col + 1, dim)), Fraction(0)) / row[col]
-    return _primitive_ints(sol)[0]
+        num = -sum(row[j] * sol[j] for j in range(col + 1, dim))
+        piv = row[col]
+        if piv < 0:
+            num, piv = -num, -piv
+        q, rem = divmod(num, piv)
+        if rem:
+            sol = [x * piv for x in sol]
+            q = num
+        sol[col] = q
+    g = math.gcd(*sol)
+    return tuple(x // g for x in sol)
 
 
 def _primitive_ints(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:

@@ -80,7 +80,8 @@ MAX_DIM = 6
 
 def primitive_normal(normal: Sequence, rhs) -> tuple[tuple[int, ...], Fraction]:
     """Clear denominators and common factors: primitive integer normal, rescaled rhs."""
-    normal = [rat(x) for x in normal]
+    # Int entries stay ints, so an integer normal is cleared without Fractions.
+    normal = [x if type(x) is int else rat(x) for x in normal]
     rhs = rat(rhs)
     if all(x == 0 for x in normal):
         raise ValidationError("half-space normal must be nonzero")
@@ -207,10 +208,11 @@ def _vertices(hs, dim) -> tuple[list[tuple[Fraction, ...]], list[int]]:
             raise Unbounded(f"recession ray {y[:dim]}")
     if not rays:
         raise Empty("no feasible vertex")
+    # The affine rank of the points is the rank of their rays (y, t) less 1.
+    if rank(rays) < dim + 1:
+        raise NotFullDimensional("feasible set has empty interior")
     points = [tuple(Fraction(c, y[dim]) for c in y[:dim]) for y in rays]
     verts, zero_sets = zip(*sorted(zip(points, (z >> 1 for z in zero_sets))))
-    if _affine_rank(verts) < dim:
-        raise NotFullDimensional("feasible set has empty interior")
     return list(verts), list(zero_sets)
 
 

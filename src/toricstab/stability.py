@@ -26,6 +26,7 @@ holds/fails verdict (asserted in the tests).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -347,9 +348,14 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
     (checked exactly here); so max{0, b.x + d} o M = max{0, (M^T b).x + d}
     has the L of max{0, b.x + d}.  L vanishes on affine functions and
     max{0, -f} = max{0, f} - f, so the sign flip keeps it too; it covers the
-    whole mirror direction -b, whose offsets are those of b negated.  A
-    skipped candidate thus has the L of one met before it, which the search
-    found to be >= 0, and the first witness found is the one a scan of every
+    whole mirror direction -b, whose offsets are those of b negated.  The
+    orbits are kept on the primitive form (b/g, d/g), g = gcd(b): a box
+    direction k b has the offsets k d of b, and max{0, k(b.x + d)} has k
+    times the L of max{0, b.x + d}.  So a candidate is skipped exactly when
+    a positive multiple of it, up to the maps, was met before; a box order
+    that lists 2b before b still yields 2b.  A skipped candidate thus has a
+    positive multiple of the L of one met before it, which the search found
+    to be >= 0, and the first witness found is the one a scan of every
     candidate would find.  At grid 0 the one direction t = grad theta has
     M^T t = t for every M, so no two candidates share an orbit and the
     automorphisms are not computed.
@@ -386,13 +392,18 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
         for lo, hi in zip(crit, crit[1:]):
             offsets.append((lo + hi) / 2)
         offsets.extend(crit[1:-1])
-        images = {tuple(sum(map(mul, row, b)) for row in mt) for mt in transposes} or {b}
+        # The maps are linear and unimodular: they commute with dividing by
+        # g and keep b/g primitive.
+        g = math.gcd(*b)
+        pb = tuple(x // g for x in b)
+        images = {tuple(sum(map(mul, row, pb)) for row in mt) for mt in transposes} or {pb}
         for d in offsets:
-            if (b, d) in seen:
+            pd = d / g
+            if (pb, pd) in seen:
                 continue
             for image in images:
-                seen.add((image, d))
-                seen.add((tuple(-x for x in image), -d))
+                seen.add((image, pd))
+                seen.add((tuple(-x for x in image), -pd))
             yield PLFn.simple(b, d)
 
 

@@ -111,6 +111,31 @@ def test_mixed_vertex_lengths_exit_2(tmp_path):
     assert error["message"] == "mixed ambient dimensions"
 
 
+def test_mismatched_representations_exit_2(tmp_path):
+    # The unit square's half-spaces with the vertices of a larger square.
+    mismatch = tmp_path / "mismatch.json"
+    mismatch.write_text(
+        json.dumps(
+            {
+                "halfspaces": [
+                    {"normal": [1, 0], "rhs": "1"},
+                    {"normal": [-1, 0], "rhs": "1"},
+                    {"normal": [0, 1], "rhs": "1"},
+                    {"normal": [0, -1], "rhs": "1"},
+                ],
+                "vertices": [["2", "2"], ["2", "-2"], ["-2", "2"], ["-2", "-2"]],
+            }
+        )
+    )
+    code, out = run_cli("theta", str(mismatch), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert error["type"] == "ValidationError"
+    assert error["message"] == (
+        "halfspace and vertex representations describe different polytopes"
+    )
+
+
 def test_unbounded_halfspaces_exit_2(tmp_path):
     # x <= 1 and |y| <= 1 leave the ray (-1, 0) free.
     strip = tmp_path / "strip.json"
@@ -133,10 +158,16 @@ def test_unbounded_halfspaces_exit_2(tmp_path):
     assert error["exit_code"] == 2
 
 
-def test_kstab_b1_json_bytes():
-    # The exact output of the default-grid search, pinned byte for byte.
+def test_kstab_b1_json_bytes(monkeypatch):
+    # The exact output of the default-grid search, pinned byte for byte; the
+    # entry is read once.
+    from toricstab import corpus
+
+    loads = []
+    _record_calls(monkeypatch, corpus.load_entry, loads)
     code, out = run_cli("kstab", "corpus:B1", "--format", "json")
     assert code == 0
+    assert len(loads) == 1
     assert hashlib.sha256(out.encode()).hexdigest() == (
         "535c9060122b8181a3e751cfb42d3288c97a8cee18c1da5aae934cc87c98830a"
     )
@@ -151,25 +182,32 @@ def test_kstab_e2_json_bytes():
     )
 
 
-def test_tables_survey_json_bytes():
+def test_tables_survey_json_bytes(monkeypatch):
     # The whole-corpus table at levels 1-3 and grid 0 in every format, and the
-    # analyze and chow reports that share its stages, pinned byte for byte.
+    # analyze and chow reports that share its stages, pinned byte for byte,
+    # each reading every corpus entry it uses once.
+    from toricstab import corpus
+
     pins = [
         (("tables", "--i-max", "3", "--grid", "0", "--format", "json"),
-         "1d58cf74137fbbb94cb063a0cdfc2ead0926cc42208d81e1a4a10be96ec6d58f"),
+         "1d58cf74137fbbb94cb063a0cdfc2ead0926cc42208d81e1a4a10be96ec6d58f", 19),
         (("tables", "--i-max", "3", "--grid", "0"),
-         "abbbf3c09155eb5798a2cc87cd5e6311e0845bd384d0a173aeb2c1182805fc32"),
+         "abbbf3c09155eb5798a2cc87cd5e6311e0845bd384d0a173aeb2c1182805fc32", 19),
         (("tables", "--i-max", "3", "--grid", "0", "--format", "csv"),
-         "3723785afb858f8ef5e5b58e0b7b8bb4e7b786f9200c8fe080fb8f9832415b90"),
+         "3723785afb858f8ef5e5b58e0b7b8bb4e7b786f9200c8fe080fb8f9832415b90", 19),
         (("analyze", "corpus:E4", "--i-max", "3", "--grid", "0", "--format", "json"),
-         "89f976a8d5ef70425bc4d84a1bd1881e5082d8b3d12f52be74f0ccf6a472bed1"),
+         "89f976a8d5ef70425bc4d84a1bd1881e5082d8b3d12f52be74f0ccf6a472bed1", 1),
         (("chow", "corpus:ORB-530571", "--i-max", "3", "--format", "json"),
-         "e4f0292cbd155909c01bd577792643275c71d43eacbaae7ed89a061163921e04"),
+         "e4f0292cbd155909c01bd577792643275c71d43eacbaae7ed89a061163921e04", 1),
     ]
-    for argv, digest in pins:
+    loads = []
+    _record_calls(monkeypatch, corpus.load_entry, loads)
+    for argv, digest, reads in pins:
+        loads.clear()
         code, out = run_cli(*argv)
         assert code == 0, argv
         assert hashlib.sha256(out.encode()).hexdigest() == digest, argv
+        assert len(loads) == reads, argv
 
 
 def _record_calls(monkeypatch, fn, calls):

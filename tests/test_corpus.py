@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from toricstab import ParseError
+from toricstab import ParseError, ValidationError
 from toricstab import corpus as corpus_mod
 
 
@@ -88,8 +88,59 @@ def test_mismatched_representations_rejected(tmp_path, cube):
     }
     path = tmp_path / "mismatch.json"
     path.write_text(json.dumps(doc))
-    with pytest.raises(Exception):
+    with pytest.raises(
+        ValidationError,
+        match="^halfspace and vertex representations describe different polytopes$",
+    ):
         corpus_mod.load_polytope(path)
+
+
+def _both(p, vertices, **extra):
+    """A document with P's half-spaces and the given vertex rows."""
+    return {
+        "halfspaces": [{"normal": list(h.normal), "rhs": str(h.rhs)} for h in p.halfspaces],
+        "vertices": [[str(x) for x in v] for v in vertices],
+        **extra,
+    }
+
+
+def test_both_representations_cross_check(cube):
+    # A stored vertex list may repeat a vertex and hold a point that is not
+    # a vertex: its hull is still the polytope of the half-spaces.
+    verts = list(cube.vertices)
+    p = corpus_mod.polytope_from_json(_both(cube, [verts[3], *verts, verts[3], (0, 0, 1)]))
+    assert p == cube and p.halfspaces == cube.halfspaces
+    # Rows of mixed length are rejected as with vertices alone.
+    with pytest.raises(ValidationError, match="^mixed ambient dimensions$"):
+        corpus_mod.polytope_from_json(_both(cube, [*verts, (0, 0)]))
+    # A declared dim is not checked when both representations are given,
+    # and is when one is.
+    assert corpus_mod.polytope_from_json(_both(cube, verts, dim=2)) == cube
+    with pytest.raises(ValidationError, match="^declared dim 2 != actual 3$"):
+        corpus_mod.polytope_from_json({"vertices": _both(cube, verts)["vertices"], "dim": 2})
+
+
+def test_load_corpus_hulls_each_entry_once(monkeypatch):
+    # Every entry stores both representations; the vertex list is checked
+    # against the vertices of the half-spaces, with no hull of its own.
+    from toricstab import polytope
+
+    counts = {"rays": 0, "from_vertices": 0}
+    extreme_rays = polytope._extreme_rays
+    from_vertices = polytope.Polytope.from_vertices
+
+    def rays(*args):
+        counts["rays"] += 1
+        return extreme_rays(*args)
+
+    def hull(*args):
+        counts["from_vertices"] += 1
+        return from_vertices(*args)
+
+    monkeypatch.setattr(polytope, "_extreme_rays", rays)
+    monkeypatch.setattr(polytope.Polytope, "from_vertices", staticmethod(hull))
+    entries = corpus_mod.load_corpus()
+    assert counts == {"rays": len(entries), "from_vertices": 0}
 
 
 def test_unknown_corpus_entry():

@@ -1,4 +1,5 @@
 import importlib
+import itertools
 import math
 import random
 from dataclasses import replace
@@ -413,6 +414,61 @@ def test_candidates_skip_mirrors(cube, corpus_entries):
             assert not _orbit(group, f.a, f.c) & seen
             seen.add((f.a, f.c))
         assert seen
+
+
+def _primitive(b, d):
+    """(b/g, d/g, g) for g = gcd(b), with b read as integers."""
+    g = math.gcd(*map(int, b))
+    return tuple(int(x) // g for x in b), d / g, g
+
+
+def test_candidates_skip_positive_multiples(corpus_entries):
+    # From grid 2 the box holds multiples k b of a direction b, whose offsets
+    # are k times those of b.  Orbits are keyed on the primitive form, so no
+    # two yielded candidates are positive multiples of each other up to the
+    # orbit maps, and the counts are pinned.
+    for name, grid, want in (("B1", 1, 44), ("B1", 2, 139), ("E2", 2, 320), ("D1", 2, 345)):
+        p = corpus_entries[name].polytope
+        group = lattice_automorphisms(p)
+        seen = set()
+        count = 0
+        for u in destabilizer_candidates(p, extremal_affine(p), grid=grid):
+            f = u.pieces[1]
+            b, d, _ = _primitive(f.a, f.c)
+            assert not _orbit(group, b, d) & seen, name
+            seen.add((b, d))
+            count += 1
+        assert count == want, name
+
+
+def test_skipped_multiples_have_a_multiple_of_an_evaluated_l(corpus_entries):
+    # On B1 at grid 2, every candidate over a direction of the box with
+    # entries in {-1, 0, 1} or {-2, 0, 2}, yielded or not, has L equal to
+    # g_c / g_e times the L of the yielded candidate e in its primitive
+    # orbit (g the gcd of the direction): skipping it cannot hide the first
+    # witness.
+    p = corpus_entries["B1"].polytope
+    ed = extremal_affine(p)
+    group = lattice_automorphisms(p)
+    yielded = {}
+    for u in destabilizer_candidates(p, ed, grid=2):
+        f = u.pieces[1]
+        b, d, g = _primitive(f.a, f.c)
+        yielded[b, d] = (g, l_functional(p, ed, u))
+    checked = 0
+    for step in (1, 2):
+        for b in itertools.product((-step, 0, step), repeat=3):
+            if not any(b):
+                continue
+            crit = sorted({-sum(x * y for x, y in zip(b, v)) for v in p.vertices})
+            offsets = [(lo + hi) / 2 for lo, hi in zip(crit, crit[1:])] + crit[1:-1]
+            for d in offsets:
+                key = _primitive(b, d)
+                (e,) = _orbit(group, *key[:2]) & yielded.keys()
+                g, value = yielded[e]
+                assert l_functional(p, ed, PLFn.simple(b, d)) == F(key[2], g) * value
+                checked += 1
+    assert checked == 260
 
 
 def test_l_is_invariant_under_lattice_automorphisms(cube, corpus_entries):
