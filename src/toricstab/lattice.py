@@ -82,11 +82,14 @@ def node_bound(p: Polytope, i_max: int) -> int:
 
 def _projections(p: Polytope) -> tuple[tuple[HalfSpace, ...], ...]:
     """Per k = 1..n, the facets of proj_k(P) whose normal has a non-zero k-th
-    coordinate; the others only restate a bound of proj_{k-1}(P)."""
+    coordinate; the others only restate a bound of proj_{k-1}(P).  proj_1(P)
+    is the interval of the first coordinates, read off the vertices without
+    a hull."""
     key = "lattice_projections"
     if key not in p.cache:
-        rows = []
-        for k in range(1, p.dim + 1):
+        first = [v[0] for v in p.vertices]
+        rows = [(HalfSpace((1,), max(first)), HalfSpace((-1,), -min(first)))]
+        for k in range(2, p.dim + 1):
             q = p if k == p.dim else Polytope.from_vertices([v[:k] for v in p.vertices])
             rows.append(tuple(h for h in q.halfspaces if h.normal[-1] != 0))
         p.cache[key] = tuple(rows)

@@ -65,6 +65,7 @@ from .plfun import (
 )
 from .polytope import (
     Polytope,
+    _integer_vertices,
     _is_reflexive,
     intersect_halfspace,
     is_reflexive_delzant,
@@ -146,36 +147,53 @@ def extremal_affine(p: Polytope) -> ExtremalData:
 def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     """L(u) = boundary integral of u minus integral of (Sbar + theta) u.
 
-    Evaluated on the linearity regions R_k of the pieces f_k of u that are
-    not identically zero, so max{0, b.x + d} costs one cut.  Both terms are
-    contracted directly on moment records: the boundary term integrates
-    f_k = c + a.x over the facets of R_k that lie on facets of P as
-    c m_0 + a.m_1, and with theta = t.x + theta_c and w = Sbar + theta_c the
-    volume term is w c m_0 + (w a + c t).m_1 + t^T M_2 a over R_k.  On a
-    reflexive polytope the divergence-theorem form, the sum over the same
-    regions of -c Vol(R_k) + integral of (1 - theta) f_k, needs no facet
-    record; it is computed as well and the two must agree exactly, so a
-    mismatch means a kernel bug.
-
-    The contractions run in integers: a, c and t are cleared to integers
-    and read against the integer sums of each record (see
-    :class:`~toricstab.polytope.Moments`), t^T M_2 a straight off the
-    region's cells, so each boundary facet adds one ``Fraction`` and each
-    region one per form.
+    The sum of the terms of :class:`_LCore` over the linearity regions R_k
+    of the pieces of u that are not identically zero (so max{0, b.x + d}
+    costs one cut), with the boundary term on R_k's facets on facets of P.
+    On reflexive P the two forms must agree exactly; a mismatch is a bug.
     """
-    t, t_den = _integer_row(ed.theta.a)
-    w = ed.sbar + ed.theta.c
-    rest = 1 - ed.theta.c
-    check = _is_reflexive(p)
+    core = _LCore(p, ed)
     boundary = volume = parts = Fraction(0)
     for region, piece in _nonzero_regions(p, u):
-        # the piece is (a.x + c) / q with integer a and c
         (*a, c), q = _integer_row((*piece.a, piece.c))
-        for i in _boundary_facets(p, region):
+        on_p, in_r, by_parts = core.terms(region, _boundary_facets(p, region), a, c, q)
+        boundary += on_p
+        volume += in_r
+        parts += by_parts
+    return core.value(boundary, volume, parts)
+
+
+class _LCore:
+    """The terms of L on one region R of P and one piece f = (a.x + c) / q
+    of u there, with a, c and q integers.
+
+    The boundary term integrates f over R's facets on the boundary of P as
+    c m_0 + a.m_1.  With theta = t.x + theta_c and w = Sbar + theta_c the
+    volume term is w c m_0 + (w a + c t).m_1 + t^T M_2 a over R.  On
+    reflexive P the parts form -c Vol(R) + integral of (1 - theta) f over R
+    needs no facet record.  All run in integers against the records' sums
+    (:class:`~toricstab.polytope.Moments`), t^T M_2 a off R's cells, with
+    one ``Fraction`` per boundary facet and per form.
+    """
+
+    def __init__(self, p: Polytope, ed: ExtremalData):
+        self.t, self.t_den = _integer_row(ed.theta.a)
+        self.w = ed.sbar + ed.theta.c
+        self.rest = 1 - ed.theta.c
+        self.check = _is_reflexive(p)
+
+    def terms(
+        self, region: Polytope, facets: Sequence[int], a: Sequence[int], c: int, q: int
+    ) -> tuple[Fraction, Fraction, Fraction]:
+        """(boundary, volume, parts) on ``region`` with boundary facets
+        ``facets``; parts is 0 off reflexive P."""
+        boundary = Fraction(0)
+        for i in facets:
             m = region.facet_moments(i)
             f_int = c * m.mass * (m.first_den // m.base) + sum(map(mul, a, m.sums))
             boundary += Fraction(f_int, q * m.first_den)
         m = region.moments()
+        t, t_den, w = self.t, self.t_den, self.w
         # Times q t_den second_den: the integrals of f, of its constant term
         # and of (t.x) f, the part of theta f that both forms share.
         k1, k2 = m.first_den // m.base, m.second_den // m.first_den
@@ -183,19 +201,25 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
         c_int = c * m.mass * k1 * k2 * t_den
         ct_quad = c * sum(map(mul, t, m.sums)) * k2 + m.quadratic(t, a)
         den = q * t_den * m.second_den
-        volume += Fraction(w.numerator * f_int + w.denominator * ct_quad, w.denominator * den)
-        if check:
-            # On the region, sum x_i du_i - u = -c (the gradient terms cancel).
-            parts += Fraction(
+        volume = Fraction(w.numerator * f_int + w.denominator * ct_quad, w.denominator * den)
+        parts = Fraction(0)
+        if self.check:
+            # On the region, sum x_i df_i - f = -c/q (the gradient terms cancel).
+            rest = self.rest
+            parts = Fraction(
                 rest.numerator * f_int - rest.denominator * (c_int + ct_quad),
                 rest.denominator * den,
             )
-    value = boundary - volume
-    if check and parts != value:
-        raise InternalInvariant(
-            f"boundary-form {rat_str(value)} != parts-form {rat_str(parts)}"
-        )
-    return value
+        return boundary, volume, parts
+
+    def value(self, boundary: Fraction, volume: Fraction, parts: Fraction) -> Fraction:
+        """boundary - volume, which must equal the parts form on reflexive P."""
+        value = boundary - volume
+        if self.check and parts != value:
+            raise InternalInvariant(
+                f"boundary-form {rat_str(value)} != parts-form {rat_str(parts)}"
+            )
+        return value
 
 
 # ---------------------------------------------------------------------------
@@ -331,35 +355,41 @@ def _check_search_level(grid: int, dim: int) -> None:
 
 
 def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
-    """Yield simple PL candidates max{0, b.x + d} over the search grid, one
-    of each symmetry orbit.
+    """Yield the simple PL candidates max{0, b.x + d} of the search grid, one
+    per symmetry orbit, in scan order.
 
     Directions: at ``grid`` 0 only the potential gradient; at G >= 1 the
     facet normals, the primitive vertex directions, the potential gradient
-    and the integer box [-G, G]^n, in that order.  Offsets step through the
-    vertex-critical values of each direction (where the cut hyperplane meets
-    a vertex) and their midpoints.
+    and the integer box [-G, G]^n, in that order.  Offsets are the
+    vertex-critical values of each direction (where the cut plane meets a
+    vertex) and their midpoints.
 
-    Of each orbit of (b, d) under the maps (b, d) -> (s M^T b, s d), for the
-    lattice automorphisms M of P (:func:`lattice_automorphisms`) and the
-    signs s, only the first candidate met is yielded.  Each such map keeps
-    L.  The automorphism x -> M x preserves P, its volume and the lattice
-    measure of its facets, and theta o M = theta because theta is unique
-    (checked exactly here); so max{0, b.x + d} o M = max{0, (M^T b).x + d}
-    has the L of max{0, b.x + d}.  L vanishes on affine functions and
-    max{0, -f} = max{0, f} - f, so the sign flip keeps it too; it covers the
-    whole mirror direction -b, whose offsets are those of b negated.  The
-    orbits are kept on the primitive form (b/g, d/g), g = gcd(b): a box
-    direction k b has the offsets k d of b, and max{0, k(b.x + d)} has k
-    times the L of max{0, b.x + d}.  So a candidate is skipped exactly when
-    a positive multiple of it, up to the maps, was met before; a box order
-    that lists 2b before b still yields 2b.  A skipped candidate thus has a
-    positive multiple of the L of one met before it, which the search found
-    to be >= 0, and the first witness found is the one a scan of every
-    candidate would find.  At grid 0 the one direction t = grad theta has
-    M^T t = t for every M, so no two candidates share an orbit and the
-    automorphisms are not computed.
+    Orbits are taken under (b, d) -> (s M^T b, s d), for the lattice
+    automorphisms M of P and the signs s, on the primitive form (b/g, d/g),
+    g = gcd(b).  Each map keeps L: x -> M x preserves P and the lattice
+    measure of its facets, and theta o M = theta since theta is unique
+    (checked exactly here); L vanishes on affine functions and
+    max{0, -f} = max{0, f} - f; and max{0, k(b.x + d)} has k times the L of
+    max{0, b.x + d}.  So a candidate is skipped only when one met before has
+    a positive multiple of its L, and the first witness is the one a scan of
+    every candidate finds.  At grid 0 the one direction t has
+    M^T t = t, so no automorphism is computed.
+
+    On reflexive P, :func:`destabilizer_search` also skips every candidate
+    with l = b.x + d <= 0 on the excess region {theta >= 1}, once oriented
+    to d <= 0: its L = integral over {l >= 0} of (1 - theta) l - d is >= 0,
+    as theta <= 1 almost everywhere where l > 0.  Off reflexive P the parts
+    form, and with it this bound, does not hold.
     """
+    for b, d, q in _candidates(p, ed, grid):
+        yield PLFn.simple(b, Fraction(d, q))
+
+
+def _candidates(p: Polytope, ed: ExtremalData, grid: int):
+    """The candidates of :func:`destabilizer_candidates` as (b, d, q) with
+    offset d / q and q = 2 den, for P's vertices over their common
+    denominator den: every critical value, midpoint and orbit key is an
+    integer."""
     _check_search_level(grid, p.dim)
     dirs: dict[tuple[int, ...], None] = {}
 
@@ -385,12 +415,13 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
     for mt in transposes:
         if tuple(dot(row, ed.theta.a) for row in mt) != ed.theta.a:
             raise InternalInvariant("theta is not invariant under a lattice automorphism of P")
-    seen: set[tuple[tuple[int, ...], Fraction]] = set()
+    den, rows = _integer_vertices(p)
+    q = 2 * den
+    # An orbit's key is (b/g, n, k) for d / g = n / k in lowest terms.
+    seen: set[tuple[tuple[int, ...], int, int]] = set()
     for b in dirs:
-        crit = sorted({-dot(b, v) for v in p.vertices})
-        offsets = []
-        for lo, hi in zip(crit, crit[1:]):
-            offsets.append((lo + hi) / 2)
+        crit = sorted({-2 * sum(map(mul, b, r)) for r in rows})
+        offsets = [(lo + hi) // 2 for lo, hi in zip(crit, crit[1:])]
         offsets.extend(crit[1:-1])
         # The maps are linear and unimodular: they commute with dividing by
         # g and keep b/g primitive.
@@ -398,21 +429,64 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
         pb = tuple(x // g for x in b)
         images = {tuple(sum(map(mul, row, pb)) for row in mt) for mt in transposes} or {pb}
         for d in offsets:
-            pd = d / g
-            if (pb, pd) in seen:
+            common = math.gcd(d, g)
+            n, k = d // common, g // common
+            if (pb, n, k) in seen:
                 continue
             for image in images:
-                seen.add((image, pd))
-                seen.add((tuple(-x for x in image), -pd))
-            yield PLFn.simple(b, d)
+                seen.add((image, n, k))
+                seen.add((tuple(-x for x in image), -n, k))
+            yield b, d, q
 
 
 def destabilizer_search(p: Polytope, ed: ExtremalData, grid: int = 1) -> Optional[PLFn]:
-    """First simple PL function on the grid with L < 0, or None."""
-    for u in destabilizer_candidates(p, ed, grid):
-        if l_functional(p, ed, u) < 0:
-            return u
+    """First simple PL function on the grid with L < 0, or None.
+
+    A candidate costs one cut R = P meet {l >= 0}, l = b.x + d, and one call
+    of the L core (:func:`_simple_l`).  On reflexive P it is skipped when,
+    oriented to d <= 0 (L(max{0, l}) = L(max{0, -l})), l <= 0 at every
+    vertex of the excess region E = P meet {theta >= 1} (cut once per
+    search), or E has no interior.  Proof: there
+    L(max{0, l}) = integral over R of (1 - theta) l - d, and theta <= 1
+    almost everywhere on R, so L >= 0.  The test is in integers, on E's
+    vertices over their common denominator.  A skipped candidate is no
+    witness, so the first witness is unchanged.  Off reflexive P the parts
+    form does not hold and nothing is skipped.
+    """
+    core = _LCore(p, ed)
+    den_e, excess = 1, None  # the bound is off
+    if core.check:
+        minus = excess_region(p, ed)
+        den_e, excess = _integer_vertices(minus) if minus is not None else (1, [])
+    for b, d, q in _candidates(p, ed, grid):
+        if excess is not None:
+            # l = b.x + d / q at the vertex r / den_e of E, times q den_e,
+            # oriented to d <= 0
+            s = -1 if d > 0 else 1
+            if all(s * (q * sum(map(mul, b, r)) + d * den_e) <= 0 for r in excess):
+                continue
+        if _simple_l(p, core, b, d, q) < 0:
+            return PLFn.simple(b, Fraction(d, q))
     return None
+
+
+def _simple_l(p: Polytope, core: _LCore, b: Sequence[int], d: int, q: int) -> Fraction:
+    """L(max{0, b.x + d / q}) from one cut and one call of the L core.
+
+    R's facets on the boundary of P are all of them but the cut, whose
+    normal is -b made primitive (no facet of P with that normal survives a
+    cut that does not miss P), or all of P's when the cut misses P.
+    """
+    region = intersect_halfspace(p, [-x for x in b], Fraction(d, q))
+    if region is None:
+        return Fraction(0)
+    if region is p:
+        facets = range(len(p.halfspaces))
+    else:
+        g = math.gcd(*b)
+        cut = tuple(-x // g for x in b)
+        facets = [i for i, h in enumerate(region.halfspaces) if h.normal != cut]
+    return core.value(*core.terms(region, facets, [q * x for x in b], d, q))
 
 
 # ---------------------------------------------------------------------------

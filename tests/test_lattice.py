@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction as F
 
@@ -156,6 +157,24 @@ def test_projections_built_once_per_polytope(corpus_entries, monkeypatch):
     monkeypatch.setattr(Polytope, "from_vertices", staticmethod(counted))
     for i in (1, 2, 3, 1, 2):
         lattice_points(p, i)
-    assert sorted(built) == list(range(1, p.dim))
+    # proj_1 is an interval read off the vertices and proj_3 is P, so only
+    # proj_2 is hulled: one from_vertices call for the 3D entry, not two
+    assert p.dim == 3
+    assert built == [2]
     assert lattice._projections(p) is p.cache["lattice_projections"]
     assert_matches_box_scan(p, (1, 2))
+
+
+def test_corpus_lattice_points_unchanged(corpus_entries):
+    # The points of every corpus entry at levels 1-3, as enumerated when
+    # proj_1 was still hulled with from_vertices (sha256 of their reprs in
+    # corpus order); the box scan of these levels visits 718,607 cells, too
+    # many for tier-1, so the random clouds above stand in as its oracle.
+    digest = hashlib.sha256()
+    for name, entry in corpus_entries.items():
+        p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in entry.polytope.halfspaces])
+        for i in (1, 2, 3):
+            digest.update(repr((name, i, lattice_points(p, i))).encode())
+    assert digest.hexdigest() == (
+        "3a139cb51ef81f0a5e89d356650dd8d54c19526338a01f71349d33191ab613de"
+    )

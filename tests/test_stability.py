@@ -290,13 +290,14 @@ def test_level_node_budget(corpus_entries):
 
 def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # frozen outcome of the exhaustive default grid: no simple destabilizer;
-    # and the search builds no polytope from scratch (cuts are one step on
-    # the vertices), cuts P once per candidate (only the region of the
-    # nonzero piece), builds no facet chart, reads every integral off the
-    # moment records of the region and its facets (no simplex kernel, no
-    # barycentric expansion, no polynomial product), sums no second moments
-    # of a facet record (L reads c m_0 + a.m_1 there) and adds nothing to
-    # the cache of P
+    # and the search skips the candidates the excess region proves
+    # non-negative, evaluates the others through the L core on one cut each
+    # (no l_functional, no linearity regions, no boundary-facet hashing),
+    # builds no polytope from scratch (cuts are one step on the vertices),
+    # builds no facet chart, reads every integral off the moment records of
+    # the region and its facets (no simplex kernel, no barycentric
+    # expansion, no polynomial product), sums no second moments of a facet
+    # record (L reads c m_0 + a.m_1 there) and adds nothing to the cache of P
     from toricstab import plfun, polytope, stability
 
     kernel = importlib.import_module("toricstab.integrate")  # the name integrate is the function
@@ -305,7 +306,9 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     b1 = corpus_entries["B1"].polytope
     p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in b1.halfspaces])
     ed = extremal_affine(p)
-    counts = {"rays": 0, "cuts": 0, "compose": 0, "charts": 0, "simplex": 0, "mul": 0, "l": 0}
+    counts = dict.fromkeys(
+        ("rays", "cuts", "compose", "charts", "simplex", "mul", "l", "regions", "facets", "core"), 0
+    )
     facet_records = []
     moments = polytope._moments
 
@@ -323,26 +326,143 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
         return counted
 
     monkeypatch.setattr(polytope, "_extreme_rays", counting("rays", polytope._extreme_rays))
-    monkeypatch.setattr(plfun, "intersect_halfspace", counting("cuts", plfun.intersect_halfspace))
+    monkeypatch.setattr(stability, "intersect_halfspace", counting("cuts", stability.intersect_halfspace))
     monkeypatch.setattr(Poly, "compose_affine", counting("compose", Poly.compose_affine))
     monkeypatch.setattr(stability, "l_functional", counting("l", stability.l_functional))
+    monkeypatch.setattr(plfun, "_regions", counting("regions", plfun._regions))
+    monkeypatch.setattr(stability, "_boundary_facets", counting("facets", stability._boundary_facets))
+    monkeypatch.setattr(stability._LCore, "terms", counting("core", stability._LCore.terms))
     monkeypatch.setattr(polytope, "facet_chart", counting("charts", polytope.facet_chart))
     monkeypatch.setattr(kernel, "integrate_simplex", counting("simplex", kernel.integrate_simplex))
     monkeypatch.setattr(Poly, "__mul__", counting("mul", Poly.__mul__))
     monkeypatch.setattr(polytope, "_moments", recording)
     keys = set(p.cache)
     assert destabilizer_search(p, ed, grid=1) is None
-    # one evaluation per orbit of the 86 candidates under B1's 6 lattice
-    # automorphisms and the sign flip
-    assert counts["l"] == 44
+    # 44 candidates, one per orbit of the 86 under B1's 6 lattice
+    # automorphisms and the sign flip; the excess region skips 6 of them,
+    # and each of the other 38 costs one cut and one core call; one more
+    # cut is the excess region itself
+    assert sum(1 for _ in destabilizer_candidates(p, ed, grid=1)) == 44
     assert counts == {
-        "rays": 0, "cuts": counts["l"], "compose": 0, "charts": 0, "simplex": 0, "mul": 0,
-        "l": counts["l"],
+        "rays": 0, "cuts": 1 + 38, "compose": 0, "charts": 0, "simplex": 0, "mul": 0,
+        "l": 0, "regions": 0, "facets": 0, "core": 38,
     }
     assert set(p.cache) == keys
     # a record keeps its second moments in its attributes once summed
-    assert len(facet_records) > counts["l"]
+    assert len(facet_records) > counts["core"]
     assert not any("second" in vars(record) for record in facet_records)
+
+
+UNDETERMINED_SIX = ("B1", "C2", "D1", "D2", "E1", "E2")
+
+
+def _skipped(monkeypatch, p, ed, grid):
+    """The candidates (b, d, q) of the search on P that the excess-region
+    bound skips: those that never reach the L core."""
+    from toricstab import stability
+
+    evaluated = []
+    terms = stability._LCore.terms
+
+    def recording(self, region, facets, a, c, q):
+        evaluated.append((tuple(x // q for x in a), c, q))
+        return terms(self, region, facets, a, c, q)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(stability._LCore, "terms", recording)
+        assert destabilizer_search(p, ed, grid) is None
+    candidates = list(stability._candidates(p, ed, grid))
+    done = set(evaluated)
+    assert evaluated == [c for c in candidates if c in done]
+    return [c for c in candidates if c not in done], len(candidates)
+
+
+def test_excess_bound_skips_only_non_negative_candidates(corpus_entries, monkeypatch):
+    # Every candidate the excess-region bound skips has L >= 0, by both
+    # forms of l_functional and by the oracle's parts form, so the first
+    # witness is the one a scan of every candidate finds; the skip counts
+    # over the six undetermined entries are pinned per grid.
+    want = {0: (15, 30), 1: (203, 481), 2: (698, 1613)}
+    per_entry = {("B1", 1): (6, 44), ("E2", 1): (39, 95)}
+    for grid, (skips, total) in want.items():
+        seen = [0, 0]
+        for name in UNDETERMINED_SIX:
+            p = corpus_entries[name].polytope
+            assert reflexive_translate(p) is p
+            ed = extremal_affine(p)
+            skipped, count = _skipped(monkeypatch, p, ed, grid)
+            seen[0] += len(skipped)
+            seen[1] += count
+            if (name, grid) in per_entry:
+                assert (len(skipped), count) == per_entry[name, grid]
+            for b, d, q in skipped:
+                u = PLFn.simple(b, F(d, q))
+                assert l_functional(p, ed, u) >= 0, (name, b, d, q)
+                assert oracles.l_functional_parts_form(p, ed, u) >= 0, (name, b, d, q)
+        assert tuple(seen) == (skips, total), grid
+
+
+def test_excess_bound_skips_candidates_tight_at_a_vertex_of_e(corpus_entries, monkeypatch):
+    # The bound skips when l <= 0 at every vertex of E, zero included.  At a
+    # vertex v of E on the plane theta = 1 (not a vertex of P), b = the sum
+    # of the normals of E's facets through v gives l = b.x - b.v <= 0 on E
+    # with l = 0 only at v; with d = -b.v <= 0 the search must skip l, and
+    # its L must be >= 0.
+    from toricstab import stability
+
+    p = corpus_entries["B1"].polytope
+    ed = extremal_affine(p)
+    minus = excess_region(p, ed)
+    planted = []
+    for j, v in enumerate(minus.vertices):
+        if v in p.vertices:
+            continue
+        b = [0] * p.dim
+        for h, mask in zip(minus.halfspaces, minus.incidence):
+            if mask >> j & 1:
+                b = [x + y for x, y in zip(b, h.normal)]
+        d = -sum(x * y for x, y in zip(b, v))
+        if d <= 0:
+            planted.append((tuple(b), d.numerator, d.denominator))
+    assert planted
+    calls = []
+    monkeypatch.setattr(stability, "_candidates", lambda p, ed, grid: iter(planted))
+    monkeypatch.setattr(stability, "_simple_l", lambda *args: calls.append(args[2:]) or F(0))
+    assert destabilizer_search(p, ed, 1) is None
+    assert calls == []
+    for b, d, q in planted:
+        u = PLFn.simple(b, F(d, q))
+        assert l_functional(p, ed, u) >= 0
+        assert oracles.l_functional_parts_form(p, ed, u) >= 0
+
+
+def test_l_core_matches_l_functional_on_every_candidate(corpus_entries):
+    # One cut and one core call give the L of l_functional, exactly, on
+    # every grid-1 candidate of every corpus entry, reflexive or not (in its
+    # stored position).
+    from toricstab.stability import _LCore, _candidates, _simple_l
+
+    checked = 0
+    for name, entry in corpus_entries.items():
+        p = entry.polytope
+        ed = extremal_affine(p)
+        core = _LCore(p, ed)
+        for b, d, q in _candidates(p, ed, 1):
+            value = _simple_l(p, core, b, d, q)
+            assert value == l_functional(p, ed, PLFn.simple(b, F(d, q))), (name, b, d, q)
+            checked += 1
+    assert checked > 1000
+
+
+def test_excess_bound_off_on_non_reflexive_input(corpus_entries, monkeypatch):
+    # A lattice translate of B1 passed straight to the search is not
+    # reflexive, so the parts form and with it the bound are off: no
+    # candidate is skipped.  (Fewer linear automorphisms fix the translate,
+    # so it has more candidates than B1's 44.)
+    p = translate(corpus_entries["B1"].polytope, (1, 0, -1))
+    assert reflexive_translate(p) is not p
+    skipped, count = _skipped(monkeypatch, p, extremal_affine(p), 1)
+    assert skipped == [] and count == 73
 
 
 def test_l_cross_check_fires_on_a_skewed_sbar(corpus_entries):
