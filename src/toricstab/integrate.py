@@ -1,11 +1,11 @@
-"""Exact integration of polynomials over polytopes and their boundaries.
+"""Exact integration of polynomials of degree at most 2 over polytopes and
+their boundaries.
 
-Everything reduces to integrals over simplices.  Every integrand the
-pipeline builds has degree at most 2, and those are contractions with a
-moment record: the integrals of 1, x_k and x_j x_k.  On a simplex with
-vertex sum S = sum v_i and Q = sum v_i v_i^T (Baldoni, Berline, De Loera,
-Koeppe, Vergne, "How to integrate a polynomial over a simplex", Math. Comp.
-2011):
+Every integrand the pipeline builds multiplies at most two affine factors,
+and each such integral is a contraction with a moment record: the integrals
+of 1, x_k and x_j x_k.  On a simplex with vertex sum S = sum v_i and
+Q = sum v_i v_i^T (Baldoni, Berline, De Loera, Koeppe, Vergne, "How to
+integrate a polynomial over a simplex", Math. Comp. 2011):
 
     integral over S of 1        =  Vol(S)
     integral over S of x_k      =  Vol(S) * S_k / (n + 1)
@@ -14,24 +14,21 @@ Koeppe, Vergne, "How to integrate a polynomial over a simplex", Math. Comp.
 Each :class:`Simplex` keeps that record, and each :class:`Polytope` keeps
 one summed over the cells of its triangulation and one per facet in the
 lattice-normalized measure (``moments`` and ``facet_moments``).  One
-contraction, :func:`_contract`, reads every integral of degree at most 2
-off any of them.  Above degree 2 the integrand is expanded in barycentric
-coordinates and the Dirichlet moment formula applies:
+contraction, :func:`_contract`, reads every integral off any of them.
 
-    integral over S of  lam^alpha dx  =  n! Vol(S) * (prod alpha_j!) / (n + |alpha|)!
-
-Over a polytope or a facet it runs over the same cells; a facet cell is a
-simplex in the ambient space, weighted by its lattice measure.
+Degree at most 2 is the contract: a term of higher degree, or a polynomial
+in a number of variables other than the record's dimension, raises
+:class:`~toricstab.errors.ValidationError`.
 """
 
 from __future__ import annotations
 
-import math
 from fractions import Fraction
-from typing import Optional, Sequence
+from typing import Sequence
 
+from .errors import ValidationError
 from .linalg import rat, rat_str
-from .polytope import Moments, Polytope, Simplex, _weighted_cells
+from .polytope import Moments, Polytope, Simplex
 
 
 class Poly:
@@ -44,6 +41,10 @@ class Poly:
         self.terms: dict[tuple[int, ...], Fraction] = {}
         if terms:
             for expo, coeff in terms.items():
+                if len(expo) != nvars:
+                    raise ValidationError("mixed ambient dimensions")
+                if any(e < 0 for e in expo):
+                    raise ValidationError(f"negative exponent in {tuple(expo)}")
                 coeff = rat(coeff)
                 if coeff != 0:
                     self.terms[tuple(expo)] = coeff
@@ -70,9 +71,6 @@ class Poly:
                 p.terms[tuple(expo)] = a
         return p
 
-    def degree(self) -> int:
-        return max((sum(e) for e in self.terms), default=0)
-
     def __add__(self, other: "Poly") -> "Poly":
         out = dict(self.terms)
         for expo, c in other.terms.items():
@@ -86,6 +84,8 @@ class Poly:
         return Poly(self.nvars, out)
 
     def __mul__(self, other: "Poly") -> "Poly":
+        if other.nvars != self.nvars:
+            raise ValidationError("mixed ambient dimensions")
         out: dict[tuple[int, ...], Fraction] = {}
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
@@ -107,18 +107,6 @@ class Poly:
             total += term
         return total
 
-    def compose_affine(self, maps: Sequence["Poly"]) -> "Poly":
-        """Substitute x_i = maps[i] (polynomials in a new variable set)."""
-        nvars = maps[0].nvars
-        out = Poly.constant(nvars, 0)
-        for expo, coeff in self.terms.items():
-            term = Poly.constant(nvars, coeff)
-            for i, e in enumerate(expo):
-                for _ in range(e):
-                    term = term * maps[i]
-            out = out + term
-        return out
-
     def __repr__(self):
         if not self.terms:
             return "Poly(0)"
@@ -135,37 +123,17 @@ class Poly:
 
 
 def integrate_simplex(simplex: Simplex, p: Poly) -> Fraction:
-    """Exact integral of ``p`` over one simplex: its moment record up to
-    degree 2, the Dirichlet formula above."""
-    if p.degree() > 2:
-        return _dirichlet(simplex, simplex.volume(), p)
+    """Exact integral of ``p`` over one simplex, read off its moment record."""
     return _contract(simplex.moments(), p)
 
 
-def _dirichlet(simplex: Simplex, vol: Fraction, p: Poly) -> Fraction:
-    """The integral of ``p`` over the simplex of measure ``vol`` by expanding
-    ``p`` in barycentric coordinates; the simplex may have fewer dimensions
-    than its ambient space."""
-    n = simplex.dim
-    v0 = simplex.vertices[0]
-    # x_i = v0_i + sum_j (v_j - v0)_i * lam_j as polynomials in lam_1..lam_n
-    maps = []
-    for i in range(len(v0)):
-        grad = [simplex.vertices[j + 1][i] - v0[i] for j in range(n)]
-        maps.append(Poly.affine(grad, v0[i]))
-    in_bary = p.compose_affine(maps)
-    total = Fraction(0)
-    nfact_vol = math.factorial(n) * vol
-    for expo, coeff in in_bary.terms.items():
-        num = 1
-        for e in expo:
-            num *= math.factorial(e)
-        total += coeff * nfact_vol * Fraction(num, math.factorial(n + sum(expo)))
-    return total
-
-
 def _contract(m: Moments, p: Poly) -> Fraction:
-    """The integral of ``p``, of degree at most 2, read off a moment record."""
+    """The integral of ``p`` read off a moment record; ``p`` must have degree
+    at most 2 and as many variables as the record has coordinates."""
+    if p.nvars != len(m.sums):
+        raise ValidationError(
+            f"a polynomial in {p.nvars} variables integrated in dimension {len(m.sums)}"
+        )
     total = Fraction(0)
     for expo, coeff in p.terms.items():
         axes = [k for k, e in enumerate(expo) for _ in range(e)]
@@ -173,36 +141,22 @@ def _contract(m: Moments, p: Poly) -> Fraction:
             total += coeff * m.measure
         elif len(axes) == 1:
             total += coeff * m.first[axes[0]]
-        else:
+        elif len(axes) == 2:
             total += coeff * m.second[axes[0]][axes[1]]
+        else:
+            raise ValidationError(f"a term of degree {len(axes)}: integrals stop at degree 2")
     return total
 
 
-def _over_cells(p: Polytope, facet: Optional[int], poly: Poly) -> Fraction:
-    """The Dirichlet formula summed over the cells of P (``facet`` None) or
-    of one facet."""
-    cells, weights, base = _weighted_cells(p, facet)
-    return sum(
-        (
-            _dirichlet(Simplex(tuple(p.vertices[j] for j in cell)), Fraction(w, base), poly)
-            for cell, w in zip(cells, weights)
-        ),
-        Fraction(0),
-    )
-
-
 def integrate(p: Polytope, poly: Poly) -> Fraction:
-    """Integral of a polynomial over the polytope."""
-    if poly.degree() <= 2:
-        return _contract(p.moments(), poly)
-    return _over_cells(p, None, poly)
+    """Integral of a polynomial of degree at most 2 over the polytope."""
+    return _contract(p.moments(), poly)
 
 
 def facet_integral(p: Polytope, i: int, poly: Poly) -> Fraction:
-    """Integral of ``poly`` over facet ``i`` with the lattice-normalized measure."""
-    if poly.degree() <= 2:
-        return _contract(p.facet_moments(i), poly)
-    return _over_cells(p, i, poly)
+    """Integral of ``poly``, of degree at most 2, over facet ``i`` with the
+    lattice-normalized measure."""
+    return _contract(p.facet_moments(i), poly)
 
 
 def moment_vector(p: Polytope) -> tuple[Fraction, ...]:

@@ -86,6 +86,8 @@ class PLFn:
             raise ValidationError(f"unknown PL mode {self.mode!r}")
         if not self.pieces:
             raise ValidationError("a PL function needs at least one piece")
+        if len({len(f.a) for f in self.pieces}) > 1:
+            raise ValidationError("mixed ambient dimensions")
 
     @staticmethod
     def convex(pieces: Sequence[AffineFn]) -> "PLFn":
@@ -150,6 +152,10 @@ def _regions(
     """The linearity regions of the pieces of ``u`` in ``wanted``, each cut
     out of P by one half-space per other piece; regions without interior are
     dropped."""
+    if u.dim != p.dim:
+        raise ValidationError(
+            f"a {u.dim}-dimensional PL function over a {p.dim}-dimensional polytope"
+        )
     pieces = list(dict.fromkeys(u.pieces))  # exact duplicates double-count
     regions = []
     for f in dict.fromkeys(wanted):

@@ -568,6 +568,10 @@ def _level_values(
     (concave) of the pieces' numerators is the numerator of the value.
     """
     pieces = dict.fromkeys(fn.pieces if isinstance(fn, PLFn) else (fn,))
+    if points and any(len(f.a) != len(points[0]) for f in pieces):
+        raise ValidationError(
+            f"a function of the wrong dimension at {len(points[0])}-dimensional nodes"
+        )
     den, rows = _over_common_denominator([(*f.a, f.c) for f in pieces])
     columns = []
     for *a, c in rows:

@@ -185,22 +185,56 @@ def degree2_simplex_integral(simplex: Simplex, l1: AffineFn, l2: AffineFn) -> F:
     return vol * (paired + sum(vals1) * sum(vals2)) / ((n + 1) * (n + 2))
 
 
-def dirichlet_simplex_integral(simplex: Simplex, poly: Poly) -> F:
-    """The integral of ``poly`` over the simplex at any degree: expand it in
-    barycentric coordinates and apply the Dirichlet moment formula
-    n! Vol * (prod alpha_j!) / (n + |alpha|)! to each monomial."""
-    n = simplex.dim
-    vol = simplex.volume()
+def compose_affine(poly: Poly, maps) -> Poly:
+    """Substitute x_i = maps[i], polynomials in a new variable set."""
+    nvars = maps[0].nvars
+    out = Poly.constant(nvars, 0)
+    for expo, coeff in poly.terms.items():
+        term = Poly.constant(nvars, coeff)
+        for i, e in enumerate(expo):
+            for _ in range(e):
+                term = term * maps[i]
+        out = out + term
+    return out
+
+
+def dirichlet_simplex_integral(simplex: Simplex, poly: Poly, measure) -> F:
+    """The integral of ``poly`` at any degree over the simplex of the given
+    measure, which may have fewer dimensions than its ambient space: expand
+    it in barycentric coordinates and apply the Dirichlet moment formula
+    d! measure * (prod alpha_j!) / (d + |alpha|)! to each monomial."""
+    d = simplex.dim
     v0 = simplex.vertices[0]
     maps = [
-        Poly.affine([simplex.vertices[j + 1][i] - v0[i] for j in range(n)], v0[i])
-        for i in range(n)
+        Poly.affine([simplex.vertices[j + 1][i] - v0[i] for j in range(d)], v0[i])
+        for i in range(len(v0))
     ]
     total = F(0)
-    for expo, coeff in poly.compose_affine(maps).terms.items():
+    for expo, coeff in compose_affine(poly, maps).terms.items():
         num = math.prod(math.factorial(e) for e in expo)
-        total += coeff * math.factorial(n) * vol * F(num, math.factorial(n + sum(expo)))
+        total += coeff * math.factorial(d) * measure * F(num, math.factorial(d + sum(expo)))
     return total
+
+
+def dirichlet_over_cells(cells, poly: Poly) -> F:
+    """:func:`dirichlet_simplex_integral` summed over full-dimensional cells."""
+    return sum((dirichlet_simplex_integral(c, poly, c.volume()) for c in cells), F(0))
+
+
+def dirichlet_facet_integral(p: Polytope, i: int, poly: Poly) -> F:
+    """The integral of ``poly`` at any degree over facet i in the lattice
+    measure: the Dirichlet kernel over the cells of the facet's moment record,
+    each at its measure w / base."""
+    m = p.facet_moments(i)
+    return sum(
+        (
+            dirichlet_simplex_integral(
+                Simplex(tuple(p.vertices[j] for j in cell)), poly, F(w, m.base)
+            )
+            for cell, w in zip(m.cells, m.weights)
+        ),
+        F(0),
+    )
 
 
 def lift_from_chart(chart: FacetChart, point) -> tuple:
@@ -248,7 +282,7 @@ def eliminate_axis(poly: Poly, axis: int, normal, rhs) -> Poly:
             maps.append(Poly.affine(grad, rat(rhs) / normal[axis]))
         else:
             maps.append(Poly.coordinate(n - 1, keep.index(j)))
-    return poly.compose_affine(maps)
+    return compose_affine(poly, maps)
 
 
 def restrict_to_facet(f: AffineFn, axis: int, normal, rhs) -> AffineFn:
@@ -268,8 +302,7 @@ def chart_facet_integrals(p: Polytope, i: int, polys) -> list:
     out = []
     for poly in polys:
         restricted = eliminate_axis(poly, chart.axis, chart.normal, chart.rhs)
-        total = sum((dirichlet_simplex_integral(c, restricted) for c in cells), F(0))
-        out.append(chart.scale * total)
+        out.append(chart.scale * dirichlet_over_cells(cells, restricted))
     return out
 
 

@@ -7,12 +7,15 @@ from toricstab import (
     Poly,
     Polytope,
     Simplex,
+    ValidationError,
     boundary_integral,
     integrate,
+    integrate_pl,
     integrate_simplex,
     moment_vector,
 )
-from toricstab.plfun import _nonzero_regions
+from toricstab.integrate import facet_integral
+from toricstab.plfun import PLFn, _nonzero_regions
 from toricstab.stability import destabilizer_candidates, excess_region, extremal_affine
 
 import oracles
@@ -28,18 +31,71 @@ def test_dirichlet_standard_simplex():
 
 def test_dirichlet_higher_degree():
     # moment formula on the standard simplex: x^a y^b integrates to
-    # a! b! / (a + b + 2)!
-    assert integrate_simplex(STD2, Poly(2, {(2, 2): 1})) == F(1, 180)
-    assert integrate_simplex(STD2, Poly(2, {(3, 1): 1})) == F(6, 720)
-    assert integrate_simplex(STD2, Poly(2, {(4, 0): 1})) == F(24, 720)
+    # a! b! / (a + b + 2)!; above degree 2 only the test oracle integrates
+    def dirichlet(expo):
+        return oracles.dirichlet_simplex_integral(STD2, Poly(2, {expo: 1}), STD2.volume())
+
+    assert dirichlet((2, 2)) == F(1, 180)
+    assert dirichlet((3, 1)) == F(6, 720)
+    assert dirichlet((4, 0)) == F(24, 720)
 
 
 def test_higher_degree_on_cube(cube):
-    # product structure gives independent one-dimensional factors
-    poly = Poly(3, {(2, 2, 0): 1})  # x1^2 x2^2
-    assert integrate(cube, poly) == F(2, 3) * F(2, 3) * 2
-    poly = Poly(3, {(4, 0, 0): 1})
-    assert integrate(cube, poly) == F(2, 5) * 4
+    # product structure gives independent one-dimensional factors; the
+    # Dirichlet oracle over the bitmask cells and over the chart recursion
+    cases = [
+        (Poly(3, {(2, 2, 0): 1}), F(2, 3) * F(2, 3) * 2),  # x1^2 x2^2
+        (Poly(3, {(4, 0, 0): 1}), F(2, 5) * 4),
+    ]
+    for poly, want in cases:
+        for apex_last in (False, True):
+            for cells in (cube.triangulation(apex_last), oracles.chart_triangulation(cube, apex_last)):
+                assert oracles.dirichlet_over_cells(cells, poly) == want
+
+
+def test_integrals_stop_at_degree_2(cube):
+    # every entry point contracts a moment record, so a cubic term is an
+    # error, not a number; above degree 2 only the test oracles integrate
+    cubic = Poly(3, {(1, 1, 1): 1, (0, 0, 0): 1})
+    square = Poly(3, {(2, 0, 0): 1})
+    calls = [
+        lambda: integrate_simplex(cube.triangulation()[0], cubic),
+        lambda: integrate(cube, cubic),
+        lambda: facet_integral(cube, 0, cubic),
+        lambda: boundary_integral(cube, cubic),
+        lambda: integrate_pl(cube, square, PLFn.simple((1, 0, 0), 0)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="degree 3"):
+            call()
+    assert integrate_pl(cube, Poly.coordinate(3, 0), PLFn.simple((1, 0, 0), 0)) == F(4, 3)
+    # nor is 1/x1 a polynomial: it would read as the constant 1
+    with pytest.raises(ValidationError, match="negative exponent"):
+        Poly(3, {(-1, 2, 0): 1})
+
+
+def test_polynomials_of_the_wrong_dimension_rejected(cube):
+    # a polynomial must have as many variables as the record has coordinates
+    quartic_var = Poly(4, {(0, 0, 0, 1): 1})
+    calls = [
+        lambda: integrate_simplex(cube.triangulation()[0], quartic_var),
+        lambda: integrate(cube, quartic_var),
+        lambda: facet_integral(cube, 0, quartic_var),
+        lambda: boundary_integral(cube, quartic_var),
+        lambda: integrate(cube, Poly.constant(2, 1)),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="variables"):
+            call()
+    for build in (
+        lambda: Poly(3, {(0, 0, 0, 1): 1}),
+        lambda: Poly.coordinate(2, 0) * Poly.coordinate(3, 2),
+        lambda: Poly.coordinate(3, 0) * Poly.coordinate(2, 1),
+        lambda: Poly.coordinate(2, 0) + Poly.coordinate(3, 2),
+        lambda: Poly.coordinate(3, 0) - Poly.coordinate(2, 1),
+    ):
+        with pytest.raises(ValidationError, match="mixed ambient dimensions"):
+            build()
 
 
 def test_moment_b2_b1(corpus_entries):
@@ -164,10 +220,10 @@ def test_moment_kernel_matches_dirichlet():
                 for k in axes:
                     expo[k] += 1
                 poly = Poly(dim, {tuple(expo): 1})
-                assert integrate_simplex(s, poly) == oracles.dirichlet_simplex_integral(s, poly)
+                assert integrate_simplex(s, poly) == oracles.dirichlet_over_cells([s], poly)
             for _ in range(3):
                 poly = oracles.random_poly(rng, dim, max_degree=2)
-                assert integrate_simplex(s, poly) == oracles.dirichlet_simplex_integral(s, poly)
+                assert integrate_simplex(s, poly) == oracles.dirichlet_over_cells([s], poly)
 
 
 def _up_to_degree_2(dim):
@@ -178,11 +234,14 @@ def _up_to_degree_2(dim):
 
 def assert_matches_chart_oracle(p, rng):
     """The bitmask cells and the moment records of P against the recursion
-    through facet charts, for both apex choices: the volume, every monomial
-    of degree <= 2 and a random quartic; then every facet's record, and a
-    random cubic over the boundary, against the facet charts."""
+    through facet charts, for both apex choices: the volume and every
+    monomial of degree <= 2 by the kernel, and a random quartic by the
+    Dirichlet oracle over both sets of cells; then every facet's record, and
+    a random cubic by the Dirichlet oracle over each facet record's cells,
+    and a random quadratic over the boundary, against the facet charts."""
     n = p.dim
-    polys = _up_to_degree_2(n) + [oracles.random_poly(rng, n, max_degree=4)]
+    polys = _up_to_degree_2(n)
+    quartic = oracles.random_poly(rng, n, max_degree=4)
     for apex_last in (False, True):
         cells = p.triangulation(apex_last)
         oracle = oracles.chart_triangulation(p, apex_last)
@@ -192,18 +251,24 @@ def assert_matches_chart_oracle(p, rng):
         assert {c.vertices[0] for c in cells} == {o.vertices[0] for o in oracle}
         assert sum(c.volume() for c in cells) == sum(c.volume() for c in oracle) == p.volume()
         for poly in polys:
-            want = sum((oracles.dirichlet_simplex_integral(c, poly) for c in oracle), F(0))
+            want = oracles.dirichlet_over_cells(oracle, poly)
             assert sum((integrate_simplex(c, poly) for c in cells), F(0)) == want
             assert integrate(p, poly) == want
+        want = oracles.dirichlet_over_cells(oracle, quartic)
+        assert oracles.dirichlet_over_cells(cells, quartic) == want
     cubic = oracles.random_poly(rng, n, max_degree=3)
+    quadratic = oracles.random_poly(rng, n)
     boundary = F(0)
     for i in range(len(p.halfspaces)):
-        want = oracles.chart_facet_integrals(p, i, _up_to_degree_2(n) + [cubic])
+        *want, want_cubic, want_quadratic = oracles.chart_facet_integrals(
+            p, i, polys + [cubic, quadratic]
+        )
         m = p.facet_moments(i)
         got = [m.measure, *m.first, *(m.second[j][k] for j in range(n) for k in range(j, n))]
-        assert got == want[:-1]
-        boundary += want[-1]
-    assert boundary_integral(p, cubic) == boundary
+        assert got == want
+        assert oracles.dirichlet_facet_integral(p, i, cubic) == want_cubic
+        boundary += want_quadratic
+    assert boundary_integral(p, quadratic) == boundary
 
 
 def test_bitmask_route_matches_chart_oracle_on_corpus(corpus_entries, cube, cross_polytope):

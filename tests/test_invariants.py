@@ -1,6 +1,7 @@
 """Source-level guards on the library: its invariants stay on in every run,
-including under ``python -O``, no hull falls back to a subset scan, and no
-module but the one that defines it builds a facet chart."""
+including under ``python -O``, no hull falls back to a subset scan, no
+module but the one that defines it builds a facet chart or reads the cell
+format, and no module integrates above degree 2."""
 
 import ast
 from pathlib import Path
@@ -57,3 +58,26 @@ def test_no_charts_on_the_l_path():
             if ident in ("facet_chart", "FacetChart"):
                 found.append(f"{path.name}:{node.lineno}")
     assert not found, f"facet charts referenced in the library: {found}"
+
+
+def test_cell_format_stays_in_polytope():
+    # Only polytope.py knows the cell format (cells, weights, base) that the
+    # moment records are summed from, and above degree 2 the library does
+    # not integrate: the barycentric substitution lives in the test oracles.
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for node in ast.walk(tree):
+            if isinstance(node, ast.FunctionDef) and node.name == "compose_affine":
+                found.append(f"{path.name}:{node.lineno} defines compose_affine")
+            if path.name == "polytope.py":
+                continue
+            ident = (
+                node.id if isinstance(node, ast.Name)
+                else node.attr if isinstance(node, ast.Attribute)
+                else node.name if isinstance(node, ast.alias)
+                else None
+            )
+            if ident in ("_weighted_cells", "_face_cells"):
+                found.append(f"{path.name}:{node.lineno} names {ident}")
+    assert not found, f"cell format or higher-degree route outside polytope.py: {found}"

@@ -162,6 +162,16 @@ def test_upper_hull_mixed_lengths_rejected():
         upper_hull([((0, 0, 0), F(1)), ((1, 0), F(2)), ((0, 1), F(0)), ((1, 1), F(0))])
 
 
+def test_pl_pieces_of_mixed_dimensions_rejected():
+    # every piece lives in one ambient space; the pairings would otherwise
+    # truncate to the shorter gradient and give a number
+    data = {"mode": "convex", "pieces": [{"a": ["1"], "c": "0"}, {"a": ["1", "2", "3"], "c": "0"}]}
+    with pytest.raises(ValidationError, match="mixed ambient dimensions"):
+        PLFn.from_json(data)
+    with pytest.raises(ValidationError, match="mixed ambient dimensions"):
+        PLFn.concave([AffineFn.make((1, 2), 0), AffineFn.zero(3)])
+
+
 def test_lattice_cone_predicate(cube):
     u = PLFn.simple((1, 0, 0), 0)
     assert pl_is_rational_lattice_cone(cube, u, 1, 2)

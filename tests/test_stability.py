@@ -33,6 +33,7 @@ from toricstab import (
     q_weight,
     s_closed_form,
     theta_nodes,
+    upper_hull,
 )
 from toricstab.plfun import AffineFn, PLFn
 from toricstab.stability import (
@@ -307,7 +308,7 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in b1.halfspaces])
     ed = extremal_affine(p)
     counts = dict.fromkeys(
-        ("rays", "cuts", "compose", "charts", "simplex", "mul", "l", "regions", "facets", "core"), 0
+        ("rays", "cuts", "charts", "simplex", "mul", "l", "regions", "facets", "core"), 0
     )
     facet_records = []
     moments = polytope._moments
@@ -327,7 +328,6 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
 
     monkeypatch.setattr(polytope, "_extreme_rays", counting("rays", polytope._extreme_rays))
     monkeypatch.setattr(stability, "intersect_halfspace", counting("cuts", stability.intersect_halfspace))
-    monkeypatch.setattr(Poly, "compose_affine", counting("compose", Poly.compose_affine))
     monkeypatch.setattr(stability, "l_functional", counting("l", stability.l_functional))
     monkeypatch.setattr(plfun, "_regions", counting("regions", plfun._regions))
     monkeypatch.setattr(stability, "_boundary_facets", counting("facets", stability._boundary_facets))
@@ -344,7 +344,7 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # cut is the excess region itself
     assert sum(1 for _ in destabilizer_candidates(p, ed, grid=1)) == 44
     assert counts == {
-        "rays": 0, "cuts": 1 + 38, "compose": 0, "charts": 0, "simplex": 0, "mul": 0,
+        "rays": 0, "cuts": 1 + 38, "charts": 0, "simplex": 0, "mul": 0,
         "l": 0, "regions": 0, "facets": 0, "core": 38,
     }
     assert set(p.cache) == keys
@@ -492,6 +492,18 @@ def test_l_matches_chart_route_on_search_candidates(corpus_entries, cube):
         for pieces in (1, 2, 3, 4):
             u = oracles.random_convex_pl(rng, 3, pieces)
             assert l_functional(p, ed, u) == oracles.chart_route_l(p, ed, u)
+    # a T-convex function: minus the upper hull of seeded values on the
+    # lattice points, one piece per lower facet of the lifted nodes; both
+    # forms of L as the library sums them, and both oracles
+    rng = random.Random(2002)
+    for name, count in (("B1", 14), ("E2", 18)):
+        p = corpus_entries[name].polytope
+        ed = extremal_affine(p)
+        hull = upper_hull([(z, F(rng.randint(0, 9))) for z in lattice_points(p, 1)])
+        u = PLFn.convex([f.scale(-1) for f in hull.pieces])
+        assert len(u.pieces) == count
+        value = l_functional(p, ed, u)
+        assert value == oracles.l_functional_parts_form(p, ed, u) == oracles.chart_route_l(p, ed, u)
 
 
 def test_l_mirror_identity(cube, corpus_entries):
@@ -1032,6 +1044,29 @@ def test_project_perp_theta_constant(cube):
     ed = extremal_affine(cube)
     with pytest.raises(ThetaConstant):
         project_perp(cube, ed, 1, PLFn.simple((1, 0, 0), 0))
+
+
+def test_pl_function_of_the_wrong_dimension_rejected(corpus_entries, cube):
+    # u must live in the dimension of P: every entry point rejects a 2D
+    # function over 3D input before it pairs a gradient with a point
+    from toricstab import boundary_integrate_pl, integrate_pl, linearity_regions
+
+    u = PLFn.simple([1, 0], 0)
+    one = Poly.constant(3, 1)
+    e4 = corpus_entries["E4"].polytope
+    ed = extremal_affine(e4)
+    calls = [
+        lambda: integrate_pl(cube, one, u),
+        lambda: boundary_integrate_pl(cube, one, u),
+        lambda: linearity_regions(cube, u),
+        lambda: l_functional(cube, extremal_affine(cube), u),
+        lambda: project_perp(e4, ed, 1, u),
+        lambda: p_weight(e4, 1, u, 2),
+        lambda: q_weight(e4, ed, 1, u),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="dimension"):
+            call()
 
 
 # -- orchestration and equivariance -------------------------------------------
