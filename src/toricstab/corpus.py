@@ -99,12 +99,16 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
     return p
 
 
-def load_polytope(path) -> Polytope:
-    path = Path(path)
+def _read_json(path: Path):
     try:
-        data = json.loads(path.read_text())
+        return json.loads(path.read_text())
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}: line {exc.lineno}: {exc.msg}") from exc
+
+
+def load_polytope(path) -> Polytope:
+    path = Path(path)
+    data = _read_json(path)
     doc = data.get("polytope", data) if isinstance(data, dict) else data
     return polytope_from_json(doc, name=path.stem)
 
@@ -136,7 +140,10 @@ def corpus_dir() -> Path:
 def corpus_names() -> list[str]:
     index = corpus_dir() / "index.json"
     if index.exists():
-        return json.loads(index.read_text())
+        names = _read_json(index)
+        if not isinstance(names, list) or not all(isinstance(n, str) for n in names):
+            raise ParseError(f"{index}: the index must be a JSON list of entry names")
+        return names
     return sorted(p.stem for p in corpus_dir().glob("*.json") if p.stem != "index")
 
 
@@ -144,15 +151,26 @@ def load_entry(name: str) -> CorpusEntry:
     path = corpus_dir() / f"{name}.json"
     if not path.exists():
         raise ParseError(f"no corpus entry named {name!r}")
-    data = json.loads(path.read_text())
-    poly = polytope_from_json(data.get("polytope", data), name=data.get("name", name))
-    rays = [tuple(r) for r in data["rays"]] if "rays" in data else None
+    data = _read_json(path)
+    if not isinstance(data, dict):
+        raise ParseError(f"{path}: a corpus entry must be a JSON object")
+    try:
+        rays = [tuple(r) for r in data["rays"]] if "rays" in data else None
+    except TypeError as exc:
+        raise ParseError(f"{path}: rays: {exc}") from exc
+    expected = data.get("expected", {})
+    if not isinstance(expected, dict):
+        raise ParseError(f"{path}: 'expected' must be a JSON object")
+    try:
+        poly = polytope_from_json(data.get("polytope", data), name=data.get("name", name))
+    except (ParseError, ValidationError) as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
     return CorpusEntry(
         name=data.get("name", name),
         provenance=data.get("provenance", "database"),
         polytope=poly,
         rays=rays,
-        expected=data.get("expected", {}),
+        expected=expected,
         raw=data,
     )
 

@@ -98,6 +98,8 @@ class Poly:
         return Poly(self.nvars, {e: c * v for e, v in self.terms.items()})
 
     def __call__(self, point: Sequence[Fraction]) -> Fraction:
+        if len(point) != self.nvars:
+            raise ValidationError(f"a point of length {len(point)} in dimension {self.nvars}")
         total = Fraction(0)
         for expo, coeff in self.terms.items():
             term = coeff

@@ -43,6 +43,8 @@ class AffineFn:
         return AffineFn((Fraction(0),) * dim, Fraction(0))
 
     def __call__(self, point) -> Fraction:
+        if len(point) != len(self.a):
+            raise ValidationError(f"a point of length {len(point)} in dimension {len(self.a)}")
         return dot(self.a, [rat(x) for x in point]) + self.c
 
     def as_poly(self) -> Poly:

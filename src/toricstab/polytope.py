@@ -1,8 +1,10 @@
 """Exact convex polytope kernel.
 
 A polytope carries an irredundant list of facet half-spaces ``<l, x> <= rhs``
-with primitive integer normals, its exact rational vertices, and their
+with primitive integer normals, its vertices as sorted integer rows over
+their least common denominator (vertex j is ``rows[j] / den``), and their
 incidence: one int bitmask per facet, bit j set when vertex j lies on it.
+The kernel computes on the rows; the rational vertices are built when read.
 
 Both directions of the hull run one double-description core,
 :func:`_extreme_rays`: a pointed cone is built one constraint at a time on
@@ -12,11 +14,11 @@ sets) meet in a set that no third zero set contains.  Half-spaces give the
 vertices as the rays of their homogenized cone; points give the facets as
 the rays of the cone of half-spaces that hold them all.  Either way the
 final zero sets are the incidence.  A cut by one more half-space is the same
-step on the cone over the vertices, (r, den) for the vertices r over their
-common denominator den, so the incidence is carried through every cut
-rather than recomputed and the cut is compared with the vertices in
-integers.  A facet is a half-space whose tight set lies in no other's, and
-a vertex is a point whose set of facets lies in no other point's.
+step on the cone over the vertices, the rays (r, den) of the rows, so the
+incidence is carried through every cut rather than recomputed and the cut
+is compared with the vertices in integers.  A facet is a half-space whose
+tight set lies in no other's, and a vertex is a point whose set of facets
+lies in no other point's.
 
 Faces are vertex bitmasks too.  The facets of a face F are the maximal
 proper non-empty sets F & incidence[j], and the triangulation of F cones from
@@ -25,12 +27,12 @@ triangulations of the facets of F that miss it, memoized per face mask.  Its
 cells are tuples of P's own vertices: no face is projected, lifted or hulled.
 Over those cells each polytope keeps one integer moment record (volume and
 the integrals of x_k and x_j x_k), and each facet one in the lattice measure.
-The vertices share one denominator: a facet cell costs one integer
-determinant, a cell of P (the apex over a facet cell) follows from it and the
-apex's lattice height.  A record keeps its cells and the integer sums over
-them; each moment is one division, made when a caller first reads it, and
-a contraction s^T M_2 t with integer s and t is read off the cells without
-the n x n matrix.  L reads records in integers and never builds M_2.
+On the rows, a facet cell costs one integer determinant, a cell of P (the
+apex over a facet cell) follows from it and the apex's lattice height.  A
+record keeps its cells and the integer sums over them; each moment is one
+division, made when a caller first reads it, and a contraction s^T M_2 t
+with integer s and t is read off the cells without the n x n matrix.  L
+reads records in integers and never builds M_2.
 
 The linear lattice automorphisms of P (the integer matrices with |det| = 1
 that map P onto itself) are found by backtracking over the images of n
@@ -102,6 +104,8 @@ class HalfSpace:
         return HalfSpace(n, r)
 
     def value(self, point: Sequence[Fraction]) -> Fraction:
+        if len(point) != len(self.normal):
+            raise ValidationError(f"a point of length {len(point)} in dimension {len(self.normal)}")
         return sum((Fraction(a) * x for a, x in zip(self.normal, point)), Fraction(0))
 
     def contains(self, point) -> bool:
@@ -158,11 +162,6 @@ def _affine_rank(points) -> int:
     return rank([[p[i] - base[i] for i in range(len(base))] for p in points[1:]])
 
 
-def _on(mask: int, items) -> list:
-    """The items whose bit is set in ``mask``."""
-    return [x for j, x in enumerate(items) if mask >> j & 1]
-
-
 def _transpose(masks, count: int) -> list[int]:
     """Bitmasks of items over ``count`` others, turned into bitmasks of the
     others over the items: bit k of result j is bit j of ``masks[k]``."""
@@ -184,12 +183,13 @@ def vertices_from_halfspaces(
     is also empty; else :class:`Empty` when nothing is feasible and
     :class:`NotFullDimensional` when the feasible set has empty interior.
     """
-    return _vertices(list(halfspaces), dim)[0]
+    den, rows, _ = _vertices(list(halfspaces), dim)
+    return [tuple(Fraction(c, den) for c in r) for r in rows]
 
 
-def _vertices(hs, dim) -> tuple[list[tuple[Fraction, ...]], list[int]]:
-    """The sorted vertices of the system ``hs`` and, per vertex, the bitmask of
-    the half-spaces of ``hs`` tight on it.
+def _vertices(hs, dim):
+    """The vertices of the system ``hs`` (see :func:`_vertex_rows`), each
+    with the bitmask of the half-spaces of ``hs`` tight on it.
 
     They are the extreme rays with t > 0 of the homogenized cone
     {(x, t) : <l, x> - rhs*t <= 0, t >= 0}, scaled by t; a ray with t = 0 is a
@@ -211,9 +211,17 @@ def _vertices(hs, dim) -> tuple[list[tuple[Fraction, ...]], list[int]]:
     # The affine rank of the points is the rank of their rays (y, t) less 1.
     if rank(rays) < dim + 1:
         raise NotFullDimensional("feasible set has empty interior")
-    points = [tuple(Fraction(c, y[dim]) for c in y[:dim]) for y in rays]
-    verts, zero_sets = zip(*sorted(zip(points, (z >> 1 for z in zero_sets))))
-    return list(verts), list(zero_sets)
+    return _vertex_rows(rays, [z >> 1 for z in zero_sets], dim)
+
+
+def _vertex_rows(rays, zero_sets, n: int):
+    """(den, rows, zero_sets) for the points y / t of the rays (y, t), sorted:
+    point j is rows[j] / den.  Made primitive, a ray's t is its point's own
+    denominator, so den, their lcm, is the least common one."""
+    den = math.lcm(*(y[n] // math.gcd(*y) for y in rays))
+    rows = [tuple(c * den // y[n] for c in y[:n]) for y in rays]
+    rows, zero_sets = zip(*sorted(zip(rows, zero_sets)))
+    return den, rows, zero_sets
 
 
 def halfspaces_from_vertices(points: Sequence[Sequence], dim: int) -> list[HalfSpace]:
@@ -310,20 +318,24 @@ def _dd_step(rays, zero_sets, vals, bit: int, dim: int):
 class Polytope:
     """Full-dimensional bounded rational polytope with both representations.
 
-    Instances are immutable apart from lazily filled caches; they can be
-    shared freely.
+    Vertex j is ``rows[j] / den``: the rows are sorted integer tuples and den
+    their least common denominator.  ``vertices``, the same points as sorted
+    ``Fraction`` tuples, is built when first read.  Instances are immutable
+    apart from lazily filled caches; they can be shared freely.
     """
 
     def __init__(
         self,
         halfspaces: Sequence[HalfSpace],
-        vertices: Sequence[tuple[Fraction, ...]],
+        den: int,
+        rows: Sequence[tuple[int, ...]],
         incidence: Sequence[int],
         name: Optional[str] = None,
     ):
         self.dim = len(halfspaces[0].normal)
         self.halfspaces = tuple(halfspaces)
-        self.vertices = tuple(vertices)
+        self.den = den
+        self.rows = tuple(rows)
         # Per facet, the bitmask of the vertices on it (bit j for vertex j).
         self.incidence = tuple(incidence)
         self.name = name
@@ -342,8 +354,7 @@ class Polytope:
             hs.append(HalfSpace.make(normal, rhs))
         dim = _common_dim([h.normal for h in hs], "no half-spaces")
         hs = _tightest(hs)
-        verts, zero_sets = _vertices(hs, dim)
-        return _prune_redundant(hs, verts, zero_sets, name)
+        return _prune_redundant(hs, *_vertices(hs, dim), name)
 
     @staticmethod
     def from_vertices(points: Sequence[Sequence], name: Optional[str] = None) -> "Polytope":
@@ -354,26 +365,32 @@ class Polytope:
         on = _transpose([mask for _, mask in facets], len(pts))
         keep = _maximal(on)
         masks = _transpose([on[j] for j in keep], len(facets))
-        return Polytope([h for h, _ in facets], [pts[j] for j in keep], masks, name)
+        den, rows = _over_common_denominator([pts[j] for j in keep])
+        return Polytope([h for h, _ in facets], den, map(tuple, rows), masks, name)
 
     # -- basic queries -----------------------------------------------------
 
+    @cached_property
+    def vertices(self) -> tuple[tuple[Fraction, ...], ...]:
+        """The vertices as sorted ``Fraction`` tuples."""
+        return tuple(tuple(Fraction(c, self.den) for c in r) for r in self.rows)
+
     def __eq__(self, other):
-        return isinstance(other, Polytope) and self.vertices == other.vertices
+        return isinstance(other, Polytope) and (self.den, self.rows) == (other.den, other.rows)
 
     def __repr__(self):
         label = self.name or "polytope"
-        return f"<{label}: dim {self.dim}, {len(self.halfspaces)} facets, {len(self.vertices)} vertices>"
+        return f"<{label}: dim {self.dim}, {len(self.halfspaces)} facets, {len(self.rows)} vertices>"
 
     def contains(self, point) -> bool:
         point = vec(point)
         return all(h.contains(point) for h in self.halfspaces)
 
     def facet_vertices(self, i: int) -> list[tuple[Fraction, ...]]:
-        return _on(self.incidence[i], self.vertices)
+        return [v for j, v in enumerate(self.vertices) if self.incidence[i] >> j & 1]
 
     def is_lattice(self) -> bool:
-        return all(x.denominator == 1 for v in self.vertices for x in v)
+        return self.den == 1
 
     # -- measures ----------------------------------------------------------
 
@@ -519,11 +536,11 @@ def _weighted_cells(p: Polytope, facet: Optional[int], apex_last: bool = False):
     """
     key = ("cells", facet, apex_last)
     if key not in p.cache:
-        den, rows = _integer_vertices(p)
+        den, rows = p.den, p.rows
         n = p.dim
         cells, weights = [], []
         if facet is None:
-            apex = len(p.vertices) - 1 if apex_last else 0
+            apex = len(rows) - 1 if apex_last else 0
             for i, (h, mask) in enumerate(zip(p.halfspaces, p.incidence)):
                 if mask >> apex & 1:
                     continue
@@ -548,20 +565,12 @@ def _weighted_cells(p: Polytope, facet: Optional[int], apex_last: bool = False):
     return p.cache[key]
 
 
-def _integer_vertices(p: Polytope) -> tuple[int, list[list[int]]]:
-    """P's vertices over their least common denominator."""
-    if "integer vertices" not in p.cache:
-        p.cache["integer vertices"] = _over_common_denominator(p.vertices)
-    return p.cache["integer vertices"]
-
-
 def _moments(p: Polytope, facet: Optional[int]) -> Moments:
     """The moment record of P or of one facet, over the cells of its
     triangulation and P's vertices over their common denominator."""
     key = ("moments", facet)
     if key not in p.cache:
-        den, rows = _integer_vertices(p)
-        p.cache[key] = Moments(rows, den, *_weighted_cells(p, facet))
+        p.cache[key] = Moments(p.rows, p.den, *_weighted_cells(p, facet))
     return p.cache[key]
 
 
@@ -588,10 +597,10 @@ def _tightest(hs) -> list[HalfSpace]:
     return list(tightest.values())
 
 
-def _prune_redundant(hs, verts, zero_sets, name) -> Polytope:
-    """The full-dimensional polytope with the sorted vertices ``verts`` whose
-    facets are the half-spaces of ``hs`` with maximal tight sets;
-    ``zero_sets[j]`` is the bitmask of the half-spaces tight on ``verts[j]``.
+def _prune_redundant(hs, den, rows, zero_sets, name) -> Polytope:
+    """The full-dimensional polytope with the sorted vertex rows ``rows`` over
+    ``den`` whose facets are the half-spaces of ``hs`` with maximal tight
+    sets; ``zero_sets[j]`` is the bitmask of the half-spaces tight on vertex j.
 
     No two half-spaces share a hyperplane, so a facet's tight set, which spans
     its hyperplane, lies in no other tight set, while every other face lies in
@@ -599,7 +608,7 @@ def _prune_redundant(hs, verts, zero_sets, name) -> Polytope:
     """
     masks = _transpose(zero_sets, len(hs))
     facets, incidence = zip(*sorted((hs[k], masks[k]) for k in _maximal(masks)))
-    return Polytope(facets, verts, incidence, name)
+    return Polytope(facets, den, rows, incidence, name)
 
 
 @dataclass(frozen=True)
@@ -655,7 +664,7 @@ def polar_dual(p: Polytope) -> Polytope:
     """
     if any(h.rhs <= 0 for h in p.halfspaces):
         raise OriginNotInterior("polar dual needs 0 in the interior")
-    hs = [HalfSpace.make([-x for x in v], 1) for v in p.vertices]
+    hs = [HalfSpace.make([-x for x in r], p.den) for r in p.rows]
     name = f"{p.name}*" if p.name else None
     return Polytope.from_halfspaces(hs, name)
 
@@ -675,9 +684,9 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     left with no vertex (the old one parallel to the cut) is dropped.
     """
     h = HalfSpace.make(normal, rhs)
-    # With the vertices over den, <l, v> <= rhs reads vals[j] <= 0 in
-    # integers, both sides scaled by den and the denominator of rhs.
-    den, rows = _integer_vertices(p)
+    # On the rows, <l, v> <= rhs reads vals[j] <= 0 in integers, both sides
+    # scaled by den and the denominator of rhs.
+    den, rows = p.den, p.rows
     level = h.rhs.numerator * den
     vals = [h.rhs.denominator * sum(map(mul, h.normal, r)) - level for r in rows]
     if all(val <= 0 for val in vals):
@@ -687,17 +696,12 @@ def intersect_halfspace(p: Polytope, normal: Sequence, rhs) -> Optional[Polytope
     # The step on the cone over the vertices (r, den), each with the bitmask
     # of the facets through it; the cut is the bit after the last facet.
     n = p.dim
+    cone = [(*r, den) for r in rows]
     keep, new_rays, zero_sets = _dd_step(
-        [(*r, den) for r in rows],
-        _transpose(p.incidence, len(p.vertices)),
-        vals,
-        1 << len(p.halfspaces),
-        n + 1,
+        cone, _transpose(p.incidence, len(rows)), vals, 1 << len(p.halfspaces), n + 1
     )
-    points = [p.vertices[k] for k in keep]
-    points += [tuple(Fraction(c, y[n]) for c in y[:n]) for y in new_rays]
-    verts, zero_sets = zip(*sorted(zip(points, zero_sets)))
-    return _prune_redundant([*p.halfspaces, h], verts, zero_sets, p.name)
+    rays = [cone[k] for k in keep] + new_rays
+    return _prune_redundant([*p.halfspaces, h], *_vertex_rows(rays, zero_sets, n), p.name)
 
 
 def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:
@@ -709,7 +713,7 @@ def is_reflexive_delzant(p: Polytope) -> tuple[bool, bool]:
     """
     reflexive = _is_reflexive(p)
     delzant = True
-    for j in range(len(p.vertices)):
+    for j in range(len(p.rows)):
         tight = [h.normal for h, mask in zip(p.halfspaces, p.incidence) if mask >> j & 1]
         if len(tight) != p.dim or abs(determinant(tight)) != 1:
             delzant = False
@@ -738,7 +742,7 @@ def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
     when it is integral, unimodular and maps the vertex set onto itself.
     """
     n = p.dim
-    den, rows = _integer_vertices(p)
+    rows = p.rows
     values = [tuple(sum(map(mul, h.normal, r)) for h in p.halfspaces) for r in rows]
     signature = [tuple(sorted(v)) for v in values]
 
@@ -754,7 +758,7 @@ def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
         for k in range(n)
     ]
     scale, inverse = _over_common_denominator(list(zip(*columns)))
-    vertex_set = set(map(tuple, rows))
+    vertex_set = set(rows)
     found = []
     images: list[int] = []
 

@@ -65,7 +65,6 @@ from .plfun import (
 )
 from .polytope import (
     Polytope,
-    _integer_vertices,
     _is_reflexive,
     intersect_halfspace,
     is_reflexive_delzant,
@@ -401,9 +400,9 @@ def _candidates(p: Polytope, ed: ExtremalData, grid: int):
         for h in p.halfspaces:
             add(h.normal)
         # A zero vector has no direction and adds nothing.
-        for v in p.vertices:
-            if any(v):
-                add(primitive_normal(v, 0)[0])
+        for r in p.rows:
+            if any(r):
+                add(primitive_normal(r, 0)[0])
     if any(ed.theta.a):
         add(primitive_normal(ed.theta.a, 0)[0])
     for combo in product(range(-grid, grid + 1), repeat=p.dim):
@@ -415,12 +414,11 @@ def _candidates(p: Polytope, ed: ExtremalData, grid: int):
     for mt in transposes:
         if tuple(dot(row, ed.theta.a) for row in mt) != ed.theta.a:
             raise InternalInvariant("theta is not invariant under a lattice automorphism of P")
-    den, rows = _integer_vertices(p)
-    q = 2 * den
+    q = 2 * p.den
     # An orbit's key is (b/g, n, k) for d / g = n / k in lowest terms.
     seen: set[tuple[tuple[int, ...], int, int]] = set()
     for b in dirs:
-        crit = sorted({-2 * sum(map(mul, b, r)) for r in rows})
+        crit = sorted({-2 * sum(map(mul, b, r)) for r in p.rows})
         offsets = [(lo + hi) // 2 for lo, hi in zip(crit, crit[1:])]
         offsets.extend(crit[1:-1])
         # The maps are linear and unimodular: they commute with dividing by
@@ -457,7 +455,7 @@ def destabilizer_search(p: Polytope, ed: ExtremalData, grid: int = 1) -> Optiona
     den_e, excess = 1, None  # the bound is off
     if core.check:
         minus = excess_region(p, ed)
-        den_e, excess = _integer_vertices(minus) if minus is not None else (1, [])
+        den_e, excess = (minus.den, minus.rows) if minus is not None else (1, [])
     for b, d, q in _candidates(p, ed, grid):
         if excess is not None:
             # l = b.x + d / q at the vertex r / den_e of E, times q den_e,
@@ -914,12 +912,7 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
     return chow, s_closed, q_samples, p_samples
 
 
-def analyze(
-    p: Polytope,
-    i_max: int = 6,
-    grid: int = 1,
-    name: Optional[str] = None,
-) -> StabilityReport:
+def analyze(p: Polytope, i_max: int = 6, grid: int = 1) -> StabilityReport:
     """Full pipeline on one polytope: potential, K-verdict, balance levels."""
     check_levels(i_max, p)
     _check_search_level(grid, p.dim)
@@ -931,7 +924,7 @@ def analyze(
     if p.is_lattice():
         ehr = ehrhart(p).coeffs
     return StabilityReport(
-        name=name or p.name or "polytope",
+        name=p.name or "polytope",
         dim=p.dim,
         volume=p.volume(),
         sbar=ed.sbar,

@@ -320,6 +320,39 @@ def test_negative_grid_is_rejected():
         )
 
 
+TRIANGLE = '"polytope": {"vertices": [[0, 0], [1, 0], [0, 1]]}'
+
+
+@pytest.mark.parametrize(
+    "name, text, argv, detail",
+    [
+        ("X.json", '{"name": "X", "polytope": {', ("kstab", "corpus:X"), "line 1"),
+        ("X.json", "[1, 2]", ("kstab", "corpus:X"), "must be a JSON object"),
+        ("X.json", '{"name": "X", "rays": 5, ' + TRIANGLE + "}", ("kstab", "corpus:X"), "rays"),
+        ("X.json", '{"expected": 5, ' + TRIANGLE + "}", ("kstab", "corpus:X"), "'expected'"),
+        ("X.json", '{"polytope": [1]}', ("kstab", "corpus:X"), "polytope document"),
+        ("index.json", '["X", ', ("corpus", "list"), "line 1"),
+    ],
+    ids=[
+        "truncated-entry", "entry-not-an-object", "rays-not-a-list", "expected-not-an-object",
+        "polytope-not-an-object", "truncated-index",
+    ],
+)
+def test_malformed_corpus_file_exits_2(tmp_path, monkeypatch, capsys, name, text, argv, detail):
+    # A bad file in the corpus directory is a parse error naming the file
+    # (exit 2), never a traceback.
+    (tmp_path / name).write_text(text)
+    monkeypatch.setenv("TORICSTAB_CORPUS_DIR", str(tmp_path))
+    assert main(list(argv)) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {tmp_path / name}: ") and detail in err
+    code, out = run_cli(*argv, "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["exit_code"]) == ("ParseError", 2)
+    assert error["message"].startswith(f"{tmp_path / name}: ") and detail in error["message"]
+
+
 def test_oversized_grid_is_rejected(monkeypatch):
     # A search box above the direction budget is a validation error (exit 2),
     # raised before any stage touches the polytope.

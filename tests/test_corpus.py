@@ -1,4 +1,5 @@
 import json
+import math
 import subprocess
 import sys
 from pathlib import Path
@@ -33,6 +34,8 @@ def test_save_load_roundtrip(tmp_path, corpus_entries):
         corpus_mod.save_polytope(path, entry.polytope)
         again = corpus_mod.load_polytope(path)
         assert again == entry.polytope
+        assert (again.den, again.rows) == (entry.polytope.den, entry.polytope.rows)
+        assert again.den == math.lcm(*(x.denominator for v in again.vertices for x in v))
         assert sorted((h.normal, h.rhs) for h in again.halfspaces) == sorted(
             (h.normal, h.rhs) for h in entry.polytope.halfspaces
         )

@@ -2,6 +2,7 @@
 and vertex enumeration against the subset scans, the vertex-facet
 incidence, and cuts against rebuilds from scratch."""
 
+import math
 import random
 from collections import Counter
 from fractions import Fraction as F
@@ -125,6 +126,8 @@ def test_cut_matches_rebuild(dim, points):
                 seen_none += 1
                 continue
             assert fast is not None
+            assert (fast.den, fast.rows) == (slow.den, slow.rows)
+            assert fast.den == math.lcm(*(x.denominator for v in fast.vertices for x in v))
             assert fast.vertices == slow.vertices
             assert halfspace_pairs(fast) == halfspace_pairs(slow)
             assert_incidence(fast)

@@ -18,6 +18,7 @@ from toricstab import (
     polytope,
 )
 from toricstab.errors import ValidationError
+from toricstab.plfun import AffineFn, PLFn
 from toricstab.polytope import facet_chart, lattice_automorphisms
 
 import oracles
@@ -92,6 +93,31 @@ def test_hull_of_flat_points_rejected():
 def test_halfspaces_from_vertices_mixed_lengths_rejected(points, dim):
     with pytest.raises(ValidationError, match="mixed ambient dimensions"):
         polytope.halfspaces_from_vertices(points, dim)
+
+
+def _b2_point_tests():
+    b2 = Polytope.from_halfspaces(B2_SYSTEM)
+    h = b2.halfspaces[0]
+    return [h.value, h.contains, h.tight, b2.contains]
+
+
+@pytest.mark.parametrize(
+    "evaluators",
+    [
+        [Poly.coordinate(3, 2)],
+        [AffineFn.make([1, 0, 0], 0)],
+        [PLFn.simple([1, 0, 0], 0)],
+        _b2_point_tests(),
+    ],
+    ids=["Poly", "AffineFn", "PLFn", "HalfSpace"],
+)
+def test_points_of_the_wrong_length_rejected(evaluators):
+    # a 3-variable function or half-space takes a point with 3 coordinates
+    for evaluate in evaluators:
+        assert evaluate((0, 0, 1)) is not None
+        for point in ((1, 2), (0, 0, 0, 5)):
+            with pytest.raises(ValidationError, match="a point of length"):
+                evaluate(point)
 
 
 def test_hull_2simplex(simplex2d):

@@ -353,6 +353,28 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     assert not any("second" in vars(record) for record in facet_records)
 
 
+@pytest.mark.parametrize("name", ["B1", "E2"])
+def test_k_classify_cuts_build_no_rational_vertices(corpus_entries, monkeypatch, name):
+    # The cuts, the moment records and the excess-region skip read the
+    # integer vertex rows, so no region cut from P builds its Fraction view.
+    from toricstab import stability
+
+    p = corpus_entries[name].polytope
+    cut = stability.intersect_halfspace
+    regions = []
+
+    def recording(*args):
+        region = cut(*args)
+        regions.append(region)
+        return region
+
+    monkeypatch.setattr(stability, "intersect_halfspace", recording)
+    k_classify(p)
+    cuts = [r for r in regions if r is not None and r is not p]
+    assert cuts
+    assert not [r for r in cuts if "vertices" in r.__dict__]
+
+
 UNDETERMINED_SIX = ("B1", "C2", "D1", "D2", "E1", "E2")
 
 
