@@ -130,6 +130,7 @@ class CorpusEntry:
     rays: Optional[list[tuple[int, ...]]]
     expected: dict
     raw: dict = field(repr=False, default_factory=dict)
+    path: Optional[Path] = None
 
 
 def corpus_dir() -> Path:
@@ -172,6 +173,7 @@ def load_entry(name: str) -> CorpusEntry:
         rays=rays,
         expected=expected,
         raw=data,
+        path=path,
     )
 
 
@@ -191,12 +193,20 @@ def resolve_input(spec: str) -> Polytope:
 # ---------------------------------------------------------------------------
 
 
+def _rats(xs) -> tuple[Fraction, ...]:
+    """A JSON list of rationals."""
+    if not isinstance(xs, list):
+        raise TypeError(f"{xs!r} is not a list")
+    return tuple(rat(x) for x in xs)
+
+
 def verify_entry(entry: CorpusEntry) -> list[str]:
     """Recompute every published check value stored on the entry.
 
     Returns a list of human-readable discrepancy strings; empty means the
     entry is trustworthy.  Database-derived entries must pass this gate
-    before stability conclusions are attributed to them.
+    before stability conclusions are attributed to them.  A published value
+    of the wrong type is a :class:`ParseError` naming the file and the key.
     """
     problems: list[str] = []
     p = entry.polytope
@@ -205,6 +215,13 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
     def check(label, got, want):
         if got != want:
             problems.append(f"{label}: computed {got} != expected {want}")
+
+    def expected(key, parse=rat):
+        try:
+            return parse(exp[key])
+        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+            detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
+            raise ParseError(f"{entry.path}: expected {key!r}: {detail}") from exc
 
     if entry.rays is not None:
         want_hs = sorted(
@@ -230,70 +247,65 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
         if not delzant:
             problems.append("database entry fails the vertex-basis condition")
 
-    theta_exp = exp.get("theta")
-    if theta_exp is not None:
-        ed = extremal_affine(p)
-        if theta_exp == "zero":
-            check("theta", ed.theta, AffineFn.zero(p.dim))
-        else:
-            want = AffineFn.make(theta_exp["a"], theta_exp["c"])
-            check("theta", ed.theta, want)
+    if "theta" in exp:
+        zero = AffineFn.zero(p.dim)
+        want = expected(
+            "theta", lambda t: zero if t == "zero" else AffineFn.make(_rats(t["a"]), t["c"])
+        )
+        check("theta", extremal_affine(p).theta, want)
 
-    dm_exp = exp.get("delta_minus_vertices")
-    if dm_exp is not None:
+    if "delta_minus_vertices" in exp:
+        want = expected(
+            "delta_minus_vertices", lambda v: v if v == "empty" else sorted(map(_rats, v))
+        )
         ed = extremal_affine(p)
         dm = excess_region(p, ed)
-        if dm_exp == "empty":
+        if want == "empty":
             if dm is not None:
                 problems.append("excess region expected empty but has interior")
+        elif dm is None:
+            problems.append("excess region expected nonempty but is empty")
         else:
-            want = sorted(tuple(rat(x) for x in v) for v in dm_exp)
-            if dm is None:
-                problems.append("excess region expected nonempty but is empty")
-            else:
-                check("delta_minus", sorted(dm.vertices), want)
+            check("delta_minus", sorted(dm.vertices), want)
 
     if "volume" in exp:
-        check("volume", p.volume(), rat(exp["volume"]))
+        check("volume", p.volume(), expected("volume"))
     if "moment_x3" in exp:
-        check("moment_x3", moment_vector(p)[2], rat(exp["moment_x3"]))
+        check("moment_x3", moment_vector(p)[2], expected("moment_x3"))
     if "moment" in exp:
-        check("moment", moment_vector(p), tuple(rat(x) for x in exp["moment"]))
+        check("moment", moment_vector(p), expected("moment", _rats))
     if "boundary_moment" in exp:
+        want = expected("boundary_moment", _rats)
         got = tuple(
             boundary_integral(p, Poly.coordinate(p.dim, k)) for k in range(p.dim)
         )
-        check("boundary_moment", got, tuple(rat(x) for x in exp["boundary_moment"]))
+        check("boundary_moment", got, want)
     if "delta_minus_volume" in exp:
+        want = expected("delta_minus_volume")
         ed = extremal_affine(p)
         dm = excess_region(p, ed)
         if dm is None:
             problems.append("delta_minus_volume expected but region is empty")
         else:
-            check("delta_minus_volume", dm.volume(), rat(exp["delta_minus_volume"]))
+            check("delta_minus_volume", dm.volume(), want)
     if "ehrhart" in exp:
-        check(
-            "ehrhart",
-            ehrhart(p).coeffs,
-            tuple(rat(x) for x in exp["ehrhart"]),
-        )
+        check("ehrhart", ehrhart(p).coeffs, expected("ehrhart", _rats))
     if "lattice_point_sum" in exp:
+        want = expected("lattice_point_sum", _rats)
         pts = lattice_points(p, 1)
         got = tuple(Fraction(sum(z[k] for z in pts)) for k in range(p.dim))
-        check("lattice_point_sum", got, tuple(rat(x) for x in exp["lattice_point_sum"]))
+        check("lattice_point_sum", got, want)
     if "lattice_point_sums" in exp:
-        for level, want in exp["lattice_point_sums"].items():
-            pts = lattice_points(p, int(level))
+        sums = expected("lattice_point_sums", lambda d: [(int(k), _rats(w)) for k, w in d.items()])
+        for level, want in sums:
+            pts = lattice_points(p, level)
             got = tuple(Fraction(sum(z[k] for z in pts)) for k in range(p.dim))
-            check(
-                f"lattice_point_sums[{level}]",
-                got,
-                tuple(rat(x) for x in want),
-            )
+            check(f"lattice_point_sums[{level}]", got, want)
     if "weighted_node_sum" in exp:
+        want = expected("weighted_node_sum", _rats)
         ed = extremal_affine(p)
         got = theta_nodes(p, ed, 1).deviation_moment
-        check("weighted_node_sum", got, tuple(rat(x) for x in exp["weighted_node_sum"]))
+        check("weighted_node_sum", got, want)
     if "chow_level1" in exp:
         ed = extremal_affine(p)
         cond = chow_necessary(p, ed, 1)

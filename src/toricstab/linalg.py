@@ -5,7 +5,8 @@ always in lowest terms, positive denominator), so no rounding can occur
 anywhere in the library.
 
 One elimination routine serves ``determinant``, ``rank``, ``nullvector``,
-``solve_linear`` and the greedy choice of independent rows: fraction-free
+``solve_linear`` and the greedy choice of independent rows (an integer
+determinant up to 3 x 3 expands by cofactors instead): fraction-free
 (Bareiss) elimination on rows cleared to integers, whose every division is
 exact, so no ``Fraction`` is built until a result is read off the echelon
 form.  ``nullvector`` reads its result off the integer rows too, with no
@@ -112,8 +113,19 @@ def _eliminate(rows: Sequence[Sequence]) -> tuple[list[list[int]], list[int], in
 
 
 def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
-    """Exact determinant: the signed last pivot of the fraction-free echelon
-    form over the product of the row scales."""
+    """Exact determinant, always a ``Fraction``.  An all-``int`` matrix up
+    to 3 x 3 (the facet cells of 3D and 4D input) expands by cofactors;
+    any other is the signed last pivot of the fraction-free echelon form
+    over the product of the row scales."""
+    n = len(m)
+    if n <= 3 and all(type(x) is int for row in m for x in row):
+        if n == 3:
+            (a, b, c), (d, e, f), (g, h, i) = m
+            return Fraction(a * (e * i - f * h) - b * (d * i - f * g) + c * (d * h - e * g))
+        if n == 2:
+            (a, b), (c, d) = m
+            return Fraction(a * d - b * c)
+        return Fraction(m[0][0] if n else 1)
     echelon, pivots, sign, scale = _eliminate(m)
     if len(pivots) < len(m):
         return Fraction(0)

@@ -20,19 +20,20 @@ is compared with the vertices in integers.  A facet is a half-space whose
 tight set lies in no other's, and a vertex is a point whose set of facets
 lies in no other point's.
 
-Faces are vertex bitmasks too.  The facets of a face F are the maximal
-proper non-empty sets F & incidence[j], and the triangulation of F cones from
-its lowest vertex index (its highest with ``apex_last``) over the
-triangulations of the facets of F that miss it, memoized per face mask.  Its
-cells are tuples of P's own vertices: no face is projected, lifted or hulled.
-Over those cells each polytope keeps one integer moment record (volume and
-the integrals of x_k and x_j x_k), and each facet one in the lattice measure.
-On the rows, a facet cell costs one integer determinant, a cell of P (the
-apex over a facet cell) follows from it and the apex's lattice height.  A
-record keeps its cells and the integer sums over them; each moment is one
-division, made when a caller first reads it, and a contraction s^T M_2 t
-with integer s and t is read off the cells without the n x n matrix.  L
-reads records in integers and never builds M_2.
+Faces are vertex bitmasks too.  The facets of a k-face F are the maximal
+proper sets F & incidence[j] with at least k vertices, and the triangulation
+of F cones from its lowest vertex index (its highest with ``apex_last``) over
+the triangulations of the facets of F that miss it, memoized per face mask; a
+face with k + 1 vertices is a simplex and its own one cell.  The cells are
+tuples of P's own vertices: no face is projected, lifted or hulled.  Over
+those cells each polytope keeps one integer moment record (volume and the
+integrals of x_k and x_j x_k), and each facet one in the lattice measure.
+On the rows, a facet cell costs one integer determinant (by cofactors up to
+dimension 4), a cell of P (the apex over a facet cell) follows from it and
+the apex's lattice height.  A record keeps its cells and the integer sums
+over them; each moment is one division, made when a caller first reads it,
+and a contraction s^T M_2 t with integer s and t is read off the cells
+without the n x n matrix.  L reads records in integers and never builds M_2.
 
 The linear lattice automorphisms of P (the integer matrices with |det| = 1
 that map P onto itself) are found by backtracking over the images of n
@@ -494,28 +495,35 @@ class Moments:
         return total
 
 
-def _face_cells(p: Polytope, face: int, apex_last: bool) -> tuple[tuple[int, ...], ...]:
-    """The cells of the triangulation of the face with vertex bitmask
-    ``face``, as tuples of vertex indices: the cone from its lowest vertex
-    (highest with ``apex_last``) over the cells of its facets that miss it.
+def _face_cells(p: Polytope, face: int, dim: int, apex_last: bool) -> tuple[tuple[int, ...], ...]:
+    """The cells of the triangulation of the face of dimension ``dim`` with
+    vertex bitmask ``face``, as tuples of vertex indices: the cone from its
+    lowest vertex (highest with ``apex_last``) over the cells of its facets
+    that miss it.  A face with dim + 1 vertices is a simplex, its own one
+    cell, with its vertices in the order that cone gives: ascending
+    (descending with ``apex_last``).
 
     Every face of P is the meet of the facets of P through it, so the faces
     of F are the sets F & incidence[j]; its facets are the maximal proper
-    non-empty ones.  A facet missing the apex does not hold it in its affine
-    span, so no cell is flat.
+    ones, each with at least dim vertices.  A facet missing the apex does
+    not hold it in its affine span, so no cell is flat.
     """
     memo = p.cache.setdefault(("faces", apex_last), {})
     if face not in memo:
-        apex = face.bit_length() - 1 if apex_last else (face & -face).bit_length() - 1
-        if face == 1 << apex:
-            memo[face] = ((apex,),)
+        if face.bit_count() == dim + 1:
+            cell = tuple(j for j in range(face.bit_length()) if face >> j & 1)
+            memo[face] = (cell[::-1] if apex_last else cell,)
         else:
-            subs = [g for g in dict.fromkeys(face & m for m in p.incidence) if g and g != face]
+            apex = face.bit_length() - 1 if apex_last else (face & -face).bit_length() - 1
+            subs = [
+                g for g in dict.fromkeys(face & m for m in p.incidence)
+                if g != face and g.bit_count() >= dim
+            ]
             memo[face] = tuple(
                 (apex,) + cell
                 for g in (subs[k] for k in _maximal(subs))
                 if not g >> apex & 1
-                for cell in _face_cells(p, g, apex_last)
+                for cell in _face_cells(p, g, dim - 1, apex_last)
             )
     return memo[face]
 
@@ -555,7 +563,7 @@ def _weighted_cells(p: Polytope, facet: Optional[int], apex_last: bool = False):
             normal = p.halfspaces[facet].normal
             axis = next(k for k, c in enumerate(normal) if c)
             keep = [k for k in range(n) if k != axis]
-            cells = _face_cells(p, p.incidence[facet], apex_last)
+            cells = _face_cells(p, p.incidence[facet], n - 1, apex_last)
             for cell in cells:
                 r0 = rows[cell[0]]
                 edges = [[rows[j][k] - r0[k] for k in keep] for j in cell[1:]]

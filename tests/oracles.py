@@ -3,7 +3,8 @@
 These deliberately avoid the library's own kernels wherever a second route
 exists: the degree-2 simplex formula, the barycentric (Dirichlet) simplex
 kernel at every degree, the lift of a facet chart's points back onto the
-facet and the triangulation recursing through facet charts,
+facet and the triangulation recursing through facet charts, the pulling
+triangulation recursing down to single vertices,
 facet integrals with the integrand restricted to each chart (the chart
 restrictions live only here), slice-and-sum subdivision, L over every facet
 chart and every linearity region, its integration-by-parts form, a scan of
@@ -268,6 +269,62 @@ def chart_triangulation(p: Polytope, apex_last: bool = False) -> list:
             if cell.volume() > 0:
                 cells.append(cell)
     return cells
+
+
+def recursive_face_cells(p: Polytope, face: int, apex_last: bool, memo: dict) -> tuple:
+    """The cells of the face with vertex bitmask ``face`` by the plain
+    pulling recursion, with no shortcut for simplex faces: the cone from its
+    lowest vertex (highest with ``apex_last``) over the cells of the facets
+    of the face that miss it, down to single vertices.  The facets of a face
+    are the maximal proper non-empty sets face & incidence[j]."""
+    if face not in memo:
+        apex = face.bit_length() - 1 if apex_last else (face & -face).bit_length() - 1
+        if face == 1 << apex:
+            memo[face] = ((apex,),)
+        else:
+            subs = [g for g in dict.fromkeys(face & m for m in p.incidence) if g and g != face]
+            maximal = [
+                k for k, m in enumerate(subs) if not any(o != m and o & m == m for o in subs)
+            ]
+            memo[face] = tuple(
+                (apex,) + cell
+                for g in (subs[k] for k in maximal)
+                if not g >> apex & 1
+                for cell in recursive_face_cells(p, g, apex_last, memo)
+            )
+    return memo[face]
+
+
+def recursive_weighted_cells(p: Polytope, apex_last: bool = False) -> tuple:
+    """(cells, weights, base) of P and the list of the same triple for each
+    facet, over the cells of :func:`recursive_face_cells`, each weighed by
+    the absolute rational determinant of its edges on the integer rows (a
+    facet's without the coordinate of the first non-zero entry of its
+    normal); P's cells cone from its first vertex (last with ``apex_last``)
+    over the cells of the facets that miss it, in facet order."""
+    n, den, rows = p.dim, p.den, p.rows
+
+    def weight(cell, keep):
+        edges = [[rows[j][k] - rows[cell[0]][k] for k in keep] for j in cell[1:]]
+        return int(abs(fraction_determinant(edges)))
+
+    memo: dict = {}
+    facets = []
+    for h, mask in zip(p.halfspaces, p.incidence):
+        axis = next(k for k, c in enumerate(h.normal) if c)
+        keep = [k for k in range(n) if k != axis]
+        cells = recursive_face_cells(p, mask, apex_last, memo)
+        base = math.factorial(n - 1) * den ** (n - 1) * abs(h.normal[axis])
+        facets.append((cells, [weight(cell, keep) for cell in cells], base))
+    apex = len(rows) - 1 if apex_last else 0
+    cells = [
+        (apex,) + cell
+        for (sub, _, _), mask in zip(facets, p.incidence)
+        if not mask >> apex & 1
+        for cell in sub
+    ]
+    whole = (cells, [weight(cell, range(n)) for cell in cells], math.factorial(n) * den**n)
+    return whole, facets
 
 
 def eliminate_axis(poly: Poly, axis: int, normal, rhs) -> Poly:

@@ -332,10 +332,11 @@ TRIANGLE = '"polytope": {"vertices": [[0, 0], [1, 0], [0, 1]]}'
         ("X.json", '{"expected": 5, ' + TRIANGLE + "}", ("kstab", "corpus:X"), "'expected'"),
         ("X.json", '{"polytope": [1]}', ("kstab", "corpus:X"), "polytope document"),
         ("index.json", '["X", ', ("corpus", "list"), "line 1"),
+        ("X.json", '{"expected": {"volume": [1]}, ' + TRIANGLE + "}", ("tables",), "'volume'"),
     ],
     ids=[
         "truncated-entry", "entry-not-an-object", "rays-not-a-list", "expected-not-an-object",
-        "polytope-not-an-object", "truncated-index",
+        "polytope-not-an-object", "truncated-index", "expected-value-of-wrong-type",
     ],
 )
 def test_malformed_corpus_file_exits_2(tmp_path, monkeypatch, capsys, name, text, argv, detail):

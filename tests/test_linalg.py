@@ -7,6 +7,7 @@ import pytest
 from toricstab import (
     ANY_S,
     DegreeMismatch,
+    Simplex,
     SingularMatrix,
     interpolate_poly,
     rank,
@@ -278,6 +279,21 @@ def test_fraction_free_elimination_matches_fraction_echelon():
                     assert solve_linear(m, b) == want_x, m
     # both branches of solve_linear were exercised
     assert singular > 20 and solved > 10
+
+
+def test_determinant_is_always_a_fraction():
+    # Integer matrices up to 3x3 expand by cofactors and the rest eliminate;
+    # on every square shape from 0x0 to 6x6, integer or rational, the result
+    # is a Fraction equal to the rational oracle's.  So the volume of a
+    # lattice simplex, the determinant over n!, stays exact.
+    rng = random.Random(20)
+    for n in range(7):
+        for _ in range(10):
+            for m in _matrices(rng, n, n):
+                det = determinant(m)
+                assert type(det) is F and det == oracles.fraction_determinant(m), m
+    half = Simplex(((0, 0), (1, 0), (0, 1))).volume()
+    assert type(half) is F and half == F(1, 2)
 
 
 def test_integer_rows_pass_through_unconverted():

@@ -290,6 +290,32 @@ def test_one_determinant_per_simplex(monkeypatch):
     assert len(calls) == taken
 
 
+@pytest.mark.parametrize("dim", [2, 3, 4, 5])
+def test_pulling_triangulation_matches_the_plain_recursion(dim):
+    # Simplex faces taken as their own cells, and the facets of a face read
+    # only among its sub-faces with enough vertices, give the cells, weights
+    # and bases of the plain recursion, tuple for tuple and in the same
+    # order: on random polytopes and on their cuts, from either apex.
+    rng = random.Random(20 + dim)
+    simplices = 0
+    for _ in range(3):
+        p = oracles.random_polytope(rng, dim, points=dim + 3)
+        normal = [rng.randint(-3, 3) or 1 for _ in range(dim)]
+        rhs = sum(a * x for a, x in zip(normal, oracles.interior_point(p)))
+        for q in (p, intersect_halfspace(p, normal, rhs)):
+            for apex_last in (False, True):
+                (cells, weights, base), facets = oracles.recursive_weighted_cells(q, apex_last)
+                got = polytope._weighted_cells(q, None, apex_last)
+                assert (list(got[0]), list(got[1]), got[2]) == (cells, weights, base)
+                want = [tuple(q.vertices[j] for j in cell) for cell in cells]
+                assert [s.vertices for s in q.triangulation(apex_last)] == want
+                for i, (cells, weights, base) in enumerate(facets):
+                    got = polytope._weighted_cells(q, i, apex_last)
+                    assert (tuple(got[0]), list(got[1]), got[2]) == (cells, weights, base)
+                    simplices += len(cells) == 1 and q.incidence[i].bit_count() == dim
+    assert simplices
+
+
 def test_b2_volume(corpus_entries):
     assert corpus_entries["B2"].polytope.volume() == F(28, 3)
 

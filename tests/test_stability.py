@@ -354,6 +354,24 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
 
 
 @pytest.mark.parametrize("name", ["B1", "E2"])
+def test_search_cells_need_no_elimination(corpus_entries, monkeypatch, name):
+    # Every cell of a cut region of a 3D polytope weighs by a cofactor
+    # determinant, so the search at grid 1 eliminates only for the lattice
+    # automorphisms (3 calls) and its candidate directions (1 call), however
+    # many cells its cuts hold.
+    from toricstab import linalg
+
+    q = corpus_entries[name].polytope
+    p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in q.halfspaces])
+    ed = extremal_affine(p)
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows: calls.append(1) or eliminate(rows))
+    assert destabilizer_search(p, ed, grid=1) is None
+    assert len(calls) == 4
+
+
+@pytest.mark.parametrize("name", ["B1", "E2"])
 def test_k_classify_cuts_build_no_rational_vertices(corpus_entries, monkeypatch, name):
     # The cuts, the moment records and the excess-region skip read the
     # integer vertex rows, so no region cut from P builds its Fraction view.
