@@ -15,14 +15,13 @@ from fractions import Fraction
 
 from . import corpus
 from .errors import ParseError, ToricStabError, ValidationError
-from .lattice import ehrhart, lattice_points
+from .lattice import check_levels, ehrhart, lattice_points
 from .linalg import rat_str
 from .stability import (
     FAILS,
     StabilityReport,
     UNDETERMINED,
     analyze,
-    check_levels,
     chow_levels,
     chow_necessary,
     extremal_affine,

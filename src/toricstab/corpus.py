@@ -20,7 +20,7 @@ from typing import Optional
 
 from .errors import ParseError, ValidationError
 from .integrate import Poly, boundary_integral, moment_vector
-from .lattice import ehrhart, lattice_points
+from .lattice import check_levels, ehrhart, lattice_points
 from .linalg import rat, rat_str
 from .plfun import AffineFn
 from .polytope import Polytope, is_reflexive_delzant
@@ -200,13 +200,28 @@ def _rats(xs) -> tuple[Fraction, ...]:
     return tuple(rat(x) for x in xs)
 
 
+def _level(key: str, p: Polytope) -> int:
+    """A level key of ``lattice_point_sums``: a positive int whose levels
+    fit the node budget (:func:`~toricstab.lattice.check_levels`)."""
+    level = int(key) if key.isascii() and key.isdigit() else 0
+    if level < 1 or str(level) != key:
+        raise ValueError(f"level {key!r} is not a positive int")
+    try:
+        check_levels(level, p)
+    except ValidationError as exc:
+        raise ValueError(f"level {key!r}: {exc}") from exc
+    return level
+
+
 def verify_entry(entry: CorpusEntry) -> list[str]:
     """Recompute every published check value stored on the entry.
 
     Returns a list of human-readable discrepancy strings; empty means the
     entry is trustworthy.  Database-derived entries must pass this gate
     before stability conclusions are attributed to them.  A published value
-    of the wrong type is a :class:`ParseError` naming the file and the key.
+    of the wrong type, or a lattice level that is not a positive int or is
+    over the node budget, is a :class:`ParseError` naming the file and the
+    key, raised before any lattice point is enumerated.
     """
     problems: list[str] = []
     p = entry.polytope
@@ -254,12 +269,12 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
         )
         check("theta", extremal_affine(p).theta, want)
 
+    if "delta_minus_vertices" in exp or "delta_minus_volume" in exp:
+        dm = excess_region(p, extremal_affine(p))
     if "delta_minus_vertices" in exp:
         want = expected(
             "delta_minus_vertices", lambda v: v if v == "empty" else sorted(map(_rats, v))
         )
-        ed = extremal_affine(p)
-        dm = excess_region(p, ed)
         if want == "empty":
             if dm is not None:
                 problems.append("excess region expected empty but has interior")
@@ -282,25 +297,25 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
         check("boundary_moment", got, want)
     if "delta_minus_volume" in exp:
         want = expected("delta_minus_volume")
-        ed = extremal_affine(p)
-        dm = excess_region(p, ed)
         if dm is None:
             problems.append("delta_minus_volume expected but region is empty")
         else:
             check("delta_minus_volume", dm.volume(), want)
+    # Every level is parsed and checked against the budget before any is
+    # enumerated; "lattice_point_sum" is level 1.
+    sums = {}
+    if "lattice_point_sum" in exp:
+        sums["lattice_point_sum"] = (1, expected("lattice_point_sum", _rats))
+    if "lattice_point_sums" in exp:
+        sums.update(expected("lattice_point_sums", lambda d: {
+            f"lattice_point_sums[{k}]": (_level(k, p), _rats(w)) for k, w in d.items()
+        }))
     if "ehrhart" in exp:
         check("ehrhart", ehrhart(p).coeffs, expected("ehrhart", _rats))
-    if "lattice_point_sum" in exp:
-        want = expected("lattice_point_sum", _rats)
-        pts = lattice_points(p, 1)
+    for label, (level, want) in sums.items():
+        pts = lattice_points(p, level)
         got = tuple(Fraction(sum(z[k] for z in pts)) for k in range(p.dim))
-        check("lattice_point_sum", got, want)
-    if "lattice_point_sums" in exp:
-        sums = expected("lattice_point_sums", lambda d: [(int(k), _rats(w)) for k, w in d.items()])
-        for level, want in sums:
-            pts = lattice_points(p, level)
-            got = tuple(Fraction(sum(z[k] for z in pts)) for k in range(p.dim))
-            check(f"lattice_point_sums[{level}]", got, want)
+        check(label, got, want)
     if "weighted_node_sum" in exp:
         want = expected("weighted_node_sum", _rats)
         ed = extremal_affine(p)

@@ -194,10 +194,12 @@ def _boundary_facets(p: Polytope, region: Polytope) -> list[int]:
 
     Such a facet carries the very half-space of its facet of P, so it has
     the same lattice measure; together they cover the boundary of P inside
-    ``region`` up to a set of measure zero.
+    ``region`` up to a set of measure zero.  The rhs is compared as well as
+    the normal: a cut parallel to a facet of P at another level drops that
+    facet and takes its normal.
     """
-    on_p = set(p.halfspaces)
-    return [i for i, h in enumerate(region.halfspaces) if h in on_p]
+    on_p = {h.normal: h.rhs for h in p.halfspaces}
+    return [i for i, h in enumerate(region.halfspaces) if on_p.get(h.normal) == h.rhs]
 
 
 def integrate_pl(p: Polytope, poly: Poly, u: PLFn) -> Fraction:

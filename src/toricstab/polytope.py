@@ -20,20 +20,20 @@ is compared with the vertices in integers.  A facet is a half-space whose
 tight set lies in no other's, and a vertex is a point whose set of facets
 lies in no other point's.
 
-Faces are vertex bitmasks too.  The facets of a k-face F are the maximal
-proper sets F & incidence[j] with at least k vertices, and the triangulation
-of F cones from its lowest vertex index (its highest with ``apex_last``) over
-the triangulations of the facets of F that miss it, memoized per face mask; a
-face with k + 1 vertices is a simplex and its own one cell.  The cells are
-tuples of P's own vertices: no face is projected, lifted or hulled.  Over
-those cells each polytope keeps one integer moment record (volume and the
-integrals of x_k and x_j x_k), and each facet one in the lattice measure.
-On the rows, a facet cell costs one integer determinant (by cofactors up to
-dimension 4), a cell of P (the apex over a facet cell) follows from it and
-the apex's lattice height.  A record keeps its cells and the integer sums
-over them; each moment is one division, made when a caller first reads it,
-and a contraction s^T M_2 t with integer s and t is read off the cells
-without the n x n matrix.  L reads records in integers and never builds M_2.
+Faces are vertex bitmasks too.  The facets of a k-face F are the maximal proper
+sets F & incidence[j] with at least k vertices, and the triangulation of F
+cones from its lowest vertex index over the triangulations of the facets of F
+that miss it, memoized per face mask; a face with k + 1 vertices is a simplex
+and its own one cell.  The cells are tuples of P's own vertices: no face is
+projected, lifted or hulled.  Over those cells each polytope keeps one integer
+moment record (volume and the integrals of x_k and x_j x_k), and each facet one
+in the lattice measure.  On the rows, a facet cell costs one integer
+determinant (by cofactors up to dimension 4), a cell of P (the apex over a
+facet cell) follows from it and the apex's lattice height.  A record keeps its
+cells and the integer sums over them; each moment is one division, made when a
+caller first reads it, and a contraction s^T M_2 t with integer s and t is read
+off the cells without the n x n matrix.  L reads records in integers and never
+builds M_2.
 
 The linear lattice automorphisms of P (the integer matrices with |det| = 1
 that map P onto itself) are found by backtracking over the images of n
@@ -127,17 +127,8 @@ class Simplex:
         return len(self.vertices) - 1
 
     def volume(self) -> Fraction:
-        """The volume, computed once per simplex and shared by every
-        integrand over the cell."""
-        return self._volume
-
-    @cached_property
-    def _volume(self) -> Fraction:
-        n = self.dim
-        v0 = self.vertices[0]
-        edges = [[v[i] - v0[i] for i in range(n)] for v in self.vertices[1:]]
-        d = determinant(edges)
-        return abs(d) / math.factorial(n)
+        """The volume, the measure of the cell's moment record."""
+        return self.moments().measure
 
     def moments(self) -> Moments:
         """The integrals of 1, x_k and x_j x_k over the cell, computed once
@@ -150,9 +141,9 @@ class Simplex:
         # absolute determinant of its integer edges.
         n = self.dim
         den, rows = _over_common_denominator(self.vertices)
-        base = math.factorial(n) * den**n
-        weight = (self._volume * base).numerator
-        return Moments(rows, den, (tuple(range(n + 1)),), (weight,), base)
+        edges = [[r[k] - rows[0][k] for k in range(n)] for r in rows[1:]]
+        weight = abs(determinant(edges).numerator)
+        return Moments(rows, den, (tuple(range(n + 1)),), (weight,), math.factorial(n) * den**n)
 
 
 def _affine_rank(points) -> int:
@@ -415,15 +406,10 @@ class Polytope:
 
     # -- triangulation -----------------------------------------------------
 
-    def triangulation(self, apex_last: bool = False) -> list[Simplex]:
+    def triangulation(self) -> list[Simplex]:
         """Pulling triangulation from the lex-smallest vertex (see the module
-        docstring).
-
-        ``apex_last`` cones from the lex-largest vertex instead, which gives a
-        genuinely different decomposition; the two are used to cross-check
-        integral invariance.
-        """
-        cells = _weighted_cells(self, None, apex_last)[0]
+        docstring): the cells of P's moment record as simplices."""
+        cells = _weighted_cells(self, None)[0]
         return [Simplex(tuple(self.vertices[j] for j in cell)) for cell in cells]
 
 
@@ -495,26 +481,24 @@ class Moments:
         return total
 
 
-def _face_cells(p: Polytope, face: int, dim: int, apex_last: bool) -> tuple[tuple[int, ...], ...]:
+def _face_cells(p: Polytope, face: int, dim: int) -> tuple[tuple[int, ...], ...]:
     """The cells of the triangulation of the face of dimension ``dim`` with
     vertex bitmask ``face``, as tuples of vertex indices: the cone from its
-    lowest vertex (highest with ``apex_last``) over the cells of its facets
-    that miss it.  A face with dim + 1 vertices is a simplex, its own one
-    cell, with its vertices in the order that cone gives: ascending
-    (descending with ``apex_last``).
+    lowest vertex over the cells of its facets that miss it.  A face with
+    dim + 1 vertices is a simplex, its own one cell, with its vertices in
+    the order that cone gives: ascending.
 
     Every face of P is the meet of the facets of P through it, so the faces
     of F are the sets F & incidence[j]; its facets are the maximal proper
     ones, each with at least dim vertices.  A facet missing the apex does
     not hold it in its affine span, so no cell is flat.
     """
-    memo = p.cache.setdefault(("faces", apex_last), {})
+    memo = p.cache.setdefault("faces", {})
     if face not in memo:
         if face.bit_count() == dim + 1:
-            cell = tuple(j for j in range(face.bit_length()) if face >> j & 1)
-            memo[face] = (cell[::-1] if apex_last else cell,)
+            memo[face] = (tuple(j for j in range(face.bit_length()) if face >> j & 1),)
         else:
-            apex = face.bit_length() - 1 if apex_last else (face & -face).bit_length() - 1
+            apex = (face & -face).bit_length() - 1
             subs = [
                 g for g in dict.fromkeys(face & m for m in p.incidence)
                 if g != face and g.bit_count() >= dim
@@ -523,15 +507,16 @@ def _face_cells(p: Polytope, face: int, dim: int, apex_last: bool) -> tuple[tupl
                 (apex,) + cell
                 for g in (subs[k] for k in _maximal(subs))
                 if not g >> apex & 1
-                for cell in _face_cells(p, g, dim - 1, apex_last)
+                for cell in _face_cells(p, g, dim - 1)
             )
     return memo[face]
 
 
-def _weighted_cells(p: Polytope, facet: Optional[int], apex_last: bool = False):
+def _weighted_cells(p: Polytope, facet: Optional[int]):
     """(cells, weights, base) for facet ``facet`` of P, or for P when it is
-    None: the cells as tuples of vertex indices and per cell an integer
-    weight, its measure times ``base``.
+    None: the cells of the pulling triangulation (P's cone from vertex 0 over
+    the facets that miss it) as tuples of vertex indices and per cell an
+    integer weight, its measure times ``base``.
 
     With the vertices over their common denominator den, a facet cell weighs
     the absolute determinant of its edges without coordinate ``axis``, the
@@ -542,28 +527,27 @@ def _weighted_cells(p: Polytope, facet: Optional[int], apex_last: bool = False):
     weighs den times that distance times the facet cell's weight over
     |l_axis|, with base n! den^n.
     """
-    key = ("cells", facet, apex_last)
+    key = ("cells", facet)
     if key not in p.cache:
         den, rows = p.den, p.rows
         n = p.dim
         cells, weights = [], []
         if facet is None:
-            apex = len(rows) - 1 if apex_last else 0
             for i, (h, mask) in enumerate(zip(p.halfspaces, p.incidence)):
-                if mask >> apex & 1:
+                if mask & 1:
                     continue
-                sub_cells, sub_weights, _ = _weighted_cells(p, i, apex_last)
+                sub_cells, sub_weights, _ = _weighted_cells(p, i)
                 on = rows[sub_cells[0][0]]
-                height = abs(sum(map(mul, h.normal, on)) - sum(map(mul, h.normal, rows[apex])))
+                height = abs(sum(map(mul, h.normal, on)) - sum(map(mul, h.normal, rows[0])))
                 scale = abs(next(c for c in h.normal if c))
-                cells += [(apex,) + cell for cell in sub_cells]
+                cells += [(0,) + cell for cell in sub_cells]
                 weights += [height * w // scale for w in sub_weights]
             base = math.factorial(n) * den**n
         else:
             normal = p.halfspaces[facet].normal
             axis = next(k for k, c in enumerate(normal) if c)
             keep = [k for k in range(n) if k != axis]
-            cells = _face_cells(p, p.incidence[facet], n - 1, apex_last)
+            cells = _face_cells(p, p.incidence[facet], n - 1)
             for cell in cells:
                 r0 = rows[cell[0]]
                 edges = [[rows[j][k] - r0[k] for k in keep] for j in cell[1:]]

@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .integrate import Poly, boundary_integral, integrate, moment_vector
-from .lattice import ehrhart, lattice_points, node_bound
+from .lattice import check_levels, ehrhart, lattice_points
 from .linalg import (
     AnyS,
     _independent_rows,
@@ -155,7 +155,7 @@ def l_functional(p: Polytope, ed: ExtremalData, u: PLFn) -> Fraction:
     boundary = volume = parts = Fraction(0)
     for region, piece in _nonzero_regions(p, u):
         (*a, c), q = _integer_row((*piece.a, piece.c))
-        on_p, in_r, by_parts = core.terms(region, _boundary_facets(p, region), a, c, q)
+        on_p, in_r, by_parts = core.terms(region, a, c, q)
         boundary += on_p
         volume += in_r
         parts += by_parts
@@ -166,28 +166,30 @@ class _LCore:
     """The terms of L on one region R of P and one piece f = (a.x + c) / q
     of u there, with a, c and q integers.
 
-    The boundary term integrates f over R's facets on the boundary of P as
-    c m_0 + a.m_1.  With theta = t.x + theta_c and w = Sbar + theta_c the
-    volume term is w c m_0 + (w a + c t).m_1 + t^T M_2 a over R.  On
-    reflexive P the parts form -c Vol(R) + integral of (1 - theta) f over R
-    needs no facet record.  All run in integers against the records' sums
+    The boundary term integrates f over R's facets on the boundary of P
+    (:func:`~toricstab.plfun._boundary_facets`) as c m_0 + a.m_1.  With
+    theta = t.x + theta_c and w = Sbar + theta_c the volume term is
+    w c m_0 + (w a + c t).m_1 + t^T M_2 a over R.  On reflexive P the parts
+    form -c Vol(R) + integral of (1 - theta) f over R needs no facet record.
+    All run in integers against the records' sums
     (:class:`~toricstab.polytope.Moments`), t^T M_2 a off R's cells, with
     one ``Fraction`` per boundary facet and per form.
     """
 
     def __init__(self, p: Polytope, ed: ExtremalData):
+        self.p = p
         self.t, self.t_den = _integer_row(ed.theta.a)
         self.w = ed.sbar + ed.theta.c
         self.rest = 1 - ed.theta.c
         self.check = _is_reflexive(p)
 
     def terms(
-        self, region: Polytope, facets: Sequence[int], a: Sequence[int], c: int, q: int
+        self, region: Polytope, a: Sequence[int], c: int, q: int
     ) -> tuple[Fraction, Fraction, Fraction]:
-        """(boundary, volume, parts) on ``region`` with boundary facets
-        ``facets``; parts is 0 off reflexive P."""
+        """(boundary, volume, parts) on ``region``, the boundary term over
+        its facets on facets of P; parts is 0 off reflexive P."""
         boundary = Fraction(0)
-        for i in facets:
+        for i in _boundary_facets(self.p, region):
             m = region.facet_moments(i)
             f_int = c * m.mass * (m.first_den // m.base) + sum(map(mul, a, m.sums))
             boundary += Fraction(f_int, q * m.first_den)
@@ -469,22 +471,11 @@ def destabilizer_search(p: Polytope, ed: ExtremalData, grid: int = 1) -> Optiona
 
 
 def _simple_l(p: Polytope, core: _LCore, b: Sequence[int], d: int, q: int) -> Fraction:
-    """L(max{0, b.x + d / q}) from one cut and one call of the L core.
-
-    R's facets on the boundary of P are all of them but the cut, whose
-    normal is -b made primitive (no facet of P with that normal survives a
-    cut that does not miss P), or all of P's when the cut misses P.
-    """
+    """L(max{0, b.x + d / q}) from one cut and one call of the L core."""
     region = intersect_halfspace(p, [-x for x in b], Fraction(d, q))
     if region is None:
         return Fraction(0)
-    if region is p:
-        facets = range(len(p.halfspaces))
-    else:
-        g = math.gcd(*b)
-        cut = tuple(-x // g for x in b)
-        facets = [i for i, h in enumerate(region.halfspaces) if h.normal != cut]
-    return core.value(*core.terms(region, facets, [q * x for x in b], d, q))
+    return core.value(*core.terms(region, [q * x for x in b], d, q))
 
 
 # ---------------------------------------------------------------------------
@@ -853,31 +844,6 @@ def k_verdict_or_error(p: Polytope, grid: int = 1) -> tuple[Optional[KVerdict], 
         return None, "not reflexive (even up to translation): excess-region criteria not applicable"
 
 
-# The budget of the balance levels: at most this many nodes over levels
-# 1..i_max, by :func:`~toricstab.lattice.node_bound`.  Every level's points
-# stay cached on P, and a node costs about 3.6 us and 110 bytes through the
-# whole per-level loop (E4 at levels 1..30: a bound of 1,855,000, 1,538,560
-# nodes, 6.7 s and 175 MiB peak; Python 3.11 on a 2-core x86-64 host), so a
-# run inside the budget takes seconds and a few hundred MiB at most.  E4
-# fits up to level 30; every corpus entry fits the defaults with room.
-MAX_LEVEL_NODES = 2_000_000
-
-
-def check_levels(i_max: int, *polytopes: Polytope) -> None:
-    """Reject i_max below 1, and levels 1..i_max whose node bound exceeds
-    :data:`MAX_LEVEL_NODES` on any of ``polytopes``, before any point is
-    enumerated."""
-    if i_max < 1:
-        raise ValidationError("i_max must be at least 1")
-    for p in polytopes:
-        bound = node_bound(p, i_max)
-        if bound > MAX_LEVEL_NODES:
-            raise ValidationError(
-                f"levels 1..{i_max} may hold {bound} nodes on {p.name or 'the polytope'}, "
-                f"above the budget of {MAX_LEVEL_NODES}"
-            )
-
-
 def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dict, dict]:
     """The balance system, the closed-form s and the Q and P weight samples at
     levels 1..i_max: a report's ``chow``, ``s_closed``, ``q_samples``, ``p_samples``."""
@@ -915,6 +881,8 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
 def analyze(p: Polytope, i_max: int = 6, grid: int = 1) -> StabilityReport:
     """Full pipeline on one polytope: potential, K-verdict, balance levels."""
     check_levels(i_max, p)
+    if p.is_lattice():
+        check_levels(p.dim + 2, p)  # the counts of the Ehrhart polynomial
     _check_search_level(grid, p.dim)
     ed = extremal_affine(p)
     reflexive, delzant = is_reflexive_delzant(p)

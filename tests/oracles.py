@@ -396,6 +396,18 @@ def chart_route_l(p: Polytope, ed, u: PLFn) -> F:
     return chart_route_boundary_pl(p, one, u) - _pl_integral(p, weight, u)
 
 
+def cut_boundary_facets(p: Polytope, region: Polytope, b) -> list:
+    """The facets of ``region``, P cut by -b.x <= r, that lie on facets of
+    P by the cut-normal rule: all of them but the cut, whose normal is -b
+    made primitive (no facet of P with that normal survives a cut that does
+    not miss P), or all of P's when the cut misses P."""
+    if region is p:
+        return list(range(len(p.halfspaces)))
+    g = math.gcd(*b)
+    cut = tuple(-x // g for x in b)
+    return [i for i, h in enumerate(region.halfspaces) if h.normal != cut]
+
+
 def l_functional_parts_form(p: Polytope, ed, u: PLFn) -> F:
     """The integration-by-parts form of L, valid when every facet sits at
     rhs 1: the sum over every linearity region R of u, with active piece

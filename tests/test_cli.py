@@ -333,10 +333,19 @@ TRIANGLE = '"polytope": {"vertices": [[0, 0], [1, 0], [0, 1]]}'
         ("X.json", '{"polytope": [1]}', ("kstab", "corpus:X"), "polytope document"),
         ("index.json", '["X", ', ("corpus", "list"), "line 1"),
         ("X.json", '{"expected": {"volume": [1]}, ' + TRIANGLE + "}", ("tables",), "'volume'"),
+        (
+            "X.json", '{"expected": {"lattice_point_sums": {"400": [0, 0]}}, ' + TRIANGLE + "}",
+            ("tables",), "'lattice_point_sums': level '400': levels 1..400 may hold 10827400 nodes",
+        ),
+        (
+            "X.json", '{"expected": {"lattice_point_sums": {"0": [0, 0]}}, ' + TRIANGLE + "}",
+            ("tables",), "'lattice_point_sums': level '0' is not a positive int",
+        ),
     ],
     ids=[
         "truncated-entry", "entry-not-an-object", "rays-not-a-list", "expected-not-an-object",
         "polytope-not-an-object", "truncated-index", "expected-value-of-wrong-type",
+        "lattice-level-over-budget", "lattice-level-not-a-positive-int",
     ],
 )
 def test_malformed_corpus_file_exits_2(tmp_path, monkeypatch, capsys, name, text, argv, detail):
@@ -402,7 +411,33 @@ def test_oversized_levels_are_rejected(monkeypatch):
         assert error["type"] == "ValidationError"
         assert error["message"].startswith("levels 1..1000000000 may hold ")
         assert error["message"].endswith(
-            f" nodes on {name}, above the budget of {stability.MAX_LEVEL_NODES}"
+            f" nodes on {name}, above the budget of {lattice.MAX_LEVEL_NODES}"
+        )
+    assert calls == []
+
+
+def test_ehrhart_levels_over_the_budget_are_rejected(tmp_path, monkeypatch):
+    # The counting polynomial needs levels 1..5 of a 3D lattice simplex.
+    # With edge 3000 their node bound is far above the budget, and with
+    # edge 30 it is above it while level 1 alone fits: ehrhart, and analyze
+    # whatever its --i-max, are a validation error (exit 2) before any
+    # lattice point is enumerated.
+    from toricstab import lattice
+
+    calls = []
+    _record_calls(monkeypatch, lattice.lattice_points, calls)
+    cases = ((3000, ("ehrhart",), 3375000000000), (30, ("analyze", "--i-max", "1"), 3375000))
+    for edge, argv, bound in cases:
+        path = tmp_path / f"S{edge}.json"
+        vertices = [[0, 0, 0], [edge, 0, 0], [0, edge, 0], [0, 0, edge]]
+        path.write_text(json.dumps({"vertices": vertices}))
+        code, out = run_cli(argv[0], str(path), *argv[1:], "--format", "json")
+        assert code == 2, argv
+        error = json.loads(out)["error"]
+        assert (error["type"], error["message"]) == (
+            "ValidationError",
+            f"levels 1..5 may hold {bound} nodes on S{edge}, "
+            f"above the budget of {lattice.MAX_LEVEL_NODES}",
         )
     assert calls == []
 

@@ -47,10 +47,12 @@ def test_higher_degree_on_cube(cube):
         (Poly(3, {(2, 2, 0): 1}), F(2, 3) * F(2, 3) * 2),  # x1^2 x2^2
         (Poly(3, {(4, 0, 0): 1}), F(2, 5) * 4),
     ]
+    routes = [cube.triangulation()] + [
+        oracles.chart_triangulation(cube, apex_last) for apex_last in (False, True)
+    ]
     for poly, want in cases:
-        for apex_last in (False, True):
-            for cells in (cube.triangulation(apex_last), oracles.chart_triangulation(cube, apex_last)):
-                assert oracles.dirichlet_over_cells(cells, poly) == want
+        for cells in routes:
+            assert oracles.dirichlet_over_cells(cells, poly) == want
 
 
 def test_integrals_stop_at_degree_2(cube):
@@ -170,7 +172,7 @@ def test_triangulation_independence_random():
         p = oracles.random_polytope(rng, rng.randint(2, 3))
         poly = oracles.random_poly(rng, p.dim)
         a = sum(integrate_simplex(s, poly) for s in p.triangulation())
-        b = sum(integrate_simplex(s, poly) for s in p.triangulation(apex_last=True))
+        b = sum(integrate_simplex(s, poly) for s in oracles.chart_triangulation(p, apex_last=True))
         assert a == b
 
 
@@ -234,21 +236,22 @@ def _up_to_degree_2(dim):
 
 def assert_matches_chart_oracle(p, rng):
     """The bitmask cells and the moment records of P against the recursion
-    through facet charts, for both apex choices: the volume and every
-    monomial of degree <= 2 by the kernel, and a random quartic by the
-    Dirichlet oracle over both sets of cells; then every facet's record, and
+    through facet charts, from the same apex and from the lex-largest
+    vertex: the volume and every monomial of degree <= 2 by the kernel, and
+    a random quartic by the Dirichlet oracle over both sets of cells; then
+    every facet's record, and
     a random cubic by the Dirichlet oracle over each facet record's cells,
     and a random quadratic over the boundary, against the facet charts."""
     n = p.dim
     polys = _up_to_degree_2(n)
     quartic = oracles.random_poly(rng, n, max_degree=4)
+    cells = p.triangulation()
+    # every face cones from its lowest vertex, so each cell lists its
+    # vertices in sorted order
+    assert all(list(c.vertices) == sorted(c.vertices) for c in cells)
+    assert {c.vertices[0] for c in cells} == {o.vertices[0] for o in oracles.chart_triangulation(p)}
     for apex_last in (False, True):
-        cells = p.triangulation(apex_last)
         oracle = oracles.chart_triangulation(p, apex_last)
-        # every face cones from its lowest vertex (its highest with
-        # apex_last), so each cell lists its vertices in sorted order
-        assert all(list(c.vertices) == sorted(c.vertices, reverse=apex_last) for c in cells)
-        assert {c.vertices[0] for c in cells} == {o.vertices[0] for o in oracle}
         assert sum(c.volume() for c in cells) == sum(c.volume() for c in oracle) == p.volume()
         for poly in polys:
             want = oracles.dirichlet_over_cells(oracle, poly)

@@ -1,12 +1,18 @@
 """Source-level guards on the library: its invariants stay on in every run,
 including under ``python -O``, no hull falls back to a subset scan, no
 module but the one that defines it builds a facet chart or reads the cell
-format, and no module integrates above degree 2."""
+format, and no module integrates above degree 2; and every library
+function the benchmark reports by name exists."""
 
 import ast
+import importlib
+import json
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parent.parent / "src" / "toricstab"
+from toricstab.polytope import Polytope
+
+ROOT = Path(__file__).resolve().parent.parent
+SRC = ROOT / "src" / "toricstab"
 
 
 def test_no_assert_statements_in_library():
@@ -81,3 +87,24 @@ def test_cell_format_stays_in_polytope():
             if ident in ("_weighted_cells", "_face_cells"):
                 found.append(f"{path.name}:{node.lineno} names {ident}")
     assert not found, f"cell format or higher-degree route outside polytope.py: {found}"
+
+
+def test_benchmark_layer_names_resolve():
+    # Every per-layer metric <module>.<function>.{calls,self_s,time_s} that
+    # BENCHMARK.json declares names a callable of toricstab.<module> or a
+    # Polytope method, so deleting one fails here, not in a traced
+    # benchmark run that cannot find it.
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    resolved, missing = 0, []
+    for metric in metrics:
+        parts = metric["name"].split(".")
+        if len(parts) != 3 or parts[2] not in ("calls", "self_s", "time_s"):
+            continue
+        module = importlib.import_module(f"toricstab.{parts[0]}")
+        fn = getattr(module, parts[1], getattr(Polytope, parts[1], None))
+        if callable(fn):
+            resolved += 1
+        else:
+            missing.append(metric["name"])
+    assert not missing, f"benchmark names without a function: {missing}"
+    assert resolved > 40

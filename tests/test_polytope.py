@@ -1,3 +1,4 @@
+import math
 import random
 from fractions import Fraction as F
 
@@ -10,6 +11,7 @@ from toricstab import (
     OriginNotInterior,
     Poly,
     Polytope,
+    Simplex,
     Unbounded,
     integrate,
     intersect_halfspace,
@@ -265,7 +267,7 @@ def test_triangulate_cube_volume(cube):
 def test_triangulation_apex_choice_conserves_volume(corpus_entries, cube):
     for p in (cube, corpus_entries["B2"].polytope, corpus_entries["E4"].polytope):
         a = sum(s.volume() for s in p.triangulation())
-        b = sum(s.volume() for s in p.triangulation(apex_last=True))
+        b = sum(s.volume() for s in oracles.chart_triangulation(p, apex_last=True))
         assert a == b == p.volume()
 
 
@@ -295,7 +297,8 @@ def test_pulling_triangulation_matches_the_plain_recursion(dim):
     # Simplex faces taken as their own cells, and the facets of a face read
     # only among its sub-faces with enough vertices, give the cells, weights
     # and bases of the plain recursion, tuple for tuple and in the same
-    # order: on random polytopes and on their cuts, from either apex.
+    # order: on random polytopes and on their cuts.  The recursion from the
+    # last vertex, a different decomposition, gives the same total weights.
     rng = random.Random(20 + dim)
     simplices = 0
     for _ in range(3):
@@ -303,17 +306,39 @@ def test_pulling_triangulation_matches_the_plain_recursion(dim):
         normal = [rng.randint(-3, 3) or 1 for _ in range(dim)]
         rhs = sum(a * x for a, x in zip(normal, oracles.interior_point(p)))
         for q in (p, intersect_halfspace(p, normal, rhs)):
-            for apex_last in (False, True):
-                (cells, weights, base), facets = oracles.recursive_weighted_cells(q, apex_last)
-                got = polytope._weighted_cells(q, None, apex_last)
-                assert (list(got[0]), list(got[1]), got[2]) == (cells, weights, base)
-                want = [tuple(q.vertices[j] for j in cell) for cell in cells]
-                assert [s.vertices for s in q.triangulation(apex_last)] == want
-                for i, (cells, weights, base) in enumerate(facets):
-                    got = polytope._weighted_cells(q, i, apex_last)
-                    assert (tuple(got[0]), list(got[1]), got[2]) == (cells, weights, base)
-                    simplices += len(cells) == 1 and q.incidence[i].bit_count() == dim
+            (cells, weights, base), facets = oracles.recursive_weighted_cells(q)
+            got = polytope._weighted_cells(q, None)
+            assert (list(got[0]), list(got[1]), got[2]) == (cells, weights, base)
+            want = [tuple(q.vertices[j] for j in cell) for cell in cells]
+            assert [s.vertices for s in q.triangulation()] == want
+            for i, (cells, weights, base) in enumerate(facets):
+                got = polytope._weighted_cells(q, i)
+                assert (tuple(got[0]), list(got[1]), got[2]) == (cells, weights, base)
+                simplices += len(cells) == 1 and q.incidence[i].bit_count() == dim
+            (_, weights, base), facets = oracles.recursive_weighted_cells(q, apex_last=True)
+            assert (sum(weights), base) == (q.moments().mass, q.moments().base)
+            for i, (_, weights, base) in enumerate(facets):
+                assert (sum(weights), base) == (q.facet_moments(i).mass, q.facet_moments(i).base)
     assert simplices
+
+
+def test_simplex_volume_is_its_record_measure():
+    # A simplex weighs |det| of its integer edges in its moment record, and
+    # its volume is that record's measure: |det| / n! of its rational edges,
+    # a Fraction, flat simplices included.
+    half = Simplex(((0, 0), (1, 0), (0, 1))).volume()
+    assert type(half) is F and half == F(1, 2)
+    assert Simplex(((0, 0), (1, 1), (F(5, 2), F(5, 2)))).volume() == 0
+    rng = random.Random(2101)
+    for dim in range(1, 7):
+        for _ in range(6):
+            verts = tuple(
+                tuple(oracles.random_fraction(rng) for _ in range(dim)) for _ in range(dim + 1)
+            )
+            edges = [[v[k] - verts[0][k] for k in range(dim)] for v in verts[1:]]
+            want = abs(oracles.fraction_determinant(edges)) / math.factorial(dim)
+            volume = Simplex(verts).volume()
+            assert type(volume) is F and volume == want, verts
 
 
 def test_b2_volume(corpus_entries):

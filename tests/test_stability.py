@@ -46,7 +46,7 @@ from toricstab.stability import (
     excess_region,
     reflexive_translate,
 )
-from toricstab.polytope import lattice_automorphisms
+from toricstab.polytope import HalfSpace, intersect_halfspace, lattice_automorphisms
 
 import oracles
 
@@ -271,7 +271,7 @@ def test_level_node_budget(corpus_entries):
     # polytopes (n! vol C(m+n+1, n+1) - n! vol) and for rational ones (the
     # box); levels up to 30 of E4 fit MAX_LEVEL_NODES and 31 does not.
     from toricstab.lattice import node_bound
-    from toricstab.stability import MAX_LEVEL_NODES, check_levels
+    from toricstab.lattice import MAX_LEVEL_NODES, check_levels
 
     rng = random.Random(1980)
     polytopes = [corpus_entries[name].polytope for name in ("E4", "CP3", "ORB-530571")]
@@ -293,7 +293,8 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # frozen outcome of the exhaustive default grid: no simple destabilizer;
     # and the search skips the candidates the excess region proves
     # non-negative, evaluates the others through the L core on one cut each
-    # (no l_functional, no linearity regions, no boundary-facet hashing),
+    # (no l_functional, no linearity regions; the core reads the cut's
+    # facets on the boundary of P once per call),
     # builds no polytope from scratch (cuts are one step on the vertices),
     # builds no facet chart, reads every integral off the moment records of
     # the region and its facets (no simplex kernel, no barycentric
@@ -345,7 +346,7 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     assert sum(1 for _ in destabilizer_candidates(p, ed, grid=1)) == 44
     assert counts == {
         "rays": 0, "cuts": 1 + 38, "charts": 0, "simplex": 0, "mul": 0,
-        "l": 0, "regions": 0, "facets": 0, "core": 38,
+        "l": 0, "regions": 0, "facets": 38, "core": 38,
     }
     assert set(p.cache) == keys
     # a record keeps its second moments in its attributes once summed
@@ -404,9 +405,9 @@ def _skipped(monkeypatch, p, ed, grid):
     evaluated = []
     terms = stability._LCore.terms
 
-    def recording(self, region, facets, a, c, q):
+    def recording(self, region, a, c, q):
         evaluated.append((tuple(x // q for x in a), c, q))
-        return terms(self, region, facets, a, c, q)
+        return terms(self, region, a, c, q)
 
     with monkeypatch.context() as patch:
         patch.setattr(stability._LCore, "terms", recording)
@@ -440,6 +441,52 @@ def test_excess_bound_skips_only_non_negative_candidates(corpus_entries, monkeyp
                 assert l_functional(p, ed, u) >= 0, (name, b, d, q)
                 assert oracles.l_functional_parts_form(p, ed, u) >= 0, (name, b, d, q)
         assert tuple(seen) == (skips, total), grid
+
+
+def test_boundary_facets_match_the_cut_normal_rule(corpus_entries, monkeypatch):
+    # On every region the grid-1 search evaluates on the six undetermined
+    # entries, the facets on the boundary of P by normal and rhs are those
+    # of the cut-normal rule: every facet but the cut.
+    from toricstab import stability
+    from toricstab.plfun import _boundary_facets
+
+    terms = stability._LCore.terms
+    checked = []
+
+    def recording(self, region, a, c, q):
+        want = oracles.cut_boundary_facets(self.p, region, [x // q for x in a])
+        assert _boundary_facets(self.p, region) == want
+        checked.append(region is self.p)
+        return terms(self, region, a, c, q)
+
+    monkeypatch.setattr(stability._LCore, "terms", recording)
+    for name in UNDETERMINED_SIX:
+        p = corpus_entries[name].polytope
+        assert destabilizer_search(p, extremal_affine(p), 1) is None
+    # the 481 - 203 candidates the excess bound does not skip
+    assert len(checked) == 278 and not all(checked)
+
+
+def test_boundary_facets_drop_a_cut_parallel_to_a_facet(cube):
+    # x1 <= 1/2 cuts the cube [-1, 1]^3 parallel to its facet x1 <= 1, at
+    # another level: that facet is dropped and the cut takes its normal, so
+    # only the rhs tells the cut from a facet of P.  The boundary facets of
+    # the region are the other five, and L of max{0, 1/2 - x1} (both forms,
+    # compared on every evaluation) is the chart route's.
+    from toricstab.plfun import _boundary_facets
+    from toricstab.stability import _LCore, _simple_l
+
+    region = intersect_halfspace(cube, (1, 0, 0), F(1, 2))
+    cut = region.halfspaces.index(HalfSpace((1, 0, 0), F(1, 2)))
+    assert (1, 0, 0) in [h.normal for h in cube.halfspaces]
+    facets = _boundary_facets(cube, region)
+    assert facets == [i for i in range(6) if i != cut]
+    assert facets == oracles.cut_boundary_facets(cube, region, (-1, 0, 0))
+    ed = extremal_affine(cube)
+    u = PLFn.simple((-1, 0, 0), F(1, 2))
+    want = oracles.chart_route_l(cube, ed, u)
+    assert l_functional(cube, ed, u) == want
+    assert _simple_l(cube, _LCore(cube, ed), (-1, 0, 0), 1, 2) == want
 
 
 def test_excess_bound_skips_candidates_tight_at_a_vertex_of_e(corpus_entries, monkeypatch):
