@@ -239,9 +239,9 @@ def assert_matches_chart_oracle(p, rng):
     through facet charts, from the same apex and from the lex-largest
     vertex: the volume and every monomial of degree <= 2 by the kernel, and
     a random quartic by the Dirichlet oracle over both sets of cells; then
-    every facet's record, and
-    a random cubic by the Dirichlet oracle over each facet record's cells,
-    and a random quadratic over the boundary, against the facet charts."""
+    every facet's record, and a random cubic by the Dirichlet oracle over
+    each facet record's cells, and a random quadratic over the boundary,
+    against the facet charts."""
     n = p.dim
     polys = _up_to_degree_2(n)
     quartic = oracles.random_poly(rng, n, max_degree=4)
