@@ -20,11 +20,11 @@ from typing import Optional
 
 from .errors import ParseError, ValidationError
 from .integrate import Poly, boundary_integral, moment_vector
-from .lattice import check_levels, ehrhart, lattice_points
+from .lattice import _level_sums, check_levels, ehrhart
 from .linalg import rat, rat_str
 from .plfun import AffineFn
 from .polytope import Polytope, is_reflexive_delzant
-from .stability import FAILS, chow_necessary, excess_region, extremal_affine, theta_nodes
+from .stability import FAILS, _level_stats, chow_necessary, excess_region, extremal_affine
 
 DATA_DIR = Path(__file__).parent / "data"
 ENV_CORPUS_DIR = "TORICSTAB_CORPUS_DIR"
@@ -313,13 +313,11 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
     if "ehrhart" in exp:
         check("ehrhart", ehrhart(p).coeffs, expected("ehrhart", _rats))
     for label, (level, want) in sums.items():
-        pts = lattice_points(p, level)
-        got = tuple(Fraction(sum(z[k] for z in pts)) for k in range(p.dim))
-        check(label, got, want)
+        check(label, tuple(map(Fraction, _level_sums(p, level).first)), want)
     if "weighted_node_sum" in exp:
         want = expected("weighted_node_sum", _rats)
         ed = extremal_affine(p)
-        got = theta_nodes(p, ed, 1).deviation_moment
+        got = _level_stats(p, ed, 1).deviation_moment
         check("weighted_node_sum", got, want)
     if "chow_level1" in exp:
         ed = extremal_affine(p)

@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import mul
+from itertools import chain, repeat
+from operator import floordiv, mul, neg, sub
+from typing import NamedTuple
 
 from .errors import DegreeMismatch, NotLatticePolytope, ValidationError
 from .linalg import interpolate_poly, poly_eval, rat_str
@@ -13,49 +15,116 @@ from .polytope import HalfSpace, Polytope
 
 
 def lattice_points(p: Polytope, i: int) -> list[tuple[int, ...]]:
-    """All integer points of the dilation ``i * P``, sorted lexicographically.
+    """All integer points of the dilation ``i * P``, sorted lexicographically:
+    the fibre ranges of :func:`_ranges`, expanded."""
+    key = ("lattice_points", i)
+    if key not in p.cache:
+        p.cache[key] = list(zip(*_expand(*_ranges(p, i))))
+    return p.cache[key]
 
-    Enumerates by prefixes.  For k = 1..n, the facets of proj_k(P) (the hull
-    of the vertices' first k coordinates; proj_n is P) bound x_k given
-    x_1..x_{k-1}, so every prefix of a point of iP gets the exact integer
-    range of its next coordinate and no empty cell of the bounding box is
-    visited.  Each row ``<a, prefix> + c*t <= i*rhs`` is cleared of
-    denominators once per call, which makes the bounds integer floor and
-    ceiling divisions.  The innermost range lies in iP whole, so its points
-    need no membership test, and they come out in lexicographic order.
+
+def _expand(columns, lo, hi) -> list[list[int]]:
+    """The columns of the points z_1..z_k, t for every prefix z_1..z_k
+    (``columns[j]`` holds coordinate j + 1 of each) and every integer t in
+    its range lo..hi, in the order of the prefixes and then of t."""
+    counts = [b - a + 1 for a, b in zip(lo, hi)]
+    out = [list(chain.from_iterable(map(repeat, column, counts))) for column in columns]
+    out.append(list(chain.from_iterable(map(range, lo, [b + 1 for b in hi]))))
+    return out
+
+
+def _ranges(p: Polytope, i: int) -> tuple[list[list[int]], list[int], list[int]]:
+    """The fibres of ``i * P`` along its last coordinate as (columns, lo, hi):
+    the prefixes z_1..z_{n-1} of its integer points, in lexicographic order,
+    with ``columns[j]`` holding coordinate j + 1 of each, and per prefix the
+    exact integer range lo..hi of z_n; cached per level.
+
+    The prefixes grow one coordinate at a time, all of one length at once.
+    For k = 1..n, the facets of proj_k(P) (the hull of the vertices' first k
+    coordinates; proj_n is P) bound x_k given x_1..x_{k-1}, so every prefix
+    of a point of iP gets the exact integer range of its next coordinate
+    and no empty cell of the bounding box is visited.  A row
+    ``<a, prefix> + c*t <= i*rhs``, cleared of denominators, makes the
+    bounds integer floor and ceiling divisions, each taken over all
+    prefixes in one pass.  A range holds a real interval, so lo <= hi + 1;
+    with lo = hi + 1 it has no point and adds nothing to any sum.
     """
     if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
         raise ValidationError(f"dilation level must be a positive int, got {i!r}")
-    key = ("lattice_points", i)
+    key = ("lattice_ranges", i)
     if key in p.cache:
         return p.cache[key]
-    # <a, prefix> + c*t <= i*num/den  becomes  c*den*t <= i*num - den*<a, prefix>;
-    # rows with c > 0 bound t from above, rows with c < 0 (stored as |c|*den)
-    # from below.
-    bounds = []
+    columns: list[list[int]] = []
+    size = 1  # the number of prefixes
     for rows in _projections(p):
-        lower, upper = [], []
+        lo = hi = None
         for h in rows:
+            # <a, prefix> + c*t <= i*num/den  becomes
+            # c*den*t <= i*num - den*<a, prefix> =: rest
             den, c = h.rhs.denominator, h.normal[-1]
-            row = (tuple(den * a for a in h.normal[:-1]), abs(c) * den, i * h.rhs.numerator)
-            (upper if c > 0 else lower).append(row)
-        bounds.append((lower, upper))
-    last = len(bounds) - 1
-    points = []
+            rest = [i * h.rhs.numerator] * size
+            for a, column in zip(h.normal, columns):
+                if a:
+                    rest = list(map(sub, rest, map(mul, repeat(den * a), column)))
+            if c > 0:
+                bound = list(map(floordiv, rest, repeat(c * den)))
+                hi = bound if hi is None else list(map(min, hi, bound))
+            else:
+                bound = list(map(neg, map(floordiv, rest, repeat(-c * den))))
+                lo = bound if lo is None else list(map(max, lo, bound))
+        if len(columns) == p.dim - 1:
+            break
+        columns = _expand(columns, lo, hi)
+        size = len(columns[-1])
+    p.cache[key] = (columns, lo, hi)
+    return p.cache[key]
 
-    def walk(prefix: tuple[int, ...], k: int):
-        lower, upper = bounds[k]
-        lo = max(-((b - sum(map(mul, w, prefix))) // g) for w, g, b in lower)
-        hi = min((b - sum(map(mul, w, prefix))) // g for w, g, b in upper)
-        if k == last:
-            points.extend(prefix + (t,) for t in range(lo, hi + 1))
-        else:
-            for t in range(lo, hi + 1):
-                walk(prefix + (t,), k + 1)
 
-    walk((), 0)
-    p.cache[key] = points
-    return points
+class _LevelSums(NamedTuple):
+    """The integer sums over the points z of one dilation ``i * P``."""
+
+    count: int  # N
+    first: tuple[int, ...]  # sum of z
+    second: tuple[tuple[int, ...], ...]  # sum of z z^T
+    positive: int  # sum of max{0, z_1}
+
+
+def _level_sums(p: Polytope, i: int) -> _LevelSums:
+    """N, sum z, sum z z^T and sum max{0, z_1} over the integer points z of
+    ``i * P``, cached per level; no point is built.
+
+    A fibre range lo..hi of the last coordinate t holds m = hi - lo + 1
+    points, with sum t = (lo + hi) m / 2 and, by Faulhaber's formula with
+    F(x) = x (x + 1) (2x + 1) / 6 (F(x) - F(x - 1) = x^2 for every integer
+    x), sum t^2 = F(hi) - F(lo - 1); every other coordinate is constant on
+    the fibre.  For n >= 2 so is max{0, z_1}; for n = 1 it sums t over
+    max{1, lo}..hi.
+    """
+    key = ("level_sums", i)
+    if key in p.cache:
+        return p.cache[key]
+    columns, lo, hi = _ranges(p, i)
+    n = p.dim
+    counts = [b - a + 1 for a, b in zip(lo, hi)]
+    ts = [(a + b) * m // 2 for a, b, m in zip(lo, hi, counts)]
+    # each prefix column times the counts: the weights of sum z_j z_k, j, k < n
+    weighted = [list(map(mul, column, counts)) for column in columns]
+    second = [[0] * n for _ in range(n)]
+    for j, column in enumerate(columns):
+        for k in range(j, n - 1):
+            second[j][k] = second[k][j] = sum(map(mul, column, weighted[k]))
+        second[j][-1] = second[-1][j] = sum(map(mul, column, ts))
+    second[-1][-1] = (
+        sum(b * (b + 1) * (2 * b + 1) for b in hi) - sum((a - 1) * a * (2 * a - 1) for a in lo)
+    ) // 6
+    if n > 1:
+        positive = sum(w for w in weighted[0] if w > 0)
+    else:
+        positive = sum((max(a, 1) + b) * (b - max(a, 1) + 1) for a, b in zip(lo, hi) if b > 0) // 2
+    first = (*map(sum, weighted), sum(ts))
+    sums = _LevelSums(sum(counts), first, tuple(map(tuple, second)), positive)
+    p.cache[key] = sums
+    return sums
 
 
 def node_bound(p: Polytope, i_max: int) -> int:
@@ -81,19 +150,25 @@ def node_bound(p: Polytope, i_max: int) -> int:
 
 
 # The budget of the lattice levels: at most this many nodes over levels
-# 1..i_max, by :func:`node_bound`.  Every level's points stay cached on P,
-# and a node costs about 3.6 us and 110 bytes through the whole per-level
-# balance loop (E4 at levels 1..30: a bound of 1,855,000, 1,538,560 nodes,
-# 6.7 s and 175 MiB peak; Python 3.11 on a 2-core x86-64 host), so a run
-# inside the budget takes seconds and a few hundred MiB at most.  E4 fits
-# up to level 30; every corpus entry fits the defaults with room.
+# 1..i_max, by :func:`node_bound`.  The balance system, s_closed, the P
+# sample, the Ehrhart counts and the corpus gate read each level's integer
+# sums off its fibre ranges, walked and summed at about 1-2 us a range (E4
+# at levels 1..30: a bound of 1,855,000, 1,538,560 nodes in 34,750 ranges,
+# 0.03 s; the whole chow command 0.06 s and 19 MiB peak).  A level with a
+# Q sample still builds its points, cached on P, and reads theta and the
+# sample at each: about 2.4-4.7 us and 100-120 bytes a node (CP3 at levels
+# 1..26: 1,415,960 nodes, 3.4 s, 154 MiB; F1 at 1..31: 1,572,351 nodes,
+# 7.5 s, 169 MiB; B1 at 1..27: 1,586,619 nodes, 6.5 s, 198 MiB; Python 3.11
+# on a 2-core x86-64 host).  So the bound stays on nodes, and a run inside
+# it takes seconds and a few hundred MiB at most.  E4 fits up to level 30;
+# every corpus entry fits the defaults with room.
 MAX_LEVEL_NODES = 2_000_000
 
 
 def check_levels(i_max: int, *polytopes: Polytope) -> None:
     """Reject i_max below 1, and levels 1..i_max whose node bound exceeds
-    :data:`MAX_LEVEL_NODES` on any of ``polytopes``, before any point is
-    enumerated."""
+    :data:`MAX_LEVEL_NODES` on any of ``polytopes``, before any level is
+    walked."""
     if i_max < 1:
         raise ValidationError("i_max must be at least 1")
     for p in polytopes:
@@ -108,17 +183,48 @@ def check_levels(i_max: int, *polytopes: Polytope) -> None:
 def _projections(p: Polytope) -> tuple[tuple[HalfSpace, ...], ...]:
     """Per k = 1..n, the facets of proj_k(P) whose normal has a non-zero k-th
     coordinate; the others only restate a bound of proj_{k-1}(P).  proj_1(P)
-    is the interval of the first coordinates, read off the vertices without
-    a hull."""
+    is the interval of the first coordinates, read off the vertices, and
+    proj_{n-1}(P) is read off the facets of P (:func:`_shadow`); only the
+    projections between them are hulled."""
     key = "lattice_projections"
     if key not in p.cache:
+        n = p.dim
         first = [v[0] for v in p.vertices]
         rows = [(HalfSpace((1,), max(first)), HalfSpace((-1,), -min(first)))]
-        for k in range(2, p.dim + 1):
-            q = p if k == p.dim else Polytope.from_vertices([v[:k] for v in p.vertices])
-            rows.append(tuple(h for h in q.halfspaces if h.normal[-1] != 0))
+        for k in range(2, n + 1):
+            if k == n:
+                facets = p.halfspaces
+            elif k == n - 1:
+                facets = _shadow(p)
+            else:
+                facets = Polytope.from_vertices([v[:k] for v in p.vertices]).halfspaces
+            rows.append(tuple(h for h in facets if h.normal[-1] != 0))
         p.cache[key] = tuple(rows)
     return p.cache[key]
+
+
+def _shadow(p: Polytope) -> list[HalfSpace]:
+    """The facets of proj_{n-1}(P), the shadow of P along x_n, for n >= 2.
+
+    The facet with normal a is the image of the face of P where (a, 0).x is
+    largest, which is not parallel to x_n and has dimension n - 2 or more:
+    a facet l.x <= r of P with l_n = 0 (a is l without l_n), or a ridge
+    F meet G of P with l_n > 0 > m_n for the facets l.x <= r of F and
+    m.x <= s of G (a is -m_n l + l_n m without its last coordinate 0, and
+    the rhs is -m_n r + l_n s).  A meet of two facets is a ridge when no
+    third facet holds it, since a face of dimension d lies in n - d facets
+    or more; the incidence masks decide it.
+    """
+    facets, incidence = p.halfspaces, p.incidence
+    shadow = [HalfSpace(h.normal[:-1], h.rhs) for h in facets if h.normal[-1] == 0]
+    for f, mask_f in zip(facets, incidence):
+        for g, mask_g in zip(facets, incidence):
+            c, d = f.normal[-1], g.normal[-1]
+            ridge = mask_f & mask_g
+            if c > 0 > d and ridge and sum(m & ridge == ridge for m in incidence) == 2:
+                normal = [c * y - d * x for x, y in zip(f.normal[:-1], g.normal[:-1])]
+                shadow.append(HalfSpace.make(normal, c * g.rhs - d * f.rhs))
+    return shadow
 
 
 def refined_points(p: Polytope, i: int) -> list[tuple[Fraction, ...]]:
@@ -169,7 +275,7 @@ def ehrhart(p: Polytope) -> EhrhartPoly:
         return p.cache["ehrhart"]
     n = p.dim
     check_levels(n + 2, p)
-    samples = [(0, 1)] + [(i, len(lattice_points(p, i))) for i in range(1, n + 3)]
+    samples = [(0, 1)] + [(i, _level_sums(p, i).count) for i in range(1, n + 3)]
     coeffs = interpolate_poly(samples, n)
     poly = EhrhartPoly(tuple(coeffs))
     if poly.coeffs[0] != p.volume():

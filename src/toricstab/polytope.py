@@ -443,9 +443,8 @@ class Moments:
         self.load = load
         self.mass = sum(weights)
         self.base = base
-        self.sums = tuple(
-            sum(w * r[k] for r, w in zip(rows, load) if w) for k in range(len(rows[0]))
-        )
+        loaded = [(r, w) for r, w in zip(rows, load) if w]
+        self.sums = tuple(sum(w * r[k] for r, w in loaded) for k in range(len(rows[0])))
         d = len(cells[0]) - 1
         self.first_den = base * den * (d + 1)
         self.second_den = self.first_den * den * (d + 2)

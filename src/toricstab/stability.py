@@ -32,7 +32,7 @@ from fractions import Fraction
 from functools import cached_property
 from itertools import product
 from operator import mul
-from typing import Optional, Sequence
+from typing import NamedTuple, Optional, Sequence
 
 from .errors import (
     InternalInvariant,
@@ -42,7 +42,7 @@ from .errors import (
     ValidationError,
 )
 from .integrate import Poly, boundary_integral, integrate, moment_vector
-from .lattice import check_levels, ehrhart, lattice_points
+from .lattice import _level_sums, check_levels, ehrhart, lattice_points
 from .linalg import (
     AnyS,
     _independent_rows,
@@ -253,12 +253,16 @@ class KVerdict:
 
 
 def excess_region(p: Polytope, ed: ExtremalData) -> Optional[Polytope]:
-    """Closure of {x in P : theta(x) >= 1}, or None when it has no interior."""
+    """Closure of {x in P : theta(x) >= 1}, or None when it has no interior;
+    cut once per (P, theta) and cached on P."""
     a, c = ed.theta.a, ed.theta.c
-    if all(x == 0 for x in a):
+    if not any(a):
         return None if c < 1 else p
-    # theta >= 1  <=>  -a.x <= c - 1
-    return intersect_halfspace(p, [-x for x in a], c - 1)
+    key = ("excess_region", a, c)
+    if key not in p.cache:
+        # theta >= 1  <=>  -a.x <= c - 1
+        p.cache[key] = intersect_halfspace(p, [-x for x in a], c - 1)
+    return p.cache[key]
 
 
 def reflexive_translate(p: Polytope) -> Optional[Polytope]:
@@ -485,14 +489,16 @@ def _simple_l(p: Polytope, core: _LCore, b: Sequence[int], d: int, q: int) -> Fr
 
 @dataclass(frozen=True)
 class NodeData:
-    """theta sampled on the refined lattice points of one dilation level.
+    """theta sampled on the refined lattice points of one dilation level,
+    for the sums against a PL function at every node (Q and the projection).
 
     The nodes are z / level for the integer points z of level * P, and theta
-    there is ``numerators[j] / den``.  Every statistic is an integer sum
-    with one division at the end: with N nodes and T the sum of the
+    there is ``numerators[j] / den``.  With N nodes and T the sum of the
     numerators, theta_bar = T / (den N) and the deviation at node j is
     e_j / (den N) with e_j = N numerators[j] - T.  The rational ``nodes`` and
-    ``deviations`` are only built when a caller asks for them.
+    ``deviations`` are only built when a caller asks for them.  The sums
+    over the nodes that need theta alone come from the level's integer sums
+    (:func:`_level_stats`).
     """
 
     level: int
@@ -530,19 +536,6 @@ class NodeData:
 
     def ttilde(self, j: int) -> Fraction:
         return Fraction(self.centered[j], self.den * self.count * self.level)
-
-    @cached_property
-    def deviation_square_sum(self) -> Fraction:
-        return Fraction(sum(e * e for e in self.centered), (self.den * self.count) ** 2)
-
-    @cached_property
-    def deviation_moment(self) -> tuple[Fraction, ...]:
-        """sum over the nodes a of (theta(a) - theta_bar) * a, componentwise."""
-        scale = self.den * self.count * self.level
-        return tuple(
-            Fraction(sum(map(mul, self.centered, column)), scale)
-            for column in zip(*self.points)
-        )
 
 
 def _level_values(
@@ -582,18 +575,61 @@ def theta_nodes(p: Polytope, ed: ExtremalData, i: int) -> NodeData:
     return NodeData(level=i, points=points, numerators=numerators, den=den)
 
 
+class _LevelStats(NamedTuple):
+    """The sums of theta over the nodes a = z / i of one level."""
+
+    level: int
+    count: int
+    theta_bar: Fraction
+    deviation_square_sum: Fraction  # sum of (theta(a) - theta_bar)^2
+    deviation_moment: tuple[Fraction, ...]  # sum of (theta(a) - theta_bar) a
+    node_sum: tuple[Fraction, ...]  # sum of a
+
+
+def _level_stats(p: Polytope, ed: ExtremalData, i: int) -> _LevelStats:
+    """:class:`_LevelStats` from the integer sums N, S_1 = sum z and
+    S_2 = sum z z^T over the points z of iP (:func:`~toricstab.lattice._level_sums`),
+    with theta at no node.
+
+    theta = (A.z + C) / (D i) at z / i, as on :class:`NodeData`: D is the
+    least common denominator of theta's coefficients, A = D a, C = D c i.
+    theta is affine, so its numerators sum to T = A.S_1 + C N, their
+    products with z to X = S_2 A + C S_1 and their squares to A.X + C T.
+    """
+    sums = _level_sums(p, i)
+    count, first = sums.count, sums.first
+    if not count:
+        raise PreconditionFailed(f"no refined sample points at level {i}")
+    d, [(*a, c)] = _over_common_denominator([(*ed.theta.a, ed.theta.c)])
+    c *= i
+    den = d * i
+    total = sum(map(mul, a, first)) + c * count
+    cross = [sum(map(mul, a, row)) + c * f for row, f in zip(sums.second, first)]
+    squares = sum(map(mul, a, cross)) + c * total
+    return _LevelStats(
+        level=i,
+        count=count,
+        theta_bar=Fraction(total, den * count),
+        deviation_square_sum=Fraction(count * squares - total * total, den * den * count),
+        deviation_moment=tuple(
+            Fraction(count * x - total * f, den * count * i) for x, f in zip(cross, first)
+        ),
+        node_sum=tuple(Fraction(f, i) for f in first),
+    )
+
+
 def s_closed_form(p: Polytope, ed: ExtremalData, i: int) -> Optional[Fraction]:
     """-i * theta_bar * E(i) / sum (theta(a) - theta_bar)^2, or None when theta
     is constant on the nodes (then every s balances and the ratio is 0/0)."""
-    return _s_closed(theta_nodes(p, ed, i))
+    return _s_closed(_level_stats(p, ed, i))
 
 
-def _s_closed(nd: NodeData) -> Optional[Fraction]:
-    """:func:`s_closed_form` on the node data of its level."""
-    denom = nd.deviation_square_sum
+def _s_closed(stats: _LevelStats) -> Optional[Fraction]:
+    """:func:`s_closed_form` on the statistics of its level."""
+    denom = stats.deviation_square_sum
     if denom == 0:
         return None
-    return -Fraction(nd.level) * nd.theta_bar * nd.count / denom
+    return -Fraction(stats.level) * stats.theta_bar * stats.count / denom
 
 
 HOLDS = "holds"
@@ -624,21 +660,18 @@ def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
     A fails verdict at any level certifies asymptotic relative Chow
     instability in the toric sense.
     """
-    return _balance(p, theta_nodes(p, ed, i))
+    return _balance(p, _level_stats(p, ed, i))
 
 
-def _balance(p: Polytope, nd: NodeData) -> ChowCondition:
-    """:func:`chow_necessary` on the node data of its level.
-
-    The node sum is the integer sum of the points of iP over i, and the
-    coefficient sum_a ttilde(a) a is the deviation moment over i.
-    """
+def _balance(p: Polytope, stats: _LevelStats) -> ChowCondition:
+    """:func:`chow_necessary` on the statistics of its level: the
+    coefficient sum_a ttilde(a) a is the deviation moment over i."""
     vol = p.volume()
     moments = moment_vector(p)
-    node_sum = tuple(Fraction(sum(column), nd.level) for column in zip(*nd.points))
-    coeffs = tuple(m / nd.level for m in nd.deviation_moment)
+    coeffs = tuple(m / stats.level for m in stats.deviation_moment)
     targets = tuple(
-        Fraction(nd.count) * moment / vol - total for moment, total in zip(moments, node_sum)
+        Fraction(stats.count) * moment / vol - total
+        for moment, total in zip(moments, stats.node_sum)
     )
     sol = solve_overdetermined_1d(coeffs, targets)
     if sol is None:
@@ -648,14 +681,14 @@ def _balance(p: Polytope, nd: NodeData) -> ChowCondition:
     else:
         status, s = HOLDS, sol
     return ChowCondition(
-        level=nd.level,
+        level=stats.level,
         status=status,
         s=s,
         coeffs=coeffs,
         targets=targets,
-        node_sum=node_sum,
-        theta_bar=nd.theta_bar,
-        count=nd.count,
+        node_sum=stats.node_sum,
+        theta_bar=stats.theta_bar,
+        count=stats.count,
     )
 
 
@@ -679,21 +712,23 @@ def q_weight(
     balance system has no solution -- Q is then undefined and the variety is
     already unstable at this level.
     """
+    stats = _level_stats(p, ed, i)
     nd = theta_nodes(p, ed, i)
     integral = integrate_pl(p, Poly.constant(p.dim, 1), g)
-    return _q_weight(p, nd, _balance(p, nd), g, integral, s)
+    return _q_weight(p, nd, _balance(p, stats), _s_closed(stats), g, integral, s)
 
 
 def _q_weight(
     p: Polytope,
     nd: NodeData,
     cond: ChowCondition,
+    s_closed: Optional[Fraction],
     g: PLFn,
     integral: Fraction,
     s: Optional[Fraction] = None,
 ) -> Fraction:
     """:func:`q_weight` on the node data of its level, the balance outcome
-    there and the integral of g over P.
+    and the closed-form s there, and the integral of g over P.
 
     With g(a_j) = G_j / g_den and ttilde(a_j) = e_j / (den N i), the node
     total is sum G / g_den + s * sum e_j G_j / (den N i g_den).
@@ -707,7 +742,7 @@ def _q_weight(
         if cond.status == HOLDS:
             s = cond.s
         else:
-            s = _s_closed(nd) or Fraction(0)
+            s = s_closed or Fraction(0)
     values, g_den = _level_values(g, nd.points, nd.level)
     weighted = Fraction(
         sum(map(mul, nd.centered, values)), nd.den * nd.count * nd.level * g_den
@@ -734,7 +769,10 @@ def p_weight(p: Polytope, i: int, u: PLFn, bound) -> PWeightReport:
     enters the integrality report and cancels from the weight (asserted).
     """
     bound = rat(bound)
-    value = _p_weight(p, i, u, bound, integrate_pl(p, Poly.constant(p.dim, 1), u))
+    points = lattice_points(p, i)
+    values, u_den = _level_values(u, points, i)
+    int_u = integrate_pl(p, Poly.constant(p.dim, 1), u)
+    value = _p_weight(p, len(points), Fraction(sum(values), u_den), bound, int_u)
     return PWeightReport(
         value=value,
         chow_weight=-i * value,
@@ -743,16 +781,15 @@ def p_weight(p: Polytope, i: int, u: PLFn, bound) -> PWeightReport:
     )
 
 
-def _p_weight(p: Polytope, i: int, u: PLFn, bound: Fraction, int_u: Fraction) -> Fraction:
-    """The weight P(i, u) of :func:`p_weight`, with the integral of u over P
-    given; the integrality report is left to :func:`p_weight`."""
-    points = lattice_points(p, i)
-    count = len(points)
+def _p_weight(
+    p: Polytope, count: int, sum_u: Fraction, bound: Fraction, int_u: Fraction
+) -> Fraction:
+    """The weight P(i, u) = E(i) * int_u - Vol * sum_u of :func:`p_weight`
+    for E(i) = ``count``, u summing to ``sum_u`` over the nodes and to
+    ``int_u`` over P, with its independence of the bound R checked on the
+    (R - u) data; the integrality report is left to :func:`p_weight`."""
     vol = p.volume()
-    values, u_den = _level_values(u, points, i)
-    sum_u = Fraction(sum(values), u_den)
     value = count * int_u - vol * sum_u
-    # R-independence: the same weight from the (R - u) data.
     shifted = count * (bound * vol - int_u) - vol * (count * bound - sum_u)
     if value != -shifted:
         raise InternalInvariant("the Chow weight depends on the bound R")
@@ -775,7 +812,7 @@ def project_perp(p: Polytope, ed: ExtremalData, i: int, u: PLFn) -> Projection:
     s from the closed form.
     """
     nd = theta_nodes(p, ed, i)
-    denom = nd.deviation_square_sum
+    denom = _level_stats(p, ed, i).deviation_square_sum
     if denom == 0:
         raise ThetaConstant("potential constant on the sample nodes")
     # the pairing of u with the deviations, e_j / (den N), at the nodes
@@ -864,17 +901,20 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
     g_integral = None
     u_integral = integrate_pl(p, one, u_sample)
     for i in range(1, i_max + 1):
-        # theta at the nodes once per level, shared by the balance system,
-        # the closed-form s and the Q sample, and dropped after the level
-        nd = theta_nodes(p, ed, i)
-        cond = _balance(p, nd)
+        # the level's integer sums give the balance system, the closed-form
+        # s and the P sample (u = max{0, x_1} sums to sum max{0, z_1} / i);
+        # only the Q sample reads theta and g at the nodes
+        stats = _level_stats(p, ed, i)
+        cond = _balance(p, stats)
         chow.append(cond)
-        s_closed[i] = _s_closed(nd)
+        s_closed[i] = _s_closed(stats)
         if cond.status != FAILS:
             if g_integral is None:
                 g_integral = integrate_pl(p, one, g_sample)
-            q_samples[i] = _q_weight(p, nd, cond, g_sample, g_integral)
-        p_samples[i] = _p_weight(p, i, u_sample, bound, u_integral)
+            nd = theta_nodes(p, ed, i)
+            q_samples[i] = _q_weight(p, nd, cond, s_closed[i], g_sample, g_integral)
+        sum_u = Fraction(_level_sums(p, i).positive, i)
+        p_samples[i] = _p_weight(p, stats.count, sum_u, bound, u_integral)
     return chow, s_closed, q_samples, p_samples
 
 

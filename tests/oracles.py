@@ -8,7 +8,8 @@ triangulation recursing down to single vertices,
 facet integrals with the integrand restricted to each chart (the chart
 restrictions live only here), slice-and-sum subdivision, L over every facet
 chart and every linearity region, its integration-by-parts form, a scan of
-the bounding box for lattice points and the interior count for reciprocity,
+the bounding box for lattice points (whole, or with the widest coordinate
+solved per cell from the facets) and the interior count for reciprocity,
 vertices from every n-subset of facets, facets from every n-subset of
 points, the node statistics summed in rationals point by point, Gaussian
 elimination in rationals, the greedy basis grown by one rank call per row,
@@ -18,7 +19,7 @@ and plain random data generators.
 import math
 import random
 from fractions import Fraction as F
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 from operator import mul
 
 from toricstab import (
@@ -421,7 +422,9 @@ def l_functional_parts_form(p: Polytope, ed, u: PLFn) -> F:
     return total
 
 
-def fraction_node_stats(p: Polytope, theta: AffineFn, i: int, g: PLFn, u: PLFn, bound) -> dict:
+def fraction_node_stats(
+    p: Polytope, theta: AffineFn, i: int, g: PLFn, u: PLFn, bound, points=None
+) -> dict:
     """The node statistics of level i summed in rationals, point by point.
 
     theta, g and u are evaluated at every node of the refined sample
@@ -430,9 +433,14 @@ def fraction_node_stats(p: Polytope, theta: AffineFn, i: int, g: PLFn, u: PLFn, 
     weighted node sum, Q(i, g) with s from the system (None when the system
     fails), P(i, u) against the bound R, and the projection of u
     perpendicular to theta (None when theta is constant on the nodes).
+    The nodes are ``points`` / i, for the integer points of iP found by a
+    scan, or by the library's enumeration when ``points`` is None.
     """
     n = p.dim
-    nodes = refined_points(p, i)
+    if points is None:
+        nodes = refined_points(p, i)
+    else:
+        nodes = [tuple(F(x, i) for x in z) for z in points]
     count = len(nodes)
     values = [theta(a) for a in nodes]
     bar = sum(values, F(0)) / count
@@ -526,6 +534,56 @@ def box_lattice_points(p: Polytope, i: int) -> list:
     scan([], 0)
     points.sort()
     return points
+
+
+def fibre_scan_points(p: Polytope, i: int) -> list:
+    """The integer points of ``i * P`` by scanning every cell of the bounding
+    box of all coordinates but the widest and solving, per cell, the range
+    of that one from every facet of P, sorted lexicographically.
+
+    A cheaper scan than :func:`box_lattice_points` for polytopes whose box
+    is large, with no coordinate projection: a facet <l, z> <= rhs = a/b
+    bounds t = z_m, m the widest axis, by b c t <= i a - b <l', z'>, for
+    c = l_m and z' the other coordinates; c = 0 tests z' alone.
+    """
+    n = p.dim
+    box = [
+        range(math.ceil(min(v[k] for v in p.vertices) * i),
+              math.floor(max(v[k] for v in p.vertices) * i) + 1)
+        for k in range(n)
+    ]
+    m = max(range(n), key=lambda k: len(box[k]))
+    rest_axes = [k for k in range(n) if k != m]
+    rows = [
+        ([h.rhs.denominator * h.normal[k] for k in rest_axes], h.rhs.denominator * h.normal[m],
+         i * h.rhs.numerator)
+        for h in p.halfspaces
+    ]
+    points = []
+    for prefix in product(*(box[k] for k in rest_axes)):
+        lo, hi = -math.inf, math.inf
+        for normal, c, bound in rows:
+            rest = bound - sum(a * b for a, b in zip(normal, prefix))
+            if c > 0:
+                hi = min(hi, rest // c)
+            elif c < 0:
+                lo = max(lo, -(-rest // c))  # ceil(rest / c)
+            elif rest < 0:
+                break
+        else:
+            for t in range(lo, hi + 1):
+                points.append(prefix[:m] + (t,) + prefix[m:])
+    return sorted(points)
+
+
+def point_sums(points, dim: int) -> tuple:
+    """(N, sum z, sum z z^T, sum max{0, z_1}) over integer points, one by one."""
+    return (
+        len(points),
+        tuple(sum(z[k] for z in points) for k in range(dim)),
+        tuple(tuple(sum(z[j] * z[k] for z in points) for k in range(dim)) for j in range(dim)),
+        sum(max(0, z[0]) for z in points),
+    )
 
 
 def brute_vertices(halfspaces, dim: int) -> list:

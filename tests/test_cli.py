@@ -185,7 +185,8 @@ def test_kstab_e2_json_bytes():
 def test_tables_survey_json_bytes(monkeypatch):
     # The whole-corpus table at levels 1-3 and grid 0 in every format, and the
     # analyze and chow reports that share its stages, pinned byte for byte,
-    # each reading every corpus entry it uses once.
+    # each reading every corpus entry it uses once; E4's balance system at
+    # levels 1-20 reads only the integer sums of each level.
     from toricstab import corpus
 
     pins = [
@@ -199,6 +200,8 @@ def test_tables_survey_json_bytes(monkeypatch):
          "89f976a8d5ef70425bc4d84a1bd1881e5082d8b3d12f52be74f0ccf6a472bed1", 1),
         (("chow", "corpus:ORB-530571", "--i-max", "3", "--format", "json"),
          "e4f0292cbd155909c01bd577792643275c71d43eacbaae7ed89a061163921e04", 1),
+        (("chow", "corpus:E4", "--i-max", "20", "--format", "json"),
+         "f51c877c7e09c252c159dcb41c2a0b66ab2138a37fd18178f35b25a681064e7d", 1),
     ]
     loads = []
     _record_calls(monkeypatch, corpus.load_entry, loads)
@@ -250,6 +253,47 @@ def test_tables_and_chow_compute_only_what_they_print(monkeypatch):
     code, out = run_cli("chow", "corpus:F1", "--i-max", "3")
     assert code == 0 and "chow i=3" in out
     assert calls["k_classify"] == calls["ehrhart"] == calls["analyze"] == []
+
+
+def test_level_statistics_build_no_point_list(monkeypatch):
+    # The balance system, s_closed, the P sample, the Ehrhart counts and the
+    # gate's sums read the integer sums of each level: tables enumerates no
+    # point and reads theta at no node, and neither does chow on E4, which
+    # fails at every level and so needs no Q sample.
+    from toricstab import lattice, stability
+
+    calls = []
+    _record_calls(monkeypatch, lattice.lattice_points, calls)
+    _record_calls(monkeypatch, stability.theta_nodes, calls)
+    for argv in (("tables", "--i-max", "3", "--grid", "0"), ("chow", "corpus:E4", "--i-max", "20")):
+        code, _ = run_cli(*argv)
+        assert code == 0, argv
+        assert calls == [], argv
+
+
+def test_tables_cuts_each_excess_region_once(monkeypatch):
+    # The excess region is cut once per (P, theta) and shared by the gate,
+    # the classifier and the search: tables at grid 0 makes 28 cuts, 13 of
+    # them excess regions, and no cut twice.
+    from toricstab import polytope
+
+    cut = polytope.intersect_halfspace
+    cuts, kept = [], []
+
+    def recorded(p, normal, rhs):
+        kept.append(p)  # keeps every id distinct for the run
+        cuts.append((id(p), tuple(normal), rhs, sys._getframe(1).f_code.co_name))
+        return cut(p, normal, rhs)
+
+    for name, module in list(sys.modules.items()):
+        if name == "toricstab" or name.startswith("toricstab."):
+            for attr, value in list(vars(module).items()):
+                if value is cut:
+                    monkeypatch.setattr(module, attr, recorded)
+    code, _ = run_cli("tables", "--i-max", "3", "--grid", "0")
+    assert code == 0
+    assert len(cuts) == len({c[:3] for c in cuts}) == 28
+    assert sum(c[3] == "excess_region" for c in cuts) == 13
 
 
 # Per subcommand, the options it declares; every one must be read by its handler.
@@ -395,11 +439,13 @@ def test_levels_below_one_are_rejected():
 
 def test_oversized_levels_are_rejected(monkeypatch):
     # Levels whose node bound is above the budget are a validation error
-    # (exit 2), raised before any lattice point is enumerated.
+    # (exit 2), raised before any lattice point is enumerated or any level
+    # is walked.
     from toricstab import lattice, stability
 
     calls = []
     _record_calls(monkeypatch, lattice.lattice_points, calls)
+    _record_calls(monkeypatch, lattice._ranges, calls)
     for argv, name in (
         (("chow", "corpus:E4"), "E4"),
         (("analyze", "corpus:E4"), "E4"),
@@ -421,11 +467,12 @@ def test_ehrhart_levels_over_the_budget_are_rejected(tmp_path, monkeypatch):
     # With edge 3000 their node bound is far above the budget, and with
     # edge 30 it is above it while level 1 alone fits: ehrhart, and analyze
     # whatever its --i-max, are a validation error (exit 2) before any
-    # lattice point is enumerated.
+    # lattice point is enumerated or any level is walked.
     from toricstab import lattice
 
     calls = []
     _record_calls(monkeypatch, lattice.lattice_points, calls)
+    _record_calls(monkeypatch, lattice._ranges, calls)
     cases = ((3000, ("ehrhart",), 3375000000000), (30, ("analyze", "--i-max", "1"), 3375000))
     for edge, argv, bound in cases:
         path = tmp_path / f"S{edge}.json"

@@ -24,8 +24,11 @@ CLOUDS = [(1, 6, 6, 4, 4), (2, 6, 6, 4, 4), (3, 4, 3, 3, 4), (4, 3, 2, 2, 2), (5
 
 
 def assert_matches_box_scan(p, levels):
+    # the points, and N, sum z, sum z z^T and sum max{0, z_1} summed one by one
     for i in levels:
-        assert lattice_points(p, i) == oracles.box_lattice_points(p, i), i
+        box = oracles.box_lattice_points(p, i)
+        assert tuple(lattice._level_sums(p, i)) == oracles.point_sums(box, p.dim), i
+        assert lattice_points(p, i) == box, i
 
 
 def test_cube_counts(cube):
@@ -147,6 +150,7 @@ def test_matches_box_scan_on_sheared_cube():
 def test_projections_built_once_per_polytope(corpus_entries, monkeypatch):
     e3 = corpus_entries["E3"].polytope
     p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in e3.halfspaces])
+    q = oracles.cp1_times(p)
     built = []
     hull = Polytope.from_vertices
 
@@ -157,12 +161,28 @@ def test_projections_built_once_per_polytope(corpus_entries, monkeypatch):
     monkeypatch.setattr(Polytope, "from_vertices", staticmethod(counted))
     for i in (1, 2, 3, 1, 2):
         lattice_points(p, i)
-    # proj_1 is an interval read off the vertices and proj_3 is P, so only
-    # proj_2 is hulled: one from_vertices call for the 3D entry, not two
+    # proj_1 is an interval read off the vertices, proj_{n-1} is read off
+    # the facets of P and proj_n is P, so the 3D entry hulls nothing and
+    # the 4D CP^1 x E3 hulls proj_2 only
     assert p.dim == 3
+    assert built == []
+    for i in (1, 2, 1):
+        lattice_points(q, i)
     assert built == [2]
     assert lattice._projections(p) is p.cache["lattice_projections"]
     assert_matches_box_scan(p, (1, 2))
+
+
+def test_shadow_matches_the_hull_of_the_projection(corpus_entries):
+    # proj_{n-1}(P) from the facets and ridges of P against the hull of the
+    # projected vertices
+    rng = random.Random(1997)
+    polytopes = [entry.polytope for entry in corpus_entries.values()]
+    polytopes += [oracles.random_polytope(rng, dim) for dim in (3, 4, 5) for _ in range(8)]
+    for p in polytopes:
+        k = p.dim - 1
+        hull = Polytope.from_vertices([v[:k] for v in p.vertices])
+        assert sorted(lattice._shadow(p)) == sorted(hull.halfspaces)
 
 
 def test_corpus_lattice_points_unchanged(corpus_entries):
@@ -178,3 +198,19 @@ def test_corpus_lattice_points_unchanged(corpus_entries):
     assert digest.hexdigest() == (
         "3a139cb51ef81f0a5e89d356650dd8d54c19526338a01f71349d33191ab613de"
     )
+
+
+def test_level_sums_match_fibre_scan_on_corpus(corpus_entries):
+    # N, sum z, sum z z^T and sum max{0, z_1} of every entry at levels 1-8,
+    # against the points of a scan that solves the widest coordinate per
+    # cell of the other coordinates' box, summed one by one; level 1 also
+    # against the whole box.
+    for name, entry in corpus_entries.items():
+        p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in entry.polytope.halfspaces])
+        for i in range(1, 9):
+            points = oracles.fibre_scan_points(p, i)
+            if i == 1:
+                assert points == oracles.box_lattice_points(p, i), name
+            assert tuple(lattice._level_sums(p, i)) == oracles.point_sums(points, 3), (name, i)
+        # the sums built no point list
+        assert not any(key[0] == "lattice_points" for key in p.cache if isinstance(key, tuple))

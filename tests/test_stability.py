@@ -300,6 +300,8 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # the region and its facets (no simplex kernel, no barycentric
     # expansion, no polynomial product), sums no second moments of a facet
     # record (L reads c m_0 + a.m_1 there) and adds nothing to the cache of P
+    # but the excess region, cut once per (P, theta) and shared with the gate
+    # and the classifier
     from toricstab import plfun, polytope, stability
 
     kernel = importlib.import_module("toricstab.integrate")  # the name integrate is the function
@@ -348,7 +350,7 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
         "rays": 0, "cuts": 1 + 38, "charts": 0, "simplex": 0, "mul": 0,
         "l": 0, "regions": 0, "facets": 38, "core": 38,
     }
-    assert set(p.cache) == keys
+    assert set(p.cache) == keys | {("excess_region", ed.theta.a, ed.theta.c)}
     # a record keeps its second moments in its attributes once summed
     assert len(facet_records) > counts["core"]
     assert not any("second" in vars(record) for record in facet_records)
@@ -796,11 +798,14 @@ def test_s_trend_toward_minus_half(corpus_entries):
 
 
 def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
-    # The balance system, the closed-form s, Q and the projection each read
+    # The balance system and the closed-form s read theta at no node: they
+    # take the integer sums of the level.  Q and the projection each read
     # theta at the nodes of their level once, as integer numerators over the
-    # lattice points of iP, and never through AffineFn.__call__ at a node;
-    # analyze reads it once per level.
-    from toricstab import stability
+    # lattice points of iP, and never through AffineFn.__call__ at a node.
+    # analyze walks each level and builds its sums once, and reads theta at
+    # the nodes once per level that has a Q sample (B2 holds at levels 1-3),
+    # off the points of the same walk.
+    from toricstab import lattice, stability
 
     p = corpus_entries["B2"].polytope
     ed = extremal_affine(p)
@@ -825,33 +830,56 @@ def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
     monkeypatch.setattr(AffineFn, "__call__", counting)
     monkeypatch.setattr(stability, "_level_values", recording)
     g = PLFn.concave([AffineFn.make((1, 0, 0), 0), AffineFn.make((-1, 0, 0), 0)])
-    for run in (
-        lambda: chow_necessary(p, ed, 1),
-        lambda: s_closed_form(p, ed, 1),
-        lambda: q_weight(p, ed, 1, g),
-        lambda: project_perp(p, ed, 1, PLFn.simple((1, 0, 0), 0)),
+    for run, reads in (
+        (lambda: chow_necessary(p, ed, 1), []),
+        (lambda: s_closed_form(p, ed, 1), []),
+        (lambda: q_weight(p, ed, 1, g), [(points, 1)]),
+        (lambda: project_perp(p, ed, 1, PLFn.simple((1, 0, 0), 0)), [(points, 1)]),
     ):
         at_nodes.clear()
         theta_reads.clear()
         run()
         assert at_nodes == []
-        assert theta_reads == [(points, 1)]
-    levels = []
+        assert theta_reads == reads
+    levels, built, walked = [], [], []
     build = stability.theta_nodes
+    sums, ranges = lattice._level_sums, lattice._ranges
 
     def counted(p, ed, i):
         levels.append(i)
         return build(p, ed, i)
 
+    def summed(q, i):
+        if ("level_sums", i) not in q.cache:
+            built.append(i)
+        return sums(q, i)
+
+    def walk(q, i):
+        if ("lattice_ranges", i) not in q.cache:
+            walked.append(i)
+        return ranges(q, i)
+
     monkeypatch.setattr(stability, "theta_nodes", counted)
-    analyze(p, i_max=3, grid=0)
+    monkeypatch.setattr(stability, "_level_sums", summed)
+    monkeypatch.setattr(lattice, "_level_sums", summed)
+    monkeypatch.setattr(lattice, "_ranges", walk)
+    # a fresh copy, so that no level's sums come from another test
+    fresh = Polytope.from_halfspaces([(h.normal, h.rhs) for h in p.halfspaces])
+    analyze(fresh, i_max=3, grid=0)
     assert levels == [1, 2, 3]
+    # levels 1-3 for the balance system, 1-5 for the Ehrhart counts
+    assert sorted(built) == sorted(walked) == [1, 2, 3, 4, 5]
 
 
 def _node_stats(p, ed, i, g, u, bound):
     """The library's node statistics at level i, keyed as in
-    :func:`oracles.fraction_node_stats`."""
+    :func:`oracles.fraction_node_stats`: the per-node ones off
+    :func:`theta_nodes`, the sums of theta alone off the level's integer
+    sums."""
+    from toricstab import stability
+
     nd = theta_nodes(p, ed, i)
+    stats = stability._level_stats(p, ed, i)
     cond = chow_necessary(p, ed, i)
     try:
         q = q_weight(p, ed, i, g)
@@ -867,8 +895,8 @@ def _node_stats(p, ed, i, g, u, bound):
         "theta_bar": nd.theta_bar,
         "deviations": nd.deviations,
         "ttilde": tuple(nd.ttilde(j) for j in range(nd.count)),
-        "deviation_square_sum": nd.deviation_square_sum,
-        "weighted_node_sum": nd.deviation_moment,
+        "deviation_square_sum": stats.deviation_square_sum,
+        "weighted_node_sum": stats.deviation_moment,
         "node_sum": cond.node_sum,
         "coeffs": cond.coeffs,
         "targets": cond.targets,
@@ -927,6 +955,60 @@ def test_node_stats_match_fraction_route_on_non_lattice_polytopes():
     assert checked >= 15
 
 
+def _assert_level_stats_match_scanned_nodes(p, levels):
+    """The statistics of each level read off its integer sums (theta_bar, the
+    deviation square sum and moment, the balance system, s_closed) and the
+    Q and P samples of ``chow_levels``, against the rational route summed
+    over the points of a scan of iP, never the library's enumeration."""
+    from toricstab import stability
+
+    ed = extremal_affine(p)
+    g = stability.facet_distance_pl(p)
+    u = PLFn.simple([1] + [0] * (p.dim - 1), 0)
+    bound = max(u(v) for v in p.vertices) + 1
+    chow, s_closed, q_samples, p_samples = stability.chow_levels(p, max(levels))
+    for i in levels:
+        points = oracles.fibre_scan_points(p, i)
+        want = oracles.fraction_node_stats(p, ed.theta, i, g, u, bound, points)
+        stats = stability._level_stats(p, ed, i)
+        cond = chow[i - 1]
+        assert (cond.count, cond.theta_bar, cond.node_sum) == (
+            stats.count, stats.theta_bar, stats.node_sum
+        )
+        got = {
+            "count": stats.count,
+            "theta_bar": stats.theta_bar,
+            "deviation_square_sum": stats.deviation_square_sum,
+            "weighted_node_sum": stats.deviation_moment,
+            "node_sum": stats.node_sum,
+            "coeffs": cond.coeffs,
+            "targets": cond.targets,
+            "balance": {HOLDS: cond.s, ANY: ANY_S, FAILS: None}[cond.status],
+            "s_closed": s_closed[i],
+            "q": q_samples.get(i),
+            "p": p_samples[i],
+        }
+        assert got == {key: want[key] for key in got}, (p.name, i)
+
+
+def test_level_stats_match_fraction_route_on_corpus(corpus_entries):
+    # every entry at levels 1-2, and the headline E4, which fails at every
+    # level, at levels 1-5 (the sums themselves are checked at levels 1-8 in
+    # test_lattice.py; the rational route costs about 50 us a node)
+    for name, entry in corpus_entries.items():
+        _assert_level_stats_match_scanned_nodes(entry.polytope, range(1, 6 if name == "E4" else 3))
+
+
+def test_level_stats_match_fraction_route_on_random_polytopes():
+    # rational vertices in dimensions 1-4, so fibres start at fractional
+    # bounds; dimension 1 reads the P sample off its one fibre
+    rng = random.Random(815)
+    for dim, count, top in ((1, 4, 4), (2, 4, 4), (3, 3, 3), (4, 2, 2)):
+        for _ in range(count):
+            p = oracles.random_polytope(rng, dim, num=4, den=3)
+            _assert_level_stats_match_scanned_nodes(p, range(1, top + 1))
+
+
 def test_node_stats_match_fraction_route_on_affine_samples(corpus_entries):
     # a single piece, and pieces that tie on the nodes, take the same route
     rng = random.Random(814)
@@ -957,7 +1039,7 @@ def test_node_checks_fire(corpus_entries, monkeypatch):
         q_weight(p, ed, 1, PLFn.concave([AffineFn.make((1, 2, 0), 1)]))
     monkeypatch.undo()
     with pytest.raises(InternalInvariant, match="bound R"):
-        stability._p_weight(p, 1, PLFn.simple((1, 0, 0), 0), F(10), 0.1)
+        stability._p_weight(p, 27, F(13, 2), F(10), 0.1)
     level_values = stability._level_values
     calls = []
 
