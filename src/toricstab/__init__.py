@@ -22,7 +22,6 @@ from .lattice import EhrhartPoly, ehrhart, lattice_points, refined_points
 from .linalg import (
     ANY_S,
     AnyS,
-    interpolate_poly,
     rank,
     rat,
     rat_str,
@@ -52,6 +51,7 @@ from .stability import (
     ExtremalData,
     KVerdict,
     NodeData,
+    RadialCertificate,
     StabilityReport,
     analyze,
     average_scalar,
@@ -64,8 +64,10 @@ from .stability import (
     p_weight,
     project_perp,
     q_weight,
+    radial_certificate,
     s_closed_form,
     theta_nodes,
 )
+from .univariate import interpolate_poly
 
 __version__ = "0.1.0"

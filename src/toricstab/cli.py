@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import io
 import json
 import sys
@@ -385,7 +386,10 @@ def cmd_corpus_list(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built once per process: ``parse_args``
+    keeps no state between calls."""
     parser = argparse.ArgumentParser(
         prog="toricstab",
         description="Exact stability criteria for polarized toric varieties.",

@@ -10,8 +10,9 @@ from operator import floordiv, mul, neg, sub
 from typing import NamedTuple
 
 from .errors import DegreeMismatch, NotLatticePolytope, ValidationError
-from .linalg import interpolate_poly, poly_eval, rat_str
+from .linalg import rat_str
 from .polytope import HalfSpace, Polytope
+from .univariate import interpolate_poly, poly_eval
 
 
 def lattice_points(p: Polytope, i: int) -> list[tuple[int, ...]]:
@@ -155,13 +156,16 @@ def node_bound(p: Polytope, i_max: int) -> int:
 # sums off its fibre ranges, walked and summed at about 1-2 us a range (E4
 # at levels 1..30: a bound of 1,855,000, 1,538,560 nodes in 34,750 ranges,
 # 0.03 s; the whole chow command 0.06 s and 19 MiB peak).  A level with a
-# Q sample still builds its points, cached on P, and reads theta and the
-# sample at each: about 2.4-4.7 us and 100-120 bytes a node (CP3 at levels
-# 1..26: 1,415,960 nodes, 3.4 s, 154 MiB; F1 at 1..31: 1,572,351 nodes,
-# 7.5 s, 169 MiB; B1 at 1..27: 1,586,619 nodes, 6.5 s, 198 MiB; Python 3.11
-# on a 2-core x86-64 host).  So the bound stays on nodes, and a run inside
-# it takes seconds and a few hundred MiB at most.  E4 fits up to level 30;
-# every corpus entry fits the defaults with room.
+# Q sample still builds its points and reads theta and the sample at each,
+# about 3-5.5 us a node, and drops them before the next level, so the peak
+# follows the largest level, at about 220-340 bytes a node of it (levels
+# 1..i_max of CP3 to 26: 1,415,960 nodes, 198,485 at the top level, 4.5 s,
+# 63 MiB; F1 to 31: 1,572,351 and 187,551 nodes, 8.5 s, 64 MiB; B1 to 27:
+# 1,586,619 and 214,885 nodes, 5.9 s, 91 MiB; ru_maxrss of one chow run
+# each, Python 3.11 on a 2-core x86-64 host).  So the bound stays on
+# nodes: a run inside it takes seconds, and a few hundred MiB only where
+# one level holds most of the budget.  E4 fits up to level 30; every
+# corpus entry fits the defaults with room.
 MAX_LEVEL_NODES = 2_000_000
 
 
@@ -243,7 +247,7 @@ class EhrhartPoly:
         return len(self.coeffs) - 1
 
     def __call__(self, t) -> Fraction:
-        return poly_eval(self.coeffs, t)
+        return poly_eval(self.coeffs[::-1], t)
 
     def __str__(self):
         n = self.degree
@@ -276,8 +280,7 @@ def ehrhart(p: Polytope) -> EhrhartPoly:
     n = p.dim
     check_levels(n + 2, p)
     samples = [(0, 1)] + [(i, _level_sums(p, i).count) for i in range(1, n + 3)]
-    coeffs = interpolate_poly(samples, n)
-    poly = EhrhartPoly(tuple(coeffs))
+    poly = EhrhartPoly(interpolate_poly(samples, n)[::-1])
     if poly.coeffs[0] != p.volume():
         raise DegreeMismatch("leading coefficient differs from the volume")
     if 2 * poly.coeffs[1] != p.boundary_volume():

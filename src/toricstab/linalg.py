@@ -1,4 +1,4 @@
-"""Exact rational scalars, dense exact linear algebra, and polynomial interpolation.
+"""Exact rational scalars and dense exact linear algebra.
 
 Everything downstream works over ``fractions.Fraction`` (arbitrary precision,
 always in lowest terms, positive denominator), so no rounding can occur
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import DegreeMismatch, SingularMatrix
+from .errors import SingularMatrix
 
 RatLike = Union[int, str, Fraction]
 
@@ -245,40 +245,3 @@ def solve_overdetermined_1d(
             return None
     return ANY_S if s is None else s
 
-
-def poly_eval(coeffs_desc: Sequence[Fraction], t: RatLike) -> Fraction:
-    """Evaluate a univariate polynomial given highest-degree-first coefficients."""
-    t = rat(t)
-    acc = Fraction(0)
-    for c in coeffs_desc:
-        acc = acc * t + c
-    return acc
-
-
-def interpolate_poly(
-    points: Sequence[tuple[RatLike, RatLike]], degree: int
-) -> tuple[Fraction, ...]:
-    """Interpolate the unique degree-``degree`` polynomial through the points.
-
-    The first ``degree + 1`` points determine the polynomial (their abscissae
-    must be distinct); any extra points are verified to lie on it exactly and
-    :class:`DegreeMismatch` is raised otherwise -- the signal that a count
-    sequence is not polynomial of the stated degree.
-
-    Returns coefficients highest degree first.
-    """
-    pts = [(rat(x), rat(y)) for x, y in points]
-    if len(pts) < degree + 1:
-        raise ValueError(f"need at least {degree + 1} points for degree {degree}")
-    base = pts[: degree + 1]
-    xs = [p[0] for p in base]
-    if len(set(xs)) != len(xs):
-        raise ValueError("interpolation abscissae must be distinct")
-    vander = [[x ** k for k in range(degree, -1, -1)] for x in xs]
-    coeffs = solve_linear(vander, [p[1] for p in base])
-    for x, y in pts[degree + 1:]:
-        if poly_eval(coeffs, x) != y:
-            raise DegreeMismatch(
-                f"point ({rat_str(x)}, {rat_str(y)}) is off the degree-{degree} interpolant"
-            )
-    return coeffs

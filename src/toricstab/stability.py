@@ -71,6 +71,7 @@ from .polytope import (
     lattice_automorphisms,
     primitive_normal,
 )
+from .univariate import sign_on
 
 
 # ---------------------------------------------------------------------------
@@ -292,6 +293,72 @@ def reflexive_translate(p: Polytope) -> Optional[Polytope]:
     return translated if _is_reflexive(translated) else None
 
 
+class RadialCertificate(NamedTuple):
+    """The radial bound of :func:`radial_certificate`."""
+
+    interval: tuple[Fraction, Fraction]  # min and max of t.v over the vertices v
+    polys: tuple[tuple[int, ...], ...]  # scale * Q at each end, low degree first
+    scale: int
+    holds: bool  # Q > 0 on [0, 1] at both ends
+
+
+def radial_certificate(p: Polytope, ed: ExtremalData) -> RadialCertificate:
+    """Decide exactly whether L(u) > 0 for every convex u on reflexive P
+    that is not affine, by the sign of two polynomials on [0, 1].
+
+    On reflexive P, L(u) = integral over P of x.grad u - theta u (the parts
+    form of :class:`_LCore`).  L vanishes on affine functions, so u may be
+    taken convex with u >= 0 and u(0) = 0.  With x = s y for y on the
+    boundary, dx = s^(n-1) ds dsigma(y) (every facet is at lattice distance
+    1), theta = t.x + theta_c and lambda = t.y, L is the integral over the
+    boundary of l_lambda(g_y), g_y(s) = u(s y) and
+    l_lambda(g) = integral over [0, 1] of (s g' - (theta_c + lambda s) g) s^(n-1).
+    g_y is convex and non-decreasing with g(0) = 0, so a non-negative
+    mixture of the hinges (s - a)_+, a in [0, 1), on which l_lambda is
+    G(a, lambda) = A - theta_c B - lambda C with
+    A = (1 - a^(n+1))/(n+1), B = A - a (1 - a^n)/n and
+    C = (1 - a^(n+2))/(n+2) - a (1 - a^(n+1))/(n+1).  G(1, lambda) = 0 and G
+    is affine in lambda, which ranges over the values of t.v at the
+    vertices v.  So the bound holds when Q = G / (1 - a) > 0 on [0, 1] at
+    both ends of that interval: Q(0) > 0 and no root in (0, 1]
+    (:func:`~toricstab.univariate.sign_on`).
+
+    In integers: P's vertices are lattice points, so with d the least
+    common denominator of theta's coefficients, t.v and theta_c are
+    integers over d, and d n (n+1) (n+2) G has integer coefficients; Q is
+    its quotient by 1 - a, taken by synthetic division, and ``scale`` is
+    d n (n+1) (n+2).  Input must be reflexive (:class:`NotReflexive`).
+    """
+    if not _is_reflexive(p):
+        raise NotReflexive("the radial certificate needs every facet at lattice distance 1")
+    n = p.dim
+    d, [(*t, c)] = _over_common_denominator([(*ed.theta.a, ed.theta.c)])
+    lams = [sum(map(mul, t, r)) for r in p.rows]  # t.v times d
+    polys = []
+    for lam in (min(lams), max(lams)):
+        # d n (n+1) (n+2) G: A = (1 - a^(n+1))/(n+1) weighs d - theta_c d,
+        # a (1 - a^n)/n (A - B) weighs theta_c d and C weighs -lambda d
+        g = [0] * (n + 3)
+        g[0] = (d - c) * n * (n + 2) - lam * n * (n + 1)
+        g[1] = c * (n + 1) * (n + 2) + lam * n * (n + 2)
+        g[n + 1] = -(d - c) * n * (n + 2) - c * (n + 1) * (n + 2)
+        g[n + 2] = -lam * n
+        # g / (a - 1) by Horner at 1, from the top; its value at 1 must be 0
+        quotient, acc = [], 0
+        for x in reversed(g):
+            acc += x
+            quotient.append(acc)
+        if quotient.pop():
+            raise InternalInvariant("the radial form does not vanish at a = 1")
+        polys.append(tuple(-x for x in reversed(quotient)))
+    return RadialCertificate(
+        interval=(Fraction(min(lams), d), Fraction(max(lams), d)),
+        polys=tuple(polys),
+        scale=d * n * (n + 1) * (n + 2),
+        holds=all(sign_on(q, 0, 1) > 0 for q in polys),
+    )
+
+
 def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
     """Sufficient-criteria classifier for anticanonically polarized input.
 
@@ -299,7 +366,11 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
     over the excess region exceeds 1-c, the explicit simple PL function
     max{0, theta-1} destabilizes.  Otherwise a finite grid of simple PL
     candidates is scanned; no winner leaves the verdict honestly undetermined
-    (the criteria are sufficient, not exhaustive).
+    (the criteria are sufficient, not exhaustive).  The scan is skipped where
+    the radial bound (:func:`radial_certificate`) holds: L > 0 there on every
+    convex function that is not affine, and every candidate max{0, b.x + d}
+    is one, so the scan could find no witness and the undetermined verdict,
+    with the same data, is exactly the one it would leave.
 
     Input must be reflexive up to an integer translation; the verdict and
     the reported data refer to the normalized (reflexive) position.  ``grid``
@@ -330,6 +401,8 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
         return KVerdict(
             UNSTABLE_MEAN_CRITERION, ed.theta, minus, lhs, rhs, witness, value
         )
+    if radial_certificate(p, ed).holds:
+        return KVerdict(UNDETERMINED, ed.theta, minus, lhs, rhs, None, None)
     witness = destabilizer_search(p, ed, grid)
     if witness is not None:
         value = l_functional(p, ed, witness)
@@ -913,6 +986,9 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
                 g_integral = integrate_pl(p, one, g_sample)
             nd = theta_nodes(p, ed, i)
             q_samples[i] = _q_weight(p, nd, cond, s_closed[i], g_sample, g_integral)
+            # no later level reads this level's points: drop them, so the
+            # peak is one level's nodes, not the sum of all
+            p.cache.pop(("lattice_points", i), None)
         sum_u = Fraction(_level_sums(p, i).positive, i)
         p_samples[i] = _p_weight(p, stats.count, sum_u, bound, u_integral)
     return chow, s_closed, q_samples, p_samples

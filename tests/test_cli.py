@@ -183,8 +183,9 @@ def test_kstab_e2_json_bytes():
 
 
 def test_tables_survey_json_bytes(monkeypatch):
-    # The whole-corpus table at levels 1-3 and grid 0 in every format, and the
-    # analyze and chow reports that share its stages, pinned byte for byte,
+    # The whole-corpus table at levels 1-3 and grid 0 in every format and at
+    # grids 1 and 2 in JSON, D1's search at grid 2, and the analyze and chow
+    # reports that share its stages, pinned byte for byte,
     # each reading every corpus entry it uses once; E4's balance system at
     # levels 1-20 reads only the integer sums of each level.
     from toricstab import corpus
@@ -202,6 +203,14 @@ def test_tables_survey_json_bytes(monkeypatch):
          "e4f0292cbd155909c01bd577792643275c71d43eacbaae7ed89a061163921e04", 1),
         (("chow", "corpus:E4", "--i-max", "20", "--format", "json"),
          "f51c877c7e09c252c159dcb41c2a0b66ab2138a37fd18178f35b25a681064e7d", 1),
+        # the grids where the search does the most work: the verdicts the
+        # radial bound decides are those the search leaves
+        (("tables", "--format", "json"),
+         "1d58cf74137fbbb94cb063a0cdfc2ead0926cc42208d81e1a4a10be96ec6d58f", 19),
+        (("tables", "--grid", "2", "--format", "json"),
+         "1d58cf74137fbbb94cb063a0cdfc2ead0926cc42208d81e1a4a10be96ec6d58f", 19),
+        (("kstab", "corpus:D1", "--grid", "2", "--format", "json"),
+         "a02a9c677adb13b21828c1f7d628e19cfb0c14855526c5e81e23d2e979c3a4ae", 1),
     ]
     loads = []
     _record_calls(monkeypatch, corpus.load_entry, loads)
@@ -273,8 +282,9 @@ def test_level_statistics_build_no_point_list(monkeypatch):
 
 def test_tables_cuts_each_excess_region_once(monkeypatch):
     # The excess region is cut once per (P, theta) and shared by the gate,
-    # the classifier and the search: tables at grid 0 makes 28 cuts, 13 of
-    # them excess regions, and no cut twice.
+    # the classifier and the search: tables at grid 0 makes 18 cuts, 13 of
+    # them excess regions, and no cut twice.  Only D1 and E1 search; the
+    # radial bound rules the search out on the other entries.
     from toricstab import polytope
 
     cut = polytope.intersect_halfspace
@@ -292,7 +302,7 @@ def test_tables_cuts_each_excess_region_once(monkeypatch):
                     monkeypatch.setattr(module, attr, recorded)
     code, _ = run_cli("tables", "--i-max", "3", "--grid", "0")
     assert code == 0
-    assert len(cuts) == len({c[:3] for c in cuts}) == 28
+    assert len(cuts) == len({c[:3] for c in cuts}) == 18
     assert sum(c[3] == "excess_region" for c in cuts) == 13
 
 

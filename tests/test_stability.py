@@ -31,6 +31,7 @@ from toricstab import (
     p_weight,
     project_perp,
     q_weight,
+    radial_certificate,
     s_closed_form,
     theta_nodes,
     upper_hull,
@@ -47,6 +48,7 @@ from toricstab.stability import (
     reflexive_translate,
 )
 from toricstab.polytope import HalfSpace, intersect_halfspace, lattice_automorphisms
+from toricstab.univariate import poly_eval
 
 import oracles
 
@@ -378,6 +380,8 @@ def test_search_cells_need_no_elimination(corpus_entries, monkeypatch, name):
 def test_k_classify_cuts_build_no_rational_vertices(corpus_entries, monkeypatch, name):
     # The cuts, the moment records and the excess-region skip read the
     # integer vertex rows, so no region cut from P builds its Fraction view.
+    # The radial bound holds on B1 and E2, so k_classify skips the search
+    # there; the search is driven directly, as k_classify runs it elsewhere.
     from toricstab import stability
 
     p = corpus_entries[name].polytope
@@ -391,6 +395,7 @@ def test_k_classify_cuts_build_no_rational_vertices(corpus_entries, monkeypatch,
 
     monkeypatch.setattr(stability, "intersect_halfspace", recording)
     k_classify(p)
+    destabilizer_search(p, extremal_affine(p), 1)
     cuts = [r for r in regions if r is not None and r is not p]
     assert cuts
     assert not [r for r in cuts if "vertices" in r.__dict__]
@@ -552,6 +557,186 @@ def test_excess_bound_off_on_non_reflexive_input(corpus_entries, monkeypatch):
     assert reflexive_translate(p) is not p
     skipped, count = _skipped(monkeypatch, p, extremal_affine(p), 1)
     assert skipped == [] and count == 73
+
+
+# ---------------------------------------------------------------------------
+# the radial certificate
+# ---------------------------------------------------------------------------
+
+RADIAL_HOLDS = ("B1", "C2", "D2", "E2")
+
+
+def _hinge_terms(n, a):
+    """A, B and C of the hinge (s - a)_+ in dimension n: the integrals over
+    [a, 1] of s^n, (s - a) s^(n-1) and (s - a) s^n."""
+    a = F(a)
+    whole = (1 - a ** (n + 1)) / (n + 1)
+    return (
+        whole,
+        whole - a * (1 - a**n) / n,
+        (1 - a ** (n + 2)) / (n + 2) - a * (1 - a ** (n + 1)) / (n + 1),
+    )
+
+
+def test_radial_certificate_decisions(corpus_entries):
+    # The bound holds on the 12 reflexive entries with an empty excess
+    # region, on B1, C2, D2 and E2 and on CP^1 times each of those four; it
+    # fails on D1, E1 and their CP^1 products.  It takes reflexive input
+    # only: ORB-530571 and a lattice translate of B1 are refused.
+    empty = []
+    for name, entry in corpus_entries.items():
+        p = reflexive_translate(entry.polytope)
+        if p is None:
+            assert name == "ORB-530571"
+            with pytest.raises(NotReflexive):
+                radial_certificate(entry.polytope, extremal_affine(entry.polytope))
+            continue
+        ed = extremal_affine(p)
+        cert = radial_certificate(p, ed)
+        if excess_region(p, ed) is None:
+            empty.append(name)
+            assert cert.holds, name
+        else:
+            assert name in UNDETERMINED_SIX
+            assert cert.holds == (name in RADIAL_HOLDS), name
+        assert all(type(x) is int for q in cert.polys for x in q) and type(cert.scale) is int
+        assert all(type(x) is F for x in cert.interval)
+    assert len(empty) == 12
+    for name in UNDETERMINED_SIX:
+        p = oracles.cp1_times(corpus_entries[name].polytope)
+        assert radial_certificate(p, extremal_affine(p)).holds == (name in RADIAL_HOLDS), name
+    moved = translate(corpus_entries["B1"].polytope, (1, 0, -1))
+    with pytest.raises(NotReflexive):
+        radial_certificate(moved, extremal_affine(moved))
+
+
+def test_radial_polynomials_are_g_over_one_minus_a(corpus_entries):
+    # At each end lambda of the interval, Q(a) = G(a, lambda) / (1 - a) with
+    # G = A - theta_c B - lambda C from the hinge integrals, at rational a in
+    # [0, 1); the interval is the range of t.v over the vertices.
+    cases = [corpus_entries[name].polytope for name in ("CP3", "B1", "C4", "D1", "E2")]
+    cases.append(oracles.cp1_times(corpus_entries["C2"].polytope))
+    for p in cases:
+        ed = extremal_affine(p)
+        cert = radial_certificate(p, ed)
+        t, tc = ed.theta.a, ed.theta.c
+        lams = [sum(x * y for x, y in zip(t, v)) for v in p.vertices]
+        assert cert.interval == (min(lams), max(lams))
+        assert [len(q) for q in cert.polys] == [p.dim + 2] * 2
+        for a in (F(0), F(1, 7), F(1, 2), F(9, 10), F(99, 100)):
+            big_a, big_b, big_c = _hinge_terms(p.dim, a)
+            for lam, q in zip(cert.interval, cert.polys):
+                want = (big_a - tc * big_b - lam * big_c) / (1 - a)
+                assert poly_eval(q, a) / cert.scale == want, (p.name, a, lam)
+
+
+def test_gauge_hinges_match_the_radial_sum(corpus_entries):
+    # u_a = max{0, max_F l_F.x - a} is (s - a)_+ on every ray from 0, so
+    # L(u_a) = sum over P's own facet records of
+    # (A - theta_c B)(a) sigma(F) - C(a) integral over F of t.y; and, G being
+    # affine in lambda, the same sum from the certificate's two polynomials
+    # at the mean of t.y over each facet.
+    for name in UNDETERMINED_SIX:
+        p = corpus_entries[name].polytope
+        ed = extremal_affine(p)
+        cert = radial_certificate(p, ed)
+        (lo, hi), t, tc = cert.interval, ed.theta.a, ed.theta.c
+        facets = [p.facet_moments(i) for i in range(len(p.halfspaces))]
+        means = [sum(x * y for x, y in zip(t, m.first)) / m.measure for m in facets]
+        for a in (F(0), F(1, 7), F(1, 2), F(9, 10)):
+            u = PLFn.convex(
+                [AffineFn.zero(p.dim)]
+                + [AffineFn(tuple(F(x) for x in h.normal), -a) for h in p.halfspaces]
+            )
+            big_a, big_b, big_c = _hinge_terms(p.dim, a)
+            want = sum(
+                (big_a - tc * big_b - lam * big_c) * m.measure for m, lam in zip(facets, means)
+            )
+            assert l_functional(p, ed, u) == want, (name, a)
+            q_lo, q_hi = (poly_eval(q, a) / cert.scale for q in cert.polys)
+            radial = sum(
+                m.measure * (1 - a) * ((hi - lam) * q_lo + (lam - lo) * q_hi) / (hi - lo)
+                for m, lam in zip(facets, means)
+            )
+            assert radial == want, (name, a)
+
+
+def test_cones_match_the_radial_boundary_integral(corpus_entries):
+    # u = max{0, b.x} is s (b.y)_+ on the ray through y, so
+    # L(u) = integral over the boundary part {b.y >= 0} of
+    # (b.y) ((1 - theta_c)/(n+1) - t.y/(n+2)) dsigma, read off the facet
+    # records of the cut region's facets on the boundary of P.
+    from toricstab.plfun import _boundary_facets
+    from toricstab.stability import _LCore, _candidates, _simple_l
+
+    checked = 0
+    for name in UNDETERMINED_SIX:
+        p = corpus_entries[name].polytope
+        ed = extremal_affine(p)
+        n, t, tc = p.dim, ed.theta.a, ed.theta.c
+        core = _LCore(p, ed)
+        for b in dict.fromkeys(b for b, _, _ in _candidates(p, ed, 1)):
+            region = intersect_halfspace(p, [-x for x in b], 0)
+            want = F(0)
+            for i in _boundary_facets(p, region):
+                m = region.facet_moments(i)
+                by = sum(x * y for x, y in zip(b, m.first))
+                byty = sum(
+                    b[j] * m.second[j][k] * t[k] for j in range(n) for k in range(n)
+                )
+                want += (1 - tc) / (n + 1) * by - byty / (n + 2)
+            assert _simple_l(p, core, b, 0, 1) == want, (name, b)
+            checked += 1
+    assert checked == 76  # the distinct grid-1 directions of the six
+
+
+def test_search_finds_nothing_where_the_radial_bound_holds(corpus_entries):
+    # Every candidate max{0, b.x + d} is convex and not affine, so where the
+    # bound holds each has L > 0 and the search, called directly, finds no
+    # witness.
+    from toricstab.stability import _LCore, _candidates, _simple_l
+
+    checked = set()
+    for name, entry in corpus_entries.items():
+        p = entry.polytope
+        if reflexive_translate(p) is not p:
+            continue
+        ed = extremal_affine(p)
+        if not radial_certificate(p, ed).holds:
+            continue
+        assert destabilizer_search(p, ed, 1) is None, name
+        core = _LCore(p, ed)
+        for b, d, q in _candidates(p, ed, 1):
+            assert _simple_l(p, core, b, d, q) > 0, (name, b, d, q)
+        checked.add(name)
+    assert len(checked) == 16
+
+
+def test_k_classify_skips_the_search_only_where_the_radial_bound_holds(
+    corpus_entries, monkeypatch
+):
+    # On B1, C2, D2 and E2 the verdict is the one the search would leave,
+    # field by field; D1 and E1 still search.
+    from toricstab import stability
+
+    searched = []
+    search = stability.destabilizer_search
+
+    def recording(p, ed, grid):
+        searched.append(p.name)
+        return search(p, ed, grid)
+
+    monkeypatch.setattr(stability, "destabilizer_search", recording)
+    skipped = {name: k_classify(corpus_entries[name].polytope, 0) for name in UNDETERMINED_SIX}
+    assert searched == ["D1", "E1"]
+    cert = stability.radial_certificate
+    monkeypatch.setattr(
+        stability, "radial_certificate", lambda p, ed: cert(p, ed)._replace(holds=False)
+    )
+    for name in RADIAL_HOLDS:
+        assert k_classify(corpus_entries[name].polytope, 0) == skipped[name]
+        assert skipped[name].classification == UNDETERMINED
+    assert searched == ["D1", "E1", *RADIAL_HOLDS]
 
 
 def test_l_cross_check_fires_on_a_skewed_sbar(corpus_entries):
@@ -997,6 +1182,19 @@ def test_level_stats_match_fraction_route_on_corpus(corpus_entries):
     # test_lattice.py; the rational route costs about 50 us a node)
     for name, entry in corpus_entries.items():
         _assert_level_stats_match_scanned_nodes(entry.polytope, range(1, 6 if name == "E4" else 3))
+
+
+def test_chow_levels_keep_no_point_list(corpus_entries):
+    # A level with a Q sample drops its points once the sample is read, so
+    # the peak holds one level's nodes: no lattice_points key is left on P.
+    from toricstab import stability
+
+    for name in ("CP3", "B1", "F1"):
+        q = corpus_entries[name].polytope
+        p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in q.halfspaces])
+        q_samples = stability.chow_levels(p, 4)[2]
+        assert sorted(q_samples) == [1, 2, 3, 4], name
+        assert not [k for k in p.cache if isinstance(k, tuple) and k[0] == "lattice_points"]
 
 
 def test_level_stats_match_fraction_route_on_random_polytopes():
