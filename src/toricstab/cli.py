@@ -181,15 +181,6 @@ def report_csv(doc: dict) -> str:
     return buf.getvalue()
 
 
-def _input_and_entry(spec: str):
-    """The polytope ``spec`` names and its corpus entry (``None`` for a
-    file), the entry read once."""
-    if spec.startswith("corpus:"):
-        entry = corpus.load_entry(spec.split(":", 1)[1])
-        return entry.polytope, entry
-    return corpus.load_polytope(spec), None
-
-
 def _emit(args, doc: dict, text_fn) -> None:
     # Of the commands that print through here only analyze offers csv.
     if args.format == "json":
@@ -201,7 +192,7 @@ def _emit(args, doc: dict, text_fn) -> None:
 
 
 def cmd_analyze(args) -> int:
-    p, entry = _input_and_entry(args.input)
+    p, entry = corpus.resolve_input(args.input)
     report = analyze(p, i_max=args.i_max, grid=args.grid)
     doc = report_json(report, entry)
     _emit(args, doc, report_text)
@@ -211,7 +202,7 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_theta(args) -> int:
-    p = corpus.resolve_input(args.input)
+    p = corpus.resolve_input(args.input)[0]
     ed = extremal_affine(p)
     doc = {
         "name": p.name or args.input,
@@ -229,7 +220,7 @@ def cmd_theta(args) -> int:
 
 
 def cmd_ehrhart(args) -> int:
-    p = corpus.resolve_input(args.input)
+    p = corpus.resolve_input(args.input)[0]
     poly = ehrhart(p)
     checks = {}
     for i in (1, 2, p.dim + 1, p.dim + 2):
@@ -254,7 +245,7 @@ def cmd_ehrhart(args) -> int:
 
 
 def cmd_kstab(args) -> int:
-    p, entry = _input_and_entry(args.input)
+    p, entry = corpus.resolve_input(args.input)
     kv = k_classify(p, args.grid)
     doc = kverdict_json(kv)
     doc["name"] = p.name or args.input
@@ -282,7 +273,7 @@ def cmd_kstab(args) -> int:
 
 
 def cmd_chow(args) -> int:
-    p = corpus.resolve_input(args.input)
+    p = corpus.resolve_input(args.input)[0]
     levels = chow_levels(p, args.i_max)
     doc = {
         "name": p.name or "polytope",

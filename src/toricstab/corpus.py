@@ -12,6 +12,7 @@ stability conclusion is attributed to them.
 from __future__ import annotations
 
 import json
+import operator
 import os
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -81,9 +82,7 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
             if built_h and sorted(set(pts)) == list(built_h.vertices):
                 return built_h
             built_v = Polytope.from_vertices(pts, name)
-    except ParseError:
-        raise
-    except ValidationError:
+    except (ParseError, ValidationError):
         raise
     except Exception as exc:  # degenerate geometry surfaces as validation
         raise ValidationError(str(exc)) from exc
@@ -152,22 +151,31 @@ def load_entry(name: str) -> CorpusEntry:
     path = corpus_dir() / f"{name}.json"
     if not path.exists():
         raise ParseError(f"no corpus entry named {name!r}")
-    data = _read_json(path)
+    return entry_from_json(_read_json(path), name, path)
+
+
+def entry_from_json(data, name: str, path: Optional[Path] = None) -> CorpusEntry:
+    """The corpus entry a parsed JSON document describes; errors name ``path``."""
     if not isinstance(data, dict):
         raise ParseError(f"{path}: a corpus entry must be a JSON object")
     try:
-        rays = [tuple(r) for r in data["rays"]] if "rays" in data else None
+        rays = [tuple(map(operator.index, r)) for r in data["rays"]] if "rays" in data else None
     except TypeError as exc:
         raise ParseError(f"{path}: rays: {exc}") from exc
-    expected = data.get("expected", {})
+    expected, notes = data.get("expected", {}), data.get("notes", [])
     if not isinstance(expected, dict):
         raise ParseError(f"{path}: 'expected' must be a JSON object")
+    if not isinstance(notes, list) or not all(isinstance(note, str) for note in notes):
+        raise ParseError(f"{path}: 'notes' must be a JSON list of strings")
+    name = data.get("name", name)
+    if not isinstance(name, str):
+        raise ParseError(f"{path}: 'name' must be a string")
     try:
-        poly = polytope_from_json(data.get("polytope", data), name=data.get("name", name))
+        poly = polytope_from_json(data.get("polytope", data), name=name)
     except (ParseError, ValidationError) as exc:
         raise type(exc)(f"{path}: {exc}") from exc
     return CorpusEntry(
-        name=data.get("name", name),
+        name=name,
         provenance=data.get("provenance", "database"),
         polytope=poly,
         rays=rays,
@@ -181,11 +189,13 @@ def load_corpus() -> list[CorpusEntry]:
     return [load_entry(name) for name in corpus_names()]
 
 
-def resolve_input(spec: str) -> Polytope:
-    """'corpus:NAME' or a path to a polytope JSON file."""
+def resolve_input(spec: str) -> tuple[Polytope, Optional[CorpusEntry]]:
+    """The polytope 'corpus:NAME' or a path to a polytope JSON file names,
+    and its corpus entry (``None`` for a file), the entry read once."""
     if spec.startswith("corpus:"):
-        return load_entry(spec.split(":", 1)[1]).polytope
-    return load_polytope(spec)
+        entry = load_entry(spec.split(":", 1)[1])
+        return entry.polytope, entry
+    return load_polytope(spec), None
 
 
 # ---------------------------------------------------------------------------

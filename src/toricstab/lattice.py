@@ -48,13 +48,16 @@ def _ranges(p: Polytope, i: int) -> tuple[list[list[int]], list[int], list[int]]
     ``<a, prefix> + c*t <= i*rhs``, cleared of denominators, makes the
     bounds integer floor and ceiling divisions, each taken over all
     prefixes in one pass.  A range holds a real interval, so lo <= hi + 1;
-    with lo = hi + 1 it has no point and adds nothing to any sum.
+    with lo = hi + 1 it has no point and adds nothing to any sum.  Every
+    level walk starts here, so levels 1..i over the node budget
+    (:func:`check_levels`) raise :class:`ValidationError` before any range.
     """
     if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
         raise ValidationError(f"dilation level must be a positive int, got {i!r}")
     key = ("lattice_ranges", i)
     if key in p.cache:
         return p.cache[key]
+    check_levels(i, p)
     columns: list[list[int]] = []
     size = 1  # the number of prefixes
     for rows in _projections(p):

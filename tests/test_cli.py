@@ -1,7 +1,9 @@
 import argparse
+import copy
 import hashlib
 import io
 import json
+import random
 import sys
 from contextlib import redirect_stdout
 from pathlib import Path
@@ -383,6 +385,9 @@ TRIANGLE = '"polytope": {"vertices": [[0, 0], [1, 0], [0, 1]]}'
         ("X.json", '{"name": "X", "polytope": {', ("kstab", "corpus:X"), "line 1"),
         ("X.json", "[1, 2]", ("kstab", "corpus:X"), "must be a JSON object"),
         ("X.json", '{"name": "X", "rays": 5, ' + TRIANGLE + "}", ("kstab", "corpus:X"), "rays"),
+        ("X.json", '{"rays": [[0, "1"]], ' + TRIANGLE + "}", ("kstab", "corpus:X"), "rays"),
+        ("X.json", '{"notes": [5], ' + TRIANGLE + "}", ("tables",), "'notes'"),
+        ("X.json", '{"name": 5, ' + TRIANGLE + "}", ("tables",), "'name'"),
         ("X.json", '{"expected": 5, ' + TRIANGLE + "}", ("kstab", "corpus:X"), "'expected'"),
         ("X.json", '{"polytope": [1]}', ("kstab", "corpus:X"), "polytope document"),
         ("index.json", '["X", ', ("corpus", "list"), "line 1"),
@@ -397,7 +402,8 @@ TRIANGLE = '"polytope": {"vertices": [[0, 0], [1, 0], [0, 1]]}'
         ),
     ],
     ids=[
-        "truncated-entry", "entry-not-an-object", "rays-not-a-list", "expected-not-an-object",
+        "truncated-entry", "entry-not-an-object", "rays-not-a-list", "ray-not-of-ints",
+        "notes-not-strings", "name-not-a-string", "expected-not-an-object",
         "polytope-not-an-object", "truncated-index", "expected-value-of-wrong-type",
         "lattice-level-over-budget", "lattice-level-not-a-positive-int",
     ],
@@ -611,3 +617,85 @@ def test_chow_deep_levels_match_reference(job):
     code, out = run_cli(*ref["argv"])
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
+
+
+# The hostile values of the mutation fuzz: one of each JSON type, a zero
+# denominator and a 31-digit coordinate, as a number and as a string.
+HOSTILE = [None, True, 1.5, "x", [], {}, 0, -1, "1/0", 10**30, str(10**30)]
+
+
+def _paths(node, path=()):
+    """The path of every node below ``node`` in a JSON document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node) if isinstance(node, list) else ()
+    for key, value in items:
+        yield path + (key,)
+        yield from _paths(value, path + (key,))
+
+
+def _mutant(doc, rng):
+    """``doc`` with one or two nodes replaced by a hostile value, dropped,
+    or, in a list, duplicated."""
+    doc = copy.deepcopy(doc)
+    for _ in range(rng.choice((1, 2))):
+        paths = list(_paths(doc))
+        if not paths:
+            return doc
+        *head, last = rng.choice(paths)
+        parent = doc
+        for key in head:
+            parent = parent[key]
+        op = rng.choice(("swap", "drop", "duplicate"))
+        if op == "swap":
+            parent[last] = copy.deepcopy(rng.choice(HOSTILE))
+        elif op == "drop":
+            del parent[last]
+        elif isinstance(parent, list):
+            parent.insert(last, copy.deepcopy(parent[last]))
+    return doc
+
+
+def _typed_outcome(argv, doc):
+    """Run ``argv`` in process: exit 0 with a JSON document, or exit 2 or 3
+    with the typed JSON error; no exception may leave main."""
+    from toricstab import errors
+
+    try:
+        code, out = run_cli(*argv, "--format", "json")
+    except Exception as exc:  # noqa: BLE001 - the property under test
+        pytest.fail(f"{argv} raised {exc!r} on {json.dumps(doc)}")
+    result = json.loads(out)
+    if code == 0:
+        return
+    assert code in (2, 3), (argv, code, doc)
+    error = result["error"]
+    assert error["exit_code"] == code, (argv, error)
+    assert isinstance(getattr(errors, error["type"], None), type), (argv, error)
+
+
+def test_mutated_documents_exit_with_typed_errors(tmp_path, monkeypatch, corpus_entries):
+    # A seeded mutation fuzz of B1's polytope document and corpus entry:
+    # every command ends in a result or a typed error with its exit code.
+    rng = random.Random(2016)
+    entry = corpus_entries["B1"].raw
+    polytope = entry["polytope"]
+    # both representations, and each alone, so that mutants also reach the
+    # computation rather than stop at the representations' cross-check
+    bases = [polytope] + [{"dim": 3, key: polytope[key]} for key in ("halfspaces", "vertices")]
+    path = tmp_path / "B1.json"
+    for trial in range(150):
+        doc = _mutant(bases[trial % 3], rng)
+        path.write_text(json.dumps(doc))
+        for argv in (
+            ("theta", str(path)),
+            ("kstab", str(path), "--grid", "0"),
+            ("ehrhart", str(path)),
+            ("chow", str(path), "--i-max", "2"),
+        ):
+            _typed_outcome(argv, doc)
+    # the entry's own fields: its polytope document is fuzzed above
+    fields = {key: value for key, value in entry.items() if key != "polytope"}
+    monkeypatch.setenv("TORICSTAB_CORPUS_DIR", str(tmp_path))
+    for _ in range(150):
+        doc = {**_mutant(fields, rng), "polytope": polytope}
+        path.write_text(json.dumps(doc))
+        _typed_outcome(("tables", "--i-max", "1", "--grid", "0"), doc)

@@ -1,7 +1,9 @@
+import importlib.util
 import json
 import math
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -161,8 +163,9 @@ def test_corpus_dir_override(tmp_path, monkeypatch, cube):
 
 
 def test_resolve_input_corpus_prefix(corpus_entries):
-    p = corpus_mod.resolve_input("corpus:B2")
+    p, entry = corpus_mod.resolve_input("corpus:B2")
     assert p == corpus_entries["B2"].polytope
+    assert entry.name == "B2" and entry.polytope is p
 
 
 def test_integrity_gate_clean(corpus_gate):
@@ -181,15 +184,47 @@ def test_build_corpus_script_rebuilds_the_shipped_files(tmp_path):
     # The builder, run as a user runs it, rebuilds the 19 entries and the
     # index byte for byte.
     root = Path(__file__).resolve().parent.parent
-    subprocess.run(
+    run = subprocess.run(
         [sys.executable, str(root / "scripts" / "build_corpus.py"), str(tmp_path)],
-        check=True,
         capture_output=True,
+        text=True,
         timeout=600,
     )
+    assert run.returncode == 0, f"stdout:\n{run.stdout}\nstderr:\n{run.stderr}"
     shipped = root / "src" / "toricstab" / "data"
     names = sorted(f.name for f in shipped.iterdir())
     assert len(names) == 20 and "index.json" in names
     assert sorted(f.name for f in tmp_path.iterdir()) == names
     for name in names:
         assert (tmp_path / name).read_bytes() == (shipped / name).read_bytes(), name
+
+
+@pytest.fixture(scope="module")
+def builder():
+    """scripts/build_corpus.py as a module; its main is not run."""
+    path = Path(__file__).resolve().parent.parent / "scripts" / "build_corpus.py"
+    spec = importlib.util.spec_from_file_location("build_corpus", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_builder_pins_the_shipped_database_entries(builder, corpus_entries):
+    # A candidate is pinned when the entry it would write passes the gate:
+    # the shipped rays of every database entry are.
+    database = [e for e in corpus_entries.values() if e.provenance == "database"]
+    assert len(database) == 15
+    for entry in database:
+        assert builder.pins_ok(entry.name, entry.rays), entry.name
+
+
+@pytest.mark.parametrize("key", ["E4_WEIGHTED", "E4_MOMENT", "E4_NODE_SUM"])
+def test_builder_rejects_e4_against_a_perturbed_value(builder, corpus_entries, monkeypatch, key):
+    # E4's extra published pins are checked: one value off by 1/7 and its
+    # shipped rays no longer pin.
+    rays = corpus_entries["E4"].rays
+    assert builder.pins_ok("E4", rays)
+    values = list(getattr(builder, key))
+    values[1] += Fraction(1, 7)
+    monkeypatch.setattr(builder, key, tuple(values))
+    assert not builder.pins_ok("E4", rays)

@@ -213,3 +213,31 @@ def test_level_sums_match_fibre_scan_on_corpus(corpus_entries):
             assert tuple(lattice._level_sums(p, i)) == oracles.point_sums(points, 3), (name, i)
         # the sums built no point list
         assert not any(key[0] == "lattice_points" for key in p.cache if isinstance(key, tuple))
+
+
+def test_every_level_walk_is_budgeted():
+    # Levels 1..200 of B1 may hold 4,343,642,500 nodes: every public
+    # per-level function is a validation error before any range is walked,
+    # and no level is cached.
+    from toricstab import corpus, stability
+    from toricstab.plfun import PLFn
+
+    p = corpus.load_entry("B1").polytope
+    ed = stability.extremal_affine(p)
+    u = PLFn.simple([1, 0, 0], 0)
+    g = stability.facet_distance_pl(p)
+    assert lattice.node_bound(p, 200) == 4_343_642_500
+    calls = [
+        lambda: lattice_points(p, 200),
+        lambda: refined_points(p, 200),
+        lambda: stability.theta_nodes(p, ed, 200),
+        lambda: stability.chow_necessary(p, ed, 200),
+        lambda: stability.s_closed_form(p, ed, 200),
+        lambda: stability.q_weight(p, ed, 200, g),
+        lambda: stability.p_weight(p, 200, u, 2),
+        lambda: stability.project_perp(p, ed, 200, u),
+    ]
+    for call in calls:
+        with pytest.raises(ValidationError, match="levels 1..200 may hold 4343642500 nodes on B1"):
+            call()
+        assert not any(isinstance(key, tuple) and 200 in key for key in p.cache)
