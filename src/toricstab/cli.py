@@ -1,7 +1,7 @@
 """Command-line interface.
 
 Exit codes: 0 success, 2 validation error, 3 computation error,
-4 undetermined verdict under --strict.
+4 undetermined verdict under --strict, 141 stdout closed early.
 """
 
 from __future__ import annotations
@@ -11,6 +11,7 @@ import csv
 import functools
 import io
 import json
+import os
 import sys
 from fractions import Fraction
 
@@ -433,7 +434,14 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return COMMANDS[args.command](args)
+        code = COMMANDS[args.command](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader went away (`| head`): write nothing more, and let the
+        # interpreter's last flush of stdout go to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except (ParseError, ValidationError) as exc:
         _error(args, exc, 2)
         return 2

@@ -69,7 +69,7 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
             for k, item in enumerate(hs_doc):
                 try:
                     raw.append((tuple(item["normal"]), rat(item["rhs"])))
-                except (KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+                except (KeyError, TypeError, ValueError, ValidationError, ZeroDivisionError) as exc:
                     raise ParseError(f"halfspace {k}: {exc}") from exc
             built_h = Polytope.from_halfspaces(raw, name)
         if v_doc:
@@ -77,7 +77,7 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
             for k, row in enumerate(v_doc):
                 try:
                     pts.append(tuple(rat(x) for x in row))
-                except (TypeError, ValueError, ZeroDivisionError) as exc:
+                except (TypeError, ValueError, ValidationError, ZeroDivisionError) as exc:
                     raise ParseError(f"vertex {k}: {exc}") from exc
             if built_h and sorted(set(pts)) == list(built_h.vertices):
                 return built_h
@@ -110,10 +110,6 @@ def load_polytope(path) -> Polytope:
     data = _read_json(path)
     doc = data.get("polytope", data) if isinstance(data, dict) else data
     return polytope_from_json(doc, name=path.stem)
-
-
-def save_polytope(path, p: Polytope) -> None:
-    Path(path).write_text(json.dumps(polytope_to_json(p), indent=1) + "\n")
 
 
 # ---------------------------------------------------------------------------
@@ -244,7 +240,9 @@ def verify_entry(entry: CorpusEntry) -> list[str]:
     def expected(key, parse=rat):
         try:
             return parse(exp[key])
-        except (AttributeError, KeyError, TypeError, ValueError, ZeroDivisionError) as exc:
+        except (
+            AttributeError, KeyError, TypeError, ValueError, ValidationError, ZeroDivisionError
+        ) as exc:
             detail = f"no key {exc}" if isinstance(exc, KeyError) else exc
             raise ParseError(f"{entry.path}: expected {key!r}: {detail}") from exc
 

@@ -20,13 +20,14 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import SingularMatrix
+from .errors import SingularMatrix, ValidationError
 
 RatLike = Union[int, str, Fraction]
 
 
 def rat(x: RatLike) -> Fraction:
-    """Coerce an int, ``"p/q"`` string or Fraction to an exact rational."""
+    """Coerce an int, ``"p/q"`` string or Fraction to an exact rational; a
+    string is a sign, ASCII digits and ``/`` digits, or a ValidationError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -34,7 +35,11 @@ def rat(x: RatLike) -> Fraction:
     if isinstance(x, int):
         return Fraction(x)
     if isinstance(x, str):
-        return Fraction(x)
+        num, slash, den = x.partition("/")
+        digits = num[1:] if num[:1] in ("+", "-") else num
+        if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
+            return Fraction(int(num), int(den) if slash else 1)
+        raise ValidationError(f"{x!r} is not an integer or p/q rational")
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 
 

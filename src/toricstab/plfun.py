@@ -131,11 +131,6 @@ class PLFn:
             ],
         }
 
-    @staticmethod
-    def from_json(data: dict) -> "PLFn":
-        pieces = [AffineFn.make(p["a"], p["c"]) for p in data["pieces"]]
-        return PLFn(tuple(pieces), data["mode"])
-
 
 def linearity_regions(
     p: Polytope, u: PLFn

@@ -29,7 +29,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
 from itertools import product
 from operator import mul
 from typing import NamedTuple, Optional, Sequence
@@ -562,53 +561,14 @@ def _simple_l(p: Polytope, core: _LCore, b: Sequence[int], d: int, q: int) -> Fr
 
 @dataclass(frozen=True)
 class NodeData:
-    """theta sampled on the refined lattice points of one dilation level,
-    for the sums against a PL function at every node (Q and the projection).
-
-    The nodes are z / level for the integer points z of level * P, and theta
-    there is ``numerators[j] / den``.  With N nodes and T the sum of the
-    numerators, theta_bar = T / (den N) and the deviation at node j is
-    e_j / (den N) with e_j = N numerators[j] - T.  The rational ``nodes`` and
-    ``deviations`` are only built when a caller asks for them.  The sums
-    over the nodes that need theta alone come from the level's integer sums
-    (:func:`_level_stats`).
-    """
+    """theta at the nodes z / level, for the integer points z of level * P:
+    ``numerators[j] / den`` at ``points[j]`` / level.  No weight reads it;
+    the sums of theta over the nodes come from :func:`_level_stats`."""
 
     level: int
-    points: list[tuple[int, ...]]  # the integer points of level * P
-    numerators: list[int]  # theta at points[j] / level, times den
+    points: list[tuple[int, ...]]
+    numerators: list[int]
     den: int
-
-    @property
-    def count(self) -> int:
-        return len(self.points)
-
-    @cached_property
-    def _total(self) -> int:
-        return sum(self.numerators)
-
-    @cached_property
-    def centered(self) -> list[int]:
-        """e_j = N * numerators[j] - T: the deviations over den * N."""
-        n, total = self.count, self._total
-        return [n * t - total for t in self.numerators]
-
-    @property
-    def theta_bar(self) -> Fraction:
-        return Fraction(self._total, self.den * self.count)
-
-    @cached_property
-    def nodes(self) -> tuple[tuple[Fraction, ...], ...]:
-        return tuple(tuple(Fraction(x, self.level) for x in z) for z in self.points)
-
-    @cached_property
-    def deviations(self) -> tuple[Fraction, ...]:
-        """theta(a) - theta_bar at each node, undivided."""
-        scale = self.den * self.count
-        return tuple(Fraction(e, scale) for e in self.centered)
-
-    def ttilde(self, j: int) -> Fraction:
-        return Fraction(self.centered[j], self.den * self.count * self.level)
 
 
 def _level_values(
@@ -646,6 +606,22 @@ def theta_nodes(p: Polytope, ed: ExtremalData, i: int) -> NodeData:
         raise PreconditionFailed(f"no refined sample points at level {i}")
     numerators, den = _level_values(ed.theta, points, i)
     return NodeData(level=i, points=points, numerators=numerators, den=den)
+
+
+def _node_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], int]:
+    """(sum F, sum z F, D) for f = F / D at the nodes z / i of level i."""
+    points = lattice_points(p, i)
+    values, den = _level_values(f, points, i)
+    return sum(values), [sum(map(mul, col, values)) for col in zip(*points)], den
+
+
+def _theta_pairing(ed: ExtremalData, stats: _LevelStats, sums) -> Fraction:
+    """sum over the nodes a of (theta(a) - theta_bar) f(a), from f's
+    :func:`_node_sums` at the level of ``stats``: theta = t.x + theta_c, so
+    it is (t.(sum z F) / i + (theta_c - theta_bar) sum F) / D."""
+    total, moment, den = sums
+    t, c = ed.theta.a, ed.theta.c
+    return (Fraction(sum(map(mul, t, moment)), stats.level) + (c - stats.theta_bar) * total) / den
 
 
 class _LevelStats(NamedTuple):
@@ -786,42 +762,37 @@ def q_weight(
     already unstable at this level.
     """
     stats = _level_stats(p, ed, i)
-    nd = theta_nodes(p, ed, i)
     integral = integrate_pl(p, Poly.constant(p.dim, 1), g)
-    return _q_weight(p, nd, _balance(p, stats), _s_closed(stats), g, integral, s)
+    return _q_weight(p, ed, stats, _balance(p, stats), g, integral, s)
 
 
 def _q_weight(
     p: Polytope,
-    nd: NodeData,
+    ed: ExtremalData,
+    stats: _LevelStats,
     cond: ChowCondition,
-    s_closed: Optional[Fraction],
     g: PLFn,
     integral: Fraction,
     s: Optional[Fraction] = None,
 ) -> Fraction:
-    """:func:`q_weight` on the node data of its level, the balance outcome
-    and the closed-form s there, and the integral of g over P.
-
-    With g(a_j) = G_j / g_den and ttilde(a_j) = e_j / (den N i), the node
-    total is sum G / g_den + s * sum e_j G_j / (den N i g_den).
-    """
+    """:func:`q_weight` on the statistics of its level, the balance outcome
+    there and the integral of g over P: the node total is
+    sum g(a) + s * sum (theta(a) - theta_bar) g(a) / i, off g's node sums."""
     if cond.status == FAILS:
         raise PreconditionFailed(
-            f"balance system has no solution at level {nd.level}; Q undefined"
+            f"balance system has no solution at level {stats.level}; Q undefined"
         )
     s_from_system = s is None
     if s is None:
         if cond.status == HOLDS:
             s = cond.s
         else:
-            s = s_closed or Fraction(0)
-    values, g_den = _level_values(g, nd.points, nd.level)
-    weighted = Fraction(
-        sum(map(mul, nd.centered, values)), nd.den * nd.count * nd.level * g_den
-    )
-    total_nodes = Fraction(sum(values), g_den) + s * weighted
-    value = nd.count * integral - p.volume() * total_nodes
+            s = _s_closed(stats) or Fraction(0)
+    sums = _node_sums(p, g, stats.level)
+    total, _, g_den = sums
+    weighted = _theta_pairing(ed, stats, sums) / stats.level
+    total_nodes = Fraction(total, g_den) + s * weighted
+    value = stats.count * integral - p.volume() * total_nodes
     if s_from_system and len(set(g.pieces)) == 1 and value != 0:
         raise InternalInvariant("affine input must have zero weight under the balance system")
     return value
@@ -842,10 +813,9 @@ def p_weight(p: Polytope, i: int, u: PLFn, bound) -> PWeightReport:
     enters the integrality report and cancels from the weight (asserted).
     """
     bound = rat(bound)
-    points = lattice_points(p, i)
-    values, u_den = _level_values(u, points, i)
+    total, _, u_den = _node_sums(p, u, i)
     int_u = integrate_pl(p, Poly.constant(p.dim, 1), u)
-    value = _p_weight(p, len(points), Fraction(sum(values), u_den), bound, int_u)
+    value = _p_weight(p, len(lattice_points(p, i)), Fraction(total, u_den), bound, int_u)
     return PWeightReport(
         value=value,
         chow_weight=-i * value,
@@ -872,7 +842,6 @@ def _p_weight(
 @dataclass(frozen=True)
 class Projection:
     kappa: Fraction
-    node_values: tuple[Fraction, ...]
     function: PLFn
 
 
@@ -884,26 +853,19 @@ def project_perp(p: Polytope, ed: ExtremalData, i: int, u: PLFn) -> Projection:
     u_perp with theta - theta_bar vanishes, and P(i, u_perp) = Q(i, u) with
     s from the closed form.
     """
-    nd = theta_nodes(p, ed, i)
-    denom = _level_stats(p, ed, i).deviation_square_sum
+    stats = _level_stats(p, ed, i)
+    denom = stats.deviation_square_sum
     if denom == 0:
         raise ThetaConstant("potential constant on the sample nodes")
-    # the pairing of u with the deviations, e_j / (den N), at the nodes
-    values, u_den = _level_values(u, nd.points, i)
-    kappa = Fraction(sum(map(mul, values, nd.centered)), u_den * nd.den * nd.count) / denom
+    kappa = _theta_pairing(ed, stats, _node_sums(p, u, i)) / denom
     shift = AffineFn(
         tuple(-kappa * x for x in ed.theta.a),
-        -kappa * (ed.theta.c - nd.theta_bar),
+        -kappa * (ed.theta.c - stats.theta_bar),
     )
     projected = u.add_affine(shift)
-    values, v_den = _level_values(projected, nd.points, i)
-    if sum(map(mul, values, nd.centered)) != 0:
+    if _theta_pairing(ed, stats, _node_sums(p, projected, i)) != 0:
         raise InternalInvariant("the projection is not perpendicular to theta on the nodes")
-    return Projection(
-        kappa=kappa,
-        node_values=tuple(Fraction(v, v_den) for v in values),
-        function=projected,
-    )
+    return Projection(kappa=kappa, function=projected)
 
 
 # ---------------------------------------------------------------------------
@@ -928,13 +890,6 @@ class StabilityReport:
     ehrhart_coeffs: Optional[tuple[Fraction, ...]] = None
     q_samples: dict[int, Fraction] = field(default_factory=dict)
     p_samples: dict[int, Fraction] = field(default_factory=dict)
-
-    @property
-    def chow_unstable_level(self) -> Optional[int]:
-        for cond in self.chow:
-            if cond.status == FAILS:
-                return cond.level
-        return None
 
 
 def facet_distance_pl(p: Polytope) -> PLFn:
@@ -975,8 +930,8 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
     u_integral = integrate_pl(p, one, u_sample)
     for i in range(1, i_max + 1):
         # the level's integer sums give the balance system, the closed-form
-        # s and the P sample (u = max{0, x_1} sums to sum max{0, z_1} / i);
-        # only the Q sample reads theta and g at the nodes
+        # s, the P sample (u = max{0, x_1} sums to sum max{0, z_1} / i) and
+        # theta's side of the Q sample; only g is read at the nodes
         stats = _level_stats(p, ed, i)
         cond = _balance(p, stats)
         chow.append(cond)
@@ -984,8 +939,7 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
         if cond.status != FAILS:
             if g_integral is None:
                 g_integral = integrate_pl(p, one, g_sample)
-            nd = theta_nodes(p, ed, i)
-            q_samples[i] = _q_weight(p, nd, cond, s_closed[i], g_sample, g_integral)
+            q_samples[i] = _q_weight(p, ed, stats, cond, g_sample, g_integral)
             # no later level reads this level's points: drop them, so the
             # peak is one level's nodes, not the sum of all
             p.cache.pop(("lattice_points", i), None)

@@ -492,6 +492,16 @@ def fraction_node_stats(
     }
 
 
+def theta_pairing(p: Polytope, theta: AffineFn, i: int, f) -> F:
+    """The node pairing of f with theta - theta_bar at level i, summed in
+    rationals over the library's nodes: zero when f is perpendicular to
+    theta there."""
+    nodes = refined_points(p, i)
+    values = [theta(a) for a in nodes]
+    bar = sum(values, F(0)) / len(nodes)
+    return sum(((v - bar) * f(a) for v, a in zip(values, nodes)), F(0))
+
+
 def slice_and_sum(p: Polytope, poly: Poly, normal, rhs) -> F:
     """Integral of poly over P computed as the sum over the two pieces cut by
     a hyperplane; the pieces are integrated independently."""

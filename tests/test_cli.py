@@ -3,8 +3,11 @@ import copy
 import hashlib
 import io
 import json
+import os
 import random
+import subprocess
 import sys
+import time
 from contextlib import redirect_stdout
 from pathlib import Path
 
@@ -92,6 +95,23 @@ def test_malformed_file_json_error(tmp_path):
     assert code == 2
     doc = json.loads(out)
     assert doc["error"]["exit_code"] == 2
+
+
+def test_exponent_rhs_is_a_parse_error(tmp_path, corpus_entries):
+    # A 9-byte exponent used to build a 10^300000 numerator before any
+    # check; now it is refused as it is read.
+    doc = {"halfspaces": corpus_entries["B1"].raw["polytope"]["halfspaces"]}
+    doc = json.loads(json.dumps(doc).replace('"1"', '"1e300000"', 1))
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(doc))
+    start = time.perf_counter()
+    code, out = run_cli("theta", str(path), "--format", "json")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == (
+        "ParseError", "halfspace 0: '1e300000' is not an integer or p/q rational"
+    )
 
 
 def test_validation_error_exit_2(tmp_path):
@@ -523,10 +543,29 @@ def test_save_then_analyze_file(tmp_path, corpus_entries):
     from toricstab import corpus as corpus_mod
 
     path = tmp_path / "b2.json"
-    corpus_mod.save_polytope(path, corpus_entries["B2"].polytope)
+    path.write_text(json.dumps(corpus_mod.polytope_to_json(corpus_entries["B2"].polytope)))
     code, out = run_cli("theta", str(path))
     assert code == 0
     assert "-70/97*x3 - 15/97" in out
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_closed_stdout_exits_141_with_no_traceback(fmt):
+    # A reader that goes away before the output is written (as `| head`
+    # does) ends the run with exit 141 and nothing on stderr: no traceback,
+    # and no JSON error written to the same closed pipe.
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([str(src), os.environ.get("PYTHONPATH", "")])}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "toricstab.cli", "chow", "corpus:B1", "--i-max", "4", "--format", fmt],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+    )
+    proc.stdout.close()  # the only read end: every write to stdout fails
+    err = proc.stderr.read()
+    assert proc.wait(timeout=60) == 141, err
+    assert err == b""
 
 
 def test_tables_deterministic():
@@ -620,8 +659,9 @@ def test_chow_deep_levels_match_reference(job):
 
 
 # The hostile values of the mutation fuzz: one of each JSON type, a zero
-# denominator and a 31-digit coordinate, as a number and as a string.
-HOSTILE = [None, True, 1.5, "x", [], {}, 0, -1, "1/0", 10**30, str(10**30)]
+# denominator, a 31-digit coordinate, as a number and as a string, and an
+# exponent and a decimal string.
+HOSTILE = [None, True, 1.5, "x", [], {}, 0, -1, "1/0", 10**30, str(10**30), "1e300000", "0.5"]
 
 
 def _paths(node, path=()):

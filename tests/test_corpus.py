@@ -33,7 +33,7 @@ def test_provenance_tags(corpus_entries):
 def test_save_load_roundtrip(tmp_path, corpus_entries):
     for entry in corpus_entries.values():
         path = tmp_path / f"{entry.name}.json"
-        corpus_mod.save_polytope(path, entry.polytope)
+        path.write_text(json.dumps(corpus_mod.polytope_to_json(entry.polytope)))
         again = corpus_mod.load_polytope(path)
         assert again == entry.polytope
         assert (again.den, again.rows) == (entry.polytope.den, entry.polytope.rows)
@@ -154,7 +154,7 @@ def test_unknown_corpus_entry():
 
 
 def test_corpus_dir_override(tmp_path, monkeypatch, cube):
-    corpus_mod.save_polytope(tmp_path / "X1.json", cube)
+    (tmp_path / "X1.json").write_text(json.dumps(corpus_mod.polytope_to_json(cube)))
     (tmp_path / "index.json").write_text(json.dumps(["X1"]))
     monkeypatch.setenv(corpus_mod.ENV_CORPUS_DIR, str(tmp_path))
     assert corpus_mod.corpus_names() == ["X1"]

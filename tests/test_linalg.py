@@ -9,6 +9,7 @@ from toricstab import (
     DegreeMismatch,
     Simplex,
     SingularMatrix,
+    ValidationError,
     interpolate_poly,
     rank,
     solve_linear,
@@ -104,6 +105,18 @@ def test_big_rational_no_overflow():
     x = F(1475918766336271, 1461612000)
     assert (x * x) / x == x
     assert rat(rat_str(x)) == x
+
+
+def test_rat_strings_are_integers_or_p_over_q():
+    # a sign, ASCII digits and an optional /digits; a decimal or an exponent
+    # would build 10^e exactly, so "1e300000" costs nothing to reject
+    for text, value in (("7", 7), ("-7", -7), ("+7", 7), ("-6/4", F(-3, 2)), ("007/02", F(7, 2))):
+        assert rat(text) == value
+    for text in ("1e300000", "0.5", "1/2e9", " 1", "1 ", "1_0", "1/-2", "--1", "/2", "1/", "", "\u0663"):
+        with pytest.raises(ValidationError, match="not an integer or p/q rational"):
+            rat(text)
+    with pytest.raises(ZeroDivisionError):
+        rat("1/0")
 
 
 def test_overdetermined_all_zero_is_any():

@@ -32,6 +32,7 @@ from toricstab import (
     project_perp,
     q_weight,
     radial_certificate,
+    refined_points,
     s_closed_form,
     theta_nodes,
     upper_hull,
@@ -43,6 +44,7 @@ from toricstab.stability import (
     HOLDS,
     STABLE_EMPTY_EXCESS,
     UNDETERMINED,
+    _level_stats,
     destabilizer_candidates,
     excess_region,
     reflexive_translate,
@@ -929,23 +931,26 @@ def test_theta_check_fires_on_a_skewed_potential(corpus_entries):
 def test_theta_nodes_symmetric(cube):
     ed = extremal_affine(cube)
     nd = theta_nodes(cube, ed, 2)
-    assert nd.theta_bar == 0
-    assert all(d == 0 for d in nd.deviations)
+    assert _level_stats(cube, ed, 2).theta_bar == 0
+    assert all(t == 0 for t in nd.numerators)
 
 
 def test_theta_nodes_centering(corpus_entries):
+    # theta at the nodes averages to the theta_bar of the level's integer
+    # sums, so the deviations from it sum to zero
     for name in ("B2", "E4"):
         p = corpus_entries[name].polytope
         ed = extremal_affine(p)
         for i in (1, 2, 3):
             nd = theta_nodes(p, ed, i)
-            assert sum(nd.deviations) == 0
+            bar = _level_stats(p, ed, i).theta_bar
+            assert sum(F(t, nd.den) - bar for t in nd.numerators) == 0
 
 
 def test_theta_bar_decays(corpus_entries):
     p = corpus_entries["B2"].polytope
     ed = extremal_affine(p)
-    bars = [theta_nodes(p, ed, i).theta_bar for i in range(1, 7)]
+    bars = [_level_stats(p, ed, i).theta_bar for i in range(1, 7)]
     assert bars[0] == F(165, 3007)
     assert all(b > 0 for b in bars)
     assert all(a > b for a, b in zip(bars, bars[1:]))  # O(1/i) decay in practice
@@ -982,14 +987,13 @@ def test_s_trend_toward_minus_half(corpus_entries):
     assert all(a > b for a, b in zip(deviations, deviations[1:]))
 
 
-def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
-    # The balance system and the closed-form s read theta at no node: they
-    # take the integer sums of the level.  Q and the projection each read
-    # theta at the nodes of their level once, as integer numerators over the
-    # lattice points of iP, and never through AffineFn.__call__ at a node.
-    # analyze walks each level and builds its sums once, and reads theta at
-    # the nodes once per level that has a Q sample (B2 holds at levels 1-3),
-    # off the points of the same walk.
+def test_theta_read_at_no_node(corpus_entries, monkeypatch):
+    # The balance system, the closed-form s, Q and the projection read theta
+    # at no node: theta's sums come from the integer sums of the level, and
+    # Q and the projection read only their PL function at the nodes, never
+    # through AffineFn.__call__.  analyze walks each level and builds its
+    # sums once, and builds no theta_nodes at any level, not even where it
+    # takes a Q sample (B2 holds at levels 1-3).
     from toricstab import lattice, stability
 
     p = corpus_entries["B2"].polytope
@@ -1008,24 +1012,21 @@ def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
     level_values = stability._level_values
 
     def recording(fn, pts, i):
-        if fn is ed.theta:
-            theta_reads.append((list(pts), i))
+        if fn == ed.theta:
+            theta_reads.append(i)
         return level_values(fn, pts, i)
 
     monkeypatch.setattr(AffineFn, "__call__", counting)
     monkeypatch.setattr(stability, "_level_values", recording)
     g = PLFn.concave([AffineFn.make((1, 0, 0), 0), AffineFn.make((-1, 0, 0), 0)])
-    for run, reads in (
-        (lambda: chow_necessary(p, ed, 1), []),
-        (lambda: s_closed_form(p, ed, 1), []),
-        (lambda: q_weight(p, ed, 1, g), [(points, 1)]),
-        (lambda: project_perp(p, ed, 1, PLFn.simple((1, 0, 0), 0)), [(points, 1)]),
+    for run in (
+        lambda: chow_necessary(p, ed, 1),
+        lambda: s_closed_form(p, ed, 1),
+        lambda: q_weight(p, ed, 1, g),
+        lambda: project_perp(p, ed, 1, PLFn.simple((1, 0, 0), 0)),
     ):
-        at_nodes.clear()
-        theta_reads.clear()
         run()
-        assert at_nodes == []
-        assert theta_reads == reads
+        assert at_nodes == theta_reads == []
     levels, built, walked = [], [], []
     build = stability.theta_nodes
     sums, ranges = lattice._level_sums, lattice._ranges
@@ -1050,21 +1051,21 @@ def test_theta_evaluated_once_per_node_and_level(corpus_entries, monkeypatch):
     monkeypatch.setattr(lattice, "_ranges", walk)
     # a fresh copy, so that no level's sums come from another test
     fresh = Polytope.from_halfspaces([(h.normal, h.rhs) for h in p.halfspaces])
-    analyze(fresh, i_max=3, grid=0)
-    assert levels == [1, 2, 3]
+    report = analyze(fresh, i_max=3, grid=0)
+    assert sorted(report.q_samples) == [1, 2, 3]
+    assert levels == theta_reads == []
     # levels 1-3 for the balance system, 1-5 for the Ehrhart counts
     assert sorted(built) == sorted(walked) == [1, 2, 3, 4, 5]
 
 
-def _node_stats(p, ed, i, g, u, bound):
+def _node_stats(p, ed, i, g, u, bound, nodes):
     """The library's node statistics at level i, keyed as in
-    :func:`oracles.fraction_node_stats`: the per-node ones off
-    :func:`theta_nodes`, the sums of theta alone off the level's integer
-    sums."""
-    from toricstab import stability
-
+    :func:`oracles.fraction_node_stats`: the per-node ones off the fields of
+    :func:`theta_nodes`, the sums of theta off the level's integer sums, and
+    the projection's values at the oracle's ``nodes``."""
     nd = theta_nodes(p, ed, i)
-    stats = stability._level_stats(p, ed, i)
+    stats = _level_stats(p, ed, i)
+    deviations = tuple(F(t, nd.den) - stats.theta_bar for t in nd.numerators)
     cond = chow_necessary(p, ed, i)
     try:
         q = q_weight(p, ed, i, g)
@@ -1075,11 +1076,11 @@ def _node_stats(p, ed, i, g, u, bound):
     except ThetaConstant:
         proj = None
     return {
-        "count": nd.count,
-        "nodes": nd.nodes,
-        "theta_bar": nd.theta_bar,
-        "deviations": nd.deviations,
-        "ttilde": tuple(nd.ttilde(j) for j in range(nd.count)),
+        "count": stats.count,
+        "nodes": tuple(tuple(F(x, i) for x in z) for z in nd.points),
+        "theta_bar": stats.theta_bar,
+        "deviations": deviations,
+        "ttilde": tuple(d / i for d in deviations),
         "deviation_square_sum": stats.deviation_square_sum,
         "weighted_node_sum": stats.deviation_moment,
         "node_sum": cond.node_sum,
@@ -1090,7 +1091,7 @@ def _node_stats(p, ed, i, g, u, bound):
         "q": q,
         "p": p_weight(p, i, u, bound).value,
         "kappa": None if proj is None else proj.kappa,
-        "node_values": None if proj is None else proj.node_values,
+        "node_values": None if proj is None else tuple(proj.function(a) for a in nodes),
     }
 
 
@@ -1099,8 +1100,8 @@ def _assert_node_stats_match(p, ed, levels, rng):
     for i in levels:
         g = oracles.mixed_denominator_pl(rng, p.dim, "concave")
         u = oracles.mixed_denominator_pl(rng, p.dim, "convex")
-        got = _node_stats(p, ed, i, g, u, bound)
         want = oracles.fraction_node_stats(p, ed.theta, i, g, u, bound)
+        got = _node_stats(p, ed, i, g, u, bound, want["nodes"])
         for key, value in want.items():
             assert got[key] == value, (p.name, i, key)
 
@@ -1216,10 +1217,11 @@ def test_node_stats_match_fraction_route_on_affine_samples(corpus_entries):
     tied = PLFn.concave([ell, ell.scale(1), oracles.random_affine(rng, 3).scale(F(1, 7))])
     for g, u in ((PLFn.concave([ell]), PLFn.convex([ell])), (tied, tied.add_affine(ell))):
         for i in (1, 2):
-            got = _node_stats(p, ed, i, g, PLFn.convex(u.pieces), 10)
             want = oracles.fraction_node_stats(p, ed.theta, i, g, PLFn.convex(u.pieces), 10)
+            got = _node_stats(p, ed, i, g, PLFn.convex(u.pieces), 10, want["nodes"])
             assert got == want
-    assert _node_stats(p, ed, 1, PLFn.concave([ell]), PLFn.convex([ell]), 10)["q"] == 0
+    nodes = refined_points(p, 1)
+    assert _node_stats(p, ed, 1, PLFn.concave([ell]), PLFn.convex([ell]), 10, nodes)["q"] == 0
 
 
 def test_node_checks_fire(corpus_entries, monkeypatch):
@@ -1244,7 +1246,7 @@ def test_node_checks_fire(corpus_entries, monkeypatch):
     def skewed(fn, points, i):
         values, den = level_values(fn, points, i)
         calls.append(fn)
-        if len(calls) == 3:  # theta, u, then the projected u
+        if len(calls) == 2:  # u, then the projected u
             values = [values[0] + 1, *values[1:]]
         return values, den
 
@@ -1389,11 +1391,10 @@ def test_project_perp_constant_untouched(corpus_entries):
 def test_project_perp_theta_collapses(corpus_entries):
     p = corpus_entries["B2"].polytope
     ed = extremal_affine(p)
-    nd = theta_nodes(p, ed, 1)
-    u = PLFn.convex([AffineFn(ed.theta.a, ed.theta.c - nd.theta_bar)])
+    u = PLFn.convex([AffineFn(ed.theta.a, ed.theta.c - _level_stats(p, ed, 1).theta_bar)])
     proj = project_perp(p, ed, 1, u)
     assert proj.kappa == 1
-    assert all(v == 0 for v in proj.node_values)
+    assert all(proj.function(a) == 0 for a in refined_points(p, 1))
 
 
 def test_project_perp_identity(corpus_entries):
@@ -1401,8 +1402,7 @@ def test_project_perp_identity(corpus_entries):
     ed = extremal_affine(p)
     u = PLFn.simple((0, 0, 1), 0)
     proj = project_perp(p, ed, 1, u)
-    nd = theta_nodes(p, ed, 1)
-    assert sum(v * d for v, d in zip(proj.node_values, nd.deviations)) == 0
+    assert oracles.theta_pairing(p, ed.theta, 1, proj.function) == 0
     s = s_closed_form(p, ed, 1)
     assert p_weight(p, 1, proj.function, 10).value == q_weight(p, ed, 1, u, s=s)
 
@@ -1443,13 +1443,12 @@ def test_analyze_cp3(corpus_entries):
     report = analyze(corpus_entries["CP3"].polytope, i_max=4, grid=0)
     assert report.kverdict.classification == STABLE_EMPTY_EXCESS
     assert all(c.status == ANY for c in report.chow)
-    assert report.chow_unstable_level is None
 
 
 def test_analyze_counterexample(corpus_entries):
     report = analyze(corpus_entries["E4"].polytope, i_max=2, grid=0)
     assert report.kverdict.classification == STABLE_EMPTY_EXCESS
-    assert report.chow_unstable_level == 1
+    assert report.chow[0].status == FAILS
 
 
 def test_analyze_orbifold(corpus_entries):
@@ -1457,7 +1456,7 @@ def test_analyze_orbifold(corpus_entries):
     assert report.kverdict is None
     assert report.kverdict_error
     assert report.futaki == (0, 0, 0)
-    assert report.chow_unstable_level == 1
+    assert report.chow[0].status == FAILS
 
 
 def test_translation_equivariance(corpus_entries):
