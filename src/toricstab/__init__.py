@@ -1,4 +1,8 @@
-"""Exact-rational toolkit for stability criteria of polarized toric varieties."""
+"""Exact-rational toolkit for stability criteria of polarized toric varieties.
+
+``__all__`` is the library's API, listed with a reason per name in the
+README's "API" section; every other routine is reached through its module.
+"""
 
 from .errors import (
     DegenerateSpan,
@@ -17,48 +21,20 @@ from .errors import (
     Unbounded,
     ValidationError,
 )
-from .integrate import Poly, boundary_integral, integrate, integrate_simplex, moment_vector
-from .lattice import EhrhartPoly, ehrhart, lattice_points, refined_points
-from .linalg import (
-    ANY_S,
-    AnyS,
-    rank,
-    rat,
-    rat_str,
-    solve_linear,
-    solve_overdetermined_1d,
-)
-from .plfun import (
-    AffineFn,
-    PLFn,
-    boundary_integrate_pl,
-    integrate_pl,
-    linearity_regions,
-    upper_hull,
-)
-from .polytope import (
-    HalfSpace,
-    Polytope,
-    Simplex,
-    halfspaces_from_vertices,
-    intersect_halfspace,
-    is_reflexive_delzant,
-    polar_dual,
-    vertices_from_halfspaces,
-)
+from .integrate import Poly, boundary_integral, integrate, moment_vector
+from .lattice import EhrhartPoly, ehrhart
+from .plfun import AffineFn, PLFn, integrate_pl, upper_hull
+from .polytope import HalfSpace, Polytope, is_reflexive_delzant, polar_dual
 from .stability import (
     ChowCondition,
     ExtremalData,
     KVerdict,
-    NodeData,
     RadialCertificate,
     StabilityReport,
     analyze,
-    average_scalar,
     chow_necessary,
     destabilizer_search,
     extremal_affine,
-    futaki_vector,
     k_classify,
     l_functional,
     p_weight,
@@ -66,8 +42,23 @@ from .stability import (
     q_weight,
     radial_certificate,
     s_closed_form,
-    theta_nodes,
 )
-from .univariate import interpolate_poly
+
+__all__ = [
+    # errors
+    "ToricStabError", "ParseError", "ValidationError", "DegenerateSpan", "DegreeMismatch",
+    "Empty", "InternalInvariant", "NotFullDimensional", "NotLatticePolytope", "NotReflexive",
+    "OriginNotInterior", "PreconditionFailed", "SingularMatrix", "ThetaConstant", "Unbounded",
+    # geometry, integrals, Ehrhart and PL functions
+    "Polytope", "HalfSpace", "polar_dual", "is_reflexive_delzant",
+    "Poly", "integrate", "boundary_integral", "moment_vector",
+    "ehrhart", "EhrhartPoly",
+    "AffineFn", "PLFn", "integrate_pl", "upper_hull",
+    # stability
+    "ExtremalData", "extremal_affine", "l_functional",
+    "KVerdict", "k_classify", "RadialCertificate", "radial_certificate", "destabilizer_search",
+    "ChowCondition", "chow_necessary", "s_closed_form", "q_weight", "p_weight", "project_perp",
+    "StabilityReport", "analyze",
+]
 
 __version__ = "0.1.0"

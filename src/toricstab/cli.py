@@ -27,7 +27,6 @@ from .stability import (
     chow_levels,
     chow_necessary,
     extremal_affine,
-    futaki_vector,
     k_classify,
     k_verdict_or_error,
 )
@@ -210,7 +209,7 @@ def cmd_theta(args) -> int:
         "theta": {"a": _vec(ed.theta.a), "c": _frac(ed.theta.c)},
         "theta_str": str(ed.theta),
         "average_scalar": _frac(ed.sbar),
-        "futaki": _vec(futaki_vector(p)),
+        "futaki": _vec(ed.futaki),
     }
     _emit(args, doc, lambda d: "\n".join([
         f"theta = {d['theta_str']}",

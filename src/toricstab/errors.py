@@ -54,7 +54,7 @@ class PreconditionFailed(ToricStabError):
 
 
 class ParseError(ToricStabError):
-    """Malformed polytope or function file."""
+    """Malformed JSON document, polytope document or corpus entry."""
 
 
 class InternalInvariant(ToricStabError):

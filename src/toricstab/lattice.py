@@ -159,15 +159,15 @@ def node_bound(p: Polytope, i_max: int) -> int:
 # sums off its fibre ranges, walked and summed at about 1-2 us a range (E4
 # at levels 1..30: a bound of 1,855,000, 1,538,560 nodes in 34,750 ranges,
 # 0.03 s; the whole chow command 0.06 s and 19 MiB peak).  A level with a
-# Q sample still builds its points and reads theta and the sample at each,
-# about 3-5.5 us a node, and drops them before the next level, so the peak
-# follows the largest level, at about 220-340 bytes a node of it (levels
-# 1..i_max of CP3 to 26: 1,415,960 nodes, 198,485 at the top level, 4.5 s,
-# 63 MiB; F1 to 31: 1,572,351 and 187,551 nodes, 8.5 s, 64 MiB; B1 to 27:
-# 1,586,619 and 214,885 nodes, 5.9 s, 91 MiB; ru_maxrss of one chow run
-# each, Python 3.11 on a 2-core x86-64 host).  So the bound stays on
-# nodes: a run inside it takes seconds, and a few hundred MiB only where
-# one level holds most of the budget.  E4 fits up to level 30; every
+# Q sample still builds its points and reads the sample g at each (theta
+# at none), about 2-4 us a node, and drops them before the next level, so
+# the peak follows the largest level, at about 200-300 bytes a node of it
+# (levels 1..i_max of CP3 to 26: 1,415,960 nodes, 198,485 at the top
+# level, 3.2 s, 54 MiB; F1 to 31: 1,572,351 and 187,551 nodes, 6.4 s,
+# 59 MiB; B1 to 27: 1,586,619 and 214,885 nodes, 4.7 s, 64 MiB; ru_maxrss
+# of one chow run each, Python 3.11 on a 2-core x86-64 host).  So the
+# bound stays on nodes: a run inside it takes seconds, and a few hundred
+# MiB only where one level holds most of the budget.  E4 fits up to level 30; every
 # corpus entry fits the defaults with room.
 MAX_LEVEL_NODES = 2_000_000
 

@@ -27,7 +27,8 @@ RatLike = Union[int, str, Fraction]
 
 def rat(x: RatLike) -> Fraction:
     """Coerce an int, ``"p/q"`` string or Fraction to an exact rational; a
-    string is a sign, ASCII digits and ``/`` digits, or a ValidationError."""
+    string is a sign, ASCII digits and ``/`` digits with q not 0, or a
+    ValidationError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -38,7 +39,10 @@ def rat(x: RatLike) -> Fraction:
         num, slash, den = x.partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
         if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            return Fraction(int(num), int(den) if slash else 1)
+            q = int(den) if slash else 1
+            if not q:
+                raise ValidationError(f"{x!r} has a zero denominator")
+            return Fraction(int(num), q)
         raise ValidationError(f"{x!r} is not an integer or p/q rational")
     raise TypeError(f"cannot interpret {x!r} as an exact rational")
 

@@ -83,26 +83,15 @@ class ExtremalData:
     """The extremal affine potential and the data that determined it."""
 
     theta: AffineFn
+    # The average scalar curvature: boundary measure over volume, n on
+    # reflexive P.
     sbar: Fraction
     gram: tuple[tuple[Fraction, ...], ...]
-    # The right-hand side of the system: the Futaki vector.
+    # The right-hand side of the system, the Futaki (obstruction) vector
+    # (integral_bd x_k dsigma - Sbar * integral x_k dx)_k: up to a positive
+    # dimensional constant the classical obstruction character on the torus
+    # generators; it vanishes iff theta = 0.
     futaki: tuple[Fraction, ...]
-
-
-def average_scalar(p: Polytope) -> Fraction:
-    """Boundary measure divided by volume; equals n for a reflexive polytope."""
-    return p.boundary_volume() / p.volume()
-
-
-def futaki_vector(p: Polytope) -> tuple[Fraction, ...]:
-    """The obstruction vector (integral_bd x_k dsigma - Sbar * integral x_k dx)_k.
-
-    Up to a positive dimensional constant this is the classical obstruction
-    character evaluated on the torus generators; it vanishes iff theta = 0.
-    It is the right-hand side of the extremal system, so it is read off
-    :func:`extremal_affine`.
-    """
-    return extremal_affine(p).futaki
 
 
 def extremal_affine(p: Polytope) -> ExtremalData:
@@ -117,7 +106,7 @@ def extremal_affine(p: Polytope) -> ExtremalData:
     n = p.dim
     record = p.moments()
     vol, moments = record.measure, record.first
-    sbar = average_scalar(p)
+    sbar = p.boundary_volume() / vol
     gram = [list(record.second[k]) + [moments[k]] for k in range(n)]
     gram.append(list(moments) + [vol])
     futaki = tuple(
@@ -235,6 +224,10 @@ UNDETERMINED = "undetermined"
 
 @dataclass(frozen=True)
 class KVerdict:
+    """The outcome of :func:`k_classify`: the classification, theta, the
+    excess region and both sides of the mean criterion where it has
+    interior, and the witness with its L where one destabilizes."""
+
     classification: str
     theta: AffineFn
     delta_minus: Optional[Polytope]
@@ -373,7 +366,7 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
 
     Input must be reflexive up to an integer translation; the verdict and
     the reported data refer to the normalized (reflexive) position.  ``grid``
-    is the search level of :func:`destabilizer_candidates`.
+    is the search level of :func:`destabilizer_search`.
     """
     _check_search_level(grid, p.dim)
     normalized = reflexive_translate(p)
@@ -431,9 +424,11 @@ def _check_search_level(grid: int, dim: int) -> None:
         )
 
 
-def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
-    """Yield the simple PL candidates max{0, b.x + d} of the search grid, one
-    per symmetry orbit, in scan order.
+def _candidates(p: Polytope, ed: ExtremalData, grid: int):
+    """The simple PL candidates max{0, b.x + d / q} of the search grid, one
+    per symmetry orbit, in scan order, as (b, d, q) with q = 2 den for P's
+    vertices over their common denominator den: every critical value,
+    midpoint and orbit key is an integer.
 
     Directions: at ``grid`` 0 only the potential gradient; at G >= 1 the
     facet normals, the primitive vertex directions, the potential gradient
@@ -451,22 +446,7 @@ def destabilizer_candidates(p: Polytope, ed: ExtremalData, grid: int = 1):
     a positive multiple of its L, and the first witness is the one a scan of
     every candidate finds.  At grid 0 the one direction t has
     M^T t = t, so no automorphism is computed.
-
-    On reflexive P, :func:`destabilizer_search` also skips every candidate
-    with l = b.x + d <= 0 on the excess region {theta >= 1}, once oriented
-    to d <= 0: its L = integral over {l >= 0} of (1 - theta) l - d is >= 0,
-    as theta <= 1 almost everywhere where l > 0.  Off reflexive P the parts
-    form, and with it this bound, does not hold.
     """
-    for b, d, q in _candidates(p, ed, grid):
-        yield PLFn.simple(b, Fraction(d, q))
-
-
-def _candidates(p: Polytope, ed: ExtremalData, grid: int):
-    """The candidates of :func:`destabilizer_candidates` as (b, d, q) with
-    offset d / q and q = 2 den, for P's vertices over their common
-    denominator den: every critical value, midpoint and orbit key is an
-    integer."""
     _check_search_level(grid, p.dim)
     dirs: dict[tuple[int, ...], None] = {}
 
@@ -638,13 +618,16 @@ class _LevelStats(NamedTuple):
 def _level_stats(p: Polytope, ed: ExtremalData, i: int) -> _LevelStats:
     """:class:`_LevelStats` from the integer sums N, S_1 = sum z and
     S_2 = sum z z^T over the points z of iP (:func:`~toricstab.lattice._level_sums`),
-    with theta at no node.
+    with theta at no node; built once per (theta, i) and cached on P.
 
     theta = (A.z + C) / (D i) at z / i, as on :class:`NodeData`: D is the
     least common denominator of theta's coefficients, A = D a, C = D c i.
     theta is affine, so its numerators sum to T = A.S_1 + C N, their
     products with z to X = S_2 A + C S_1 and their squares to A.X + C T.
     """
+    key = ("level_stats", ed.theta.a, ed.theta.c, i)
+    if key in p.cache:
+        return p.cache[key]
     sums = _level_sums(p, i)
     count, first = sums.count, sums.first
     if not count:
@@ -655,7 +638,7 @@ def _level_stats(p: Polytope, ed: ExtremalData, i: int) -> _LevelStats:
     total = sum(map(mul, a, first)) + c * count
     cross = [sum(map(mul, a, row)) + c * f for row, f in zip(sums.second, first)]
     squares = sum(map(mul, a, cross)) + c * total
-    return _LevelStats(
+    p.cache[key] = _LevelStats(
         level=i,
         count=count,
         theta_bar=Fraction(total, den * count),
@@ -665,20 +648,17 @@ def _level_stats(p: Polytope, ed: ExtremalData, i: int) -> _LevelStats:
         ),
         node_sum=tuple(Fraction(f, i) for f in first),
     )
+    return p.cache[key]
 
 
 def s_closed_form(p: Polytope, ed: ExtremalData, i: int) -> Optional[Fraction]:
     """-i * theta_bar * E(i) / sum (theta(a) - theta_bar)^2, or None when theta
     is constant on the nodes (then every s balances and the ratio is 0/0)."""
-    return _s_closed(_level_stats(p, ed, i))
-
-
-def _s_closed(stats: _LevelStats) -> Optional[Fraction]:
-    """:func:`s_closed_form` on the statistics of its level."""
+    stats = _level_stats(p, ed, i)
     denom = stats.deviation_square_sum
     if denom == 0:
         return None
-    return -Fraction(stats.level) * stats.theta_bar * stats.count / denom
+    return -Fraction(i) * stats.theta_bar * stats.count / denom
 
 
 HOLDS = "holds"
@@ -707,17 +687,13 @@ def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
     With theta constant on the nodes this degenerates to the absolute
     criterion Vol * sum_a a = E(i) * integral of x (status any/fails).
     A fails verdict at any level certifies asymptotic relative Chow
-    instability in the toric sense.
+    instability in the toric sense.  The coefficient sum_a ttilde(a) a is
+    the deviation moment of the level's statistics over i.
     """
-    return _balance(p, _level_stats(p, ed, i))
-
-
-def _balance(p: Polytope, stats: _LevelStats) -> ChowCondition:
-    """:func:`chow_necessary` on the statistics of its level: the
-    coefficient sum_a ttilde(a) a is the deviation moment over i."""
+    stats = _level_stats(p, ed, i)
     vol = p.volume()
     moments = moment_vector(p)
-    coeffs = tuple(m / stats.level for m in stats.deviation_moment)
+    coeffs = tuple(m / i for m in stats.deviation_moment)
     targets = tuple(
         Fraction(stats.count) * moment / vol - total
         for moment, total in zip(moments, stats.node_sum)
@@ -730,7 +706,7 @@ def _balance(p: Polytope, stats: _LevelStats) -> ChowCondition:
     else:
         status, s = HOLDS, sol
     return ChowCondition(
-        level=stats.level,
+        level=i,
         status=status,
         s=s,
         coeffs=coeffs,
@@ -761,36 +737,36 @@ def q_weight(
     balance system has no solution -- Q is then undefined and the variety is
     already unstable at this level.
     """
-    stats = _level_stats(p, ed, i)
     integral = integrate_pl(p, Poly.constant(p.dim, 1), g)
-    return _q_weight(p, ed, stats, _balance(p, stats), g, integral, s)
+    return _q_weight(p, ed, i, g, integral, s)
 
 
 def _q_weight(
     p: Polytope,
     ed: ExtremalData,
-    stats: _LevelStats,
-    cond: ChowCondition,
+    i: int,
     g: PLFn,
     integral: Fraction,
     s: Optional[Fraction] = None,
 ) -> Fraction:
-    """:func:`q_weight` on the statistics of its level, the balance outcome
-    there and the integral of g over P: the node total is
+    """:func:`q_weight` given the integral of g over P, which a caller at
+    many levels integrates once: the node total is
     sum g(a) + s * sum (theta(a) - theta_bar) g(a) / i, off g's node sums."""
+    cond = chow_necessary(p, ed, i)
     if cond.status == FAILS:
         raise PreconditionFailed(
-            f"balance system has no solution at level {stats.level}; Q undefined"
+            f"balance system has no solution at level {i}; Q undefined"
         )
     s_from_system = s is None
     if s is None:
         if cond.status == HOLDS:
             s = cond.s
         else:
-            s = _s_closed(stats) or Fraction(0)
-    sums = _node_sums(p, g, stats.level)
+            s = s_closed_form(p, ed, i) or Fraction(0)
+    stats = _level_stats(p, ed, i)
+    sums = _node_sums(p, g, i)
     total, _, g_den = sums
-    weighted = _theta_pairing(ed, stats, sums) / stats.level
+    weighted = _theta_pairing(ed, stats, sums) / i
     total_nodes = Fraction(total, g_den) + s * weighted
     value = stats.count * integral - p.volume() * total_nodes
     if s_from_system and len(set(g.pieces)) == 1 and value != 0:
@@ -875,6 +851,11 @@ def project_perp(p: Polytope, ed: ExtremalData, i: int, u: PLFn) -> Projection:
 
 @dataclass
 class StabilityReport:
+    """The full report of :func:`analyze` on one polytope: its geometry,
+    theta and the Futaki vector, the K verdict (or why none applies), the
+    balance system, s_closed and the Q and P weight samples at levels
+    1..i_max, and the Ehrhart coefficients of lattice input."""
+
     name: str
     dim: int
     volume: Fraction
@@ -932,19 +913,18 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
         # the level's integer sums give the balance system, the closed-form
         # s, the P sample (u = max{0, x_1} sums to sum max{0, z_1} / i) and
         # theta's side of the Q sample; only g is read at the nodes
-        stats = _level_stats(p, ed, i)
-        cond = _balance(p, stats)
+        cond = chow_necessary(p, ed, i)
         chow.append(cond)
-        s_closed[i] = _s_closed(stats)
+        s_closed[i] = s_closed_form(p, ed, i)
         if cond.status != FAILS:
             if g_integral is None:
                 g_integral = integrate_pl(p, one, g_sample)
-            q_samples[i] = _q_weight(p, ed, stats, cond, g_sample, g_integral)
+            q_samples[i] = _q_weight(p, ed, i, g_sample, g_integral)
             # no later level reads this level's points: drop them, so the
             # peak is one level's nodes, not the sum of all
             p.cache.pop(("lattice_points", i), None)
         sum_u = Fraction(_level_sums(p, i).positive, i)
-        p_samples[i] = _p_weight(p, stats.count, sum_u, bound, u_integral)
+        p_samples[i] = _p_weight(p, cond.count, sum_u, bound, u_integral)
     return chow, s_closed, q_samples, p_samples
 
 

@@ -28,17 +28,13 @@ from toricstab import (
     NotFullDimensional,
     Poly,
     Polytope,
-    Simplex,
     SingularMatrix,
     Unbounded,
     integrate,
     integrate_pl,
-    intersect_halfspace,
-    lattice_points,
-    linearity_regions,
     moment_vector,
-    refined_points,
 )
+from toricstab.lattice import lattice_points, refined_points
 from toricstab.linalg import (
     AnyS,
     dot,
@@ -48,8 +44,9 @@ from toricstab.linalg import (
     solve_linear,
     solve_overdetermined_1d,
 )
-from toricstab.plfun import AffineFn, PLFn
-from toricstab.polytope import FacetChart, facet_chart
+from toricstab.plfun import AffineFn, PLFn, linearity_regions
+from toricstab.polytope import FacetChart, Simplex, facet_chart, intersect_halfspace
+from toricstab.stability import _candidates
 
 
 def fraction_echelon(rows) -> tuple:
@@ -798,3 +795,9 @@ def random_poly(rng: random.Random, dim: int, max_degree=2) -> Poly:
     if not poly.terms:
         poly = Poly.constant(dim, 1)
     return poly
+
+
+def search_candidates(p, ed, grid):
+    """The destabilizer search's candidates max{0, b.x + d / q}, in scan order."""
+    for b, d, q in _candidates(p, ed, grid):
+        yield PLFn.simple(b, F(d, q))

@@ -14,6 +14,7 @@ from pathlib import Path
 import pytest
 
 from toricstab.cli import main
+from toricstab.corpus import DATA_DIR
 
 
 def run_cli(*argv):
@@ -244,6 +245,37 @@ def test_tables_survey_json_bytes(monkeypatch):
         assert len(loads) == reads, argv
 
 
+# sha256 of `analyze corpus:NAME --grid 0 --format json`, levels 1-6: the
+# balance system, s_closed and the Q and P samples of every corpus entry
+ANALYZE_GRID0 = {
+    "CP3": "d8d9d066508720082e26b3c20fbf0b25f9cfdce66b4628a18eefaadd5a0dcc2e",
+    "B1": "014a071c090e014921f7a9b75f8741aa381a0c1334123944e3e95b92558fbc21",
+    "B2": "5ce45702ee5d8bf96181ddde60b5834a0f76d3d1cdde130911e234398a989e0c",
+    "B3": "3f8f4eeba6fb4ea65f330d0c6624ca066285c4d75fd3d5b629bb21f666311707",
+    "B4": "e53588518c29a226029b8be35adb2f17282db9b9c7a918c4cb5a08645b9bd645",
+    "C1": "bdd3de27584d1620ca6e876280ddb905f6b2738abb870f565564ee2ee3da9dcf",
+    "C2": "1b680b5b19ab9bbd0218e0e3cca81a4fc8577d64592054255b5787608f6d59c2",
+    "C3": "8dab83efe2a9dcb7bea521b8fe1e70d7fa6dcb28da4455b61ee9890677dcba55",
+    "C4": "c40d42dc69dd2039b67486d88e264a83e1924346200740e2d5f4f68d4a9fefb3",
+    "C5": "9f9da6219968285d86636bbf727c77343fb66ad5d309952bcd8cdf7596c87a04",
+    "D1": "d4d9e0b5c81e93ad1c969bd5dbc8460c64af7afbb1b4ffdf16eb8099722225bd",
+    "D2": "104905826b58d68f16a05ea4d12d040e1c564f58c87d21de5b2857bfd226a16c",
+    "E1": "6a3a3ad974c65905af5bf18e434559e9d80f7ca0bc0b019a708ce72ceb2a4271",
+    "E2": "5e3591a4867f73dfab335dcdea62d5d0b6db941419dbbff4702919968959fc11",
+    "E3": "b05cb7c89ca492506a6cdd21bf49a7d694e737370ba16be81338247ed8afd88a",
+    "E4": "11abb05d8400b3acea21071e7b86e8ea664c7de3deada974fae51ea81063cb8e",
+    "F1": "260b5fdf25d15af03918ed6219bd174882d6382c0759c405afbd5ff5930ae7af",
+    "F2": "127cf912b5eabf09af99b704d7e904a619612b50e2f7a9eec83a5cb96a5ba706",
+    "ORB-530571": "b205c6c96aa8d4fec90d00362e3212ffa458135a207fce8340954a8d13a64e85",
+}
+
+
+@pytest.mark.parametrize("name", ANALYZE_GRID0)
+def test_analyze_grid0_json_bytes(name):
+    code, out = run_cli("analyze", f"corpus:{name}", "--grid", "0", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_GRID0[name]
+
 def _record_calls(monkeypatch, fn, calls):
     """Replace every binding of ``fn`` in the toricstab modules by a wrapper
     that appends (calling function, name of the first argument) to ``calls``."""
@@ -397,6 +429,15 @@ def test_negative_grid_is_rejected():
 
 
 TRIANGLE = '"polytope": {"vertices": [[0, 0], [1, 0], [0, 1]]}'
+ORB = json.loads((DATA_DIR / "ORB-530571.json").read_text())
+
+
+def _orb_text(key, value=None):
+    """ORB-530571's entry with ``key`` set to ``value``, or dropped for None."""
+    doc = {k: v for k, v in ORB.items() if k != key}
+    if value is not None:
+        doc[key] = value
+    return json.dumps(doc)
 
 
 @pytest.mark.parametrize(
@@ -420,12 +461,29 @@ TRIANGLE = '"polytope": {"vertices": [[0, 0], [1, 0], [0, 1]]}'
             "X.json", '{"expected": {"lattice_point_sums": {"0": [0, 0]}}, ' + TRIANGLE + "}",
             ("tables",), "'lattice_point_sums': level '0' is not a positive int",
         ),
+        (
+            "ORB-530571.json",
+            _orb_text("dual_vertices", [[1.5, -1, "1/2"], *ORB["dual_vertices"][1:]]),
+            ("tables", "--i-max", "1", "--grid", "0"),
+            "'dual_vertices': cannot interpret 1.5 as an exact rational",
+        ),
+        (
+            "ORB-530571.json", _orb_text("dual_vertices"), ("tables", "--i-max", "1", "--grid", "0"),
+            "'dual_vertices': no key 'dual_vertices'",
+        ),
+        (
+            "ORB-530571.json",
+            _orb_text("fano_vertices", [[1, -1, "1/0"], *ORB["fano_vertices"][1:]]),
+            ("tables", "--i-max", "1", "--grid", "0"),
+            "'fano_vertices': '1/0' has a zero denominator",
+        ),
     ],
     ids=[
         "truncated-entry", "entry-not-an-object", "rays-not-a-list", "ray-not-of-ints",
         "notes-not-strings", "name-not-a-string", "expected-not-an-object",
         "polytope-not-an-object", "truncated-index", "expected-value-of-wrong-type",
         "lattice-level-over-budget", "lattice-level-not-a-positive-int",
+        "dual-vertex-not-exact", "dual-vertices-missing", "fano-vertex-zero-denominator",
     ],
 )
 def test_malformed_corpus_file_exits_2(tmp_path, monkeypatch, capsys, name, text, argv, detail):
@@ -713,8 +771,9 @@ def _typed_outcome(argv, doc):
 
 
 def test_mutated_documents_exit_with_typed_errors(tmp_path, monkeypatch, corpus_entries):
-    # A seeded mutation fuzz of B1's polytope document and corpus entry:
-    # every command ends in a result or a typed error with its exit code.
+    # A seeded mutation fuzz of B1's polytope document and of the corpus
+    # entries of B1 and ORB-530571: every command ends in a result or a
+    # typed error with its exit code.
     rng = random.Random(2016)
     entry = corpus_entries["B1"].raw
     polytope = entry["polytope"]
@@ -732,10 +791,15 @@ def test_mutated_documents_exit_with_typed_errors(tmp_path, monkeypatch, corpus_
             ("chow", str(path), "--i-max", "2"),
         ):
             _typed_outcome(argv, doc)
-    # the entry's own fields: its polytope document is fuzzed above
-    fields = {key: value for key, value in entry.items() if key != "polytope"}
-    monkeypatch.setenv("TORICSTAB_CORPUS_DIR", str(tmp_path))
-    for _ in range(150):
-        doc = {**_mutant(fields, rng), "polytope": polytope}
-        path.write_text(json.dumps(doc))
-        _typed_outcome(("tables", "--i-max", "1", "--grid", "0"), doc)
+    # the entries' own fields: B1's polytope document is fuzzed above, and
+    # ORB-530571 also carries its Fano polytope and that polytope's polar dual
+    for name in ("B1", "ORB-530571"):
+        entry = corpus_entries[name].raw
+        fields = {key: value for key, value in entry.items() if key != "polytope"}
+        folder = tmp_path / name
+        folder.mkdir()
+        monkeypatch.setenv("TORICSTAB_CORPUS_DIR", str(folder))
+        for _ in range(150):
+            doc = {**_mutant(fields, rng), "polytope": entry["polytope"]}
+            (folder / f"{name}.json").write_text(json.dumps(doc))
+            _typed_outcome(("tables", "--i-max", "1", "--grid", "0"), doc)

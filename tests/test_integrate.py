@@ -6,17 +6,16 @@ import pytest
 from toricstab import (
     Poly,
     Polytope,
-    Simplex,
     ValidationError,
     boundary_integral,
     integrate,
     integrate_pl,
-    integrate_simplex,
     moment_vector,
 )
-from toricstab.integrate import facet_integral
+from toricstab.integrate import facet_integral, integrate_simplex
 from toricstab.plfun import PLFn, _nonzero_regions
-from toricstab.stability import destabilizer_candidates, excess_region, extremal_affine
+from toricstab.polytope import Simplex
+from toricstab.stability import excess_region, extremal_affine
 
 import oracles
 
@@ -321,7 +320,7 @@ def test_lasserre_identity_on_corpus_and_cut_regions(corpus_entries):
     for entry in corpus_entries.values():
         p = entry.polytope
         assert_lasserre(p)
-        candidates = list(destabilizer_candidates(p, extremal_affine(p), grid=1))
+        candidates = list(oracles.search_candidates(p, extremal_affine(p), grid=1))
         for u in rng.sample(candidates, min(3, len(candidates))):
             for region, _ in _nonzero_regions(p, u):
                 assert_lasserre(region)

@@ -2,13 +2,17 @@
 including under ``python -O``, no hull falls back to a subset scan, no
 module but the one that defines it builds a facet chart or reads the cell
 format, and no module integrates above degree 2; and every library
-function the benchmark reports by name exists."""
+function the benchmark reports by name exists; and the package exposes
+exactly the API that the README lists."""
 
 import ast
 import importlib
+import inspect
 import json
+import re
 from pathlib import Path
 
+import toricstab
 from toricstab.polytope import Polytope
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -108,3 +112,23 @@ def test_benchmark_layer_names_resolve():
             missing.append(metric["name"])
     assert not missing, f"benchmark names without a function: {missing}"
     assert resolved > 40
+
+
+def test_public_api():
+    # toricstab.__all__ is the README's API table, in its order; each name
+    # resolves and has a docstring of its own (not a dataclass's generated
+    # signature), and the package exposes no other public name but its
+    # modules and __version__.
+    readme = (ROOT / "README.md").read_text()
+    section = readme.split("\n## API\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.findall(r"^\| `(\w+)` \|", section, re.M)
+    assert listed == toricstab.__all__
+    for name in listed:
+        obj = getattr(toricstab, name)
+        doc = vars(obj).get("__doc__") if isinstance(obj, type) else obj.__doc__
+        assert doc and not doc.startswith(f"{name}("), f"{name} has no docstring of its own"
+    exposed = {
+        name for name, value in vars(toricstab).items()
+        if not name.startswith("_") and not inspect.ismodule(value)
+    }
+    assert exposed == set(listed)

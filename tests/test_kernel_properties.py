@@ -17,13 +17,15 @@ from toricstab import (
     NotFullDimensional,
     Polytope,
     Unbounded,
-    halfspaces_from_vertices,
-    intersect_halfspace,
     linalg,
     polytope,
-    vertices_from_halfspaces,
 )
 from toricstab.linalg import rank
+from toricstab.polytope import (
+    halfspaces_from_vertices,
+    intersect_halfspace,
+    vertices_from_halfspaces,
+)
 
 import oracles
 

@@ -9,10 +9,9 @@ from toricstab import (
     Polytope,
     ValidationError,
     ehrhart,
-    lattice_points,
-    refined_points,
 )
 from toricstab import lattice
+from toricstab.lattice import lattice_points, refined_points
 
 import oracles
 

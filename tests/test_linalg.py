@@ -4,26 +4,21 @@ from fractions import Fraction as F
 
 import pytest
 
-from toricstab import (
-    ANY_S,
-    DegreeMismatch,
-    Simplex,
-    SingularMatrix,
-    ValidationError,
-    interpolate_poly,
-    rank,
-    solve_linear,
-    solve_overdetermined_1d,
-)
+from toricstab import DegreeMismatch, SingularMatrix, ValidationError
 from toricstab.linalg import (
+    ANY_S,
     _eliminate,
     _independent_rows,
     determinant,
     nullvector,
+    rank,
     rat,
     rat_str,
+    solve_linear,
+    solve_overdetermined_1d,
 )
-from toricstab.univariate import poly_eval
+from toricstab.polytope import Simplex
+from toricstab.univariate import interpolate_poly, poly_eval
 
 import oracles
 
@@ -115,8 +110,10 @@ def test_rat_strings_are_integers_or_p_over_q():
     for text in ("1e300000", "0.5", "1/2e9", " 1", "1 ", "1_0", "1/-2", "--1", "/2", "1/", "", "\u0663"):
         with pytest.raises(ValidationError, match="not an integer or p/q rational"):
             rat(text)
-    with pytest.raises(ZeroDivisionError):
-        rat("1/0")
+    # a zero denominator is a typed error that names the string
+    for text in ("1/0", "-3/000"):
+        with pytest.raises(ValidationError, match=f"'{text}' has a zero denominator"):
+            rat(text)
 
 
 def test_overdetermined_all_zero_is_any():

@@ -6,16 +6,20 @@ import pytest
 from toricstab import (
     DegenerateSpan,
     Poly,
-    boundary_integrate_pl,
     integrate,
     integrate_pl,
-    lattice_points,
-    linearity_regions,
     upper_hull,
 )
 from toricstab import corpus
 from toricstab.errors import ValidationError
-from toricstab.plfun import AffineFn, PLFn, pl_is_rational_lattice_cone
+from toricstab.lattice import lattice_points
+from toricstab.plfun import (
+    AffineFn,
+    PLFn,
+    boundary_integrate_pl,
+    linearity_regions,
+    pl_is_rational_lattice_cone,
+)
 from toricstab.stability import excess_region, extremal_affine
 
 import oracles

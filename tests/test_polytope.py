@@ -11,17 +11,15 @@ from toricstab import (
     OriginNotInterior,
     Poly,
     Polytope,
-    Simplex,
     Unbounded,
     integrate,
-    intersect_halfspace,
     is_reflexive_delzant,
     polar_dual,
     polytope,
 )
 from toricstab.errors import ValidationError
 from toricstab.plfun import AffineFn, PLFn
-from toricstab.polytope import facet_chart, lattice_automorphisms
+from toricstab.polytope import Simplex, facet_chart, intersect_halfspace, lattice_automorphisms
 
 import oracles
 

@@ -8,7 +8,6 @@ from fractions import Fraction as F
 import pytest
 
 from toricstab import (
-    ANY_S,
     InternalInvariant,
     NotReflexive,
     Poly,
@@ -17,26 +16,23 @@ from toricstab import (
     ThetaConstant,
     ValidationError,
     analyze,
-    average_scalar,
     boundary_integral,
     chow_necessary,
     destabilizer_search,
     extremal_affine,
-    futaki_vector,
     integrate,
     k_classify,
     l_functional,
-    lattice_points,
     moment_vector,
     p_weight,
     project_perp,
     q_weight,
     radial_certificate,
-    refined_points,
     s_closed_form,
-    theta_nodes,
     upper_hull,
 )
+from toricstab.lattice import lattice_points, refined_points
+from toricstab.linalg import ANY_S
 from toricstab.plfun import AffineFn, PLFn
 from toricstab.stability import (
     ANY,
@@ -45,9 +41,9 @@ from toricstab.stability import (
     STABLE_EMPTY_EXCESS,
     UNDETERMINED,
     _level_stats,
-    destabilizer_candidates,
     excess_region,
     reflexive_translate,
+    theta_nodes,
 )
 from toricstab.polytope import HalfSpace, intersect_halfspace, lattice_automorphisms
 from toricstab.univariate import poly_eval
@@ -78,9 +74,8 @@ def unimodular_image(p, mat):
 
 
 def test_average_scalar(cube, cp2, corpus_entries):
-    assert average_scalar(cube) == 3
-    assert average_scalar(corpus_entries["B2"].polytope) == 3
-    assert average_scalar(cp2) == 2
+    for p, sbar in ((cube, 3), (corpus_entries["B2"].polytope, 3), (cp2, 2)):
+        assert extremal_affine(p).sbar == p.boundary_volume() / p.volume() == sbar
 
 
 def test_extremal_cube_zero(cube):
@@ -123,9 +118,9 @@ def test_exact_zero_normalizations_across_corpus(corpus_entries):
 
 
 def test_futaki_vanishing(cube, corpus_entries):
-    assert futaki_vector(cube) == (0, 0, 0)
-    assert futaki_vector(corpus_entries["ORB-530571"].polytope) == (0, 0, 0)
-    assert futaki_vector(corpus_entries["B2"].polytope)[2] != 0
+    assert extremal_affine(cube).futaki == (0, 0, 0)
+    assert extremal_affine(corpus_entries["ORB-530571"].polytope).futaki == (0, 0, 0)
+    assert extremal_affine(corpus_entries["B2"].polytope).futaki[2] != 0
 
 
 # -- the linear functional ---------------------------------------------------
@@ -134,9 +129,9 @@ def test_futaki_vanishing(cube, corpus_entries):
 def test_futaki_is_the_extremal_right_hand_side(corpus_entries):
     for entry in corpus_entries.values():
         p = entry.polytope
-        sbar = average_scalar(p)
+        sbar = p.boundary_volume() / p.volume()
         moments = moment_vector(p)
-        assert futaki_vector(p) == tuple(
+        assert extremal_affine(p).futaki == tuple(
             boundary_integral(p, Poly.coordinate(p.dim, k)) - sbar * moments[k]
             for k in range(p.dim)
         )
@@ -248,7 +243,7 @@ def test_destabilizer_search_degenerate_grid(cube):
     # there is no direction, so no candidate.
     ed = extremal_affine(cube)
     assert not any(ed.theta.a)
-    assert list(destabilizer_candidates(cube, ed, grid=0)) == []
+    assert list(oracles.search_candidates(cube, ed, grid=0)) == []
     assert destabilizer_search(cube, ed, grid=0) is None
     # A negative grid is rejected, not read as grid 0.
     with pytest.raises(ValidationError):
@@ -265,7 +260,7 @@ def test_search_box_budget(cube):
     _check_search_level(10, 3)
     ed = extremal_affine(cube)
     with pytest.raises(ValidationError, match="12167 box directions in dimension 3"):
-        next(destabilizer_candidates(cube, ed, grid=11))
+        next(oracles.search_candidates(cube, ed, grid=11))
     with pytest.raises(ValidationError, match="in dimension 6"):
         _check_search_level(2, 6)
 
@@ -349,7 +344,7 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
     # automorphisms and the sign flip; the excess region skips 6 of them,
     # and each of the other 38 costs one cut and one core call; one more
     # cut is the excess region itself
-    assert sum(1 for _ in destabilizer_candidates(p, ed, grid=1)) == 44
+    assert sum(1 for _ in oracles.search_candidates(p, ed, grid=1)) == 44
     assert counts == {
         "rays": 0, "cuts": 1 + 38, "charts": 0, "simplex": 0, "mul": 0,
         "l": 0, "regions": 0, "facets": 38, "core": 38,
@@ -755,12 +750,12 @@ def test_l_matches_chart_route_on_search_candidates(corpus_entries, cube):
     # chart and every linearity region, on the real search candidates.
     b1 = corpus_entries["B1"].polytope
     ed = extremal_affine(b1)
-    for u in destabilizer_candidates(b1, ed, grid=1):
+    for u in oracles.search_candidates(b1, ed, grid=1):
         assert l_functional(b1, ed, u) == oracles.chart_route_l(b1, ed, u)
     e2 = corpus_entries["E2"].polytope
     ed = extremal_affine(e2)
     rng = random.Random(13)
-    candidates = list(destabilizer_candidates(e2, ed, grid=1))
+    candidates = list(oracles.search_candidates(e2, ed, grid=1))
     for u in rng.sample(candidates, 12):
         assert l_functional(e2, ed, u) == oracles.chart_route_l(e2, ed, u)
     for p in (cube, corpus_entries["C4"].polytope):
@@ -817,7 +812,7 @@ def test_candidates_skip_mirrors(cube, corpus_entries):
         ed = extremal_affine(p)
         group = lattice_automorphisms(p)
         seen = set()
-        for u in destabilizer_candidates(p, ed, grid=1):
+        for u in oracles.search_candidates(p, ed, grid=1):
             f = u.pieces[1]
             assert not _orbit(group, f.a, f.c) & seen
             seen.add((f.a, f.c))
@@ -840,7 +835,7 @@ def test_candidates_skip_positive_multiples(corpus_entries):
         group = lattice_automorphisms(p)
         seen = set()
         count = 0
-        for u in destabilizer_candidates(p, extremal_affine(p), grid=grid):
+        for u in oracles.search_candidates(p, extremal_affine(p), grid=grid):
             f = u.pieces[1]
             b, d, _ = _primitive(f.a, f.c)
             assert not _orbit(group, b, d) & seen, name
@@ -859,7 +854,7 @@ def test_skipped_multiples_have_a_multiple_of_an_evaluated_l(corpus_entries):
     ed = extremal_affine(p)
     group = lattice_automorphisms(p)
     yielded = {}
-    for u in destabilizer_candidates(p, ed, grid=2):
+    for u in oracles.search_candidates(p, ed, grid=2):
         f = u.pieces[1]
         b, d, g = _primitive(f.a, f.c)
         yielded[b, d] = (g, l_functional(p, ed, u))
@@ -888,7 +883,7 @@ def test_l_is_invariant_under_lattice_automorphisms(cube, corpus_entries):
         ed = extremal_affine(p)
         group = lattice_automorphisms(p)
         assert len(group) > 1
-        candidates = list(destabilizer_candidates(p, ed, grid=1))
+        candidates = list(oracles.search_candidates(p, ed, grid=1))
         for u in rng.sample(candidates, 3):
             value = l_functional(p, ed, u)
             assert value == oracles.l_functional_parts_form(p, ed, u)
@@ -920,9 +915,9 @@ def test_theta_check_fires_on_a_skewed_potential(corpus_entries):
     ed = extremal_affine(b1)
     skewed = replace(ed, theta=AffineFn.make((1, 2, 3), ed.theta.c))
     with pytest.raises(InternalInvariant, match="not invariant"):
-        next(destabilizer_candidates(b1, skewed, grid=1))
+        next(oracles.search_candidates(b1, skewed, grid=1))
     # grid 0 builds no group and so checks nothing
-    assert list(destabilizer_candidates(b1, skewed, grid=0))
+    assert list(oracles.search_candidates(b1, skewed, grid=0))
 
 
 # -- node statistics and the balance system ----------------------------------
@@ -1416,7 +1411,8 @@ def test_project_perp_theta_constant(cube):
 def test_pl_function_of_the_wrong_dimension_rejected(corpus_entries, cube):
     # u must live in the dimension of P: every entry point rejects a 2D
     # function over 3D input before it pairs a gradient with a point
-    from toricstab import boundary_integrate_pl, integrate_pl, linearity_regions
+    from toricstab import integrate_pl
+    from toricstab.plfun import boundary_integrate_pl, linearity_regions
 
     u = PLFn.simple([1, 0], 0)
     one = Poly.constant(3, 1)
@@ -1465,7 +1461,7 @@ def test_translation_equivariance(corpus_entries):
     t = (1, -2, 1)
     moved = translate(p, t)
     edm = extremal_affine(moved)
-    assert average_scalar(moved) == average_scalar(p)
+    assert edm.sbar == ed.sbar
     assert moved.volume() == p.volume()
     assert edm.theta.a == ed.theta.a
     assert edm.theta(tuple(F(x) for x in t)) == ed.theta((0, 0, 0))
@@ -1512,7 +1508,7 @@ def test_unimodular_equivariance(corpus_entries):
     image = unimodular_image(p, mat)
     edi = extremal_affine(image)
     assert image.volume() == p.volume()
-    assert average_scalar(image) == average_scalar(p)
+    assert edi.sbar == ed.sbar
     assert len(lattice_points(image, 2)) == len(lattice_points(p, 2))
     assert (
         k_classify(image, grid=0).classification
