@@ -68,7 +68,7 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
             raw = []
             for k, item in enumerate(hs_doc):
                 try:
-                    raw.append((tuple(item["normal"]), rat(item["rhs"])))
+                    raw.append((tuple(_json_list(item["normal"], "normal")), rat(item["rhs"])))
                 except (KeyError, TypeError, ValueError, ValidationError) as exc:
                     raise ParseError(f"halfspace {k}: {exc}") from exc
             built_h = Polytope.from_halfspaces(raw, name)
@@ -76,7 +76,7 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
             pts = []
             for k, row in enumerate(v_doc):
                 try:
-                    pts.append(tuple(rat(x) for x in row))
+                    pts.append(tuple(rat(x) for x in _json_list(row, "row")))
                 except (TypeError, ValueError, ValidationError) as exc:
                     raise ParseError(f"vertex {k}: {exc}") from exc
             if built_h and sorted(set(pts)) == list(built_h.vertices):
@@ -96,6 +96,13 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
     if "dim" in data and data["dim"] != p.dim:
         raise ValidationError(f"declared dim {data['dim']} != actual {p.dim}")
     return p
+
+
+def _json_list(value, what: str) -> list:
+    """``value`` when it is a JSON list; a string would read as its characters."""
+    if not isinstance(value, list):
+        raise TypeError(f"the {what} must be a list, got {type(value).__name__}")
+    return value
 
 
 def _read_json(path: Path):

@@ -32,8 +32,8 @@ determinant (by cofactors up to dimension 4), a cell of P (the apex over a
 facet cell) follows from it and the apex's lattice height.  A record keeps its
 cells and the integer sums over them; each moment is one division, made when a
 caller first reads it, and a contraction s^T M_2 t with integer s and t is read
-off the cells without the n x n matrix.  L reads records in integers and never
-builds M_2.
+off the cells without the n x n matrix.  L, theta and the mean criterion read
+records in integers; only theta's Gram matrix builds M_2, in one pass.
 
 The linear lattice automorphisms of P (the integer matrices with |det| = 1
 that map P onto itself) are found by backtracking over the images of n
@@ -428,8 +428,8 @@ class Moments:
     over ``first_den``, and s^T M_2 t is :meth:`quadratic` over
     ``second_den``.  ``measure``, ``first`` and ``second`` are those
     quotients, divided out when first read.  Each vertex enters the sums of
-    w S and w Q with its ``load``, the total weight of its cells; only the
-    w S S^T part of the second moments needs the cells themselves.
+    w S and w Q with its ``load``, the total weight of its cells, so M_2 is
+    one pass: load r r^T over the vertices plus w S S^T over the cells.
     """
 
     def __init__(self, rows, den: int, cells, weights, base: int):
@@ -459,14 +459,14 @@ class Moments:
 
     @cached_property
     def second(self) -> tuple[tuple[Fraction, ...], ...]:
+        terms = [(w, r) for w, r in zip(self.load, self.rows) if w] + [
+            (w, [sum(c) for c in zip(*(self.rows[j] for j in cell))])
+            for cell, w in zip(self.cells, self.weights)
+        ]
         n = len(self.sums)
-        unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
-        out = [[Fraction(0)] * n for _ in range(n)]
-        for j in range(n):
-            for k in range(j, n):
-                value = Fraction(self.quadratic(unit[j], unit[k]), self.second_den)
-                out[j][k] = out[k][j] = value
-        return tuple(map(tuple, out))
+        upper = {(j, k): Fraction(sum(w * r[j] * r[k] for w, r in terms), self.second_den)
+                 for j in range(n) for k in range(j, n)}
+        return tuple(tuple(upper[min(j, k), max(j, k)] for k in range(n)) for j in range(n))
 
     def quadratic(self, s: Sequence[int], t: Sequence[int]) -> int:
         """s^T M_2 t times ``second_den``, for integer vectors s and t: the

@@ -40,7 +40,7 @@ from .errors import (
     ThetaConstant,
     ValidationError,
 )
-from .integrate import Poly, boundary_integral, integrate, moment_vector
+from .integrate import Poly, moment_vector
 from .lattice import _level_sums, check_levels, ehrhart, lattice_points
 from .linalg import (
     AnyS,
@@ -106,25 +106,25 @@ def extremal_affine(p: Polytope) -> ExtremalData:
     n = p.dim
     record = p.moments()
     vol, moments = record.measure, record.first
-    sbar = p.boundary_volume() / vol
-    gram = [list(record.second[k]) + [moments[k]] for k in range(n)]
-    gram.append(list(moments) + [vol])
-    futaki = tuple(
-        boundary_integral(p, Poly.coordinate(n, k)) - sbar * moments[k]
-        for k in range(n)
-    )
+    # Boundary measure and integrals of x_k: per facet (mass k1, sums) / first_den.
+    facets = [p.facet_moments(i) for i in range(len(p.halfspaces))]
+    den = math.lcm(*(m.first_den for m in facets))
+    bd = [0] * (n + 1)
+    for m in facets:
+        for k, x in enumerate((m.mass * (m.first_den // m.base), *m.sums)):
+            bd[k] += x * (den // m.first_den)
+    sbar = Fraction(bd[0], den) / vol
+    gram = [[*record.second[k], moments[k]] for k in range(n)] + [[*moments, vol]]
+    futaki = tuple(Fraction(s, den) - sbar * x for s, x in zip(bd[1:], moments))
     sol = solve_linear(gram, [*futaki, Fraction(0)])
-    data = ExtremalData(
-        theta=AffineFn(tuple(sol[:n]), sol[n]),
-        sbar=sbar,
-        gram=tuple(tuple(row) for row in gram),
-        futaki=futaki,
-    )
-    # Normalization is exact by construction; keep it loud if it ever breaks.
-    if integrate(p, data.theta.as_poly()) != 0:
+    # Exact by construction, checked in integers: for theta = (a.x + c) / q,
+    # q first_den integral(theta) = a.sums + c mass k1 must vanish.
+    (*a, c), _ = _integer_row(sol)
+    if sum(map(mul, a, record.sums)) + c * record.mass * (record.first_den // record.base):
         raise InternalInvariant("theta does not integrate to zero")
-    p.cache["extremal"] = data
-    return data
+    theta = AffineFn(tuple(sol[:n]), sol[n])
+    p.cache["extremal"] = ExtremalData(theta, sbar, tuple(map(tuple, gram)), futaki)
+    return p.cache["extremal"]
 
 
 # ---------------------------------------------------------------------------
@@ -263,25 +263,19 @@ def reflexive_translate(p: Polytope) -> Optional[Polytope]:
 
     The classifier's constants (the threshold 1, the 1-c term) are only
     meaningful in this normalized position; working on the translate makes
-    the verdict invariant under integer translations of the input.
+    the verdict invariant under integer translations of the input.  A
+    reflexive P is its own translate (the shift is 0) and is returned as is.
     """
+    if _is_reflexive(p):
+        return p
+    # <l, t> = rhs - 1 for independent facets; the normals of P span
     basis = [p.halfspaces[k] for k in _independent_rows([h.normal for h in p.halfspaces])]
-    if len(basis) < p.dim:
-        return None
-    # <l, t> = rhs - 1 for the independent facets
     shift = solve_linear([h.normal for h in basis], [h.rhs - 1 for h in basis])
     if any(x.denominator != 1 for x in shift):
         return None
-    if all(x == 0 for x in shift):
-        translated = p
-    else:
-        translated = Polytope.from_halfspaces(
-            [
-                (h.normal, h.rhs - sum(Fraction(a) * b for a, b in zip(h.normal, shift)))
-                for h in p.halfspaces
-            ],
-            p.name,
-        )
+    translated = Polytope.from_halfspaces(
+        [(h.normal, h.rhs - dot(h.normal, shift)) for h in p.halfspaces], p.name
+    )
     return translated if _is_reflexive(translated) else None
 
 
@@ -379,10 +373,8 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
     minus = excess_region(p, ed)
     if minus is None:
         return KVerdict(STABLE_EMPTY_EXCESS, ed.theta, None, None, None, None, None)
-    one_minus_theta = Poly.affine([-x for x in ed.theta.a], 1 - ed.theta.c)
     lhs = 1 - ed.theta.c
-    sq = integrate(minus, one_minus_theta * one_minus_theta)
-    rhs = sq / minus.volume()
+    rhs = _mean_square(minus, ed)
     if lhs < rhs:
         witness = PLFn.convex(
             [AffineFn.zero(p.dim), AffineFn(ed.theta.a, ed.theta.c - 1)]
@@ -400,6 +392,17 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
         value = l_functional(p, ed, witness)
         return KVerdict(UNSTABLE_WITNESS, ed.theta, minus, lhs, rhs, witness, value)
     return KVerdict(UNDETERMINED, ed.theta, minus, lhs, rhs, None, None)
+
+
+def _mean_square(minus: Polytope, ed: ExtremalData) -> Fraction:
+    """The mean of (1 - theta)^2 over ``minus``, off its record in integers:
+    with (C, A) / q = (1 - theta_c, theta_a), q^2 second_den times the
+    integral is C^2 mass k1 k2 - 2 C (A.sums) k2 + A^T M_2 A (see _LCore)."""
+    m = minus.moments()
+    (c, *a), q = _integer_row((1 - ed.theta.c, *ed.theta.a))
+    k1, k2 = m.first_den // m.base, m.second_den // m.first_den
+    square = (c * m.mass * k1 - 2 * sum(map(mul, a, m.sums))) * c * k2 + m.quadratic(a, a)
+    return Fraction(square * m.base, q * q * m.second_den * m.mass)
 
 
 # The budget of the search box: at most this many directions (2G+1)^n.  A
@@ -759,10 +762,7 @@ def _q_weight(
         )
     s_from_system = s is None
     if s is None:
-        if cond.status == HOLDS:
-            s = cond.s
-        else:
-            s = s_closed_form(p, ed, i) or Fraction(0)
+        s = cond.s if cond.status == HOLDS else (s_closed_form(p, ed, i) or Fraction(0))
     stats = _level_stats(p, ed, i)
     sums = _node_sums(p, g, i)
     total, _, g_den = sums

@@ -115,6 +115,34 @@ def test_exponent_rhs_is_a_parse_error(tmp_path, corpus_entries):
     )
 
 
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({"vertices": ["00", "10", "01"]}, "vertex 0: the row must be a list, got str"),
+        (
+            {"halfspaces": [{"normal": "10", "rhs": "1"}, {"normal": [0, 1], "rhs": "1"},
+                            {"normal": [-1, -1], "rhs": "1"}]},
+            "halfspace 0: the normal must be a list, got str",
+        ),
+        (
+            {"halfspaces": [{"normal": [0, 1], "rhs": "1"}, {"normal": "-10", "rhs": "1"},
+                            {"normal": [1, -1], "rhs": "1"}]},
+            "halfspace 1: the normal must be a list, got str",
+        ),
+    ],
+    ids=["vertex-row-string", "normal-string", "signed-normal-string"],
+)
+def test_string_row_is_a_parse_error(tmp_path, doc, message):
+    # A string where a vertex row or a facet normal belongs used to read one
+    # character per coordinate: "00", "10", "01" loaded as the unit triangle.
+    path = tmp_path / "rows.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli("theta", str(path), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == ("ParseError", message)
+
+
 def test_validation_error_exit_2(tmp_path):
     flat = tmp_path / "flat.json"
     flat.write_text(
@@ -275,6 +303,70 @@ def test_analyze_grid0_json_bytes(name):
     code, out = run_cli("analyze", f"corpus:{name}", "--grid", "0", "--format", "json")
     assert code == 0
     assert hashlib.sha256(out.encode()).hexdigest() == ANALYZE_GRID0[name]
+
+
+# sha256 of `kstab corpus:NAME --format json` at the default grid: theta, the
+# excess region, both sides of the mean criterion and the witness where one is
+# found.  ORB-530571 is not reflexive even up to translation (exit 3).
+KSTAB_DEFAULT = {
+    "CP3": "93b9a16c5627067cd002b193e4f21f1d3567c9b82c2db6d754d65543035c357c",
+    "B1": "535c9060122b8181a3e751cfb42d3288c97a8cee18c1da5aae934cc87c98830a",
+    "B2": "bbc6a623c0adb6da6e473002260f349050d3caede21c25c60f4ac5ec96a410c0",
+    "B3": "8ecd5d9ac4ee4c09a60f4983e336b2d0917cbe854ff49d4dfe67d3d954183579",
+    "B4": "a1887da11cb598197f196d4f06deab366300925a357dc0f51babd39cb37e62d6",
+    "C1": "24a75d0b0357467bfa8ac6e974cd22977c374896d684e9498e7efc6f9593c77b",
+    "C2": "6586297b023a6e360721cf291ccabb0af07e2da5cce30170e56187438be5ae71",
+    "C3": "42ebb598c778dc9f23e2999b3c6591ea4a74525c6e4e7ec0fa90c35084817c01",
+    "C4": "7564a86a024e56e8394f953827cdea66e5884a4bff034b9d3b26c107af7ca400",
+    "C5": "eb9ea26565cd53132548213e61c9d9850b255e24ccfc5d946ce7bf76bc37b07f",
+    "D1": "a02a9c677adb13b21828c1f7d628e19cfb0c14855526c5e81e23d2e979c3a4ae",
+    "D2": "81e89f2d8a953246e0a6ecc34fdd514a67a439a59fffa2416706666fd3dcd3d2",
+    "E1": "a527401ed1ad6ff675aa3008ef8ec3670404fb7bdfa2af16c51379d7dbf12a80",
+    "E2": "71694ef037d11bcf47c054f6e8276dcc64f3631480f4c2cffdf7646bc702df99",
+    "E3": "7e12aedc5b4e85179bd8c4d58000ddc862fd42f34feee22ea7c5189a824fa97e",
+    "E4": "b12961b06205c0fb29f307e64cddbdf074d9b592601c9607b9ecabe873f2f6f0",
+    "F1": "fd5d6cc453403e378ef7bae2ebbba8d6c231f210188f4e2870d6bde18df6749f",
+    "F2": "e4153eaaa4fbf55f04b4e790e9bd9f21ab8807eaacb2f731b91650c541bd1b56",
+    "ORB-530571": "daddef4e08b82fef55bf14ca6f62e28ff33dabccad560567135d37dff747cfbf",
+}
+
+
+@pytest.mark.parametrize("name", KSTAB_DEFAULT)
+def test_kstab_json_bytes(name):
+    code, out = run_cli("kstab", f"corpus:{name}", "--format", "json")
+    assert code == (3 if name == "ORB-530571" else 0)
+    assert hashlib.sha256(out.encode()).hexdigest() == KSTAB_DEFAULT[name]
+
+
+# sha256 of `theta corpus:NAME --format json`: theta, Sbar and the Futaki vector
+THETA = {
+    "CP3": "c21819119c5e54688b9e4413efcf5e7f24d8154bc718ac6cb9f756ae5d94f6cd",
+    "B1": "38ad1632fa7b838f35d0535525df9fb4f373140226795f85c6a8b40e3632cce9",
+    "B2": "3bcd1da1ebc1efbdf33a6079d0ea9604f5bf47fbed34e7af54c90f225cdf693b",
+    "B3": "70345275b7cefbd4e9e7c0d649072992b76646db6f995e6ae1ff98964ac2dd32",
+    "B4": "cbad6761193a23f2d591af14a2d04011cf40f59af07c3d2710dfbaac7b79f55c",
+    "C1": "f22dfb4269316067d57bcd14b97e503d4815168e0dac1846223044b4934a4c7f",
+    "C2": "603ce3c3de299b3930493f70b92147503ce3e6b219ec63eab6749a543cc566e5",
+    "C3": "6393459f40872131b0713a2ebf206855773ca3a775f9a5189817cfb4f4f1ed6e",
+    "C4": "c796c77f78ea26c1b40e133ba5b57951b88abb5b4135818c470f59e738d9c750",
+    "C5": "a5550e3353de96fdb9b8cf65ceb1647967170eea8933fd938e21702d66586f83",
+    "D1": "dd59ac5810fb21a4a43fdafc7c8e3adff9874dda11f272a2eb5ec1ca17ea32af",
+    "D2": "9cc7189b158ef83581f76edf3c9daa9d0d4410c935abfea5c6d5f3f48d603a79",
+    "E1": "96afb4b1dfbfa1cf102a5a78798aa9441387992d66dce6a44282f56ffd7fd717",
+    "E2": "17122b43b1cb51f9e77f5de027c888c60009e432a46840c34cea748c25de9f10",
+    "E3": "655d765ff2e0c377c050e4a5ecca100a859b05ba3b3965308b346c4afd5cb94d",
+    "E4": "a04305d95dec0021dce0db53039d1e9d3dfa27a446ec98a1816277895d4459fe",
+    "F1": "1532c69dde4888f5f4548e9e576ed8b1a87c95d1fa61a082136d278ae0ea336f",
+    "F2": "8d5b61c76bbc30bad5dc84feaf7ac7e8351eae5bd11132bbb2813319517d983a",
+    "ORB-530571": "448d310e70c0e277affcd68ef6b4edb0ad07a69df78df47f2e3dfa7082367167",
+}
+
+
+@pytest.mark.parametrize("name", THETA)
+def test_theta_json_bytes(name):
+    code, out = run_cli("theta", f"corpus:{name}", "--format", "json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == THETA[name]
 
 def _record_calls(monkeypatch, fn, calls):
     """Replace every binding of ``fn`` in the toricstab modules by a wrapper

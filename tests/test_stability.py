@@ -42,6 +42,7 @@ from toricstab.stability import (
     UNDETERMINED,
     _level_stats,
     excess_region,
+    k_verdict_or_error,
     reflexive_translate,
     theta_nodes,
 )
@@ -135,6 +136,111 @@ def test_futaki_is_the_extremal_right_hand_side(corpus_entries):
             boundary_integral(p, Poly.coordinate(p.dim, k)) - sbar * moments[k]
             for k in range(p.dim)
         )
+
+
+# -- the integer moment records against independent routes ------------------
+
+
+def _route_polytopes(corpus_entries):
+    """Every corpus entry, CP^1 x B1, an integer translate of B1 and seeded
+    random rational polytopes in dimensions 2 to 4."""
+    b1 = corpus_entries["B1"].polytope
+    out = [entry.polytope for entry in corpus_entries.values()]
+    out += [oracles.cp1_times(b1), translate(b1, (1, -2, 3))]
+    rng = random.Random(2016)
+    return out + [oracles.random_polytope(rng, dim) for dim in (2, 3, 4) for _ in range(3)]
+
+
+def test_extremal_affine_matches_the_poly_and_barycentric_routes(corpus_entries):
+    # theta, Sbar, the Gram matrix and the Futaki vector, read off the integer
+    # records, equal the same system built through Poly contractions and
+    # through the Dirichlet kernel over the cells, solved by the oracle.
+    for p in _route_polytopes(corpus_entries):
+        n = p.dim
+        ed = extremal_affine(p)
+        one, x = Poly.constant(n, 1), [Poly.coordinate(n, k) for k in range(n)]
+        cells, facets = p.triangulation(), range(len(p.halfspaces))
+        routes = [
+            (lambda f: integrate(p, f), lambda f: boundary_integral(p, f)),
+            (
+                lambda f: oracles.dirichlet_over_cells(cells, f),
+                lambda f: sum((oracles.dirichlet_facet_integral(p, i, f) for i in facets), F(0)),
+            ),
+        ]
+        for inside, boundary in routes:
+            vol, first = inside(one), [inside(xk) for xk in x]
+            sbar = boundary(one) / vol
+            gram = [[inside(xj * xk) for xk in x] + [first[j]] for j, xj in enumerate(x)]
+            gram.append(first + [vol])
+            futaki = tuple(boundary(xk) - sbar * m for xk, m in zip(x, first))
+            sol = oracles.fraction_solve(gram, [*futaki, F(0)])
+            assert (ed.sbar, ed.gram, ed.futaki) == (sbar, tuple(map(tuple, gram)), futaki)
+            assert (ed.theta.a, ed.theta.c) == (sol[:n], sol[n])
+
+
+def _pair_second_moment(m, j, k):
+    """The (j, k) second moment of a record read pair by pair off its cells:
+    the sum of w (Q_jk + S_j S_k), Q = sum r r^T and S = sum r over the
+    cell's rows, over ``second_den``."""
+    total = 0
+    for cell, w in zip(m.cells, m.weights):
+        rows = [m.rows[v] for v in cell]
+        s_j, s_k = sum(r[j] for r in rows), sum(r[k] for r in rows)
+        total += w * (sum(r[j] * r[k] for r in rows) + s_j * s_k)
+    return F(total, m.second_den)
+
+
+def test_second_moments_match_the_per_pair_route(corpus_entries):
+    # The one-pass M_2 of P's record, of every facet record and of the
+    # excess region's, and of random simplices, equals M_2 read one pair at
+    # a time: per cell, and through the record's quadratic form.
+    rng = random.Random(2016)
+    records = [oracles.random_simplex(rng, dim).moments() for dim in (1, 2, 3, 4)]
+    for p in _route_polytopes(corpus_entries):
+        records += [p.moments()] + [p.facet_moments(i) for i in range(len(p.halfspaces))]
+        minus = excess_region(p, extremal_affine(p))
+        if minus is not None:
+            records.append(minus.moments())
+    for m in records:
+        n = len(m.sums)
+        unit = [tuple(int(j == k) for j in range(n)) for k in range(n)]
+        assert m.second == tuple(
+            tuple(_pair_second_moment(m, j, k) for k in range(n)) for j in range(n)
+        )
+        assert m.second == tuple(
+            tuple(F(m.quadratic(unit[j], unit[k]), m.second_den) for k in range(n))
+            for j in range(n)
+        )
+
+
+def test_mean_square_matches_integrate(corpus_entries):
+    # The mean of (1 - theta)^2 that the mean criterion reads, in integers,
+    # equals integrate over Vol and the Dirichlet kernel over Vol on the
+    # excess region wherever it has interior (the six undetermined entries,
+    # CP^1 x B1 and B1's translate), on {theta >= 0} and on P itself; on the
+    # corpus it is k_classify's right-hand side.
+    from toricstab.stability import _mean_square
+
+    excess = 0
+    for p in _route_polytopes(corpus_entries):
+        ed = extremal_affine(p)
+        one_minus = Poly.affine([-x for x in ed.theta.a], 1 - ed.theta.c)
+        square = one_minus * one_minus
+        minus = excess_region(p, ed)
+        excess += minus is not None
+        regions = [p, minus]
+        if any(ed.theta.a):
+            regions.append(intersect_halfspace(p, [-x for x in ed.theta.a], ed.theta.c))
+        for region in filter(None, regions):
+            mean, vol = _mean_square(region, ed), region.volume()
+            assert mean == integrate(region, square) / vol
+            assert mean == oracles.dirichlet_over_cells(region.triangulation(), square) / vol
+    assert excess == 8
+    for name, entry in corpus_entries.items():
+        kv = k_verdict_or_error(entry.polytope, 0)[0]
+        if kv is not None and kv.delta_minus is not None:
+            ed = extremal_affine(reflexive_translate(entry.polytope))
+            assert kv.cond_rhs == _mean_square(kv.delta_minus, ed)
 
 
 def test_l_affine_zero(corpus_entries):
@@ -1051,6 +1157,53 @@ def test_theta_read_at_no_node(corpus_entries, monkeypatch):
     assert levels == theta_reads == []
     # levels 1-3 for the balance system, 1-5 for the Ehrhart counts
     assert sorted(built) == sorted(walked) == [1, 2, 3, 4, 5]
+
+
+def test_k_classify_reads_the_records_in_integers(corpus_entries, monkeypatch):
+    # theta, Sbar, the Futaki vector and the mean criterion read the integer
+    # moment records: on B1 and E2 (the benchmark's verdict entries) the
+    # whole k_classify builds no Poly and contracts no record through
+    # integrate._contract.
+    integrate_module = importlib.import_module("toricstab.integrate")
+    fresh = [
+        Polytope.from_halfspaces(corpus_entries[name].polytope.halfspaces)
+        for name in ("B1", "E2")
+    ]
+    built, contracted = [], []
+    init, contract = Poly.__init__, integrate_module._contract
+
+    def counted_init(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    def counted_contract(m, poly):
+        contracted.append(poly)
+        return contract(m, poly)
+
+    monkeypatch.setattr(Poly, "__init__", counted_init)
+    monkeypatch.setattr(integrate_module, "_contract", counted_contract)
+    for p in fresh:
+        kv = k_classify(p)
+        assert kv.classification == UNDETERMINED and kv.cond_rhs is not None
+    assert built == contracted == []
+
+
+def test_reflexive_entries_are_their_own_translate(corpus_entries, monkeypatch):
+    # A reflexive entry is returned as is, with no elimination: 18 of the 19
+    # entries.  ORB-530571 has no reflexive integer translate, so it alone
+    # solves for the shift.
+    from toricstab import stability
+
+    calls = []
+    for fn in ("_independent_rows", "solve_linear"):
+        original = getattr(stability, fn)
+        monkeypatch.setattr(
+            stability, fn, lambda *args, _f=original, _n=fn: calls.append(_n) or _f(*args)
+        )
+    for name, entry in corpus_entries.items():
+        p = entry.polytope
+        assert reflexive_translate(p) is (None if name == "ORB-530571" else p)
+    assert calls == ["_independent_rows", "solve_linear"]
 
 
 def _node_stats(p, ed, i, g, u, bound, nodes):
