@@ -64,14 +64,14 @@ def kverdict_json(kv, error=None) -> dict:
     return out
 
 
-def chow_json(chow, s_closed, q_samples, p_samples) -> list[dict]:
+def chow_json(chow, q_samples, p_samples) -> list[dict]:
     """One row per level of :func:`~toricstab.stability.chow_levels`."""
     return [
         {
             "i": c.level,
             "status": c.status,
             "s": _opt(c.s),
-            "s_closed_form": _opt(s_closed.get(c.level)),
+            "s_closed_form": _opt(c.s_closed),
             "node_count": c.count,
             "theta_bar": _frac(c.theta_bar),
             "q_sample": _opt(q_samples.get(c.level)),
@@ -100,7 +100,7 @@ def report_json(report: StabilityReport, entry=None) -> dict:
         "theta": {"a": _vec(report.theta.a), "c": _frac(report.theta.c)},
         "theta_str": str(report.theta),
         "futaki": _vec(report.futaki),
-        "chow": chow_json(report.chow, report.s_closed, report.q_samples, report.p_samples),
+        "chow": chow_json(report.chow, report.q_samples, report.p_samples),
     }
     out["k_stability"] = kverdict_json(report.kverdict, report.kverdict_error)
     out["chow_summary"] = chow_summary(report.chow)

@@ -53,7 +53,7 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
     With both, the polytope is built from the half-spaces.  A vertex list
     that, deduplicated and sorted, is its vertices passes with no second
     hull; any other is hulled and must give the same vertices.  A declared
-    ``dim`` is checked only when one representation is given.
+    ``dim`` must be an int, checked against P only with one representation.
     """
     if not isinstance(data, dict):
         raise ParseError("polytope document must be a JSON object")
@@ -62,6 +62,8 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
     v_doc = data.get("vertices")
     if not hs_doc and not v_doc:
         raise ParseError("polytope needs 'halfspaces' or 'vertices'")
+    if "dim" in data and type(data["dim"]) is not int:  # bool is an int subclass
+        raise ParseError(f"the dim must be an integer, got {type(data['dim']).__name__}")
     built_h = built_v = None
     try:
         if hs_doc:

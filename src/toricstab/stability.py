@@ -11,7 +11,8 @@ on piecewise-linear convex test functions, classify K-stability by the
 sufficient criteria on the excess region {theta >= 1}, and decide the
 Chow-side balance conditions on the refined lattice samples P meet (Z/i)^n.
 
-Conventions used throughout (all exact):
+Conventions used throughout (all exact), held per level i by one record,
+:class:`ChowCondition`, built once per (theta, i) from the level's integer sums:
   theta_bar(i)   = average of theta over the refined sample points
   ttilde(a)      = (theta(a) - theta_bar) / i
   balance system = sum_a a + s * sum_a ttilde(a) a = (E(i)/Vol) * moment(P)
@@ -546,7 +547,7 @@ def _simple_l(p: Polytope, core: _LCore, b: Sequence[int], d: int, q: int) -> Fr
 class NodeData:
     """theta at the nodes z / level, for the integer points z of level * P:
     ``numerators[j] / den`` at ``points[j]`` / level.  No weight reads it;
-    the sums of theta over the nodes come from :func:`_level_stats`."""
+    the sums of theta over the nodes come from :func:`chow_necessary`."""
 
     level: int
     points: list[tuple[int, ...]]
@@ -598,37 +599,56 @@ def _node_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int],
     return sum(values), [sum(map(mul, col, values)) for col in zip(*points)], den
 
 
-def _theta_pairing(ed: ExtremalData, stats: _LevelStats, sums) -> Fraction:
+def _theta_pairing(ed: ExtremalData, cond: ChowCondition, sums) -> Fraction:
     """sum over the nodes a of (theta(a) - theta_bar) f(a), from f's
-    :func:`_node_sums` at the level of ``stats``: theta = t.x + theta_c, so
+    :func:`_node_sums` at the level of ``cond``: theta = t.x + theta_c, so
     it is (t.(sum z F) / i + (theta_c - theta_bar) sum F) / D."""
     total, moment, den = sums
     t, c = ed.theta.a, ed.theta.c
-    return (Fraction(sum(map(mul, t, moment)), stats.level) + (c - stats.theta_bar) * total) / den
+    return (Fraction(sum(map(mul, t, moment)), cond.level) + (c - cond.theta_bar) * total) / den
 
 
-class _LevelStats(NamedTuple):
-    """The sums of theta over the nodes a = z / i of one level."""
+HOLDS = "holds"
+ANY = "any"
+FAILS = "fails"
+
+
+@dataclass(frozen=True)
+class ChowCondition:
+    """The record of one dilation level, built once per (theta, i) by
+    :func:`chow_necessary`: theta's sums over its nodes and the balance system."""
 
     level: int
-    count: int
+    status: str  # holds / any / fails
+    s: Optional[Fraction]
+    coeffs: tuple[Fraction, ...]  # sum_a ttilde(a) * a, componentwise
+    targets: tuple[Fraction, ...]  # (E/Vol) * moment - sum_a a
+    node_sum: tuple[Fraction, ...]
     theta_bar: Fraction
+    count: int
     deviation_square_sum: Fraction  # sum of (theta(a) - theta_bar)^2
-    deviation_moment: tuple[Fraction, ...]  # sum of (theta(a) - theta_bar) a
-    node_sum: tuple[Fraction, ...]  # sum of a
+    s_closed: Optional[Fraction]  # None when theta is constant on the nodes (0/0)
 
 
-def _level_stats(p: Polytope, ed: ExtremalData, i: int) -> _LevelStats:
-    """:class:`_LevelStats` from the integer sums N, S_1 = sum z and
+def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
+    """Solve the one-unknown balance system at dilation level i.
+
+    sum_a a + s * sum_a ttilde(a) a = (E(i)/Vol) * integral of x.
+    With theta constant on the nodes this degenerates to the absolute
+    criterion Vol * sum_a a = E(i) * integral of x (status any/fails).
+    A fails verdict at any level certifies asymptotic relative Chow
+    instability in the toric sense.
+
+    The record is read off the integer sums N, S_1 = sum z and
     S_2 = sum z z^T over the points z of iP (:func:`~toricstab.lattice._level_sums`),
-    with theta at no node; built once per (theta, i) and cached on P.
-
-    theta = (A.z + C) / (D i) at z / i, as on :class:`NodeData`: D is the
-    least common denominator of theta's coefficients, A = D a, C = D c i.
-    theta is affine, so its numerators sum to T = A.S_1 + C N, their
-    products with z to X = S_2 A + C S_1 and their squares to A.X + C T.
+    with theta at no node, and cached on P per (theta, i).  theta =
+    (A.z + C) / (D i) at z / i, as on :class:`NodeData`: D is the least
+    common denominator of theta's coefficients, A = D a, C = D c i.  Its
+    numerators sum to T = A.S_1 + C N, their products with z to
+    X = S_2 A + C S_1 and their squares to A.X + C T; the coefficients
+    sum_a ttilde(a) a are (N X - T S_1) / (D N i^2).
     """
-    key = ("level_stats", ed.theta.a, ed.theta.c, i)
+    key = ("chow_necessary", ed.theta.a, ed.theta.c, i)
     if key in p.cache:
         return p.cache[key]
     sums = _level_sums(p, i)
@@ -641,65 +661,16 @@ def _level_stats(p: Polytope, ed: ExtremalData, i: int) -> _LevelStats:
     total = sum(map(mul, a, first)) + c * count
     cross = [sum(map(mul, a, row)) + c * f for row, f in zip(sums.second, first)]
     squares = sum(map(mul, a, cross)) + c * total
-    p.cache[key] = _LevelStats(
-        level=i,
-        count=count,
-        theta_bar=Fraction(total, den * count),
-        deviation_square_sum=Fraction(count * squares - total * total, den * den * count),
-        deviation_moment=tuple(
-            Fraction(count * x - total * f, den * count * i) for x, f in zip(cross, first)
-        ),
-        node_sum=tuple(Fraction(f, i) for f in first),
+    theta_bar = Fraction(total, den * count)
+    square_sum = Fraction(count * squares - total * total, den * den * count)
+    node_sum = tuple(Fraction(f, i) for f in first)
+    coeffs = tuple(
+        Fraction(count * x - total * f, den * count * i * i) for x, f in zip(cross, first)
     )
-    return p.cache[key]
-
-
-def s_closed_form(p: Polytope, ed: ExtremalData, i: int) -> Optional[Fraction]:
-    """-i * theta_bar * E(i) / sum (theta(a) - theta_bar)^2, or None when theta
-    is constant on the nodes (then every s balances and the ratio is 0/0)."""
-    stats = _level_stats(p, ed, i)
-    denom = stats.deviation_square_sum
-    if denom == 0:
-        return None
-    return -Fraction(i) * stats.theta_bar * stats.count / denom
-
-
-HOLDS = "holds"
-ANY = "any"
-FAILS = "fails"
-
-
-@dataclass(frozen=True)
-class ChowCondition:
-    """Outcome of the balance system at one dilation level."""
-
-    level: int
-    status: str  # holds / any / fails
-    s: Optional[Fraction]
-    coeffs: tuple[Fraction, ...]  # sum_a ttilde(a) * a, componentwise
-    targets: tuple[Fraction, ...]  # (E/Vol) * moment - sum_a a
-    node_sum: tuple[Fraction, ...]
-    theta_bar: Fraction
-    count: int
-
-
-def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
-    """Solve the one-unknown balance system at dilation level i.
-
-    sum_a a + s * sum_a ttilde(a) a = (E(i)/Vol) * integral of x.
-    With theta constant on the nodes this degenerates to the absolute
-    criterion Vol * sum_a a = E(i) * integral of x (status any/fails).
-    A fails verdict at any level certifies asymptotic relative Chow
-    instability in the toric sense.  The coefficient sum_a ttilde(a) a is
-    the deviation moment of the level's statistics over i.
-    """
-    stats = _level_stats(p, ed, i)
     vol = p.volume()
-    moments = moment_vector(p)
-    coeffs = tuple(m / i for m in stats.deviation_moment)
     targets = tuple(
-        Fraction(stats.count) * moment / vol - total
-        for moment, total in zip(moments, stats.node_sum)
+        Fraction(count) * moment / vol - total
+        for moment, total in zip(moment_vector(p), node_sum)
     )
     sol = solve_overdetermined_1d(coeffs, targets)
     if sol is None:
@@ -708,16 +679,24 @@ def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
         status, s = ANY, None
     else:
         status, s = HOLDS, sol
-    return ChowCondition(
+    p.cache[key] = ChowCondition(
         level=i,
         status=status,
         s=s,
         coeffs=coeffs,
         targets=targets,
-        node_sum=stats.node_sum,
-        theta_bar=stats.theta_bar,
-        count=stats.count,
+        node_sum=node_sum,
+        theta_bar=theta_bar,
+        count=count,
+        deviation_square_sum=square_sum,
+        s_closed=None if square_sum == 0 else -i * theta_bar * count / square_sum,
     )
+    return p.cache[key]
+
+
+def s_closed_form(p: Polytope, ed: ExtremalData, i: int) -> Optional[Fraction]:
+    """The closed-form s of level i, read off its :func:`chow_necessary` record."""
+    return chow_necessary(p, ed, i).s_closed
 
 
 # ---------------------------------------------------------------------------
@@ -741,34 +720,33 @@ def q_weight(
     already unstable at this level.
     """
     integral = integrate_pl(p, Poly.constant(p.dim, 1), g)
-    return _q_weight(p, ed, i, g, integral, s)
+    return _q_weight(p, ed, chow_necessary(p, ed, i), g, integral, s)
 
 
 def _q_weight(
     p: Polytope,
     ed: ExtremalData,
-    i: int,
+    cond: ChowCondition,
     g: PLFn,
     integral: Fraction,
     s: Optional[Fraction] = None,
 ) -> Fraction:
-    """:func:`q_weight` given the integral of g over P, which a caller at
-    many levels integrates once: the node total is
+    """:func:`q_weight` given the level's record and the integral of g over
+    P, which a caller at many levels integrates once: the node total is
     sum g(a) + s * sum (theta(a) - theta_bar) g(a) / i, off g's node sums."""
-    cond = chow_necessary(p, ed, i)
+    i = cond.level
     if cond.status == FAILS:
         raise PreconditionFailed(
             f"balance system has no solution at level {i}; Q undefined"
         )
     s_from_system = s is None
     if s is None:
-        s = cond.s if cond.status == HOLDS else (s_closed_form(p, ed, i) or Fraction(0))
-    stats = _level_stats(p, ed, i)
+        s = cond.s if cond.status == HOLDS else 0
     sums = _node_sums(p, g, i)
     total, _, g_den = sums
-    weighted = _theta_pairing(ed, stats, sums) / i
+    weighted = _theta_pairing(ed, cond, sums) / i
     total_nodes = Fraction(total, g_den) + s * weighted
-    value = stats.count * integral - p.volume() * total_nodes
+    value = cond.count * integral - p.volume() * total_nodes
     if s_from_system and len(set(g.pieces)) == 1 and value != 0:
         raise InternalInvariant("affine input must have zero weight under the balance system")
     return value
@@ -829,17 +807,16 @@ def project_perp(p: Polytope, ed: ExtremalData, i: int, u: PLFn) -> Projection:
     u_perp with theta - theta_bar vanishes, and P(i, u_perp) = Q(i, u) with
     s from the closed form.
     """
-    stats = _level_stats(p, ed, i)
-    denom = stats.deviation_square_sum
-    if denom == 0:
+    cond = chow_necessary(p, ed, i)
+    if cond.deviation_square_sum == 0:
         raise ThetaConstant("potential constant on the sample nodes")
-    kappa = _theta_pairing(ed, stats, _node_sums(p, u, i)) / denom
+    kappa = _theta_pairing(ed, cond, _node_sums(p, u, i)) / cond.deviation_square_sum
     shift = AffineFn(
         tuple(-kappa * x for x in ed.theta.a),
-        -kappa * (ed.theta.c - stats.theta_bar),
+        -kappa * (ed.theta.c - cond.theta_bar),
     )
     projected = u.add_affine(shift)
-    if _theta_pairing(ed, stats, _node_sums(p, projected, i)) != 0:
+    if _theta_pairing(ed, cond, _node_sums(p, projected, i)) != 0:
         raise InternalInvariant("the projection is not perpendicular to theta on the nodes")
     return Projection(kappa=kappa, function=projected)
 
@@ -853,8 +830,8 @@ def project_perp(p: Polytope, ed: ExtremalData, i: int, u: PLFn) -> Projection:
 class StabilityReport:
     """The full report of :func:`analyze` on one polytope: its geometry,
     theta and the Futaki vector, the K verdict (or why none applies), the
-    balance system, s_closed and the Q and P weight samples at levels
-    1..i_max, and the Ehrhart coefficients of lattice input."""
+    record of each level 1..i_max and the Q and P weight samples there, and
+    the Ehrhart coefficients of lattice input."""
 
     name: str
     dim: int
@@ -867,7 +844,6 @@ class StabilityReport:
     kverdict: Optional[KVerdict]
     kverdict_error: Optional[str]
     chow: list[ChowCondition] = field(default_factory=list)
-    s_closed: dict[int, Optional[Fraction]] = field(default_factory=dict)
     ehrhart_coeffs: Optional[tuple[Fraction, ...]] = None
     q_samples: dict[int, Fraction] = field(default_factory=dict)
     p_samples: dict[int, Fraction] = field(default_factory=dict)
@@ -890,13 +866,12 @@ def k_verdict_or_error(p: Polytope, grid: int = 1) -> tuple[Optional[KVerdict], 
         return None, "not reflexive (even up to translation): excess-region criteria not applicable"
 
 
-def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dict, dict]:
-    """The balance system, the closed-form s and the Q and P weight samples at
-    levels 1..i_max: a report's ``chow``, ``s_closed``, ``q_samples``, ``p_samples``."""
+def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dict]:
+    """The record of each level 1..i_max and the Q and P weight samples
+    there: a report's ``chow``, ``q_samples``, ``p_samples``."""
     check_levels(i_max, p)
     ed = extremal_affine(p)
     chow: list[ChowCondition] = []
-    s_closed: dict[int, Optional[Fraction]] = {}
     # diagnostic weight samples: the boundary-distance concave function for Q,
     # a simple convex kink through the first coordinate for P
     q_samples: dict[int, Fraction] = {}
@@ -910,22 +885,21 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
     g_integral = None
     u_integral = integrate_pl(p, one, u_sample)
     for i in range(1, i_max + 1):
-        # the level's integer sums give the balance system, the closed-form
-        # s, the P sample (u = max{0, x_1} sums to sum max{0, z_1} / i) and
-        # theta's side of the Q sample; only g is read at the nodes
+        # the level's integer sums give its record (the balance system, the
+        # closed-form s, theta's side of Q) and the P sample (u = max{0, x_1}
+        # sums to sum max{0, z_1} / i); only g is read at the nodes
         cond = chow_necessary(p, ed, i)
         chow.append(cond)
-        s_closed[i] = s_closed_form(p, ed, i)
         if cond.status != FAILS:
             if g_integral is None:
                 g_integral = integrate_pl(p, one, g_sample)
-            q_samples[i] = _q_weight(p, ed, i, g_sample, g_integral)
+            q_samples[i] = _q_weight(p, ed, cond, g_sample, g_integral)
             # no later level reads this level's points: drop them, so the
             # peak is one level's nodes, not the sum of all
             p.cache.pop(("lattice_points", i), None)
         sum_u = Fraction(_level_sums(p, i).positive, i)
         p_samples[i] = _p_weight(p, cond.count, sum_u, bound, u_integral)
-    return chow, s_closed, q_samples, p_samples
+    return chow, q_samples, p_samples
 
 
 def analyze(p: Polytope, i_max: int = 6, grid: int = 1) -> StabilityReport:
@@ -937,7 +911,7 @@ def analyze(p: Polytope, i_max: int = 6, grid: int = 1) -> StabilityReport:
     ed = extremal_affine(p)
     reflexive, delzant = is_reflexive_delzant(p)
     kverdict, kerror = k_verdict_or_error(p, grid)
-    chow, s_closed, q_samples, p_samples = chow_levels(p, i_max)
+    chow, q_samples, p_samples = chow_levels(p, i_max)
     ehr = None
     if p.is_lattice():
         ehr = ehrhart(p).coeffs
@@ -953,7 +927,6 @@ def analyze(p: Polytope, i_max: int = 6, grid: int = 1) -> StabilityReport:
         kverdict=kverdict,
         kverdict_error=kerror,
         chow=chow,
-        s_closed=s_closed,
         ehrhart_coeffs=ehr,
         q_samples=q_samples,
         p_samples=p_samples,

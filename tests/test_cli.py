@@ -115,6 +115,9 @@ def test_exponent_rhs_is_a_parse_error(tmp_path, corpus_entries):
     )
 
 
+UNIT_TRIANGLE = {"vertices": [["0", "0"], ["1", "0"], ["0", "1"]]}
+
+
 @pytest.mark.parametrize(
     "doc, message",
     [
@@ -129,12 +132,30 @@ def test_exponent_rhs_is_a_parse_error(tmp_path, corpus_entries):
                             {"normal": [1, -1], "rhs": "1"}]},
             "halfspace 1: the normal must be a list, got str",
         ),
+        ({**UNIT_TRIANGLE, "dim": "2"}, "the dim must be an integer, got str"),
+        ({**UNIT_TRIANGLE, "dim": True}, "the dim must be an integer, got bool"),
+        ({**UNIT_TRIANGLE, "dim": 2.0}, "the dim must be an integer, got float"),
+        ({"vertices": [["0"], ["1"]], "dim": True}, "the dim must be an integer, got bool"),
+        (
+            {**UNIT_TRIANGLE, "dim": "2", "halfspaces": [
+                {"normal": [-1, 0], "rhs": "0"}, {"normal": [0, -1], "rhs": "0"},
+                {"normal": [1, 1], "rhs": "1"},
+            ]},
+            "the dim must be an integer, got str",
+        ),
     ],
-    ids=["vertex-row-string", "normal-string", "signed-normal-string"],
+    ids=[
+        "vertex-row-string", "normal-string", "signed-normal-string",
+        "dim-string", "dim-bool", "dim-float", "dim-bool-on-a-segment",
+        "dim-string-with-both-representations",
+    ],
 )
 def test_string_row_is_a_parse_error(tmp_path, doc, message):
     # A string where a vertex row or a facet normal belongs used to read one
     # character per coordinate: "00", "10", "01" loaded as the unit triangle.
+    # A declared dim of another type than int was compared with !=: "2"
+    # failed as "declared dim 2 != actual 2", 2.0 passed, and true passed
+    # on a segment; the type is checked with both representations too.
     path = tmp_path / "rows.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli("theta", str(path), "--format", "json")
@@ -408,6 +429,33 @@ def test_tables_and_chow_compute_only_what_they_print(monkeypatch):
     code, out = run_cli("chow", "corpus:F1", "--i-max", "3")
     assert code == 0 and "chow i=3" in out
     assert calls["k_classify"] == calls["ehrhart"] == calls["analyze"] == []
+
+
+@pytest.mark.parametrize(
+    "argv, solves",
+    [
+        (("chow", "corpus:F1", "--i-max", "5"), 5),
+        (("analyze", "corpus:CP3", "--grid", "0", "--i-max", "4"), 4),
+        (("tables", "--i-max", "3", "--grid", "0"), 45),
+    ],
+    ids=["chow", "analyze", "tables"],
+)
+def test_each_level_is_solved_once(monkeypatch, argv, solves):
+    # Each level's record is built once per (theta, i) and cached on P: the
+    # Q sample reads chow's record and the integrity gate's two level-1
+    # checks share theirs, so the balance system is solved once a level
+    # (tables reads 45 levels: each entry's first three, or up to the first
+    # that fails).
+    from toricstab import stability
+
+    calls = []
+    solve = stability.solve_overdetermined_1d
+    monkeypatch.setattr(
+        stability, "solve_overdetermined_1d", lambda *args: calls.append(1) or solve(*args)
+    )
+    code, _ = run_cli(*argv)
+    assert code == 0
+    assert len(calls) == solves
 
 
 def test_level_statistics_build_no_point_list(monkeypatch):

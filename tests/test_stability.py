@@ -40,7 +40,6 @@ from toricstab.stability import (
     HOLDS,
     STABLE_EMPTY_EXCESS,
     UNDETERMINED,
-    _level_stats,
     excess_region,
     k_verdict_or_error,
     reflexive_translate,
@@ -1032,7 +1031,7 @@ def test_theta_check_fires_on_a_skewed_potential(corpus_entries):
 def test_theta_nodes_symmetric(cube):
     ed = extremal_affine(cube)
     nd = theta_nodes(cube, ed, 2)
-    assert _level_stats(cube, ed, 2).theta_bar == 0
+    assert chow_necessary(cube, ed, 2).theta_bar == 0
     assert all(t == 0 for t in nd.numerators)
 
 
@@ -1044,22 +1043,36 @@ def test_theta_nodes_centering(corpus_entries):
         ed = extremal_affine(p)
         for i in (1, 2, 3):
             nd = theta_nodes(p, ed, i)
-            bar = _level_stats(p, ed, i).theta_bar
+            bar = chow_necessary(p, ed, i).theta_bar
             assert sum(F(t, nd.den) - bar for t in nd.numerators) == 0
 
 
 def test_theta_bar_decays(corpus_entries):
     p = corpus_entries["B2"].polytope
     ed = extremal_affine(p)
-    bars = [_level_stats(p, ed, i).theta_bar for i in range(1, 7)]
+    bars = [chow_necessary(p, ed, i).theta_bar for i in range(1, 7)]
     assert bars[0] == F(165, 3007)
     assert all(b > 0 for b in bars)
     assert all(a > b for a, b in zip(bars, bars[1:]))  # O(1/i) decay in practice
 
 
-def test_s_closed_form_none_when_theta_constant(cube):
+def test_s_closed_form_none_when_theta_constant(cube, corpus_entries):
+    # On an any level the coefficients M t vanish (M the nodes' scatter
+    # matrix, t theta's gradient), so does t^T M t, the deviation square
+    # sum: every any level has no closed form, which is why Q takes s = 0
+    # there.
     ed = extremal_affine(cube)
     assert s_closed_form(cube, ed, 2) is None
+    any_levels = 0
+    for name, entry in corpus_entries.items():
+        p = entry.polytope
+        ed = extremal_affine(p)
+        for i in range(1, 9):
+            cond = chow_necessary(p, ed, i)
+            if cond.status == ANY:
+                any_levels += 1
+                assert cond.s_closed is None and cond.deviation_square_sum == 0, (name, i)
+    assert any_levels == 40
 
 
 def test_s_closed_form_b2_exact(corpus_entries):
@@ -1212,9 +1225,8 @@ def _node_stats(p, ed, i, g, u, bound, nodes):
     :func:`theta_nodes`, the sums of theta off the level's integer sums, and
     the projection's values at the oracle's ``nodes``."""
     nd = theta_nodes(p, ed, i)
-    stats = _level_stats(p, ed, i)
-    deviations = tuple(F(t, nd.den) - stats.theta_bar for t in nd.numerators)
     cond = chow_necessary(p, ed, i)
+    deviations = tuple(F(t, nd.den) - cond.theta_bar for t in nd.numerators)
     try:
         q = q_weight(p, ed, i, g)
     except PreconditionFailed:
@@ -1224,13 +1236,13 @@ def _node_stats(p, ed, i, g, u, bound, nodes):
     except ThetaConstant:
         proj = None
     return {
-        "count": stats.count,
+        "count": cond.count,
         "nodes": tuple(tuple(F(x, i) for x in z) for z in nd.points),
-        "theta_bar": stats.theta_bar,
+        "theta_bar": cond.theta_bar,
         "deviations": deviations,
         "ttilde": tuple(d / i for d in deviations),
-        "deviation_square_sum": stats.deviation_square_sum,
-        "weighted_node_sum": stats.deviation_moment,
+        "deviation_square_sum": cond.deviation_square_sum,
+        "weighted_node_sum": tuple(i * x for x in cond.coeffs),
         "node_sum": cond.node_sum,
         "coeffs": cond.coeffs,
         "targets": cond.targets,
@@ -1278,47 +1290,50 @@ def test_node_stats_match_fraction_route_on_non_lattice_polytopes():
             lattice = oracles.random_polytope(rng, dim, num=num, den=1)
             p = Polytope.from_vertices([tuple(x / shrink for x in v) for v in lattice.vertices])
             assert not p.is_lattice()
-            ed = replace(extremal_affine(p), theta=oracles.random_affine(rng, dim))
+            own = extremal_affine(p)
+            ed = replace(own, theta=oracles.random_affine(rng, dim))
             for i in (1, 2, 3):
                 if not lattice_points(p, i):
                     with pytest.raises(PreconditionFailed):
                         theta_nodes(p, ed, i)
                     continue
+                # the record of P's own theta is cached first: the random
+                # theta's must not be read off it
+                chow_necessary(p, own, i)
                 _assert_node_stats_match(p, ed, (i,), rng)
                 checked += 1
     assert checked >= 15
 
 
 def _assert_level_stats_match_scanned_nodes(p, levels):
-    """The statistics of each level read off its integer sums (theta_bar, the
-    deviation square sum and moment, the balance system, s_closed) and the
-    Q and P samples of ``chow_levels``, against the rational route summed
-    over the points of a scan of iP, never the library's enumeration."""
+    """The record of each level read off its integer sums (theta_bar, the
+    deviation square sum, the balance system, s_closed) and the Q and P
+    samples of ``chow_levels``, against the rational route summed over the
+    points of a scan of iP, never the library's enumeration.  The record
+    is the one cached on P, and s_closed_form reads it."""
     from toricstab import stability
 
     ed = extremal_affine(p)
     g = stability.facet_distance_pl(p)
     u = PLFn.simple([1] + [0] * (p.dim - 1), 0)
     bound = max(u(v) for v in p.vertices) + 1
-    chow, s_closed, q_samples, p_samples = stability.chow_levels(p, max(levels))
+    chow, q_samples, p_samples = stability.chow_levels(p, max(levels))
     for i in levels:
         points = oracles.fibre_scan_points(p, i)
         want = oracles.fraction_node_stats(p, ed.theta, i, g, u, bound, points)
-        stats = stability._level_stats(p, ed, i)
         cond = chow[i - 1]
-        assert (cond.count, cond.theta_bar, cond.node_sum) == (
-            stats.count, stats.theta_bar, stats.node_sum
-        )
+        assert chow_necessary(p, ed, i) is cond
+        assert s_closed_form(p, ed, i) == cond.s_closed
         got = {
-            "count": stats.count,
-            "theta_bar": stats.theta_bar,
-            "deviation_square_sum": stats.deviation_square_sum,
-            "weighted_node_sum": stats.deviation_moment,
-            "node_sum": stats.node_sum,
+            "count": cond.count,
+            "theta_bar": cond.theta_bar,
+            "deviation_square_sum": cond.deviation_square_sum,
+            "weighted_node_sum": tuple(i * x for x in cond.coeffs),
+            "node_sum": cond.node_sum,
             "coeffs": cond.coeffs,
             "targets": cond.targets,
             "balance": {HOLDS: cond.s, ANY: ANY_S, FAILS: None}[cond.status],
-            "s_closed": s_closed[i],
+            "s_closed": cond.s_closed,
             "q": q_samples.get(i),
             "p": p_samples[i],
         }
@@ -1341,7 +1356,7 @@ def test_chow_levels_keep_no_point_list(corpus_entries):
     for name in ("CP3", "B1", "F1"):
         q = corpus_entries[name].polytope
         p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in q.halfspaces])
-        q_samples = stability.chow_levels(p, 4)[2]
+        q_samples = stability.chow_levels(p, 4)[1]
         assert sorted(q_samples) == [1, 2, 3, 4], name
         assert not [k for k in p.cache if isinstance(k, tuple) and k[0] == "lattice_points"]
 
@@ -1539,7 +1554,7 @@ def test_project_perp_constant_untouched(corpus_entries):
 def test_project_perp_theta_collapses(corpus_entries):
     p = corpus_entries["B2"].polytope
     ed = extremal_affine(p)
-    u = PLFn.convex([AffineFn(ed.theta.a, ed.theta.c - _level_stats(p, ed, 1).theta_bar)])
+    u = PLFn.convex([AffineFn(ed.theta.a, ed.theta.c - chow_necessary(p, ed, 1).theta_bar)])
     proj = project_perp(p, ed, 1, u)
     assert proj.kappa == 1
     assert all(proj.function(a) == 0 for a in refined_points(p, 1))
