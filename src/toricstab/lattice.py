@@ -6,11 +6,12 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
-from operator import floordiv, mul, neg, sub
+from operator import add, floordiv, mul, neg, sub
 from typing import NamedTuple
 
 from .errors import DegreeMismatch, NotLatticePolytope, ValidationError
-from .linalg import rat_str
+from .linalg import _over_common_denominator, rat_str
+from .plfun import CONCAVE, AffineFn, PLFn
 from .polytope import HalfSpace, Polytope
 from .univariate import interpolate_poly, poly_eval
 
@@ -90,19 +91,17 @@ class _LevelSums(NamedTuple):
     count: int  # N
     first: tuple[int, ...]  # sum of z
     second: tuple[tuple[int, ...], ...]  # sum of z z^T
-    positive: int  # sum of max{0, z_1}
 
 
 def _level_sums(p: Polytope, i: int) -> _LevelSums:
-    """N, sum z, sum z z^T and sum max{0, z_1} over the integer points z of
-    ``i * P``, cached per level; no point is built.
+    """N, sum z and sum z z^T over the integer points z of ``i * P``, cached
+    per level; no point is built.
 
     A fibre range lo..hi of the last coordinate t holds m = hi - lo + 1
     points, with sum t = (lo + hi) m / 2 and, by Faulhaber's formula with
     F(x) = x (x + 1) (2x + 1) / 6 (F(x) - F(x - 1) = x^2 for every integer
     x), sum t^2 = F(hi) - F(lo - 1); every other coordinate is constant on
-    the fibre.  For n >= 2 so is max{0, z_1}; for n = 1 it sums t over
-    max{1, lo}..hi.
+    the fibre.
     """
     key = ("level_sums", i)
     if key in p.cache:
@@ -121,14 +120,67 @@ def _level_sums(p: Polytope, i: int) -> _LevelSums:
     second[-1][-1] = (
         sum(b * (b + 1) * (2 * b + 1) for b in hi) - sum((a - 1) * a * (2 * a - 1) for a in lo)
     ) // 6
-    if n > 1:
-        positive = sum(w for w in weighted[0] if w > 0)
-    else:
-        positive = sum((max(a, 1) + b) * (b - max(a, 1) + 1) for a, b in zip(lo, hi) if b > 0) // 2
     first = (*map(sum, weighted), sum(ts))
-    sums = _LevelSums(sum(counts), first, tuple(map(tuple, second)), positive)
+    sums = _LevelSums(sum(counts), first, tuple(map(tuple, second)))
     p.cache[key] = sums
     return sums
+
+
+def _pl_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], int]:
+    """(sum F, sum z F, D i) for an :class:`AffineFn` or :class:`PLFn` f =
+    F / (D i) at the nodes z / i of level i, off the fibre ranges of
+    :func:`_ranges`; no point is built.
+
+    With D the least common denominator of every piece, a piece a.x + c is
+    the integer A.z + C i over D i, A = D a and C = D c, and F is the max
+    (convex) of those, or minus the max of their negatives (concave).  On a
+    fibre, prefix z' and t = z_n in lo..hi, a piece is the line
+    alpha + beta t, alpha = A'.z' + C i and beta = A_n; of one slope only the
+    highest line counts.  In order of slope a line is the max from the first
+    t where it tops the line before, which is dropped if that t is not past
+    its own first t.  A segment a..b of the max adds alpha m + beta S_1 to
+    sum F and alpha S_1 + beta S_2 to sum t F, for its m points and the sums
+    S_k of t^k (Faulhaber's, as in :func:`_level_sums`); a prefix coordinate
+    is constant on the fibre and multiplies its sum F.
+    """
+    sign = -1 if isinstance(f, PLFn) and f.mode == CONCAVE else 1
+    pieces = [g.scale(sign) for g in (f.pieces if isinstance(f, PLFn) else (f,))]
+    if any(len(g.a) != p.dim for g in pieces):
+        raise ValidationError(f"a function of the wrong dimension at {p.dim}-dimensional nodes")
+    den, rows = _over_common_denominator([(*g.a, g.c) for g in pieces])
+    columns, lo, hi = _ranges(p, i)
+    lines: dict[int, list[int]] = {}  # per slope, increasing: the highest alpha per fibre
+    for *coeffs, c in sorted(rows, key=lambda row: row[-2]):
+        alpha = [c * i] * len(lo)
+        for x, column in zip(coeffs, columns):
+            if x:
+                alpha = list(map(add, alpha, map(mul, repeat(x), column)))
+        lines[coeffs[-1]] = list(map(max, lines.get(coeffs[-1], alpha), alpha))
+    totals, moment = [], 0  # sum F per fibre, sum t F
+    for line_alphas, start, stop in zip(zip(*lines.values()), lo, hi):
+        hull = []  # the max on start..stop: (alpha, beta, the first t where it holds)
+        for alpha, beta in zip(line_alphas, lines):
+            begin = start
+            while hull:
+                top, slope, since = hull[-1]
+                overtakes = (top - alpha) // (beta - slope) + 1
+                if overtakes > since:
+                    begin = overtakes
+                    break
+                hull.pop()
+            if begin <= stop:
+                hull.append((alpha, beta, begin))
+        total, b = 0, stop
+        for alpha, beta, a in reversed(hull):
+            m = b - a + 1
+            s1 = (a + b) * m // 2
+            s2 = (b * (b + 1) * (2 * b + 1) - (a - 1) * a * (2 * a - 1)) // 6
+            total += alpha * m + beta * s1
+            moment += alpha * s1 + beta * s2
+            b = a - 1
+        totals.append(total)
+    first = [sum(map(mul, column, totals)) for column in columns]
+    return sign * sum(totals), [sign * x for x in (*first, moment)], den * i
 
 
 def node_bound(p: Polytope, i_max: int) -> int:
@@ -154,20 +206,13 @@ def node_bound(p: Polytope, i_max: int) -> int:
 
 
 # The budget of the lattice levels: at most this many nodes over levels
-# 1..i_max, by :func:`node_bound`.  The balance system, s_closed, the P
-# sample, the Ehrhart counts and the corpus gate read each level's integer
-# sums off its fibre ranges, walked and summed at about 1-2 us a range (E4
-# at levels 1..30: a bound of 1,855,000, 1,538,560 nodes in 34,750 ranges,
-# 0.03 s; the whole chow command 0.06 s and 19 MiB peak).  A level with a
-# Q sample still builds its points and reads the sample g at each (theta
-# at none), about 2-4 us a node, and drops them before the next level, so
-# the peak follows the largest level, at about 200-300 bytes a node of it
-# (levels 1..i_max of CP3 to 26: 1,415,960 nodes, 198,485 at the top
-# level, 3.2 s, 54 MiB; F1 to 31: 1,572,351 and 187,551 nodes, 6.4 s,
-# 59 MiB; B1 to 27: 1,586,619 and 214,885 nodes, 4.7 s, 64 MiB; ru_maxrss
-# of one chow run each, Python 3.11 on a 2-core x86-64 host).  So the
-# bound stays on nodes: a run inside it takes seconds, and a few hundred
-# MiB only where one level holds most of the budget.  E4 fits up to level 30; every
+# 1..i_max, by :func:`node_bound`.  No command builds a point: a level's
+# sums, and a PL function's (:func:`_pl_sums`), are read off its fibre
+# ranges at about 1-10 us a fibre, and a level has no more fibres than
+# nodes.  chow to the top level that fits (wall time and ru_maxrss, Python
+# 3.11 on a 2-core x86-64 host): E4 to 30, 34,750 fibres, 0.3 s, 20 MiB; CP3
+# to 26, 51,740, 0.7 s, 22 MiB; B1 to 27, 89,487, 1.1 s, 26 MiB; C1 to 28,
+# 257,026, 2.7 s, 42 MiB, most of it the cached ranges of every level.  Every
 # corpus entry fits the defaults with room.
 MAX_LEVEL_NODES = 2_000_000
 

@@ -9,7 +9,8 @@ zero), evaluate the linear functional
 
 on piecewise-linear convex test functions, classify K-stability by the
 sufficient criteria on the excess region {theta >= 1}, and decide the
-Chow-side balance conditions on the refined lattice samples P meet (Z/i)^n.
+Chow-side balance conditions on the refined lattice samples P meet (Z/i)^n,
+each sum over them read off the fibre ranges of iP with no node built.
 
 Conventions used throughout (all exact), held per level i by one record,
 :class:`ChowCondition`, built once per (theta, i) from the level's integer sums:
@@ -42,7 +43,7 @@ from .errors import (
     ValidationError,
 )
 from .integrate import Poly, moment_vector
-from .lattice import _level_sums, check_levels, ehrhart, lattice_points
+from .lattice import _level_sums, _pl_sums, check_levels, ehrhart, lattice_points
 from .linalg import (
     AnyS,
     _independent_rows,
@@ -55,7 +56,6 @@ from .linalg import (
     solve_overdetermined_1d,
 )
 from .plfun import (
-    CONVEX,
     AffineFn,
     PLFn,
     _boundary_facets,
@@ -546,7 +546,7 @@ def _simple_l(p: Polytope, core: _LCore, b: Sequence[int], d: int, q: int) -> Fr
 @dataclass(frozen=True)
 class NodeData:
     """theta at the nodes z / level, for the integer points z of level * P:
-    ``numerators[j] / den`` at ``points[j]`` / level.  No weight reads it;
+    ``numerators[j] / den`` at ``points[j]`` / level.  No command builds it;
     the sums of theta over the nodes come from :func:`chow_necessary`."""
 
     level: int
@@ -555,54 +555,21 @@ class NodeData:
     den: int
 
 
-def _level_values(
-    fn: AffineFn | PLFn, points: Sequence[tuple[int, ...]], i: int
-) -> tuple[list[int], int]:
-    """An :class:`AffineFn` or :class:`PLFn` at the nodes z / i, for the
-    integer points z of i * P, as integer numerators over one denominator.
-
-    With D the least common denominator of the coefficients of every piece,
-    a piece a.x + c takes the value (<D a, z> + D c i) / (D i) at z / i.  The
-    denominator D i is shared and positive, so the max (convex) or min
-    (concave) of the pieces' numerators is the numerator of the value.
-    """
-    pieces = dict.fromkeys(fn.pieces if isinstance(fn, PLFn) else (fn,))
-    if points and any(len(f.a) != len(points[0]) for f in pieces):
-        raise ValidationError(
-            f"a function of the wrong dimension at {len(points[0])}-dimensional nodes"
-        )
-    den, rows = _over_common_denominator([(*f.a, f.c) for f in pieces])
-    columns = []
-    for *a, c in rows:
-        c *= i
-        columns.append([sum(map(mul, a, z)) + c for z in points])
-    if len(columns) == 1:
-        return columns[0], den * i
-    pick = max if fn.mode == CONVEX else min
-    return list(map(pick, *columns)), den * i
-
-
 def theta_nodes(p: Polytope, ed: ExtremalData, i: int) -> NodeData:
-    """theta on the refined sample P meet (Z/i)^n, read off the cached
-    integer points of iP."""
+    """theta on the refined sample P meet (Z/i)^n, at the cached integer
+    points z of iP: (A.z + C) / (D i), as in :func:`chow_necessary`."""
     points = lattice_points(p, i)
     if not points:
         raise PreconditionFailed(f"no refined sample points at level {i}")
-    numerators, den = _level_values(ed.theta, points, i)
-    return NodeData(level=i, points=points, numerators=numerators, den=den)
-
-
-def _node_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], int]:
-    """(sum F, sum z F, D) for f = F / D at the nodes z / i of level i."""
-    points = lattice_points(p, i)
-    values, den = _level_values(f, points, i)
-    return sum(values), [sum(map(mul, col, values)) for col in zip(*points)], den
+    d, [(*a, c)] = _over_common_denominator([(*ed.theta.a, ed.theta.c)])
+    numerators = [sum(map(mul, a, z)) + c * i for z in points]
+    return NodeData(level=i, points=points, numerators=numerators, den=d * i)
 
 
 def _theta_pairing(ed: ExtremalData, cond: ChowCondition, sums) -> Fraction:
-    """sum over the nodes a of (theta(a) - theta_bar) f(a), from f's
-    :func:`_node_sums` at the level of ``cond``: theta = t.x + theta_c, so
-    it is (t.(sum z F) / i + (theta_c - theta_bar) sum F) / D."""
+    """sum over the nodes a of (theta(a) - theta_bar) f(a), from f's sums
+    (:func:`~toricstab.lattice._pl_sums`) at the level of ``cond``: theta =
+    t.x + theta_c, so it is (t.(sum z F) / i + (theta_c - theta_bar) sum F) / D."""
     total, moment, den = sums
     t, c = ed.theta.a, ed.theta.c
     return (Fraction(sum(map(mul, t, moment)), cond.level) + (c - cond.theta_bar) * total) / den
@@ -742,7 +709,7 @@ def _q_weight(
     s_from_system = s is None
     if s is None:
         s = cond.s if cond.status == HOLDS else 0
-    sums = _node_sums(p, g, i)
+    sums = _pl_sums(p, g, i)
     total, _, g_den = sums
     weighted = _theta_pairing(ed, cond, sums) / i
     total_nodes = Fraction(total, g_den) + s * weighted
@@ -767,9 +734,9 @@ def p_weight(p: Polytope, i: int, u: PLFn, bound) -> PWeightReport:
     enters the integrality report and cancels from the weight (asserted).
     """
     bound = rat(bound)
-    total, _, u_den = _node_sums(p, u, i)
+    total, _, u_den = _pl_sums(p, u, i)
     int_u = integrate_pl(p, Poly.constant(p.dim, 1), u)
-    value = _p_weight(p, len(lattice_points(p, i)), Fraction(total, u_den), bound, int_u)
+    value = _p_weight(p, _level_sums(p, i).count, Fraction(total, u_den), bound, int_u)
     return PWeightReport(
         value=value,
         chow_weight=-i * value,
@@ -810,13 +777,13 @@ def project_perp(p: Polytope, ed: ExtremalData, i: int, u: PLFn) -> Projection:
     cond = chow_necessary(p, ed, i)
     if cond.deviation_square_sum == 0:
         raise ThetaConstant("potential constant on the sample nodes")
-    kappa = _theta_pairing(ed, cond, _node_sums(p, u, i)) / cond.deviation_square_sum
+    kappa = _theta_pairing(ed, cond, _pl_sums(p, u, i)) / cond.deviation_square_sum
     shift = AffineFn(
         tuple(-kappa * x for x in ed.theta.a),
         -kappa * (ed.theta.c - cond.theta_bar),
     )
     projected = u.add_affine(shift)
-    if _theta_pairing(ed, cond, _node_sums(p, projected, i)) != 0:
+    if _theta_pairing(ed, cond, _pl_sums(p, projected, i)) != 0:
         raise InternalInvariant("the projection is not perpendicular to theta on the nodes")
     return Projection(kappa=kappa, function=projected)
 
@@ -886,19 +853,16 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
     u_integral = integrate_pl(p, one, u_sample)
     for i in range(1, i_max + 1):
         # the level's integer sums give its record (the balance system, the
-        # closed-form s, theta's side of Q) and the P sample (u = max{0, x_1}
-        # sums to sum max{0, z_1} / i); only g is read at the nodes
+        # closed-form s, theta's side of Q); g and u are summed off the
+        # level's fibre ranges
         cond = chow_necessary(p, ed, i)
         chow.append(cond)
         if cond.status != FAILS:
             if g_integral is None:
                 g_integral = integrate_pl(p, one, g_sample)
             q_samples[i] = _q_weight(p, ed, cond, g_sample, g_integral)
-            # no later level reads this level's points: drop them, so the
-            # peak is one level's nodes, not the sum of all
-            p.cache.pop(("lattice_points", i), None)
-        sum_u = Fraction(_level_sums(p, i).positive, i)
-        p_samples[i] = _p_weight(p, cond.count, sum_u, bound, u_integral)
+        total, _, u_den = _pl_sums(p, u_sample, i)
+        p_samples[i] = _p_weight(p, cond.count, Fraction(total, u_den), bound, u_integral)
     return chow, q_samples, p_samples
 
 

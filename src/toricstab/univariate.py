@@ -4,14 +4,14 @@ A polynomial is a sequence of coefficients, low degree first, of ``int`` or
 ``Fraction``; results are lists with no trailing zero, so the zero
 polynomial is ``[]`` and a non-zero one ends in its leading coefficient.
 
-Evaluation and interpolation serve the Ehrhart counts; the ring operations,
-the gcd and the square-free part serve the root count.  Signs and roots on
-an interval are decided by Sturm sequences (Basu, Pollack and Roy,
-*Algorithms in Real Algebraic Geometry*, Springer 2006, ch. 2).  Those work
-on integer polynomials: rational input is first scaled by a positive
-integer, which keeps every sign and root, and every remainder of a Sturm
-chain is a pseudo-remainder scaled by |lc|^k and divided by its content, so
-a chain on integer input builds no ``Fraction``.
+Evaluation and interpolation serve the Ehrhart counts; the derivative and
+the division serve the root count.  Signs and roots on an interval are
+decided by Sturm sequences (Basu, Pollack and Roy, *Algorithms in Real
+Algebraic Geometry*, Springer 2006, ch. 2).  Those work on integer
+polynomials: rational input is first scaled by a positive integer, which
+keeps every sign and root, and every remainder of a Sturm chain is a
+pseudo-remainder scaled by |lc|^k and divided by its content, so a chain on
+integer input builds no ``Fraction``.
 """
 
 from __future__ import annotations
@@ -68,22 +68,6 @@ def interpolate_poly(
     return coeffs
 
 
-def add(p: Sequence[Coeff], q: Sequence[Coeff]) -> list:
-    if len(p) < len(q):
-        p, q = q, p
-    return _trim([*(a + b for a, b in zip(p, q)), *p[len(q):]])
-
-
-def multiply(p: Sequence[Coeff], q: Sequence[Coeff]) -> list:
-    if not _trim(p) or not _trim(q):
-        return []
-    out = [0] * (len(p) + len(q) - 1)
-    for j, a in enumerate(p):
-        for k, b in enumerate(q):
-            out[j + k] += a * b
-    return _trim(out)
-
-
 def derivative(p: Sequence[Coeff]) -> list:
     return _trim([k * c for k, c in enumerate(p)][1:])
 
@@ -130,22 +114,6 @@ def _prem(p: list[int], q: list[int]) -> list[int]:
             r[k + j] -= f * b
         r = _trim(r)
     return r
-
-
-def gcd(p: Sequence[Coeff], q: Sequence[Coeff]) -> list[int]:
-    """The greatest common divisor of p and q, as a primitive integer
-    polynomial with a positive leading coefficient (``[]`` for two zeros)."""
-    a, b = _primitive(p), _primitive(q)
-    while b:
-        a, b = b, _primitive(_prem(a, b))
-    return [-c for c in a] if a and a[-1] < 0 else a
-
-
-def squarefree(p: Sequence[Coeff]) -> list[int]:
-    """p / gcd(p, p'), which has p's roots, each simple, as a primitive
-    integer polynomial with the sign of p's leading coefficient: the head
-    of p's Sturm chain."""
-    return _sturm(_primitive(p))[0]
 
 
 def _sturm(p: list[int]) -> list[list[int]]:

@@ -11,9 +11,10 @@ chart and every linearity region, its integration-by-parts form, a scan of
 the bounding box for lattice points (whole, or with the widest coordinate
 solved per cell from the facets) and the interior count for reciprocity,
 vertices from every n-subset of facets, facets from every n-subset of
-points, the node statistics summed in rationals point by point, Gaussian
-elimination in rationals, the greedy basis grown by one rank call per row,
-and plain random data generators.
+points, the node statistics summed in rationals point by point, the node
+sums of a PL function one value per point, Gaussian elimination in
+rationals, the greedy basis grown by one rank call per row, the product of
+two polynomials in one variable, and plain random data generators.
 """
 
 import math
@@ -584,13 +585,27 @@ def fibre_scan_points(p: Polytope, i: int) -> list:
 
 
 def point_sums(points, dim: int) -> tuple:
-    """(N, sum z, sum z z^T, sum max{0, z_1}) over integer points, one by one."""
+    """(N, sum z, sum z z^T) over integer points, one by one."""
     return (
         len(points),
         tuple(sum(z[k] for z in points) for k in range(dim)),
         tuple(tuple(sum(z[j] * z[k] for z in points) for k in range(dim)) for j in range(dim)),
-        sum(max(0, z[0]) for z in points),
     )
+
+
+def pl_node_sums(f, points, dim: int, i: int) -> tuple:
+    """(sum F, sum z F, D i) for an AffineFn or PLFn f = F / (D i) at the
+    nodes z / i of the integer ``points``, one value per point: with D the
+    least common denominator of every piece's coefficients, a piece a.x + c
+    is the integer D (a.z + c i) over D i at z / i, and F is the max
+    (convex) or min (concave) of the pieces' integers."""
+    pieces = f.pieces if isinstance(f, PLFn) else (f,)
+    den = math.lcm(*(x.denominator for g in pieces for x in (*g.a, g.c)))
+    rows = [([int(den * x) for x in g.a], int(den * g.c) * i) for g in pieces]
+    pick = min if isinstance(f, PLFn) and f.mode == "concave" else max
+    values = [pick(sum(map(mul, a, z)) + c for a, c in rows) for z in points]
+    moment = [sum(z[k] * v for z, v in zip(points, values)) for k in range(dim)]
+    return sum(values), moment, den * i
 
 
 def brute_vertices(halfspaces, dim: int) -> list:
@@ -781,6 +796,18 @@ def mixed_denominator_pl(rng: random.Random, dim: int, mode: str, pieces=2) -> P
         for k in range(pieces)
     ]
     return PLFn(tuple(fns), mode)
+
+
+def multiply(p, q) -> list:
+    """The product of two polynomials in one variable, low degree first,
+    with no trailing zero (``[]`` for zero)."""
+    out = [0] * (len(p) + len(q) - 1) if p and q else []
+    for j, a in enumerate(p):
+        for k, b in enumerate(q):
+            out[j + k] += a * b
+    while out and not out[-1]:
+        out.pop()
+    return out
 
 
 def random_poly(rng: random.Random, dim: int, max_degree=2) -> Poly:

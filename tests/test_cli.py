@@ -458,20 +458,36 @@ def test_each_level_is_solved_once(monkeypatch, argv, solves):
     assert len(calls) == solves
 
 
-def test_level_statistics_build_no_point_list(monkeypatch):
-    # The balance system, s_closed, the P sample, the Ehrhart counts and the
-    # gate's sums read the integer sums of each level: tables enumerates no
-    # point and reads theta at no node, and neither does chow on E4, which
-    # fails at every level and so needs no Q sample.
+def test_level_statistics_build_no_point_list(monkeypatch, corpus_entries):
+    # The balance system, s_closed, the Q and P samples, the Ehrhart counts
+    # and the gate's sums are read off each level's fibre ranges: no command
+    # enumerates a point or reads theta at a node.  Neither tables, nor chow
+    # on E4 (which fails at every level, so takes no Q sample) or on B1 (a
+    # Q sample at every level), nor analyze on CP3 (one at every level), nor
+    # the public Q, P and projection.
     from toricstab import lattice, stability
+    from toricstab.plfun import PLFn
 
     calls = []
     _record_calls(monkeypatch, lattice.lattice_points, calls)
     _record_calls(monkeypatch, stability.theta_nodes, calls)
-    for argv in (("tables", "--i-max", "3", "--grid", "0"), ("chow", "corpus:E4", "--i-max", "20")):
+    for argv in (
+        ("tables", "--i-max", "3", "--grid", "0"),
+        ("chow", "corpus:E4", "--i-max", "20"),
+        ("chow", "corpus:B1", "--i-max", "6"),
+        ("analyze", "corpus:CP3", "--grid", "0", "--i-max", "4"),
+    ):
         code, _ = run_cli(*argv)
         assert code == 0, argv
         assert calls == [], argv
+    p = corpus_entries["B2"].polytope
+    ed = stability.extremal_affine(p)
+    u = PLFn.simple([1, 0, 0], 0)
+    for i in (1, 2, 3):
+        stability.q_weight(p, ed, i, stability.facet_distance_pl(p))
+        stability.p_weight(p, i, u, 2)
+        stability.project_perp(p, ed, i, u)
+    assert calls == []
 
 
 def test_tables_cuts_each_excess_region_once(monkeypatch):

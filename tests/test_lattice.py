@@ -10,8 +10,9 @@ from toricstab import (
     ValidationError,
     ehrhart,
 )
-from toricstab import lattice
+from toricstab import lattice, stability
 from toricstab.lattice import lattice_points, refined_points
+from toricstab.plfun import PLFn
 
 import oracles
 
@@ -22,10 +23,13 @@ CLOUDS = [(1, 6, 6, 4, 4), (2, 6, 6, 4, 4), (3, 4, 3, 3, 4), (4, 3, 2, 2, 2), (5
 
 
 def assert_matches_box_scan(p, levels):
-    # the points, and N, sum z, sum z z^T and sum max{0, z_1} summed one by one
+    # the points, and N, sum z, sum z z^T and sum max{0, z_1} (the P sample,
+    # summed by the fibre route) against the points summed one by one
+    u = PLFn.simple([1] + [0] * (p.dim - 1), 0)
     for i in levels:
         box = oracles.box_lattice_points(p, i)
         assert tuple(lattice._level_sums(p, i)) == oracles.point_sums(box, p.dim), i
+        assert lattice._pl_sums(p, u, i)[0] == sum(max(0, z[0]) for z in box), i
         assert lattice_points(p, i) == box, i
 
 
@@ -199,10 +203,11 @@ def test_corpus_lattice_points_unchanged(corpus_entries):
 
 
 def test_level_sums_match_fibre_scan_on_corpus(corpus_entries):
-    # N, sum z, sum z z^T and sum max{0, z_1} of every entry at levels 1-8,
-    # against the points of a scan that solves the widest coordinate per
-    # cell of the other coordinates' box, summed one by one; level 1 also
-    # against the whole box.
+    # N, sum z, sum z z^T and sum max{0, z_1} (the P sample, summed by the
+    # fibre route) of every entry at levels 1-8, against the points of a
+    # scan that solves the widest coordinate per cell of the other
+    # coordinates' box, summed one by one; level 1 also against the whole box.
+    u = PLFn.simple([1, 0, 0], 0)
     for name, entry in corpus_entries.items():
         p = Polytope.from_halfspaces([(h.normal, h.rhs) for h in entry.polytope.halfspaces])
         for i in range(1, 9):
@@ -210,8 +215,33 @@ def test_level_sums_match_fibre_scan_on_corpus(corpus_entries):
             if i == 1:
                 assert points == oracles.box_lattice_points(p, i), name
             assert tuple(lattice._level_sums(p, i)) == oracles.point_sums(points, 3), (name, i)
+            assert lattice._pl_sums(p, u, i)[0] == sum(max(0, z[0]) for z in points), (name, i)
         # the sums built no point list
         assert not any(key[0] == "lattice_points" for key in p.cache if isinstance(key, tuple))
+
+
+def test_pl_sums_match_point_oracle(corpus_entries):
+    # sum F, sum z F and D i off the fibre ranges, against the values of F
+    # one point at a time over a scan of iP: the Q sample g, an affine
+    # function, and convex and concave functions with pieces over mixed
+    # denominators, on every entry and on rational polytopes in 1-4D, at
+    # levels 1-3
+    rng = random.Random(31)
+    polytopes = [entry.polytope for entry in corpus_entries.values()]
+    polytopes += [oracles.random_polytope(rng, d, num=4, den=3) for d in (1, 2, 3, 4) for _ in "abc"]
+    for p in polytopes:
+        fns = [
+            stability.facet_distance_pl(p),
+            oracles.random_affine(rng, p.dim),
+            oracles.random_convex_pl(rng, p.dim),
+            oracles.mixed_denominator_pl(rng, p.dim, "convex", pieces=3),
+            oracles.mixed_denominator_pl(rng, p.dim, "concave", pieces=4),
+        ]
+        for i in (1, 2, 3):
+            points = oracles.fibre_scan_points(p, i)
+            for f in fns:
+                want = oracles.pl_node_sums(f, points, p.dim, i)
+                assert lattice._pl_sums(p, f, i) == want, (p.name, i, f)
 
 
 def test_every_level_walk_is_budgeted():

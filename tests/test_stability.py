@@ -1104,10 +1104,10 @@ def test_s_trend_toward_minus_half(corpus_entries):
 def test_theta_read_at_no_node(corpus_entries, monkeypatch):
     # The balance system, the closed-form s, Q and the projection read theta
     # at no node: theta's sums come from the integer sums of the level, and
-    # Q and the projection read only their PL function at the nodes, never
-    # through AffineFn.__call__.  analyze walks each level and builds its
-    # sums once, and builds no theta_nodes at any level, not even where it
-    # takes a Q sample (B2 holds at levels 1-3).
+    # Q and the projection sum only their PL function off the level's fibre
+    # ranges, never through AffineFn.__call__.  analyze walks each level and
+    # builds its sums once, and builds no theta_nodes at any level, not even
+    # where it takes a Q sample (B2 holds at levels 1-3).
     from toricstab import lattice, stability
 
     p = corpus_entries["B2"].polytope
@@ -1123,15 +1123,15 @@ def test_theta_read_at_no_node(corpus_entries, monkeypatch):
         return call(fn, point)
 
     theta_reads = []
-    level_values = stability._level_values
+    pl_sums = stability._pl_sums
 
-    def recording(fn, pts, i):
+    def recording(q, fn, i):
         if fn == ed.theta:
             theta_reads.append(i)
-        return level_values(fn, pts, i)
+        return pl_sums(q, fn, i)
 
     monkeypatch.setattr(AffineFn, "__call__", counting)
-    monkeypatch.setattr(stability, "_level_values", recording)
+    monkeypatch.setattr(stability, "_pl_sums", recording)
     g = PLFn.concave([AffineFn.make((1, 0, 0), 0), AffineFn.make((-1, 0, 0), 0)])
     for run in (
         lambda: chow_necessary(p, ed, 1),
@@ -1349,8 +1349,8 @@ def test_level_stats_match_fraction_route_on_corpus(corpus_entries):
 
 
 def test_chow_levels_keep_no_point_list(corpus_entries):
-    # A level with a Q sample drops its points once the sample is read, so
-    # the peak holds one level's nodes: no lattice_points key is left on P.
+    # The Q and P samples are summed off the fibre ranges, so no level,
+    # not even one with a Q sample, leaves a lattice_points key on P.
     from toricstab import stability
 
     for name in ("CP3", "B1", "F1"):
@@ -1403,17 +1403,18 @@ def test_node_checks_fire(corpus_entries, monkeypatch):
     monkeypatch.undo()
     with pytest.raises(InternalInvariant, match="bound R"):
         stability._p_weight(p, 27, F(13, 2), F(10), 0.1)
-    level_values = stability._level_values
+    pl_sums = stability._pl_sums
+    first = lattice_points(p, 1)[0]
     calls = []
 
-    def skewed(fn, points, i):
-        values, den = level_values(fn, points, i)
+    def skewed(q, fn, i):
+        total, moment, den = pl_sums(q, fn, i)
         calls.append(fn)
-        if len(calls) == 2:  # u, then the projected u
-            values = [values[0] + 1, *values[1:]]
-        return values, den
+        if len(calls) == 2:  # u, then the projected u, one larger at the first node
+            total, moment = total + 1, [x + z for x, z in zip(moment, first)]
+        return total, moment, den
 
-    monkeypatch.setattr(stability, "_level_values", skewed)
+    monkeypatch.setattr(stability, "_pl_sums", skewed)
     with pytest.raises(InternalInvariant, match="perpendicular"):
         project_perp(p, ed, 1, PLFn.simple((1, 0, 0), 0))
 
