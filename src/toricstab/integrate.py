@@ -13,8 +13,12 @@ integrate a polynomial over a simplex", Math. Comp. 2011):
 
 Each :class:`Simplex` keeps that record, and each :class:`Polytope` keeps
 one summed over the cells of its triangulation and one per facet in the
-lattice-normalized measure (``moments`` and ``facet_moments``).  One
-contraction, :func:`_contract`, reads every integral off any of them.
+lattice-normalized measure (``moments`` and ``facet_moments``).
+:func:`_contract` reads the integral of a :class:`Poly` off any of them.  No
+command takes this route: each reads its integrals in integers off the same
+records (``Moments.linear`` and ``Moments.quadratic``).  It stays as the
+documented API, as the reference the tests compare the integer route with,
+and for the benchmark probes that name its functions.
 
 Degree at most 2 is the contract: a term of higher degree, or a polynomial
 in a number of variables other than the record's dimension, raises

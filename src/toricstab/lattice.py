@@ -39,7 +39,8 @@ def _ranges(p: Polytope, i: int) -> tuple[list[list[int]], list[int], list[int]]
     """The fibres of ``i * P`` along its last coordinate as (columns, lo, hi):
     the prefixes z_1..z_{n-1} of its integer points, in lexicographic order,
     with ``columns[j]`` holding coordinate j + 1 of each, and per prefix the
-    exact integer range lo..hi of z_n; cached per level.
+    exact integer range lo..hi of z_n.  P's cache keeps the last level
+    walked only, since every caller reads a level's sums in a row.
 
     The prefixes grow one coordinate at a time, all of one length at once.
     For k = 1..n, the facets of proj_k(P) (the hull of the vertices' first k
@@ -55,9 +56,9 @@ def _ranges(p: Polytope, i: int) -> tuple[list[list[int]], list[int], list[int]]
     """
     if isinstance(i, bool) or not isinstance(i, int) or i <= 0:
         raise ValidationError(f"dilation level must be a positive int, got {i!r}")
-    key = ("lattice_ranges", i)
-    if key in p.cache:
-        return p.cache[key]
+    level, ranges = p.cache.get("lattice_ranges", (None, None))
+    if level == i:
+        return ranges
     check_levels(i, p)
     columns: list[list[int]] = []
     size = 1  # the number of prefixes
@@ -81,8 +82,8 @@ def _ranges(p: Polytope, i: int) -> tuple[list[list[int]], list[int], list[int]]
             break
         columns = _expand(columns, lo, hi)
         size = len(columns[-1])
-    p.cache[key] = (columns, lo, hi)
-    return p.cache[key]
+    p.cache["lattice_ranges"] = (i, (columns, lo, hi))
+    return columns, lo, hi
 
 
 class _LevelSums(NamedTuple):
@@ -210,10 +211,11 @@ def node_bound(p: Polytope, i_max: int) -> int:
 # sums, and a PL function's (:func:`_pl_sums`), are read off its fibre
 # ranges at about 1-10 us a fibre, and a level has no more fibres than
 # nodes.  chow to the top level that fits (wall time and ru_maxrss, Python
-# 3.11 on a 2-core x86-64 host): E4 to 30, 34,750 fibres, 0.3 s, 20 MiB; CP3
-# to 26, 51,740, 0.7 s, 22 MiB; B1 to 27, 89,487, 1.1 s, 26 MiB; C1 to 28,
-# 257,026, 2.7 s, 42 MiB, most of it the cached ranges of every level.  Every
-# corpus entry fits the defaults with room.
+# 3.11 on a 2-core x86-64 host, where the interpreter and corpus alone take
+# about 18 MiB): E4 to 30, 34,750 fibres, 0.2 s, 18 MiB; CP3 to 26, 51,740,
+# 0.4 s, 18 MiB; B1 to 27, 89,487, 0.6 s, 19 MiB; C1 to 28, 257,026, 1.7 s,
+# 24 MiB, most of the rest the ranges of the top level, the one level that
+# :func:`_ranges` keeps.  Every corpus entry fits the defaults with room.
 MAX_LEVEL_NODES = 2_000_000
 
 

@@ -1,10 +1,11 @@
 """Rational piecewise-linear functions and their exact integrals.
 
-A PLFn is max (convex mode) or min (concave mode) of affine pieces.  All
-integration reduces to the polynomial kernel by decomposing the domain into
-the closed linearity regions of the function; regions share facets but only
-in measure zero, which the integrals never see.  An integrand with the factor
-u vanishes on the region of a zero piece, so that region is never built.
+A PLFn is max (convex mode) or min (concave mode) of affine pieces.  Every
+integral of one splits the domain into the closed linearity regions of the
+function; regions share facets but only in measure zero, which the integrals
+never see.  An integrand with the factor u vanishes on the region of a zero
+piece, so that region is never built.  The ``Poly`` integrals here are the
+reference for the integer route that L and the Chow weights take.
 """
 
 from __future__ import annotations
@@ -200,7 +201,9 @@ def _boundary_facets(p: Polytope, region: Polytope) -> list[int]:
 def integrate_pl(p: Polytope, poly: Poly, u: PLFn) -> Fraction:
     """Exact integral of ``poly * u`` over P.
 
-    Not cached: a cache keyed by u would keep every function ever integrated
+    The reference route: no command calls it, and the tests compare the
+    integer route of the Chow weights (``stability._integral``) with it.  Not
+    cached: a cache keyed by u would keep every function ever integrated
     against P alive for the life of P.
     """
     total = Fraction(0)

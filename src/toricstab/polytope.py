@@ -32,8 +32,10 @@ determinant (by cofactors up to dimension 4), a cell of P (the apex over a
 facet cell) follows from it and the apex's lattice height.  A record keeps its
 cells and the integer sums over them; each moment is one division, made when a
 caller first reads it, and a contraction s^T M_2 t with integer s and t is read
-off the cells without the n x n matrix.  L, theta and the mean criterion read
-records in integers; only theta's Gram matrix builds M_2, in one pass.
+off the cells without the n x n matrix.  L, theta, the mean criterion, the
+integral of a PL function over P (the Chow weight samples) and the gate's
+boundary moment read records in integers; only theta's Gram matrix builds
+M_2, in one pass.
 
 The linear lattice automorphisms of P (the integer matrices with |det| = 1
 that map P onto itself) are found by backtracking over the images of n
@@ -425,11 +427,12 @@ class Moments:
     to w S_k / (base den (d+1)) and x_j x_k to
     w (Q_jk + S_j S_k) / (base den^2 (d+1)(d+2)).  So the measure is ``mass``
     (the sum of the weights) over ``base``, the first moments are ``sums``
-    over ``first_den``, and s^T M_2 t is :meth:`quadratic` over
-    ``second_den``.  ``measure``, ``first`` and ``second`` are those
-    quotients, divided out when first read.  Each vertex enters the sums of
-    w S and w Q with its ``load``, the total weight of its cells, so M_2 is
-    one pass: load r r^T over the vertices plus w S S^T over the cells.
+    over ``first_den`` (a.x + c integrates to :meth:`linear` over it), and
+    s^T M_2 t is :meth:`quadratic` over ``second_den``.  ``measure``,
+    ``first`` and ``second`` are those quotients, divided out when first
+    read.  Each vertex enters the sums of w S and w Q with its ``load``, the
+    total weight of its cells, so M_2 is one pass: load r r^T over the
+    vertices plus w S S^T over the cells.
     """
 
     def __init__(self, rows, den: int, cells, weights, base: int):
@@ -467,6 +470,11 @@ class Moments:
         upper = {(j, k): Fraction(sum(w * r[j] * r[k] for w, r in terms), self.second_den)
                  for j in range(n) for k in range(j, n)}
         return tuple(tuple(upper[min(j, k), max(j, k)] for k in range(n)) for j in range(n))
+
+    def linear(self, a: Sequence[int], c: int) -> int:
+        """The integral of a.x + c times ``first_den``, for integer a and c:
+        c mass (first_den // base) + a.sums."""
+        return c * self.mass * (self.first_den // self.base) + sum(map(mul, a, self.sums))
 
     def quadratic(self, s: Sequence[int], t: Sequence[int]) -> int:
         """s^T M_2 t times ``second_den``, for integer vectors s and t: the

@@ -42,7 +42,7 @@ from .errors import (
     ThetaConstant,
     ValidationError,
 )
-from .integrate import Poly, moment_vector
+from .integrate import moment_vector
 from .lattice import _level_sums, _pl_sums, check_levels, ehrhart, lattice_points
 from .linalg import (
     AnyS,
@@ -60,7 +60,6 @@ from .plfun import (
     PLFn,
     _boundary_facets,
     _nonzero_regions,
-    integrate_pl,
     pl_is_rational_lattice_cone,
 )
 from .polytope import (
@@ -119,9 +118,9 @@ def extremal_affine(p: Polytope) -> ExtremalData:
     futaki = tuple(Fraction(s, den) - sbar * x for s, x in zip(bd[1:], moments))
     sol = solve_linear(gram, [*futaki, Fraction(0)])
     # Exact by construction, checked in integers: for theta = (a.x + c) / q,
-    # q first_den integral(theta) = a.sums + c mass k1 must vanish.
+    # q first_den integral(theta) = linear(a, c) must vanish.
     (*a, c), _ = _integer_row(sol)
-    if sum(map(mul, a, record.sums)) + c * record.mass * (record.first_den // record.base):
+    if record.linear(a, c):
         raise InternalInvariant("theta does not integrate to zero")
     theta = AffineFn(tuple(sol[:n]), sol[n])
     p.cache["extremal"] = ExtremalData(theta, sbar, tuple(map(tuple, gram)), futaki)
@@ -181,14 +180,13 @@ class _LCore:
         boundary = Fraction(0)
         for i in _boundary_facets(self.p, region):
             m = region.facet_moments(i)
-            f_int = c * m.mass * (m.first_den // m.base) + sum(map(mul, a, m.sums))
-            boundary += Fraction(f_int, q * m.first_den)
+            boundary += Fraction(m.linear(a, c), q * m.first_den)
         m = region.moments()
         t, t_den, w = self.t, self.t_den, self.w
         # Times q t_den second_den: the integrals of f, of its constant term
         # and of (t.x) f, the part of theta f that both forms share.
         k1, k2 = m.first_den // m.base, m.second_den // m.first_den
-        f_int = (c * m.mass * k1 + sum(map(mul, a, m.sums))) * t_den * k2
+        f_int = m.linear(a, c) * t_den * k2
         c_int = c * m.mass * k1 * k2 * t_den
         ct_quad = c * sum(map(mul, t, m.sums)) * k2 + m.quadratic(t, a)
         den = q * t_den * m.second_den
@@ -211,6 +209,19 @@ class _LCore:
                 f"boundary-form {rat_str(value)} != parts-form {rat_str(parts)}"
             )
         return value
+
+
+def _integral(p: Polytope, u: PLFn) -> Fraction:
+    """The integral of u over P: over the linearity region R of each piece
+    (a.x + c) / q that is not identically zero, with a, c and q integers,
+    the first moments of R's record give it in integers
+    (:meth:`~toricstab.polytope.Moments.linear`), one ``Fraction`` per region."""
+    total = Fraction(0)
+    for region, piece in _nonzero_regions(p, u):
+        (*a, c), q = _integer_row((*piece.a, piece.c))
+        m = region.moments()
+        total += Fraction(m.linear(a, c), q * m.first_den)
+    return total
 
 
 # ---------------------------------------------------------------------------
@@ -398,11 +409,12 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
 def _mean_square(minus: Polytope, ed: ExtremalData) -> Fraction:
     """The mean of (1 - theta)^2 over ``minus``, off its record in integers:
     with (C, A) / q = (1 - theta_c, theta_a), q^2 second_den times the
-    integral is C^2 mass k1 k2 - 2 C (A.sums) k2 + A^T M_2 A (see _LCore)."""
+    integral is C k2 first_den times the integral of C - 2 A.x
+    (:meth:`~toricstab.polytope.Moments.linear`) plus A^T M_2 A (see _LCore)."""
     m = minus.moments()
     (c, *a), q = _integer_row((1 - ed.theta.c, *ed.theta.a))
-    k1, k2 = m.first_den // m.base, m.second_den // m.first_den
-    square = (c * m.mass * k1 - 2 * sum(map(mul, a, m.sums))) * c * k2 + m.quadratic(a, a)
+    k2 = m.second_den // m.first_den
+    square = m.linear([-2 * x for x in a], c) * c * k2 + m.quadratic(a, a)
     return Fraction(square * m.base, q * q * m.second_den * m.mass)
 
 
@@ -686,8 +698,7 @@ def q_weight(
     balance system has no solution -- Q is then undefined and the variety is
     already unstable at this level.
     """
-    integral = integrate_pl(p, Poly.constant(p.dim, 1), g)
-    return _q_weight(p, ed, chow_necessary(p, ed, i), g, integral, s)
+    return _q_weight(p, ed, chow_necessary(p, ed, i), g, _integral(p, g), s)
 
 
 def _q_weight(
@@ -735,8 +746,8 @@ def p_weight(p: Polytope, i: int, u: PLFn, bound) -> PWeightReport:
     """
     bound = rat(bound)
     total, _, u_den = _pl_sums(p, u, i)
-    int_u = integrate_pl(p, Poly.constant(p.dim, 1), u)
-    value = _p_weight(p, _level_sums(p, i).count, Fraction(total, u_den), bound, int_u)
+    count = _level_sums(p, i).count
+    value = _p_weight(p, count, Fraction(total, u_den), bound, _integral(p, u))
     return PWeightReport(
         value=value,
         chow_weight=-i * value,
@@ -848,9 +859,8 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
     bound = max(u_sample(v) for v in p.vertices) + 1
     # the samples do not depend on the level: each is integrated once, g only
     # when some level needs it
-    one = Poly.constant(p.dim, 1)
     g_integral = None
-    u_integral = integrate_pl(p, one, u_sample)
+    u_integral = _integral(p, u_sample)
     for i in range(1, i_max + 1):
         # the level's integer sums give its record (the balance system, the
         # closed-form s, theta's side of Q); g and u are summed off the
@@ -859,7 +869,7 @@ def chow_levels(p: Polytope, i_max: int) -> tuple[list[ChowCondition], dict, dic
         chow.append(cond)
         if cond.status != FAILS:
             if g_integral is None:
-                g_integral = integrate_pl(p, one, g_sample)
+                g_integral = _integral(p, g_sample)
             q_samples[i] = _q_weight(p, ed, cond, g_sample, g_integral)
         total, _, u_den = _pl_sums(p, u_sample, i)
         p_samples[i] = _p_weight(p, cond.count, Fraction(total, u_den), bound, u_integral)

@@ -657,6 +657,47 @@ def test_malformed_corpus_file_exits_2(tmp_path, monkeypatch, capsys, name, text
     assert error["message"].startswith(f"{tmp_path / name}: ") and detail in error["message"]
 
 
+UNREADABLE = {
+    "not-utf8": (
+        b'{"dim": 2, "vertices": [[0, 0], [1, 0], [0, 1]]} \xff\xfe', "can't decode byte 0xff"
+    ),
+    "deep-nesting": (b"[" * 100_000, "maximum recursion depth exceeded"),
+    "long-number": (
+        b'{"dim": 2, "vertices": [[1' + b"0" * 5000 + b", 0], [0, 0], [0, 1]]}", "5001 digits"
+    ),
+}
+
+
+@pytest.mark.parametrize("kind", UNREADABLE)
+def test_unreadable_json_exits_2(tmp_path, monkeypatch, capsys, kind):
+    # Bytes that are not UTF-8, nesting past the recursion limit and a number
+    # past Python's digit limit: in a polytope file, a corpus entry or the
+    # corpus index each is a parse error naming the file (exit 2), with the
+    # JSON error object under --format json, never a traceback.
+    data, detail = UNREADABLE[kind]
+    path = tmp_path / "P.json"
+    path.write_bytes(data)
+    entries, index = tmp_path / "entries", tmp_path / "index"
+    entries.mkdir()
+    index.mkdir()
+    (entries / "X.json").write_bytes(data)
+    (index / "index.json").write_bytes(data)
+    for folder, name, argv in (
+        (entries, path, ("theta", str(path))),
+        (entries, entries / "X.json", ("kstab", "corpus:X")),
+        (index, index / "index.json", ("corpus", "list")),
+    ):
+        monkeypatch.setenv("TORICSTAB_CORPUS_DIR", str(folder))
+        assert main(list(argv)) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name}: ") and detail in err and "Traceback" not in err
+        code, out = run_cli(*argv, "--format", "json")
+        assert code == 2
+        error = json.loads(out)["error"]
+        assert (error["type"], error["exit_code"]) == ("ParseError", 2)
+        assert error["message"].startswith(f"{name}: ") and detail in error["message"]
+
+
 def test_oversized_grid_is_rejected(monkeypatch):
     # A search box above the direction budget is a validation error (exit 2),
     # raised before any stage touches the polytope.

@@ -1,9 +1,10 @@
 """Source-level guards on the library: its invariants stay on in every run,
 including under ``python -O``, no hull falls back to a subset scan, no
 module but the one that defines it builds a facet chart or reads the cell
-format, and no module integrates above degree 2; and every library
-function the benchmark reports by name exists; and the package exposes
-exactly the API that the README lists."""
+format, no module integrates above degree 2, and no module on a command
+path imports the ``Poly`` route; and every library function the benchmark
+reports by name exists; and the package exposes exactly the API that the
+README lists."""
 
 import ast
 import importlib
@@ -91,6 +92,25 @@ def test_cell_format_stays_in_polytope():
             if ident in ("_weighted_cells", "_face_cells"):
                 found.append(f"{path.name}:{node.lineno} names {ident}")
     assert not found, f"cell format or higher-degree route outside polytope.py: {found}"
+
+
+def test_commands_import_no_poly_route():
+    # Every integral a command needs is read off the integer moment records
+    # (Moments.linear and Moments.quadratic).  The Poly route stays as the
+    # documented API and the tests' reference, and no module on a command
+    # path imports it; moment_vector, a record's first moments, may stay.
+    banned = {"Poly", "integrate", "boundary_integral", "integrate_pl"}
+    found = []
+    for name in ("stability.py", "corpus.py", "cli.py", "lattice.py"):
+        tree = ast.parse((SRC / name).read_text(), filename=name)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.Import, ast.ImportFrom)):
+                found += [
+                    f"{name}:{node.lineno} imports {alias.name}"
+                    for alias in node.names
+                    if alias.name.rsplit(".", 1)[-1] in banned
+                ]
+    assert not found, f"the Poly route imported on a command path: {found}"
 
 
 def test_benchmark_layer_names_resolve():

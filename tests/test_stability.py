@@ -1,4 +1,6 @@
+import contextlib
 import importlib
+import io
 import itertools
 import math
 import random
@@ -1155,7 +1157,8 @@ def test_theta_read_at_no_node(corpus_entries, monkeypatch):
         return sums(q, i)
 
     def walk(q, i):
-        if ("lattice_ranges", i) not in q.cache:
+        # the one cached slot holds the last level walked
+        if q.cache.get("lattice_ranges", (None,))[0] != i:
             walked.append(i)
         return ranges(q, i)
 
@@ -1173,14 +1176,18 @@ def test_theta_read_at_no_node(corpus_entries, monkeypatch):
 
 
 def test_k_classify_reads_the_records_in_integers(corpus_entries, monkeypatch):
-    # theta, Sbar, the Futaki vector and the mean criterion read the integer
-    # moment records: on B1 and E2 (the benchmark's verdict entries) the
-    # whole k_classify builds no Poly and contracts no record through
+    # theta, Sbar, the Futaki vector, the mean criterion, the integral of
+    # each Q and P sample and the gate's boundary moment read the integer
+    # moment records: k_classify on B1 and E2 (the benchmark's verdict
+    # entries), direct Q and P weights, and the commands (each loads its
+    # entries afresh) build no Poly and contract no record through
     # integrate._contract.
+    from toricstab.cli import main
+
     integrate_module = importlib.import_module("toricstab.integrate")
     fresh = [
         Polytope.from_halfspaces(corpus_entries[name].polytope.halfspaces)
-        for name in ("B1", "E2")
+        for name in ("B1", "E2", "B2")
     ]
     built, contracted = [], []
     init, contract = Poly.__init__, integrate_module._contract
@@ -1195,10 +1202,52 @@ def test_k_classify_reads_the_records_in_integers(corpus_entries, monkeypatch):
 
     monkeypatch.setattr(Poly, "__init__", counted_init)
     monkeypatch.setattr(integrate_module, "_contract", counted_contract)
-    for p in fresh:
+    for p in fresh[:2]:
         kv = k_classify(p)
         assert kv.classification == UNDETERMINED and kv.cond_rhs is not None
+    b2 = fresh[2]
+    ed = extremal_affine(b2)
+    g = PLFn.concave([AffineFn.make((1, 0, 0), 0), AffineFn.make((-1, 0, 0), 0)])
+    q_weight(b2, ed, 1, g)
+    p_weight(b2, 2, PLFn.simple((1, 0, 0), 0), 2)
+    for argv in (
+        ("chow", "corpus:B1", "--i-max", "6"),
+        ("analyze", "corpus:CP3", "--i-max", "4", "--grid", "0"),
+        ("analyze", "corpus:ORB-530571", "--i-max", "3"),
+        ("tables", "--i-max", "3", "--grid", "0"),
+        ("kstab", "corpus:D1"),
+    ):
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(list(argv)) == 0, argv
     assert built == contracted == []
+
+
+def test_integer_integrals_match_the_poly_route(corpus_entries):
+    # The integer route every command takes equals the Poly route, kept as
+    # the reference: the integral of a PL function (g, the P sample
+    # max{0, x_1}, random convex and concave ones) summed over its regions'
+    # records, and Moments.linear against integrate._contract on P's record
+    # and on every facet record, on the corpus and on random rational
+    # polytopes in 1-4D.
+    from toricstab import integrate_pl, stability
+
+    integrate_module = importlib.import_module("toricstab.integrate")
+    rng = random.Random(33)
+    shapes = [entry.polytope for entry in corpus_entries.values()]
+    shapes += [oracles.random_polytope(rng, dim) for dim in (1, 2, 3, 4) for _ in range(2)]
+    for p in shapes:
+        n = p.dim
+        one = Poly.constant(n, 1)
+        functions = [stability.facet_distance_pl(p), PLFn.simple([1] + [0] * (n - 1), 0)]
+        for _ in range(2):
+            functions.append(oracles.random_convex_pl(rng, n))
+            functions.append(PLFn.concave(oracles.random_convex_pl(rng, n).pieces))
+        for u in functions:
+            assert stability._integral(p, u) == integrate_pl(p, one, u), (p.name, u)
+        for m in (p.moments(), *map(p.facet_moments, range(len(p.halfspaces)))):
+            a, c = [rng.randint(-9, 9) for _ in range(n)], rng.randint(-9, 9)
+            want = integrate_module._contract(m, Poly.affine(a, c))
+            assert F(m.linear(a, c), m.first_den) == want, (p.name, a, c)
 
 
 def test_reflexive_entries_are_their_own_translate(corpus_entries, monkeypatch):
@@ -1396,8 +1445,8 @@ def test_node_checks_fire(corpus_entries, monkeypatch):
 
     p = corpus_entries["B2"].polytope
     ed = extremal_affine(p)
-    integral = stability.integrate_pl
-    monkeypatch.setattr(stability, "integrate_pl", lambda *args: integral(*args) + 1)
+    integral = stability._integral
+    monkeypatch.setattr(stability, "_integral", lambda *args: integral(*args) + 1)
     with pytest.raises(InternalInvariant, match="affine input"):
         q_weight(p, ed, 1, PLFn.concave([AffineFn.make((1, 2, 0), 1)]))
     monkeypatch.undo()
