@@ -22,7 +22,7 @@ from typing import Optional
 from .errors import ParseError, ValidationError
 from .integrate import moment_vector
 from .lattice import _level_sums, check_levels, ehrhart
-from .linalg import rat, rat_str
+from .linalg import quoted, rat, rat_str
 from .plfun import AffineFn
 from .polytope import Polytope, is_reflexive_delzant, polar_dual
 from .stability import FAILS, chow_necessary, excess_region, extremal_affine
@@ -215,20 +215,21 @@ def resolve_input(spec: str) -> tuple[Polytope, Optional[CorpusEntry]]:
 def _rats(xs) -> tuple[Fraction, ...]:
     """A JSON list of rationals."""
     if not isinstance(xs, list):
-        raise TypeError(f"{xs!r} is not a list")
+        raise TypeError(f"{quoted(xs)} is not a list")
     return tuple(rat(x) for x in xs)
 
 
 def _level(key: str, p: Polytope) -> int:
     """A level key of ``lattice_point_sums``: a positive int whose levels
     fit the node budget (:func:`~toricstab.lattice.check_levels`)."""
-    level = int(key) if key.isascii() and key.isdigit() else 0
+    # rat turns a key past the interpreter's digit limit into a short error
+    level = rat(key).numerator if key.isascii() and key.isdigit() else 0
     if level < 1 or str(level) != key:
-        raise ValueError(f"level {key!r} is not a positive int")
+        raise ValueError(f"level {quoted(key)} is not a positive int")
     try:
         check_levels(level, p)
     except ValidationError as exc:
-        raise ValueError(f"level {key!r}: {exc}") from exc
+        raise ValueError(f"level {quoted(key)}: {exc}") from exc
     return level
 
 

@@ -101,16 +101,15 @@ def _level_sums(p: Polytope, i: int) -> _LevelSums:
     A fibre range lo..hi of the last coordinate t holds m = hi - lo + 1
     points, with sum t = (lo + hi) m / 2 and, by Faulhaber's formula with
     F(x) = x (x + 1) (2x + 1) / 6 (F(x) - F(x - 1) = x^2 for every integer
-    x), sum t^2 = F(hi) - F(lo - 1); every other coordinate is constant on
-    the fibre.
+    x), sum t^2 = F(hi) - F(lo - 1) (:func:`_fibre_moments`); every other
+    coordinate is constant on the fibre.
     """
     key = ("level_sums", i)
     if key in p.cache:
         return p.cache[key]
     columns, lo, hi = _ranges(p, i)
     n = p.dim
-    counts = [b - a + 1 for a, b in zip(lo, hi)]
-    ts = [(a + b) * m // 2 for a, b, m in zip(lo, hi, counts)]
+    counts, ts, squares = _fibre_moments(lo, hi)
     # each prefix column times the counts: the weights of sum z_j z_k, j, k < n
     weighted = [list(map(mul, column, counts)) for column in columns]
     second = [[0] * n for _ in range(n)]
@@ -118,13 +117,24 @@ def _level_sums(p: Polytope, i: int) -> _LevelSums:
         for k in range(j, n - 1):
             second[j][k] = second[k][j] = sum(map(mul, column, weighted[k]))
         second[j][-1] = second[-1][j] = sum(map(mul, column, ts))
-    second[-1][-1] = (
-        sum(b * (b + 1) * (2 * b + 1) for b in hi) - sum((a - 1) * a * (2 * a - 1) for a in lo)
-    ) // 6
+    second[-1][-1] = squares
     first = (*map(sum, weighted), sum(ts))
     sums = _LevelSums(sum(counts), first, tuple(map(tuple, second)))
     p.cache[key] = sums
     return sums
+
+
+def _fibre_moments(lo: list[int], hi: list[int]) -> tuple[list[int], list[int], int]:
+    """Per fibre range lo..hi of t, its point count m = hi - lo + 1 and its
+    sum of t, (lo + hi) m / 2; and the sum of t^2 over every fibre, by
+    Faulhaber's F(x) = x (x + 1) (2x + 1) / 6 as F(hi) - F(lo - 1) a fibre.
+    An empty fibre, lo = hi + 1, adds 0 to each."""
+    counts = [b - a + 1 for a, b in zip(lo, hi)]
+    ts = [(a + b) * m // 2 for a, b, m in zip(lo, hi, counts)]
+    squares = (
+        sum(b * (b + 1) * (2 * b + 1) for b in hi) - sum((a - 1) * a * (2 * a - 1) for a in lo)
+    ) // 6
+    return counts, ts, squares
 
 
 def _pl_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], int]:
@@ -143,6 +153,11 @@ def _pl_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], i
     sum F and alpha S_1 + beta S_2 to sum t F, for its m points and the sums
     S_k of t^k (Faulhaber's, as in :func:`_level_sums`); a prefix coordinate
     is constant on the fibre and multiplies its sum F.
+
+    When every piece has one slope beta (every affine f, and the P sample
+    max{0, x_1}), each fibre's max is one line, and its sums alpha m +
+    beta S_1 and alpha S_1 + beta S_2 are taken over all fibres in column
+    passes (:func:`_fibre_moments`), with no walk.
     """
     sign = -1 if isinstance(f, PLFn) and f.mode == CONCAVE else 1
     pieces = [g.scale(sign) for g in (f.pieces if isinstance(f, PLFn) else (f,))]
@@ -157,6 +172,23 @@ def _pl_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], i
             if x:
                 alpha = list(map(add, alpha, map(mul, repeat(x), column)))
         lines[coeffs[-1]] = list(map(max, lines.get(coeffs[-1], alpha), alpha))
+    if len(lines) == 1:
+        [(beta, alphas)] = lines.items()
+        counts, ts, squares = _fibre_moments(lo, hi)
+        totals = list(map(add, map(mul, alphas, counts), map(mul, repeat(beta), ts)))
+        moment = sum(map(mul, alphas, ts)) + beta * squares
+    else:
+        totals, moment = _walk_maxima(lines, lo, hi)
+    first = [sum(map(mul, column, totals)) for column in columns]
+    return sign * sum(totals), [sign * x for x in (*first, moment)], den * i
+
+
+def _walk_maxima(
+    lines: dict[int, list[int]], lo: list[int], hi: list[int]
+) -> tuple[list[int], int]:
+    """Per fibre, sum F of the max of the lines alpha + beta t over lo..hi
+    (``lines`` maps each slope beta, in increasing order, to its alpha per
+    fibre); and sum t F over every fibre.  See :func:`_pl_sums`."""
     totals, moment = [], 0  # sum F per fibre, sum t F
     for line_alphas, start, stop in zip(zip(*lines.values()), lo, hi):
         hull = []  # the max on start..stop: (alpha, beta, the first t where it holds)
@@ -180,8 +212,7 @@ def _pl_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], i
             moment += alpha * s1 + beta * s2
             b = a - 1
         totals.append(total)
-    first = [sum(map(mul, column, totals)) for column in columns]
-    return sign * sum(totals), [sign * x for x in (*first, moment)], den * i
+    return totals, moment
 
 
 def node_bound(p: Polytope, i_max: int) -> int:

@@ -25,10 +25,24 @@ from .errors import SingularMatrix, ValidationError
 RatLike = Union[int, str, Fraction]
 
 
+# An error message quotes at most this many characters of a value.
+QUOTE_LIMIT = 40
+
+
+def quoted(value) -> str:
+    """``repr(value)`` for an error message: its first :data:`QUOTE_LIMIT`
+    characters and its length when it is longer, so that no input can make
+    a message long."""
+    text = repr(value)
+    if len(text) <= QUOTE_LIMIT:
+        return text
+    return f"{text[:QUOTE_LIMIT]}... ({len(text)} characters)"
+
+
 def rat(x: RatLike) -> Fraction:
     """Coerce an int, ``"p/q"`` string or Fraction to an exact rational; a
-    string is a sign, ASCII digits and ``/`` digits with q not 0, or a
-    ValidationError."""
+    string is a sign, ASCII digits and ``/`` digits with q not 0 and each
+    within the interpreter's digit limit, or a ValidationError."""
     if isinstance(x, Fraction):
         return x
     if isinstance(x, bool):
@@ -39,12 +53,16 @@ def rat(x: RatLike) -> Fraction:
         num, slash, den = x.partition("/")
         digits = num[1:] if num[:1] in ("+", "-") else num
         if digits.isascii() and digits.isdigit() and (not slash or den.isascii() and den.isdigit()):
-            q = int(den) if slash else 1
+            try:
+                num, q = int(num), int(den) if slash else 1
+            except ValueError as exc:
+                # past the digit limit; its advice to raise it is not for the user
+                raise ValidationError(f"{quoted(x)}: {str(exc).split(';')[0]}") from None
             if not q:
-                raise ValidationError(f"{x!r} has a zero denominator")
-            return Fraction(int(num), q)
-        raise ValidationError(f"{x!r} is not an integer or p/q rational")
-    raise TypeError(f"cannot interpret {x!r} as an exact rational")
+                raise ValidationError(f"{quoted(x)} has a zero denominator")
+            return Fraction(num, q)
+        raise ValidationError(f"{quoted(x)} is not an integer or p/q rational")
+    raise TypeError(f"cannot interpret {quoted(x)} as an exact rational")
 
 
 def rat_str(x: Fraction) -> str:

@@ -618,6 +618,13 @@ def _orb_text(key, value=None):
             ("tables",), "'lattice_point_sums': level '0' is not a positive int",
         ),
         (
+            "X.json",
+            '{"expected": {"lattice_point_sums": {"' + "1" * 5000 + '": [0, 0]}}, ' + TRIANGLE + "}",
+            ("tables",),
+            "'lattice_point_sums': '" + "1" * 39 + "... (5002 characters): Exceeds the limit "
+            "(4300 digits) for integer string conversion: value has 5000 digits",
+        ),
+        (
             "ORB-530571.json",
             _orb_text("dual_vertices", [[1.5, -1, "1/2"], *ORB["dual_vertices"][1:]]),
             ("tables", "--i-max", "1", "--grid", "0"),
@@ -639,6 +646,7 @@ def _orb_text(key, value=None):
         "notes-not-strings", "name-not-a-string", "expected-not-an-object",
         "polytope-not-an-object", "truncated-index", "expected-value-of-wrong-type",
         "lattice-level-over-budget", "lattice-level-not-a-positive-int",
+        "lattice-level-past-digit-limit",
         "dual-vertex-not-exact", "dual-vertices-missing", "fano-vertex-zero-denominator",
     ],
 )
@@ -649,7 +657,7 @@ def test_malformed_corpus_file_exits_2(tmp_path, monkeypatch, capsys, name, text
     monkeypatch.setenv("TORICSTAB_CORPUS_DIR", str(tmp_path))
     assert main(list(argv)) == 2
     err = capsys.readouterr().err
-    assert err.startswith(f"error: {tmp_path / name}: ") and detail in err
+    assert err.startswith(f"error: {tmp_path / name}: ") and detail in err and "sys." not in err
     code, out = run_cli(*argv, "--format", "json")
     assert code == 2
     error = json.loads(out)["error"]
@@ -696,6 +704,34 @@ def test_unreadable_json_exits_2(tmp_path, monkeypatch, capsys, kind):
         error = json.loads(out)["error"]
         assert (error["type"], error["exit_code"]) == ("ParseError", 2)
         assert error["message"].startswith(f"{name}: ") and detail in error["message"]
+
+
+# Vertex values that an error message must not quote whole: a string of
+# 20,000 characters, a value nested in 900 lists, and a string of 5,000
+# digits, past the interpreter's digit limit; with what the message says.
+LONG_VALUES = {
+    "long-string": (
+        '"' + "1" * 20_000 + 'x"', "(20003 characters) is not an integer or p/q rational"
+    ),
+    "deep-nesting": ("[" * 900 + "]" * 900, "(1800 characters) as an exact rational"),
+    "many-digits": ('"' + "1" * 5000 + '"', "integer string conversion: value has 5000 digits"),
+}
+
+
+@pytest.mark.parametrize("kind", LONG_VALUES)
+def test_long_values_give_short_messages(tmp_path, kind):
+    # A hostile vertex is a parse error (exit 2) whose message quotes a
+    # prefix of the value and its length, and leaves out the interpreter's
+    # advice to raise its digit limit.
+    value, detail = LONG_VALUES[kind]
+    path = tmp_path / "P.json"
+    path.write_text('{"dim": 3, "vertices": [[%s, 0, 0], [1, 0, 0], [0, 1, 0], [0, 0, 1]]}' % value)
+    code, out = run_cli("theta", str(path), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["exit_code"]) == ("ParseError", 2)
+    assert error["message"].startswith("vertex 0: ") and detail in error["message"]
+    assert len(error["message"]) <= 200 and "sys." not in error["message"], error["message"]
 
 
 def test_oversized_grid_is_rejected(monkeypatch):

@@ -1,6 +1,8 @@
 import importlib.util
 import json
 import math
+import operator
+import random
 import subprocess
 import sys
 from fractions import Fraction
@@ -8,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from toricstab import ParseError, ValidationError
+from toricstab import AffineFn, ParseError, Polytope, ValidationError, extremal_affine
 from toricstab import corpus as corpus_mod
 
 
@@ -191,6 +193,12 @@ def test_build_corpus_script_rebuilds_the_shipped_files(tmp_path):
         timeout=600,
     )
     assert run.returncode == 0, f"stdout:\n{run.stdout}\nstderr:\n{run.stderr}"
+    # the candidate pool, before its timing: a screen that changes the pool
+    # fails here even when every entry still pins
+    pool_line = run.stdout.splitlines()[1].split("  (")[0].strip()
+    assert pool_line == (
+        "361 smooth Fano candidates, by ray count {4: 1, 5: 30, 6: 132, 7: 143, 8: 55}"
+    )
     shipped = root / "src" / "toricstab" / "data"
     names = sorted(f.name for f in shipped.iterdir())
     assert len(names) == 20 and "index.json" in names
@@ -228,3 +236,66 @@ def test_builder_rejects_e4_against_a_perturbed_value(builder, corpus_entries, m
     values[1] += Fraction(1, 7)
     monkeypatch.setattr(builder, key, tuple(values))
     assert not builder.pins_ok("E4", rays)
+
+
+def test_builder_screen_is_the_gate_test(builder, corpus_entries):
+    # Every shipped fan passes the screen, with the entry's polytope; a fan
+    # with a repeated ray, a ray that is not primitive, rays that leave 0
+    # outside their hull, a singular fan (P(1, 1, 1, 2)) or a smooth fan
+    # that is not Fano (F2 x P1, whose ray (0, 1, 0) is no facet) does not.
+    fans = [e for e in corpus_entries.values() if e.rays is not None]
+    assert len(fans) == 18
+    for entry in fans:
+        assert builder.smooth_fano_polytope(entry.rays) == entry.polytope, entry.name
+    basis = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    for rays in (
+        [*basis, (-1, -1, -1), (1, 0, 0)],
+        [(2, 0, 0), (0, 1, 0), (0, 0, 1), (-1, -1, -1)],
+        basis,
+        [*basis, (-1, -1, -2)],
+        [(1, 0, 0), (0, 1, 0), (-1, 2, 0), (0, -1, 0), (0, 0, 1), (0, 0, -1)],
+    ):
+        assert builder.smooth_fano_polytope(rays) is None, rays
+
+
+def _invariants(p):
+    """The vertex and facet counts, the volume, the sorted vertex counts of
+    the facets and whether theta is 0: unchanged by GL(3, Z) and by
+    translations."""
+    return (
+        len(p.vertices),
+        len(p.halfspaces),
+        p.volume(),
+        tuple(sorted(mask.bit_count() for mask in p.incidence)),
+        extremal_affine(p).theta == AffineFn.zero(p.dim),
+    )
+
+
+def _random_unimodular(rng, n=3, steps=6):
+    """A product of random elementary integer matrices, as rows."""
+    m = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(steps):
+        r, c = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[r] = [x + k * y for x, y in zip(m[r], m[c])]
+    return m
+
+
+def test_smooth_fano_entries_are_pairwise_distinct(corpus_entries):
+    # The 18 smooth Fano entries are 18 varieties: a tuple that a seeded
+    # unimodular map and translation keep differs for every pair.  Without
+    # theta's flag B3/B4, C3/C4 and F1/F2 would collide.
+    rng = random.Random(18)
+    keys = {}
+    for entry in corpus_entries.values():
+        if entry.rays is None:
+            continue
+        p = entry.polytope
+        m = _random_unimodular(rng)
+        shift = [rng.randint(-3, 3) for _ in range(3)]
+        image = Polytope.from_vertices(
+            [[sum(map(operator.mul, row, v)) + s for row, s in zip(m, shift)] for v in p.vertices]
+        )
+        keys[entry.name] = _invariants(p)
+        assert _invariants(image) == keys[entry.name], entry.name
+    assert len(keys) == 18 and len(set(keys.values())) == 18, keys
