@@ -53,10 +53,13 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
     With both, the polytope is built from the half-spaces.  A vertex list
     that, deduplicated and sorted, is its vertices passes with no second
     hull; any other is hulled and must give the same vertices.  A declared
-    ``dim`` must be an int, checked against P only with one representation.
+    ``dim`` must be an int, checked against P only with one representation,
+    and a ``name`` a string (or null, as an unnamed polytope is written).
     """
     if not isinstance(data, dict):
         raise ParseError("polytope document must be a JSON object")
+    if data.get("name") is not None and not isinstance(data["name"], str):
+        raise ParseError(f"the name must be a string, got {type(data['name']).__name__}")
     name = data.get("name") or name
     hs_doc = data.get("halfspaces")
     v_doc = data.get("vertices")
@@ -70,8 +73,10 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
             raw = []
             for k, item in enumerate(hs_doc):
                 try:
+                    if not isinstance(item, dict) or not item.keys() >= {"normal", "rhs"}:
+                        raise TypeError('a half-space is an object with "normal" and "rhs"')
                     raw.append((tuple(_json_list(item["normal"], "normal")), rat(item["rhs"])))
-                except (KeyError, TypeError, ValueError, ValidationError) as exc:
+                except (TypeError, ValueError, ValidationError) as exc:
                     raise ParseError(f"halfspace {k}: {exc}") from exc
             built_h = Polytope.from_halfspaces(raw, name)
         if v_doc:

@@ -1,4 +1,10 @@
-"""Lattice point enumeration in dilations and Ehrhart polynomial reconstruction."""
+"""Lattice point enumeration in dilations and Ehrhart polynomial reconstruction.
+
+A level of iP is walked along fibres parallel to the axis x_k of least
+shadow (:func:`_order`): by Cauchy's projection formula, about i^(n-1) A_k / 2
+fibres, A_k = sum_F |l_{F,k}| sigma(F) over P's facets in their lattice
+measure.  Every result is mapped back to P's coordinates.
+"""
 
 from __future__ import annotations
 
@@ -7,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from itertools import chain, repeat
 from operator import add, floordiv, mul, neg, sub
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 from .errors import DegreeMismatch, NotLatticePolytope, ValidationError
 from .linalg import _over_common_denominator, rat_str
@@ -18,10 +24,10 @@ from .univariate import interpolate_poly, poly_eval
 
 def lattice_points(p: Polytope, i: int) -> list[tuple[int, ...]]:
     """All integer points of the dilation ``i * P``, sorted lexicographically:
-    the fibre ranges of :func:`_ranges`, expanded."""
+    the fibre ranges of :func:`_ranges`, expanded into P's coordinates."""
     key = ("lattice_points", i)
     if key not in p.cache:
-        p.cache[key] = list(zip(*_expand(*_ranges(p, i))))
+        p.cache[key] = sorted(zip(*_to_p(_expand(*_ranges(p, i)), _order(p))))
     return p.cache[key]
 
 
@@ -36,15 +42,18 @@ def _expand(columns, lo, hi) -> list[list[int]]:
 
 
 def _ranges(p: Polytope, i: int) -> tuple[list[list[int]], list[int], list[int]]:
-    """The fibres of ``i * P`` along its last coordinate as (columns, lo, hi):
-    the prefixes z_1..z_{n-1} of its integer points, in lexicographic order,
+    """The fibres of ``i * P`` along its last walk coordinate as (columns, lo,
+    hi), in the walk coordinates z_k = x_{order[k]} of :func:`_order`: the
+    prefixes z_1..z_{n-1} of its integer points, in lexicographic order,
     with ``columns[j]`` holding coordinate j + 1 of each, and per prefix the
     exact integer range lo..hi of z_n.  P's cache keeps the last level
-    walked only, since every caller reads a level's sums in a row.
+    walked only, since every caller reads a level's sums in a row.  There is
+    a range per lattice point of iP's shadow along z_n, the least of the
+    axes' (on C1 x_2, not x_3: ``tables`` walks 36% fewer than along x_n).
 
     The prefixes grow one coordinate at a time, all of one length at once.
     For k = 1..n, the facets of proj_k(P) (the hull of the vertices' first k
-    coordinates; proj_n is P) bound x_k given x_1..x_{k-1}, so every prefix
+    coordinates; proj_n is P) bound z_k given z_1..z_{k-1}, so every prefix
     of a point of iP gets the exact integer range of its next coordinate
     and no empty cell of the bounding box is visited.  A row
     ``<a, prefix> + c*t <= i*rhs``, cleared of denominators, makes the
@@ -102,13 +111,13 @@ def _level_sums(p: Polytope, i: int) -> _LevelSums:
     points, with sum t = (lo + hi) m / 2 and, by Faulhaber's formula with
     F(x) = x (x + 1) (2x + 1) / 6 (F(x) - F(x - 1) = x^2 for every integer
     x), sum t^2 = F(hi) - F(lo - 1) (:func:`_fibre_moments`); every other
-    coordinate is constant on the fibre.
+    coordinate is constant on the fibre.  All are mapped back to P's axes.
     """
     key = ("level_sums", i)
     if key in p.cache:
         return p.cache[key]
     columns, lo, hi = _ranges(p, i)
-    n = p.dim
+    n, order = p.dim, _order(p)
     counts, ts, squares = _fibre_moments(lo, hi)
     # each prefix column times the counts: the weights of sum z_j z_k, j, k < n
     weighted = [list(map(mul, column, counts)) for column in columns]
@@ -118,8 +127,9 @@ def _level_sums(p: Polytope, i: int) -> _LevelSums:
             second[j][k] = second[k][j] = sum(map(mul, column, weighted[k]))
         second[j][-1] = second[-1][j] = sum(map(mul, column, ts))
     second[-1][-1] = squares
-    first = (*map(sum, weighted), sum(ts))
-    sums = _LevelSums(sum(counts), first, tuple(map(tuple, second)))
+    first = _to_p([*map(sum, weighted), sum(ts)], order)
+    second = [tuple(_to_p(row, order)) for row in _to_p(second, order)]
+    sums = _LevelSums(sum(counts), tuple(first), tuple(second))
     p.cache[key] = sums
     return sums
 
@@ -127,13 +137,14 @@ def _level_sums(p: Polytope, i: int) -> _LevelSums:
 def _fibre_moments(lo: list[int], hi: list[int]) -> tuple[list[int], list[int], int]:
     """Per fibre range lo..hi of t, its point count m = hi - lo + 1 and its
     sum of t, (lo + hi) m / 2; and the sum of t^2 over every fibre, by
-    Faulhaber's F(x) = x (x + 1) (2x + 1) / 6 as F(hi) - F(lo - 1) a fibre.
-    An empty fibre, lo = hi + 1, adds 0 to each."""
-    counts = [b - a + 1 for a, b in zip(lo, hi)]
-    ts = [(a + b) * m // 2 for a, b, m in zip(lo, hi, counts)]
-    squares = (
-        sum(b * (b + 1) * (2 * b + 1) for b in hi) - sum((a - 1) * a * (2 * a - 1) for a in lo)
-    ) // 6
+    Faulhaber's F(x) = x (x + 1) (2x + 1) / 6 as F(hi) - F(lo - 1) a fibre,
+    2 (hi^3 - lo^3) + 3 (hi^2 + lo^2) + hi - lo over 6, summed a power at a
+    time.  An empty fibre, lo = hi + 1, adds 0 to each."""
+    counts = list(map(sub, hi, map(sub, lo, repeat(1))))
+    ts = list(map(floordiv, map(mul, map(add, lo, hi), counts), repeat(2)))
+    hi2, lo2 = list(map(mul, hi, hi)), list(map(mul, lo, lo))
+    cubes = sum(map(mul, hi2, hi)) - sum(map(mul, lo2, lo))
+    squares = (2 * cubes + 3 * (sum(hi2) + sum(lo2)) + sum(hi) - sum(lo)) // 6
     return counts, ts, squares
 
 
@@ -158,12 +169,14 @@ def _pl_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], i
     max{0, x_1}), each fibre's max is one line, and its sums alpha m +
     beta S_1 and alpha S_1 + beta S_2 are taken over all fibres in column
     passes (:func:`_fibre_moments`), with no walk.
+    Each piece is read in the walk coordinates, and sum z F mapped back.
     """
     sign = -1 if isinstance(f, PLFn) and f.mode == CONCAVE else 1
     pieces = [g.scale(sign) for g in (f.pieces if isinstance(f, PLFn) else (f,))]
     if any(len(g.a) != p.dim for g in pieces):
         raise ValidationError(f"a function of the wrong dimension at {p.dim}-dimensional nodes")
-    den, rows = _over_common_denominator([(*g.a, g.c) for g in pieces])
+    order = _order(p)
+    den, rows = _over_common_denominator([(*(g.a[k] for k in order), g.c) for g in pieces])
     columns, lo, hi = _ranges(p, i)
     lines: dict[int, list[int]] = {}  # per slope, increasing: the highest alpha per fibre
     for *coeffs, c in sorted(rows, key=lambda row: row[-2]):
@@ -180,7 +193,7 @@ def _pl_sums(p: Polytope, f: AffineFn | PLFn, i: int) -> tuple[int, list[int], i
     else:
         totals, moment = _walk_maxima(lines, lo, hi)
     first = [sum(map(mul, column, totals)) for column in columns]
-    return sign * sum(totals), [sign * x for x in (*first, moment)], den * i
+    return sign * sum(totals), [sign * x for x in _to_p([*first, moment], order)], den * i
 
 
 def _walk_maxima(
@@ -243,9 +256,9 @@ def node_bound(p: Polytope, i_max: int) -> int:
 # ranges at about 1-10 us a fibre, and a level has no more fibres than
 # nodes.  chow to the top level that fits (wall time and ru_maxrss, Python
 # 3.11 on a 2-core x86-64 host, where the interpreter and corpus alone take
-# about 18 MiB): E4 to 30, 34,750 fibres, 0.2 s, 18 MiB; CP3 to 26, 51,740,
-# 0.4 s, 18 MiB; B1 to 27, 89,487, 0.6 s, 19 MiB; C1 to 28, 257,026, 1.7 s,
-# 24 MiB, most of the rest the ranges of the top level, the one level that
+# about 17 MiB): E4 to 30, 34,750 fibres, 0.15 s, 17 MiB; CP3 to 26, 51,740,
+# 0.3 s, 18 MiB; B1 to 27, 43,497, 0.3 s, 18 MiB; C1 to 28, 95,844, 0.7 s,
+# 19 MiB, most of the rest the ranges of the top level, the one level that
 # :func:`_ranges` keeps.  Every corpus entry fits the defaults with room.
 MAX_LEVEL_NODES = 2_000_000
 
@@ -265,31 +278,54 @@ def check_levels(i_max: int, *polytopes: Polytope) -> None:
             )
 
 
+def _order(p: Polytope) -> tuple[int, ...]:
+    """The walk order z_k = x_{order[k]} of P's axes: by decreasing shadow
+    A_k = sum_F |l_{F,k}| sigma(F), ties by index, with sigma(F) the mass /
+    base of facet F's moment record, compared in integers over their lcm."""
+    key = "lattice_order"
+    if key not in p.cache:
+        order = range(p.dim)
+        records = [p.facet_moments(f) for f in range(len(p.halfspaces))]
+        lcm = math.lcm(*(m.base for m in records))
+        sigma = [m.mass * (lcm // m.base) for m in records]
+        shadow = [sum(abs(h.normal[k]) * s for h, s in zip(p.halfspaces, sigma)) for k in order]
+        p.cache[key] = tuple(sorted(order, key=lambda k: -shadow[k]))
+    return p.cache[key]
+
+
+def _to_p(values: Sequence, order: tuple[int, ...]) -> list:
+    """A vector in the walk coordinates of ``order`` back in P's."""
+    return [values[order.index(j)] for j in range(len(order))]
+
+
 def _projections(p: Polytope) -> tuple[tuple[HalfSpace, ...], ...]:
-    """Per k = 1..n, the facets of proj_k(P) whose normal has a non-zero k-th
-    coordinate; the others only restate a bound of proj_{k-1}(P).  proj_1(P)
-    is the interval of the first coordinates, read off the vertices, and
-    proj_{n-1}(P) is read off the facets of P (:func:`_shadow`); only the
-    projections between them are hulled."""
+    """Per k = 1..n, the facets of proj_k(P) in the walk coordinates whose
+    normal has a non-zero k-th coordinate; the others only restate a bound
+    of proj_{k-1}(P).  proj_1(P) is the interval of the first coordinates,
+    read off the vertices, and proj_{n-1}(P) is read off the facets of P
+    (:func:`_shadow`); only the projections between them are hulled."""
     key = "lattice_projections"
     if key not in p.cache:
-        n = p.dim
-        first = [v[0] for v in p.vertices]
+        n, order = p.dim, _order(p)
+        walk = [HalfSpace(tuple(h.normal[k] for k in order), h.rhs) for h in p.halfspaces]
+        first = [v[order[0]] for v in p.vertices]
         rows = [(HalfSpace((1,), max(first)), HalfSpace((-1,), -min(first)))]
         for k in range(2, n + 1):
             if k == n:
-                facets = p.halfspaces
+                facets = walk
             elif k == n - 1:
-                facets = _shadow(p)
+                facets = _shadow(walk, p.incidence)
             else:
-                facets = Polytope.from_vertices([v[:k] for v in p.vertices]).halfspaces
+                prefixes = [[v[j] for j in order[:k]] for v in p.vertices]
+                facets = Polytope.from_vertices(prefixes).halfspaces
             rows.append(tuple(h for h in facets if h.normal[-1] != 0))
         p.cache[key] = tuple(rows)
     return p.cache[key]
 
 
-def _shadow(p: Polytope) -> list[HalfSpace]:
-    """The facets of proj_{n-1}(P), the shadow of P along x_n, for n >= 2.
+def _shadow(facets: Sequence[HalfSpace], incidence: Sequence[int]) -> list[HalfSpace]:
+    """The facets of proj_{n-1}(P), the shadow of P along x_n, for n >= 2,
+    from P's facets and incidence (in the walk, in the walk coordinates).
 
     The facet with normal a is the image of the face of P where (a, 0).x is
     largest, which is not parallel to x_n and has dimension n - 2 or more:
@@ -300,7 +336,6 @@ def _shadow(p: Polytope) -> list[HalfSpace]:
     third facet holds it, since a face of dimension d lies in n - d facets
     or more; the incidence masks decide it.
     """
-    facets, incidence = p.halfspaces, p.incidence
     shadow = [HalfSpace(h.normal[:-1], h.rhs) for h in facets if h.normal[-1] == 0]
     for f, mask_f in zip(facets, incidence):
         for g, mask_g in zip(facets, incidence):

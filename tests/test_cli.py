@@ -164,6 +164,40 @@ def test_string_row_is_a_parse_error(tmp_path, doc, message):
     assert (error["type"], error["message"]) == ("ParseError", message)
 
 
+HALFSPACE_SHAPE = 'halfspace 0: a half-space is an object with "normal" and "rhs"'
+
+
+@pytest.mark.parametrize(
+    "doc, message",
+    [
+        ({**UNIT_TRIANGLE, "name": {"a": 1}}, "the name must be a string, got dict"),
+        ({**UNIT_TRIANGLE, "name": [[["x"]]]}, "the name must be a string, got list"),
+        ({"halfspaces": [["1", 1]]}, HALFSPACE_SHAPE),
+        ({"halfspaces": [{"rhs": 1}]}, HALFSPACE_SHAPE),
+    ],
+    ids=["name-object", "name-nested-list", "halfspace-list", "halfspace-without-normal"],
+)
+def test_polytope_file_of_the_wrong_shape_is_a_parse_error(tmp_path, doc, message):
+    # A polytope file's name of another JSON type than a string used to be
+    # echoed (theta printed the object, exit 0), and a half-space that is
+    # not an object with a normal and a rhs read as Python's own error text.
+    path = tmp_path / "shape.json"
+    path.write_text(json.dumps(doc))
+    code, out = run_cli("theta", str(path), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == ("ParseError", message)
+
+
+def test_polytope_file_with_a_null_name_takes_the_file_name(tmp_path):
+    # an unnamed polytope is written with "name": null
+    path = tmp_path / "unnamed.json"
+    path.write_text(json.dumps({**UNIT_TRIANGLE, "name": None}))
+    code, out = run_cli("theta", str(path), "--format", "json")
+    assert code == 0
+    assert json.loads(out)["name"] == "unnamed"
+
+
 def test_validation_error_exit_2(tmp_path):
     flat = tmp_path / "flat.json"
     flat.write_text(

@@ -1,18 +1,22 @@
 import hashlib
+import io
 import random
+from contextlib import redirect_stdout
 from fractions import Fraction as F
+from itertools import permutations
 
 import pytest
 
 from toricstab import (
+    HalfSpace,
     NotLatticePolytope,
     Polytope,
     ValidationError,
     ehrhart,
 )
-from toricstab import lattice, stability
+from toricstab import cli, lattice, stability
 from toricstab.lattice import lattice_points, refined_points
-from toricstab.plfun import PLFn
+from toricstab.plfun import AffineFn, PLFn
 
 import oracles
 
@@ -176,15 +180,103 @@ def test_projections_built_once_per_polytope(corpus_entries, monkeypatch):
 
 
 def test_shadow_matches_the_hull_of_the_projection(corpus_entries):
-    # proj_{n-1}(P) from the facets and ridges of P against the hull of the
-    # projected vertices
+    # proj_{n-1}(P) along the walk's fibre axis, from the facets and ridges
+    # of P, against the hull of the vertices projected along that axis, in
+    # the walk coordinates; and along x_n, the identity order
     rng = random.Random(1997)
     polytopes = [entry.polytope for entry in corpus_entries.values()]
     polytopes += [oracles.random_polytope(rng, dim) for dim in (3, 4, 5) for _ in range(8)]
     for p in polytopes:
-        k = p.dim - 1
-        hull = Polytope.from_vertices([v[:k] for v in p.vertices])
-        assert sorted(lattice._shadow(p)) == sorted(hull.halfspaces)
+        for order in (lattice._order(p), tuple(range(p.dim))):
+            walk = [HalfSpace(tuple(h.normal[k] for k in order), h.rhs) for h in p.halfspaces]
+            hull = Polytope.from_vertices([[v[k] for k in order[:-1]] for v in p.vertices])
+            assert sorted(lattice._shadow(walk, p.incidence)) == sorted(hull.halfspaces), order
+
+
+def permuted(p, perm):
+    """The image of P under x -> (x_perm[0], ..., x_perm[n-1]), built from its
+    permuted normals."""
+    return Polytope.from_halfspaces([([h.normal[k] for k in perm], h.rhs) for h in p.halfspaces])
+
+
+def permuted_pl(f, perm):
+    return PLFn(tuple(AffineFn.make([g.a[k] for k in perm], g.c) for g in f.pieces), f.mode)
+
+
+def assert_walk_is_equivariant(p, levels, rng):
+    # Each permutation's image walks in its own order; its level sums, PL
+    # sums (of g and of a random convex function) and points are P's own,
+    # mapped by the permutation.
+    f = oracles.random_convex_pl(rng, p.dim)
+    g = stability.facet_distance_pl(p)
+    want = {}
+    for i in levels:
+        count, first, second = lattice._level_sums(p, i)
+        want[i] = (
+            count, first, second, lattice._pl_sums(p, g, i), lattice._pl_sums(p, f, i),
+            lattice_points(p, i),
+        )
+    for perm in permutations(range(p.dim)):
+        q = permuted(p, perm)
+        for i in levels:
+            count, first, second, sums_g, sums_f, points = want[i]
+            assert tuple(lattice._level_sums(q, i)) == (
+                count,
+                tuple(first[k] for k in perm),
+                tuple(tuple(second[j][k] for k in perm) for j in perm),
+            ), (p.name, perm, i)
+            for fq, (total, moment, den) in (
+                (stability.facet_distance_pl(q), sums_g), (permuted_pl(f, perm), sums_f)
+            ):
+                assert lattice._pl_sums(q, fq, i) == (total, [moment[k] for k in perm], den), (
+                    p.name, perm, i, fq
+                )
+            assert lattice_points(q, i) == sorted(tuple(z[k] for k in perm) for z in points)
+
+
+def test_walk_is_equivariant_under_coordinate_permutations(corpus_entries):
+    rng = random.Random(35)
+    for entry in corpus_entries.values():
+        assert_walk_is_equivariant(entry.polytope, (1, 2, 3), rng)
+    # off the corpus: a rational polygon, and a 4D polytope whose middle
+    # projection proj_2 is hulled; no two of their axes tie, so their images
+    # walk in every order
+    rng = random.Random(35)
+    square = oracles.random_polytope(rng, 2, num=5, den=3)
+    solid = oracles.random_polytope(rng, 4, num=2, den=1)
+    assert not square.is_lattice()
+    for p in (square, solid):
+        orders = set(permutations(range(p.dim)))
+        assert {lattice._order(permuted(p, perm)) for perm in orders} == orders
+        assert_walk_is_equivariant(p, (1, 2, 3), rng)
+
+
+def test_tables_walks_each_level_along_the_least_shadow(corpus_entries, monkeypatch):
+    # A level costs one fibre per lattice point of iP's shadow along the
+    # fibre axis, whose measure is i^(n-1) A_k / 2 for the fibres along x_k
+    # (Cauchy).  On C1 the A_k are 40, 24 and 66, so its fibres run along x_2.
+    c1 = corpus_entries["C1"].polytope
+    shadows = [
+        sum(abs(h.normal[k]) * c1.facet_moments(f).measure for f, h in enumerate(c1.halfspaces))
+        for k in range(3)
+    ]
+    assert shadows == [40, 24, 66]
+    assert lattice._order(c1) == (2, 0, 1)
+    walked = []
+    ranges = lattice._ranges
+
+    def counted(p, i):
+        fresh = p.cache.get("lattice_ranges", (None,))[0] != i
+        out = ranges(p, i)
+        if fresh:
+            walked.append(len(out[1]))
+        return out
+
+    monkeypatch.setattr(lattice, "_ranges", counted)
+    with redirect_stdout(io.StringIO()):
+        assert cli.main(["tables", "--i-max", "3", "--grid", "0"]) == 0
+    # 53 levels; along x_n they would take 4,474
+    assert (len(walked), sum(walked)) == (53, 2853)
 
 
 def test_corpus_lattice_points_unchanged(corpus_entries):
