@@ -61,8 +61,13 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
     if data.get("name") is not None and not isinstance(data["name"], str):
         raise ParseError(f"the name must be a string, got {type(data['name']).__name__}")
     name = data.get("name") or name
-    hs_doc = data.get("halfspaces")
-    v_doc = data.get("vertices")
+    try:
+        hs_doc, v_doc = (
+            [] if data.get(key) is None else _json_list(data[key], key)
+            for key in ("halfspaces", "vertices")
+        )
+    except TypeError as exc:
+        raise ParseError(str(exc)) from exc
     if not hs_doc and not v_doc:
         raise ParseError("polytope needs 'halfspaces' or 'vertices'")
     if "dim" in data and type(data["dim"]) is not int:  # bool is an int subclass

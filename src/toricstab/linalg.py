@@ -4,13 +4,13 @@ Everything downstream works over ``fractions.Fraction`` (arbitrary precision,
 always in lowest terms, positive denominator), so no rounding can occur
 anywhere in the library.
 
-One elimination routine serves ``determinant``, ``rank``, ``nullvector``,
-``solve_linear`` and the greedy choice of independent rows (an integer
+One elimination routine serves ``determinant``, ``rank``, the one solve
+(:func:`_solve`) and the greedy choice of independent rows (an integer
 determinant up to 3 x 3 expands by cofactors instead): fraction-free
 (Bareiss) elimination on rows cleared to integers, whose every division is
-exact, so no ``Fraction`` is built until a result is read off the echelon
-form.  ``nullvector`` reads its result off the integer rows too, with no
-``Fraction`` at all.  Denominators are cleared in one place, over a matrix
+exact.  The solve reads d m^-1 C off one elimination of [m | C] by one back
+substitution in integers, so ``solve_linear`` builds no ``Fraction`` until
+it divides by d.  Denominators are cleared in one place, over a matrix
 (:func:`_over_common_denominator`) or one row (:func:`_integer_row`).
 """
 
@@ -20,7 +20,7 @@ import math
 from fractions import Fraction
 from typing import Optional, Sequence, Union
 
-from .errors import SingularMatrix, ValidationError
+from .errors import InternalInvariant, SingularMatrix, ValidationError
 
 RatLike = Union[int, str, Fraction]
 
@@ -160,24 +160,46 @@ def determinant(m: Sequence[Sequence[Fraction]]) -> Fraction:
     return Fraction(sign * last, scale)
 
 
+def _solve(m: Sequence[Sequence], columns: Sequence[Sequence]) -> Optional[tuple[int, list]]:
+    """(d, X) with d > 0 and X[k] = d m^-1 columns[k] integer vectors, for
+    the square ``m``; ``None`` when ``m`` is singular.  One elimination of
+    [m | C] and one back substitution in integers: d, the last pivot made
+    positive (1 for the 0 x 0 system), is the determinant of the rows
+    cleared to integers up to sign, so by Cramer's rule d x = adj(m) c there
+    and every division is exact."""
+    n = len(m)
+    echelon, pivots, _, _ = _eliminate([[*row, *rhs] for row, *rhs in zip(m, *columns)])
+    if pivots[:n] != list(range(n)):
+        return None
+    d = abs(echelon[-1][n - 1]) if n else 1
+    solutions = []
+    for j in range(n, n + len(columns)):
+        x = [0] * n
+        for k in range(n - 1, -1, -1):
+            row = echelon[k]
+            rest = sum(row[i] * x[i] for i in range(k + 1, n))
+            x[k], rem = divmod(d * row[j] - rest, row[k])
+            if rem:
+                raise InternalInvariant("a back substitution step does not divide exactly")
+        solutions.append(x)
+    return d, solutions
+
+
 def solve_linear(
     m: Sequence[Sequence[Fraction]], b: Sequence[Fraction]
 ) -> tuple[Fraction, ...]:
-    """Solve the square system ``m x = b`` exactly.
+    """Solve the square system ``m x = b`` exactly, as X / d off :func:`_solve`.
 
     Raises :class:`SingularMatrix` when the matrix is not invertible.
     """
     n = len(m)
     if any(len(row) != n for row in m) or len(b) != n:
         raise ValueError("solve_linear expects a square system")
-    echelon, pivots, _, _ = _eliminate([list(row) + [y] for row, y in zip(m, b)])
-    if pivots[:n] != list(range(n)):
+    solved = _solve(m, [b])
+    if solved is None:
         raise SingularMatrix("the matrix is not invertible")
-    x = [Fraction(0)] * n
-    for k in range(n - 1, -1, -1):
-        row = echelon[k]
-        x[k] = (row[n] - sum((row[j] * x[j] for j in range(k + 1, n)), Fraction(0))) / row[k]
-    return tuple(x)
+    d, (x,) = solved
+    return tuple(Fraction(v, d) for v in x)
 
 
 def rank(rows: Sequence[Sequence]) -> int:
@@ -190,32 +212,6 @@ def _independent_rows(rows: Sequence[Sequence]) -> list[int]:
     the greedy left-to-right basis of their span: the pivot columns of one
     elimination of the transpose."""
     return _eliminate(list(zip(*rows)))[1]
-
-
-def nullvector(rows: Sequence[Sequence], dim: int) -> Optional[tuple[int, ...]]:
-    """The primitive integer vector orthogonal to every row of length ``dim``,
-    with its free coordinate positive, when the nullity is 1; else ``None``."""
-    echelon, pivots, _, _ = _eliminate(rows)
-    if len(pivots) != dim - 1:
-        return None
-    free = next(c for c in range(dim) if c not in pivots)
-    # Back substitution on the integer rows keeps ``sol`` a positive multiple
-    # of the solution with sol[free] = 1: where the pivot does not divide,
-    # the partial solution is scaled by |pivot| instead.
-    sol = [0] * dim
-    sol[free] = 1
-    for row, col in zip(reversed(echelon), reversed(pivots)):
-        num = -sum(row[j] * sol[j] for j in range(col + 1, dim))
-        piv = row[col]
-        if piv < 0:
-            num, piv = -num, -piv
-        q, rem = divmod(num, piv)
-        if rem:
-            sol = [x * piv for x in sol]
-            q = num
-        sol[col] = q
-    g = math.gcd(*sol)
-    return tuple(x // g for x in sol)
 
 
 def _primitive_ints(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:

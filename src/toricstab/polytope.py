@@ -7,18 +7,20 @@ incidence: one int bitmask per facet, bit j set when vertex j lies on it.
 The kernel computes on the rows; the rational vertices are built when read.
 
 Both directions of the hull run one double-description core,
-:func:`_extreme_rays`: a pointed cone is built one constraint at a time on
-exact primitive integer rays, one :func:`_dd_step` each, and two rays are
-adjacent when the bitmasks of the constraints tight on them (their zero
-sets) meet in a set that no third zero set contains.  Half-spaces give the
-vertices as the rays of their homogenized cone; points give the facets as
-the rays of the cone of half-spaces that hold them all.  Either way the
-final zero sets are the incidence.  A cut by one more half-space is the same
-step on the cone over the vertices, the rays (r, den) of the rows, so the
-incidence is carried through every cut rather than recomputed and the cut
-is compared with the vertices in integers.  A facet is a half-space whose
-tight set lies in no other's, and a vertex is a point whose set of facets
-lies in no other point's.
+:func:`_extreme_rays`: a pointed cone starts simplicial, its rays read off
+one integer inverse of a basis (two eliminations per hull), and is built one
+constraint at a time on exact primitive integer rays, one :func:`_dd_step`
+each.  Two rays are adjacent when the bitmasks of the constraints tight on
+them (their zero sets) meet in a set that no third zero set contains.
+Half-spaces give the vertices as the rays of their homogenized cone; points
+give the facets as the rays of the cone of half-spaces that hold them all.
+Either way the final zero sets are the incidence, and half-spaces whose
+vertices' zero sets meet bound no interior.  A cut by one more half-space is
+the same step on the cone over the vertices, the rays (r, den) of the rows,
+so the incidence is carried through every cut rather than recomputed and the
+cut is compared with the vertices in integers.  A facet is a half-space
+whose tight set lies in no other's, and a vertex is a point whose set of
+facets lies in no other point's.
 
 Faces are vertex bitmasks too.  The facets of a k-face F are the maximal proper
 sets F & incidence[j] with at least k vertices, and the triangulation of F
@@ -57,8 +59,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from operator import mul
+from functools import cached_property, reduce
+from operator import and_, mul
 from typing import Optional, Sequence
 
 from .errors import (
@@ -72,11 +74,10 @@ from .linalg import (
     _independent_rows,
     _over_common_denominator,
     _primitive_ints,
+    _solve,
     determinant,
-    nullvector,
     rank,
     rat,
-    solve_linear,
     vec,
 )
 
@@ -202,8 +203,9 @@ def _vertices(hs, dim):
             raise Unbounded(f"recession ray {y[:dim]}")
     if not rays:
         raise Empty("no feasible vertex")
-    # The affine rank of the points is the rank of their rays (y, t) less 1.
-    if rank(rays) < dim + 1:
+    # A half-space tight on every vertex is an implicit equality (Schrijver,
+    # 1986); with none, some point is strict in every half-space.
+    if reduce(and_, zero_sets):
         raise NotFullDimensional("feasible set has empty interior")
     return _vertex_rows(rays, [z >> 1 for z in zero_sets], dim)
 
@@ -250,23 +252,20 @@ def _extreme_rays(rows, dim) -> Optional[tuple[list[tuple[int, ...]], list[int]]
 
     The double-description method (Fukuda & Prodon, "Double description
     method revisited", 1996) on integer rows: the cone starts simplicial on
-    the first ``dim`` independent rows, and each further row is one
-    :func:`_dd_step`.
+    the first ``dim`` independent rows B, and each further row is one
+    :func:`_dd_step`.  Start ray k is -X[k] made primitive for B X = d I
+    (:func:`_solve`): row k of B is -d on it, every other row 0.
     """
     basis = _independent_rows(rows)
     if len(basis) < dim:
         return None
-    rays, zero_sets = [], []
-    for k in basis:
-        others = [rows[b] for b in basis if b != k]
-        ray = nullvector(others, dim)
-        if sum(map(mul, rows[k], ray)) > 0:
-            ray = tuple(-c for c in ray)
-        rays.append(ray)
-        zero_sets.append(sum(1 << b for b in basis if b != k))
-    chosen = set(basis)
+    identity = [[int(j == k) for j in range(dim)] for k in range(dim)]
+    _, columns = _solve([rows[b] for b in basis], identity)
+    start = sum(1 << b for b in basis)
+    rays = [_primitive_ints([-c for c in column])[0] for column in columns]
+    zero_sets = [start ^ 1 << b for b in basis]
     for r, row in enumerate(rows):
-        if r in chosen:
+        if start >> r & 1:
             continue
         vals = [sum(map(mul, row, y)) for y in rays]
         keep, new_rays, zero_sets = _dd_step(rays, zero_sets, vals, 1 << r, dim)
@@ -751,12 +750,10 @@ def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
     basis = _independent_rows(rows)
     # Row i of M solves <b_k, x> = w_k[i] for the basis rows b_k and their
     # images w_k, so M[i][c] is row c of basis^-1 dotted with those w_k[i];
-    # ``inverse`` is basis^-1 times ``scale``, in integers.
-    columns = [
-        solve_linear([rows[b] for b in basis], [int(j == k) for j in range(n)])
-        for k in range(n)
-    ]
-    scale, inverse = _over_common_denominator(list(zip(*columns)))
+    # ``inverse`` is basis^-1 times ``scale``, in integers (:func:`_solve`).
+    identity = [[int(j == k) for j in range(n)] for k in range(n)]
+    scale, columns = _solve([rows[b] for b in basis], identity)
+    inverse = list(zip(*columns))
     vertex_set = set(rows)
     found = []
     images: list[int] = []

@@ -39,7 +39,6 @@ from toricstab.lattice import lattice_points, refined_points
 from toricstab.linalg import (
     AnyS,
     dot,
-    nullvector,
     rank,
     rat,
     solve_linear,
@@ -622,7 +621,7 @@ def brute_vertices(halfspaces, dim: int) -> list:
     if rank(normals) < dim:
         raise Unbounded("facet normals do not span the space")
     for subset in combinations(range(len(hs)), dim - 1):
-        d = nullvector([normals[i] for i in subset], dim)
+        d = fraction_nullvector([normals[i] for i in subset], dim)
         if d is None:
             continue
         for ray in (d, tuple(-x for x in d)):

@@ -174,13 +174,28 @@ HALFSPACE_SHAPE = 'halfspace 0: a half-space is an object with "normal" and "rhs
         ({**UNIT_TRIANGLE, "name": [[["x"]]]}, "the name must be a string, got list"),
         ({"halfspaces": [["1", 1]]}, HALFSPACE_SHAPE),
         ({"halfspaces": [{"rhs": 1}]}, HALFSPACE_SHAPE),
+        ({"halfspaces": 5}, "the halfspaces must be a list, got int"),
+        ({"vertices": 7}, "the vertices must be a list, got int"),
+        ({"halfspaces": {"a": 1}}, "the halfspaces must be a list, got dict"),
+        ({"vertices": "0110"}, "the vertices must be a list, got str"),
+        ({**UNIT_TRIANGLE, "halfspaces": 5}, "the halfspaces must be a list, got int"),
+        ({**UNIT_TRIANGLE, "halfspaces": 0}, "the halfspaces must be a list, got int"),
+        ({"halfspaces": False}, "the halfspaces must be a list, got bool"),
     ],
-    ids=["name-object", "name-nested-list", "halfspace-list", "halfspace-without-normal"],
+    ids=[
+        "name-object", "name-nested-list", "halfspace-list", "halfspace-without-normal",
+        "halfspaces-int", "vertices-int", "halfspaces-object", "vertices-string",
+        "halfspaces-int-beside-vertices", "halfspaces-zero-beside-vertices", "halfspaces-false",
+    ],
 )
 def test_polytope_file_of_the_wrong_shape_is_a_parse_error(tmp_path, doc, message):
     # A polytope file's name of another JSON type than a string used to be
     # echoed (theta printed the object, exit 0), and a half-space that is
     # not an object with a normal and a rhs read as Python's own error text.
+    # A number in place of the half-space or vertex list read as "'int'
+    # object is not iterable", and an object or a string was iterated as its
+    # keys or characters, and a 0 or false beside a vertex list was taken
+    # for no half-spaces.
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli("theta", str(path), "--format", "json")

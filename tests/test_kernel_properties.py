@@ -210,6 +210,20 @@ def cross_polytope(dim):
 SPECIAL_SYSTEMS = {
     "flat-segment": ([((1,), 0), ((-1,), 0)], 1, NotFullDimensional),
     "flat-square": ([((1, 0), 0), ((-1, 0), 0), ((0, 1), 1), ((0, -1), 1)], 2, NotFullDimensional),
+    # Lower-dimensional sets whose vertices' tight sets all meet: a flat
+    # triangle on a pair of opposite half-spaces, the corner of a cone closed
+    # at its apex, and y >= |x| under y <= 0, where no two are opposite.
+    "flat-triangle": (
+        [((0, 0, 1), 0), ((0, 0, -1), 0), ((-1, 0, 0), 0), ((0, -1, 0), 0), ((1, 1, 0), 1)],
+        3,
+        NotFullDimensional,
+    ),
+    "single-point": (
+        [((1, 0, 0), 0), ((0, 1, 0), 0), ((0, 0, 1), 0), ((-1, -1, -1), 0)], 3, NotFullDimensional
+    ),
+    "three-half-spaces-none-opposite": (
+        [((0, 1), 0), ((1, -1), 0), ((-1, -1), 0)], 2, NotFullDimensional
+    ),
     "cross-polytope-3": (cross_polytope(3), 3, 6),
     "cross-polytope-4": (cross_polytope(4), 4, 8),
     "octahedron-x-square": (
@@ -258,6 +272,48 @@ def test_from_halfspaces_solves_no_linear_system(monkeypatch):
     assert q.vertices == p.vertices
     assert halfspace_pairs(q) == halfspace_pairs(p)
     assert q.incidence == p.incidence
+
+
+def test_a_hull_eliminates_twice(corpus_entries, monkeypatch):
+    # Either direction of the hull eliminates once to choose the basis of
+    # its start cone and once to solve against it, for all n start rays.
+    q = corpus_entries["B1"].polytope
+    calls = []
+    eliminate = linalg._eliminate
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows: calls.append(1) or eliminate(rows))
+    assert Polytope.from_halfspaces(halfspace_pairs(q)) == q
+    assert len(calls) == 2
+    assert Polytope.from_vertices(q.vertices) == q
+    assert len(calls) == 4
+
+
+def test_start_rays_are_kernel_lines_of_the_basis_less_one_row():
+    # On dim independent rows the cone is simplicial: ray k is the kernel
+    # line of the other rows, oriented negative on row k, and its zero set is
+    # every row but k.  Seeded integer bases in every dimension up to 6,
+    # against the kernel line in rationals; a singular basis spans no
+    # pointed cone.
+    rng = random.Random(3700)
+    bases = singular = 0
+    for dim in range(1, 7):
+        for _ in range(12):
+            basis = [[rng.choice([0, 0, 1, -1, 2, -3, 5]) for _ in range(dim)] for _ in range(dim)]
+            if dim > 1 and rng.random() < 0.25:
+                basis[-1] = [a - b for a, b in zip(basis[0], basis[1])]
+            cone = polytope._extreme_rays(basis, dim)
+            if oracles.fraction_determinant(basis) == 0:
+                assert cone is None, basis
+                singular += 1
+                continue
+            bases += 1
+            rays, zero_sets = cone
+            for k, (ray, zero_set) in enumerate(zip(rays, zero_sets, strict=True)):
+                line = oracles.fraction_nullvector(basis[:k] + basis[k + 1:], dim)
+                if sum(map(mul, basis[k], line)) > 0:
+                    line = tuple(-x for x in line)
+                assert ray == line, basis
+                assert zero_set == (1 << dim) - 1 ^ 1 << k
+    assert bases > 40 and singular > 5
 
 
 def test_builds_and_cuts_carry_the_incidence():

@@ -9,15 +9,16 @@ from toricstab.linalg import (
     ANY_S,
     _eliminate,
     _independent_rows,
+    _integer_row,
+    _solve,
     determinant,
-    nullvector,
     rank,
     rat,
     rat_str,
     solve_linear,
     solve_overdetermined_1d,
 )
-from toricstab.polytope import Simplex
+from toricstab.polytope import Simplex, _extreme_rays
 from toricstab.univariate import interpolate_poly, poly_eval
 
 import oracles
@@ -48,14 +49,20 @@ def test_singular_raises():
     for m in SINGULAR:
         with pytest.raises(SingularMatrix):
             solve_linear(m, [1] * len(m))
+        assert _solve(m, [[1] * len(m)]) is None
         assert determinant(m) == 0
         assert rank(m) < len(m)
-        d = nullvector(m, len(m))
-        if rank(m) == len(m) - 1:
-            assert math.gcd(*d) == 1
-            assert all(sum(a * b for a, b in zip(row, d)) == 0 for row in m)
-        else:
-            assert d is None
+
+
+def test_solve_raises_on_a_remainder(monkeypatch):
+    # Cramer's rule makes every division of the back substitution exact, so
+    # a remainder is a bug: an echelon form skewed by hand (d = 3, and
+    # 3 * 1 is not a multiple of the first pivot 2) raises InternalInvariant.
+    from toricstab import InternalInvariant, linalg
+
+    monkeypatch.setattr(linalg, "_eliminate", lambda rows: ([[2, 0, 1], [0, 3, 0]], [0, 1], 1, 1))
+    with pytest.raises(InternalInvariant, match="does not divide exactly"):
+        _solve([[2, 0], [0, 3]], [[1, 0]])
 
 
 def test_solve_random_roundtrip():
@@ -218,10 +225,20 @@ def test_rank_cases(rows, want):
     ],
 )
 def test_nullvector_cases(rows, dim, want):
-    got = nullvector(rows, dim)
-    assert got == want
-    if got is not None:
-        assert all(sum(a * b for a, b in zip(row, got)) == 0 for row in rows)
+    # The pinned kernel lines as a hull's double description reads them:
+    # for rows of rank dim - 1 and the free column f of their echelon, the
+    # cone rows . y = 0, y_f <= 0 has the one extreme ray -want.  The hull
+    # takes integer rows, so each row is cleared to integers first.
+    pivots = _eliminate(rows)[1]
+    if want is None:
+        assert len(pivots) != dim - 1
+        return
+    free = next(c for c in range(dim) if c not in pivots)
+    ints = [_integer_row(row)[0] for row in rows]
+    equalities = [*ints, *([-x for x in row] for row in ints)]
+    rays, _ = _extreme_rays([*equalities, [int(c == free) for c in range(dim)]], dim)
+    assert rays == [tuple(-x for x in want)]
+    assert all(sum(a * b for a, b in zip(row, want)) == 0 for row in rows)
 
 
 def _entry(rng, rational):
@@ -264,7 +281,10 @@ def test_fraction_free_elimination_matches_fraction_echelon():
     # The fraction-free elimination against Gaussian elimination in
     # rationals, on every shape from 0x0 to 6x7: the same pivot columns and
     # swap sign, each integer row a multiple of the rational one, and the
-    # same determinant, rank, kernel line and solution.
+    # same determinant, rank and solutions.  The integer solve gives every
+    # right-hand side at once over d, the |determinant| of the rows of
+    # [m | C] cleared to integers: |det m| times each row's least common
+    # denominator (1 for the 0x0 system).
     rng = random.Random(12)
     singular = solved = 0
     for rows in range(7):
@@ -278,21 +298,31 @@ def test_fraction_free_elimination_matches_fraction_echelon():
                     ratio = F(row[col]) / want_row[col]
                     assert [F(x) for x in row] == [ratio * x for x in want_row], m
                 assert rank(m) == len(want_pivots)
-                if cols:
-                    assert nullvector(m, cols) == oracles.fraction_nullvector(m, cols), m
                 if rows != cols:
                     continue
-                assert determinant(m) == oracles.fraction_determinant(m), m
-                b = [_entry(rng, True) for _ in range(rows)]
-                want_x = oracles.fraction_solve(m, b)
-                if want_x is None:
+                want_det = oracles.fraction_determinant(m)
+                assert determinant(m) == want_det, m
+                rhs = [[_entry(rng, True) for _ in range(rows)]
+                       for _ in range(rng.randint(1, 3))]
+                if want_det == 0:
                     singular += 1
+                    assert _solve(m, rhs) is None, m
                     with pytest.raises(SingularMatrix):
-                        solve_linear(m, b)
-                else:
-                    solved += 1
+                        solve_linear(m, rhs[0])
+                    continue
+                solved += 1
+                d, xs = _solve(m, rhs)
+                assert d > 0 and all(type(v) is int for x in xs for v in x), m
+                scales = math.prod(
+                    math.lcm(*(F(x).denominator for x in (*row, *(b[i] for b in rhs))))
+                    for i, row in enumerate(m)
+                )
+                assert d == abs(want_det) * scales, (m, rhs)
+                for b, x in zip(rhs, xs, strict=True):
+                    want_x = oracles.fraction_solve(m, b)
+                    assert tuple(F(v, d) for v in x) == want_x, m
                     assert solve_linear(m, b) == want_x, m
-    # both branches of solve_linear were exercised
+    # both branches of the solve were exercised
     assert singular > 20 and solved > 10
 
 

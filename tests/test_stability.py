@@ -2,6 +2,7 @@ import contextlib
 import importlib
 import io
 import itertools
+import json
 import math
 import random
 from dataclasses import replace
@@ -42,6 +43,8 @@ from toricstab.stability import (
     HOLDS,
     STABLE_EMPTY_EXCESS,
     UNDETERMINED,
+    UNSTABLE_MEAN_CRITERION,
+    UNSTABLE_WITNESS,
     excess_region,
     k_verdict_or_error,
     reflexive_translate,
@@ -327,6 +330,84 @@ def test_k_classify_b1_reports_exact_criterion(corpus_entries):
     assert kv.classification == UNDETERMINED
 
 
+ZERO_PIECE = {"a": ["0", "0", "0"], "c": "0"}
+
+# No corpus entry is unstable, so theta is scaled by lambda on B1.  Per
+# branch: lambda, the classification, 1 - c, the mean square excess, the
+# witness's JSON and its L.
+UNSTABLE_BRANCHES = {
+    "search-witness": (
+        F(3, 2), UNSTABLE_WITNESS, "709/349", "1258534057703/8967136390205",
+        {"mode": "convex", "pieces": [ZERO_PIECE, {"a": ["-1", "4", "-1"], "c": "9/2"}]},
+        "-69/20",
+    ),
+    "mean-criterion": (
+        F(4), UNSTABLE_MEAN_CRITERION, "1309/349", "479207922739081/115602109844410",
+        {"mode": "convex",
+         "pieces": [ZERO_PIECE, {"a": ["0", "0", "-2480/349"], "c": "-1309/349"}]},
+        "-17805914236188447/9289148392960000",
+    ),
+}
+
+
+@pytest.mark.parametrize("branch", sorted(UNSTABLE_BRANCHES))
+def test_k_classify_reaches_each_unstable_branch(corpus_entries, monkeypatch, branch):
+    # theta scaled by 3/2 leaves the mean criterion unmet, and the search
+    # finds a witness; scaled by 4 it meets the criterion, whose witness is
+    # max{0, theta - 1}.  Either way the witness's L, by the boundary form
+    # (checked against the parts form), the facet charts and the oracle's
+    # parts form, is the reported value, and the commands print the verdict
+    # with the witness and exit 0 under --strict.
+    from toricstab import stability
+    from toricstab.cli import main
+    from toricstab.linalg import rat_str
+
+    lam, classification, lhs, rhs, witness, value = UNSTABLE_BRANCHES[branch]
+    extremal = stability.extremal_affine
+
+    def scaled(p):
+        ed = extremal(p)
+        return replace(ed, theta=AffineFn(tuple(lam * x for x in ed.theta.a), lam * ed.theta.c))
+
+    monkeypatch.setattr(stability, "extremal_affine", scaled)
+    p = Polytope.from_halfspaces(corpus_entries["B1"].polytope.halfspaces)
+    ed = scaled(p)
+    kv = k_classify(p)
+    assert (kv.classification, kv.stable, kv.theta) == (classification, False, ed.theta)
+    assert (rat_str(kv.cond_lhs), rat_str(kv.cond_rhs)) == (lhs, rhs)
+    assert kv.cond_lhs == 1 - ed.theta.c
+    assert (kv.cond_lhs < kv.cond_rhs) == (classification == UNSTABLE_MEAN_CRITERION)
+    if classification == UNSTABLE_MEAN_CRITERION:
+        assert kv.witness == PLFn.convex([AffineFn.zero(3), AffineFn(ed.theta.a, ed.theta.c - 1)])
+    assert kv.witness.to_json() == witness
+    assert rat_str(kv.witness_value) == value and kv.witness_value < 0
+    assert kv.witness_value == l_functional(p, ed, kv.witness)
+    assert kv.witness_value == oracles.chart_route_l(p, ed, kv.witness)
+    assert kv.witness_value == oracles.l_functional_parts_form(p, ed, kv.witness)
+    for command in ("kstab", "analyze"):
+        for fmt in ("json", "text"):
+            out = io.StringIO()
+            with contextlib.redirect_stdout(out):
+                code = main([command, "corpus:B1", "--strict", "--format", fmt]
+                            + (["--i-max", "1"] if command == "analyze" else []))
+            assert code == 0, (command, fmt)
+            if fmt == "json":
+                doc = json.loads(out.getvalue())
+                k = doc["k_stability"] if command == "analyze" else doc
+                assert (k["classification"], k["label"]) == (classification, "unstable")
+                assert (k["mean_criterion_lhs"], k["mean_criterion_rhs"]) == (lhs, rhs)
+                assert (k["witness"], k["witness_value"]) == (witness, value)
+                continue
+            text = out.getvalue().splitlines()
+            if command == "kstab":
+                assert text[0] == f"B1: unstable ({classification})"
+                assert f"mean criterion: 1-c = {lhs} vs mean square excess = {rhs}" in text
+            else:
+                assert f"K-stability: unstable ({classification})" in text
+                assert f"  mean criterion: 1-c = {lhs}  vs  mean square excess = {rhs}" in text
+                assert f"  witness value L(u) = {value}" in text
+
+
 def test_k_classify_requires_reflexive(corpus_entries):
     with pytest.raises(NotReflexive):
         k_classify(corpus_entries["ORB-530571"].polytope)
@@ -466,8 +547,8 @@ def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
 def test_search_cells_need_no_elimination(corpus_entries, monkeypatch, name):
     # Every cell of a cut region of a 3D polytope weighs by a cofactor
     # determinant, so the search at grid 1 eliminates only for the lattice
-    # automorphisms (3 calls) and its candidate directions (1 call), however
-    # many cells its cuts hold.
+    # automorphisms, however many cells its cuts hold: once to choose a
+    # vertex basis and once to solve for its inverse.
     from toricstab import linalg
 
     q = corpus_entries[name].polytope
@@ -477,7 +558,7 @@ def test_search_cells_need_no_elimination(corpus_entries, monkeypatch, name):
     eliminate = linalg._eliminate
     monkeypatch.setattr(linalg, "_eliminate", lambda rows: calls.append(1) or eliminate(rows))
     assert destabilizer_search(p, ed, grid=1) is None
-    assert len(calls) == 4
+    assert len(calls) == 2
 
 
 @pytest.mark.parametrize("name", ["B1", "E2"])
