@@ -263,6 +263,8 @@ def cmd_kstab(args) -> int:
                 f"mean criterion: 1-c = {d['mean_criterion_lhs']}"
                 f" vs mean square excess = {d['mean_criterion_rhs']}"
             )
+        if "witness" in d:
+            lines.append(f"witness value L(u) = {d['witness_value']}")
         for note in d.get("notes", []):
             lines.append(f"note: {note}")
         return "\n".join(lines)

@@ -220,51 +220,3 @@ def _primitive_ints(xs: Sequence[Fraction]) -> tuple[tuple[int, ...], Fraction]:
     ints, scale = _integer_row(xs)
     g = math.gcd(*ints)
     return tuple(v // g for v in ints), Fraction(scale, g)
-
-
-class AnyS:
-    """Distinguished result of a 0 = 0 one-unknown system: every scalar works.
-
-    Kept as its own type (not a sentinel number) so callers can tell
-    "any s is admissible" apart from "s = 0 is the solution".
-    """
-
-    _instance: Optional["AnyS"] = None
-
-    def __new__(cls):
-        if cls._instance is None:
-            cls._instance = super().__new__(cls)
-        return cls._instance
-
-    def __repr__(self):
-        return "AnyS"
-
-
-ANY_S = AnyS()
-
-
-def solve_overdetermined_1d(
-    coeffs: Sequence[Fraction], rhs: Sequence[Fraction]
-) -> Union[Fraction, AnyS, None]:
-    """Solve ``coeffs[k] * s = rhs[k]`` for a single unknown ``s``.
-
-    Returns the exact solution when one satisfies every row, :data:`ANY_S`
-    when every row reads 0 = 0, and ``None`` when the rows are inconsistent.
-    Inconsistency is a legitimate answer here, not an error.
-    """
-    if len(coeffs) != len(rhs):
-        raise ValueError("dimension mismatch")
-    s: Optional[Fraction] = None
-    for c, r in zip(coeffs, rhs):
-        c, r = rat(c), rat(r)
-        if c == 0:
-            if r != 0:
-                return None
-            continue
-        cand = r / c
-        if s is None:
-            s = cand
-        elif s != cand:
-            return None
-    return ANY_S if s is None else s
-

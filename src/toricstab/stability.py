@@ -24,6 +24,15 @@ relative Chow weight Q vanish exactly on affine functions and that makes the
 projection identity P(i, u_perp) = Q(i, u) exact; s_closed then tends to -1/2
 as i grows.  Other scalings of s differ by powers of i and give the identical
 holds/fails verdict (asserted in the tests).
+
+The system is decided in integers.  Its rows cleared of denominators read
+A_k s = B_k, with A_k = N X_k - T S_1,k and
+B_k = N i base sums_k - mass first_den S_1,k off the level's sums and P's
+moment record (:func:`chow_necessary`).  It is ``any`` when A = B = 0,
+``holds`` when A != 0 and every 2 x 2 minor A_j B_k - A_k B_j vanishes, and
+``fails`` otherwise (:func:`_balance`).  On lattice P the level sums N, S_1
+and S_2 are polynomials in i, so the same rows and minors, read as
+polynomials in i, decide the system at every level at once.
 """
 
 from __future__ import annotations
@@ -42,18 +51,16 @@ from .errors import (
     ThetaConstant,
     ValidationError,
 )
-from .integrate import moment_vector
 from .lattice import _level_sums, _pl_sums, check_levels, ehrhart, lattice_points
 from .linalg import (
-    AnyS,
     _independent_rows,
     _integer_row,
     _over_common_denominator,
+    _solve,
     dot,
     rat,
     rat_str,
     solve_linear,
-    solve_overdetermined_1d,
 )
 from .plfun import (
     AffineFn,
@@ -116,13 +123,15 @@ def extremal_affine(p: Polytope) -> ExtremalData:
     sbar = Fraction(bd[0], den) / vol
     gram = [[*record.second[k], moments[k]] for k in range(n)] + [[*moments, vol]]
     futaki = tuple(Fraction(s, den) - sbar * x for s, x in zip(bd[1:], moments))
-    sol = solve_linear(gram, [*futaki, Fraction(0)])
-    # Exact by construction, checked in integers: for theta = (a.x + c) / q,
-    # q first_den integral(theta) = linear(a, c) must vanish.
-    (*a, c), _ = _integer_row(sol)
-    if record.linear(a, c):
+    solved = _solve(gram, [[*futaki, 0]])
+    if solved is None:
+        raise InternalInvariant("the Gram matrix of P is singular")
+    # theta = (X.x + X_n) / d; exact by construction, checked in integers:
+    # d first_den integral(theta) = linear(X, X_n) must vanish.
+    d, [x] = solved
+    if record.linear(x[:n], x[n]):
         raise InternalInvariant("theta does not integrate to zero")
-    theta = AffineFn(tuple(sol[:n]), sol[n])
+    theta = AffineFn(tuple(Fraction(v, d) for v in x[:n]), Fraction(x[n], d))
     p.cache["extremal"] = ExtremalData(theta, sbar, tuple(map(tuple, gram)), futaki)
     return p.cache["extremal"]
 
@@ -609,8 +618,21 @@ class ChowCondition:
     s_closed: Optional[Fraction]  # None when theta is constant on the nodes (0/0)
 
 
+def _balance(a: Sequence[int], b: Sequence[int]) -> tuple[str, Optional[Fraction]]:
+    """The status of the one-unknown system a_k s = b_k in integers, and its
+    solution b_j / a_j at the first a_j != 0 when it holds: any when
+    a = b = 0, holds when a != 0 and every 2 x 2 minor a_j b_k - a_k b_j
+    vanishes, fails otherwise (a = 0 with b != 0 among them)."""
+    if not any(a):
+        return (FAILS if any(b) else ANY), None
+    if any(a[j] * b[k] != a[k] * b[j] for k in range(len(a)) for j in range(k)):
+        return FAILS, None
+    j = next(j for j, x in enumerate(a) if x)
+    return HOLDS, Fraction(b[j], a[j])
+
+
 def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
-    """Solve the one-unknown balance system at dilation level i.
+    """Decide the one-unknown balance system at dilation level i.
 
     sum_a a + s * sum_a ttilde(a) a = (E(i)/Vol) * integral of x.
     With theta constant on the nodes this degenerates to the absolute
@@ -624,8 +646,12 @@ def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
     (A.z + C) / (D i) at z / i, as on :class:`NodeData`: D is the least
     common denominator of theta's coefficients, A = D a, C = D c i.  Its
     numerators sum to T = A.S_1 + C N, their products with z to
-    X = S_2 A + C S_1 and their squares to A.X + C T; the coefficients
-    sum_a ttilde(a) a are (N X - T S_1) / (D N i^2).
+    X = S_2 A + C S_1 and their squares to A.X + C T.  With m P's moment
+    record, the system's rows cleared to integers are
+    A_k = N X_k - T S_1,k (the coefficients are A_k / (D N i^3)) and
+    B_k = N i base sums_k - mass first_den S_1,k (the targets are
+    B_k / (i first_den mass)), and :func:`_balance` decides them; s is
+    B_j D N i^2 / (A_j first_den mass) at the first A_j != 0.
     """
     key = ("chow_necessary", ed.theta.a, ed.theta.c, i)
     if key in p.cache:
@@ -642,29 +668,18 @@ def chow_necessary(p: Polytope, ed: ExtremalData, i: int) -> ChowCondition:
     squares = sum(map(mul, a, cross)) + c * total
     theta_bar = Fraction(total, den * count)
     square_sum = Fraction(count * squares - total * total, den * den * count)
-    node_sum = tuple(Fraction(f, i) for f in first)
-    coeffs = tuple(
-        Fraction(count * x - total * f, den * count * i * i) for x, f in zip(cross, first)
-    )
-    vol = p.volume()
-    targets = tuple(
-        Fraction(count) * moment / vol - total
-        for moment, total in zip(moment_vector(p), node_sum)
-    )
-    sol = solve_overdetermined_1d(coeffs, targets)
-    if sol is None:
-        status, s = FAILS, None
-    elif isinstance(sol, AnyS):
-        status, s = ANY, None
-    else:
-        status, s = HOLDS, sol
+    m = p.moments()
+    mass_den = m.mass * m.first_den
+    rows = [count * x - total * f for x, f in zip(cross, first)]
+    rhs = [count * i * m.base * x - mass_den * f for x, f in zip(m.sums, first)]
+    status, ratio = _balance(rows, rhs)
     p.cache[key] = ChowCondition(
         level=i,
         status=status,
-        s=s,
-        coeffs=coeffs,
-        targets=targets,
-        node_sum=node_sum,
+        s=None if ratio is None else ratio * den * count * i / mass_den,
+        coeffs=tuple(Fraction(x, den * count * i * i) for x in rows),
+        targets=tuple(Fraction(y, i * mass_den) for y in rhs),
+        node_sum=tuple(Fraction(f, i) for f in first),
         theta_bar=theta_bar,
         count=count,
         deviation_square_sum=square_sum,

@@ -11,8 +11,9 @@ chart and every linearity region, its integration-by-parts form, a scan of
 the bounding box for lattice points (whole, or with the widest coordinate
 solved per cell from the facets) and the interior count for reciprocity,
 vertices from every n-subset of facets, facets from every n-subset of
-points, the node statistics summed in rationals point by point, the node
-sums of a PL function one value per point, Gaussian elimination in
+points, the node statistics summed in rationals point by point with the
+balance system solved row by row in rationals, the node sums of a PL
+function one value per point, Gaussian elimination in
 rationals, the greedy basis grown by one rank call per row, the product of
 two polynomials in one variable, and plain random data generators.
 """
@@ -36,14 +37,7 @@ from toricstab import (
     moment_vector,
 )
 from toricstab.lattice import lattice_points, refined_points
-from toricstab.linalg import (
-    AnyS,
-    dot,
-    rank,
-    rat,
-    solve_linear,
-    solve_overdetermined_1d,
-)
+from toricstab.linalg import dot, rank, rat, solve_linear
 from toricstab.plfun import AffineFn, PLFn, linearity_regions
 from toricstab.polytope import FacetChart, Simplex, facet_chart, intersect_halfspace
 from toricstab.stability import _candidates
@@ -417,6 +411,51 @@ def l_functional_parts_form(p: Polytope, ed, u: PLFn) -> F:
         total += -piece.c * region.volume()
         total += integrate(region, one_minus_theta * piece.as_poly())
     return total
+
+
+class AnyS:
+    """Distinguished result of a 0 = 0 one-unknown system: every scalar works.
+
+    Kept as its own type (not a sentinel number) so callers can tell
+    "any s is admissible" apart from "s = 0 is the solution".
+    """
+
+    _instance = None
+
+    def __new__(cls):
+        if cls._instance is None:
+            cls._instance = super().__new__(cls)
+        return cls._instance
+
+    def __repr__(self):
+        return "AnyS"
+
+
+ANY_S = AnyS()
+
+
+def solve_overdetermined_1d(coeffs, rhs):
+    """Solve ``coeffs[k] * s = rhs[k]`` for a single unknown ``s`` in
+    rationals, row by row: the exact solution when one satisfies every row,
+    :data:`ANY_S` when every row reads 0 = 0, and ``None`` when the rows are
+    inconsistent.  The reference for the integer minors of the library's
+    balance system (``stability._balance``).
+    """
+    if len(coeffs) != len(rhs):
+        raise ValueError("dimension mismatch")
+    s = None
+    for c, r in zip(coeffs, rhs):
+        c, r = rat(c), rat(r)
+        if c == 0:
+            if r != 0:
+                return None
+            continue
+        cand = r / c
+        if s is None:
+            s = cand
+        elif s != cand:
+            return None
+    return ANY_S if s is None else s
 
 
 def fraction_node_stats(

@@ -30,7 +30,6 @@ from toricstab import (
 from toricstab.cli import main as cli_main
 from toricstab.integrate import integrate_simplex
 from toricstab.lattice import lattice_points
-from toricstab.linalg import solve_overdetermined_1d
 from toricstab.plfun import AffineFn, PLFn
 from toricstab.stability import (
     ANY,
@@ -179,7 +178,7 @@ def test_criterion_5_counterexample_threefold(corpus_entries, corpus_gate):
             F(1079424, 363377),
             F(539712, 363377),
         )
-        assert solve_overdetermined_1d(cond.coeffs, cond.targets) is None
+        assert oracles.solve_overdetermined_1d(cond.coeffs, cond.targets) is None
         assert cond.status == FAILS
 
 

@@ -498,10 +498,8 @@ def test_each_level_is_solved_once(monkeypatch, argv, solves):
     from toricstab import stability
 
     calls = []
-    solve = stability.solve_overdetermined_1d
-    monkeypatch.setattr(
-        stability, "solve_overdetermined_1d", lambda *args: calls.append(1) or solve(*args)
-    )
+    balance = stability._balance
+    monkeypatch.setattr(stability, "_balance", lambda *args: calls.append(1) or balance(*args))
     code, _ = run_cli(*argv)
     assert code == 0
     assert len(calls) == solves
@@ -918,16 +916,17 @@ def test_tables_deterministic():
 
 
 def test_internal_invariant_exit_3(tmp_path, monkeypatch):
-    # Skew the constant of theta: its normalization check must fail loudly.
+    # Skew the constant of theta in the integer solve: its normalization
+    # check must fail loudly.
     from toricstab import stability
 
-    solve = stability.solve_linear
+    solve = stability._solve
 
-    def skewed(m, b):
-        x = solve(m, b)
-        return x[:-1] + (x[-1] + 1,)
+    def skewed(m, columns):
+        d, [x] = solve(m, columns)
+        return d, [x[:-1] + [x[-1] + 1]]
 
-    monkeypatch.setattr(stability, "solve_linear", skewed)
+    monkeypatch.setattr(stability, "_solve", skewed)
     square = tmp_path / "square.json"
     square.write_text(
         json.dumps({"vertices": [["0", "0"], ["1", "0"], ["0", "1"], ["1", "1"]]})

@@ -2,9 +2,9 @@
 including under ``python -O``, no hull falls back to a subset scan, no
 module but the one that defines it builds a facet chart or reads the cell
 format, no module integrates above degree 2, and no module on a command
-path imports the ``Poly`` route; and every library function the benchmark
-reports by name exists; and the package exposes exactly the API that the
-README lists."""
+path imports the ``Poly`` route; every library function the benchmark
+reports by name exists, and every module-level function and class has a
+user; and the package exposes exactly the API that the README lists."""
 
 import ast
 import importlib
@@ -132,6 +132,43 @@ def test_benchmark_layer_names_resolve():
             missing.append(metric["name"])
     assert not missing, f"benchmark names without a function: {missing}"
     assert resolved > 40
+
+
+def _identifiers(tree) -> set:
+    """Every name an AST reads: names, attributes and imported names."""
+    return {
+        node.id if isinstance(node, ast.Name)
+        else node.attr if isinstance(node, ast.Attribute)
+        else node.name.rsplit(".", 1)[-1]
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Name, ast.Attribute, ast.alias))
+    }
+
+
+def test_every_module_level_name_has_a_user():
+    # No helper goes unused: each module-level function and class of the
+    # library is read by another statement of src/ (an import counts, a
+    # function calling itself does not), or is exported, or is named by a
+    # per-layer metric of the benchmark, or is used by a script.
+    statements = [
+        (path.stem, node, _identifiers(node))
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.parse(path.read_text(), filename=str(path)).body
+    ]
+    scripts = set()
+    for path in sorted((ROOT / "scripts").glob("*.py")):
+        scripts |= _identifiers(ast.parse(path.read_text(), filename=str(path)))
+    metrics = json.loads((ROOT / "BENCHMARK.json").read_text())["per_layer"]
+    probed = {tuple(m["name"].split(".")[:2]) for m in metrics}
+    unused = []
+    for module, node, _ in statements:
+        if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            continue
+        name = node.name
+        read = any(name in names for _, other, names in statements if other is not node)
+        if not (read or name in toricstab.__all__ or (module, name) in probed or name in scripts):
+            unused.append(f"{module}.{name}")
+    assert not unused, f"module-level names with no user: {unused}"
 
 
 def test_public_api():

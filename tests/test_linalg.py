@@ -6,7 +6,6 @@ import pytest
 
 from toricstab import DegreeMismatch, SingularMatrix, ValidationError
 from toricstab.linalg import (
-    ANY_S,
     _eliminate,
     _independent_rows,
     _integer_row,
@@ -16,9 +15,9 @@ from toricstab.linalg import (
     rat,
     rat_str,
     solve_linear,
-    solve_overdetermined_1d,
 )
 from toricstab.polytope import Simplex, _extreme_rays
+from toricstab.stability import ANY, FAILS, HOLDS, _balance
 from toricstab.univariate import interpolate_poly, poly_eval
 
 import oracles
@@ -123,19 +122,22 @@ def test_rat_strings_are_integers_or_p_over_q():
             rat(text)
 
 
-def test_overdetermined_all_zero_is_any():
-    assert solve_overdetermined_1d([0, 0, 0], [0, 0, 0]) is ANY_S
+def test_balance_all_zero_is_any():
+    assert _balance([0, 0, 0], [0, 0, 0]) == (ANY, None)
+    assert oracles.solve_overdetermined_1d([0, 0, 0], [0, 0, 0]) is oracles.ANY_S
 
 
-def test_overdetermined_simple():
-    assert solve_overdetermined_1d([2, 4], [1, 2]) == F(1, 2)
+def test_balance_simple():
+    assert _balance([2, 4], [1, 2]) == (HOLDS, F(1, 2))
+    assert oracles.solve_overdetermined_1d([2, 4], [1, 2]) == F(1, 2)
 
 
-def test_overdetermined_zero_coeff_nonzero_rhs():
-    assert solve_overdetermined_1d([0, 2], [1, 1]) is None
+def test_balance_zero_coeff_nonzero_rhs():
+    assert _balance([0, 2], [1, 1]) == (FAILS, None)
+    assert oracles.solve_overdetermined_1d([0, 2], [1, 1]) is None
 
 
-def test_overdetermined_inconsistent_counterexample_data():
+def test_balance_inconsistent_counterexample_data():
     # the balance row data of the rank-4 counterexample at level 1:
     # count 23, volume 20/3, moment (-7/8, 5/12, 5/24), node sum (-4, 2, 1)
     count, vol = 23, F(20, 3)
@@ -144,9 +146,33 @@ def test_overdetermined_inconsistent_counterexample_data():
     targets = [count * m / vol - s for m, s in zip(moment, node_sum)]
     assert targets == [F(157, 160), F(-9, 16), F(-9, 32)]
     coeffs = [F(-11134272, 1816885), F(1079424, 363377), F(539712, 363377)]
-    assert solve_overdetermined_1d(coeffs, targets) is None
+    assert oracles.solve_overdetermined_1d(coeffs, targets) is None
+    assert oracles.solve_overdetermined_1d(coeffs[1:], targets[1:]) == F(-3270393, 17270784)
+    # cleared to integers: the coefficients times 1816885, the targets times 160
+    a = [-11134272, 5397120, 2698560]
+    b = [157, -90, -45]
+    assert [F(x, 1816885) for x in a] == coeffs and [F(y, 160) for y in b] == targets
+    assert _balance(a, b) == (FAILS, None)
     # rows 2 and 3 alone are consistent; row 1 is what breaks it
-    assert solve_overdetermined_1d(coeffs[1:], targets[1:]) == F(-3270393, 17270784)
+    status, ratio = _balance(a[1:], b[1:])
+    assert (status, ratio * 1816885 / 160) == (HOLDS, F(-3270393, 17270784))
+
+
+def test_balance_reads_every_minor():
+    # only the minor of rows 1 and 3 is non-zero: a rule that read the
+    # adjacent minors alone would say the system holds
+    a, b = [1, 0, 1], [1, 0, 2]
+    assert [a[j] * b[j + 1] - a[j + 1] * b[j] for j in range(2)] == [0, 0]
+    assert _balance(a, b) == (FAILS, None)
+    assert oracles.solve_overdetermined_1d(a, b) is None
+
+
+def test_balance_zero_rows_with_nonzero_targets_fail():
+    # every coefficient 0 but a target is not: the cleared rows of
+    # ORB-530571 at level 1.  No s balances, which is not the any of an
+    # all-zero system.
+    assert _balance([0, 0, 0], [0, -1728, 1728]) == (FAILS, None)
+    assert oracles.solve_overdetermined_1d([0, 0, 0], [0, -1728, 1728]) is None
 
 
 # The interpolation helpers live in toricstab.univariate and take and give

@@ -35,7 +35,6 @@ from toricstab import (
     upper_hull,
 )
 from toricstab.lattice import lattice_points, refined_points
-from toricstab.linalg import ANY_S
 from toricstab.plfun import AffineFn, PLFn
 from toricstab.stability import (
     ANY,
@@ -402,6 +401,7 @@ def test_k_classify_reaches_each_unstable_branch(corpus_entries, monkeypatch, br
             if command == "kstab":
                 assert text[0] == f"B1: unstable ({classification})"
                 assert f"mean criterion: 1-c = {lhs} vs mean square excess = {rhs}" in text
+                assert f"witness value L(u) = {value}" in text
             else:
                 assert f"K-stability: unstable ({classification})" in text
                 assert f"  mean criterion: 1-c = {lhs}  vs  mean square excess = {rhs}" in text
@@ -1376,7 +1376,7 @@ def _node_stats(p, ed, i, g, u, bound, nodes):
         "node_sum": cond.node_sum,
         "coeffs": cond.coeffs,
         "targets": cond.targets,
-        "balance": {HOLDS: cond.s, ANY: ANY_S, FAILS: None}[cond.status],
+        "balance": {HOLDS: cond.s, ANY: oracles.ANY_S, FAILS: None}[cond.status],
         "s_closed": s_closed_form(p, ed, i),
         "q": q,
         "p": p_weight(p, i, u, bound).value,
@@ -1462,7 +1462,7 @@ def _assert_level_stats_match_scanned_nodes(p, levels):
             "node_sum": cond.node_sum,
             "coeffs": cond.coeffs,
             "targets": cond.targets,
-            "balance": {HOLDS: cond.s, ANY: ANY_S, FAILS: None}[cond.status],
+            "balance": {HOLDS: cond.s, ANY: oracles.ANY_S, FAILS: None}[cond.status],
             "s_closed": cond.s_closed,
             "q": q_samples.get(i),
             "p": p_samples[i],
@@ -1580,8 +1580,6 @@ def test_chow_counterexample_fails_level1(corpus_entries):
 def test_chow_status_invariant_under_s_rescaling(corpus_entries):
     # the balance system written with the deviations scaled by any power of
     # the level gives the same holds/any/fails verdict, only s rescales
-    from toricstab.linalg import solve_overdetermined_1d
-
     for name in ("B2", "E4", "ORB-530571"):
         p = corpus_entries[name].polytope
         ed = extremal_affine(p)
@@ -1589,13 +1587,35 @@ def test_chow_status_invariant_under_s_rescaling(corpus_entries):
             cond = chow_necessary(p, ed, i)
             for power in (0, 1, 2):
                 scaled = [c * F(i) ** power for c in cond.coeffs]
-                alt = solve_overdetermined_1d(scaled, cond.targets)
+                alt = oracles.solve_overdetermined_1d(scaled, cond.targets)
                 if cond.status == HOLDS:
                     assert alt == cond.s / F(i) ** power
                 elif cond.status == ANY:
-                    assert alt is ANY_S
+                    assert alt is oracles.ANY_S
                 else:
                     assert alt is None
+
+
+def test_balance_minors_match_fraction_solve_on_corpus(corpus_entries):
+    # the status and s that the integer minors of the cleared rows give
+    # (stability._balance) are the ones the rational system solved row by
+    # row gives, on every entry at levels 1-8; each entry keeps one status
+    # at every level, and every status is reached
+    seen = {}
+    for name, entry in corpus_entries.items():
+        p = entry.polytope
+        ed = extremal_affine(p)
+        for i in range(1, 9):
+            cond = chow_necessary(p, ed, i)
+            sol = oracles.solve_overdetermined_1d(cond.coeffs, cond.targets)
+            got = {HOLDS: cond.s, ANY: oracles.ANY_S, FAILS: None}[cond.status]
+            assert got == sol and (cond.s is None) == (cond.status != HOLDS), (name, i)
+            seen.setdefault(cond.status, set()).add(name)
+    assert seen == {
+        ANY: {"CP3", "B4", "C3", "C5", "F1"},
+        HOLDS: {"B1", "B2", "B3", "C1", "C4", "E1", "E3", "F2"},
+        FAILS: {"C2", "D1", "D2", "E2", "E4", "ORB-530571"},
+    }
 
 
 # -- Chow weights -------------------------------------------------------------
