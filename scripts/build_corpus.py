@@ -11,11 +11,12 @@ one facet <-r, x> <= 1 per ray r of a reflexive Delzant polytope).  Each
 table row is then pinned to its published extremal-potential coefficients
 (and, where available, excess-region vertex sets, moments and lattice sums)
 by searching for the unimodular change of coordinates that reproduces them
-exactly.  A candidate is pinned when the entry it would write, read back
-through the corpus loader, passes the integrity gate
-(``corpus.verify_entry``): matching the published big-rational data exactly
-makes it the right variety in the right coordinates; nothing else can
-collide.
+exactly: where the excess region is printed, among the lattice isomorphisms
+of the computed region onto it (``polytope.lattice_isomorphisms``).  A
+candidate is pinned when the entry it would write, read back through the
+corpus loader, passes the integrity gate (``corpus.verify_entry``):
+matching the published big-rational data exactly makes it the right variety
+in the right coordinates; nothing else can collide.
 
 Usage: python scripts/build_corpus.py [outdir]
 """
@@ -26,6 +27,7 @@ import math
 import sys
 import time
 from fractions import Fraction as F
+from operator import mul
 from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "src"))
@@ -39,7 +41,8 @@ from toricstab import (
     polar_dual,
 )
 from toricstab.corpus import entry_from_json, polytope_to_json, verify_entry
-from toricstab.linalg import determinant, rat_str, solve_linear
+from toricstab.linalg import _independent_rows, _solve, determinant, rat_str
+from toricstab.polytope import lattice_isomorphisms
 from toricstab.stability import excess_region
 
 # --------------------------------------------------------------------------
@@ -330,51 +333,11 @@ def unimodular_matches(a_cand, a_target, bound=3):
             yield w
 
 
+IDENTITY = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
+
+
 def apply_unimodular(rays, w):
     return [tuple(sum(w[i][j] * r[j] for j in range(3)) for i in range(3)) for r in rays]
-
-
-def transpose(m):
-    return tuple(tuple(m[r][c] for r in range(3)) for c in range(3))
-
-
-def inverse(m):
-    """Exact inverse of an invertible 3x3 rational matrix, column by column."""
-    return transpose([solve_linear(m, e) for e in ((1, 0, 0), (0, 1, 0), (0, 0, 1))])
-
-
-def point_maps_from_vertex_match(src_pts, dst_pts):
-    """Linear unimodular A with A(src set) = dst set, via triple correspondences."""
-    if len(src_pts) != len(dst_pts):
-        return
-    triple = None
-    for cand in itertools.combinations(range(len(src_pts)), 3):
-        cols = [[src_pts[i][r] for i in cand] for r in range(3)]
-        if determinant(cols) != 0:
-            triple = cand
-            break
-    if triple is None:
-        return
-    vmat = [[src_pts[i][r] for i in triple] for r in range(3)]
-    vinv = inverse(vmat)
-    src_sorted = sorted(tuple(map(F, p)) for p in src_pts)
-    dst_sorted = sorted(tuple(map(F, p)) for p in dst_pts)
-    for image in itertools.permutations(range(len(dst_pts)), 3):
-        wmat = [[F(dst_pts[i][r]) for i in image] for r in range(3)]
-        amat = [
-            [sum(wmat[r][k] * vinv[k][c] for k in range(3)) for c in range(3)]
-            for r in range(3)
-        ]
-        if any(x.denominator != 1 for row in amat for x in row):
-            continue
-        if abs(determinant(amat)) != 1:
-            continue
-        mapped = sorted(
-            tuple(sum(F(amat[r][c]) * p[c] for c in range(3)) for r in range(3))
-            for p in src_sorted
-        )
-        if mapped == dst_sorted:
-            yield tuple(tuple(int(x) for x in row) for row in amat)
 
 
 def pins_ok(name, cand_rays):
@@ -387,10 +350,14 @@ def pin_entry(name, rays, p, ed):
     """Find the unimodular image of `rays` reproducing every published value.
 
     The coordinate change A maps the candidate moment polytope onto the
-    published one; rays transform by the inverse transpose.  Printed
-    excess-region vertex sets (or, for E4, the printed moment vector) cut the
-    search down to a handful of candidate matrices, and the integrity gate on
-    the pinned entry has the final word.
+    published one; rays transform by W = (A^-1)^T.  Printed excess-region
+    vertex sets (or, for E4, the printed moment vector) cut the search down
+    to a handful of candidate matrices, and the integrity gate on the pinned
+    entry has the final word.  Where the region is printed, the candidates
+    are its lattice isomorphisms onto the printed one.  More than one can
+    pin, and the first tried is written, so they are tried in the printed
+    order of the images of the region's vertex basis, which fixes the order
+    of the written rays.
     """
     a_cand = ed.theta.a
     a_target = tuple(map(F, THETA[name][0]))
@@ -399,8 +366,11 @@ def pin_entry(name, rays, p, ed):
         dm = excess_region(p, ed)
         if dm is None:
             return None
-        maps = point_maps_from_vertex_match(
-            [tuple(v) for v in dm.vertices], DELTA_MINUS[name]
+        position = {v: k for k, v in enumerate(DELTA_MINUS[name])}
+        basis = [dm.vertices[b] for b in _independent_rows(dm.rows)]
+        maps = sorted(
+            lattice_isomorphisms(dm, Polytope.from_vertices(DELTA_MINUS[name])),
+            key=lambda m: [position[tuple(sum(map(mul, row, v)) for row in m)] for v in basis],
         )
     elif name == "E4":
         maps = unimodular_matches(moment_vector(p), E4_MOMENT)
@@ -413,13 +383,12 @@ def pin_entry(name, rays, p, ed):
 
     for amat in maps:
         # the potential's gradient transports back: A^T a_target = a_cand
-        gradient = tuple(sum(F(a) * t for a, t in zip(col, a_target)) for col in transpose(amat))
+        gradient = tuple(sum(F(a) * t for a, t in zip(col, a_target)) for col in zip(*amat))
         if gradient != tuple(a_cand):
             continue
-        w = transpose(inverse(amat))
-        if any(x.denominator != 1 for row in w for x in row):
-            continue
-        cand = apply_unimodular(rays, [[int(x) for x in row] for row in w])
+        # the rows of W are the columns of A^-1, with d = 1 for a unimodular A
+        _, w = _solve(amat, IDENTITY)
+        cand = apply_unimodular(rays, w)
         if pins_ok(name, cand):
             return cand
     return None

@@ -52,9 +52,10 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
 
     With both, the polytope is built from the half-spaces.  A vertex list
     that, deduplicated and sorted, is its vertices passes with no second
-    hull; any other is hulled and must give the same vertices.  A declared
-    ``dim`` must be an int, checked against P only with one representation,
-    and a ``name`` a string (or null, as an unnamed polytope is written).
+    hull; any other is hulled and must give the same vertices.  A normal's
+    entries are ints or ``"p/q"`` strings, a declared ``dim`` an int that
+    P's dimension must match, and a ``name`` a string (or null, as an
+    unnamed polytope is written).
     """
     if not isinstance(data, dict):
         raise ParseError("polytope document must be a JSON object")
@@ -80,7 +81,10 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
                 try:
                     if not isinstance(item, dict) or not item.keys() >= {"normal", "rhs"}:
                         raise TypeError('a half-space is an object with "normal" and "rhs"')
-                    raw.append((tuple(_json_list(item["normal"], "normal")), rat(item["rhs"])))
+                    normal = _json_list(item["normal"], "normal")
+                    # an int entry stays an int, as primitive_normal clears it
+                    normal = [x if type(x) is int else rat(x) for x in normal]
+                    raw.append((normal, rat(item["rhs"])))
                 except (TypeError, ValueError, ValidationError) as exc:
                     raise ParseError(f"halfspace {k}: {exc}") from exc
             built_h = Polytope.from_halfspaces(raw, name)
@@ -91,19 +95,14 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
                     pts.append(tuple(rat(x) for x in _json_list(row, "row")))
                 except (TypeError, ValueError, ValidationError) as exc:
                     raise ParseError(f"vertex {k}: {exc}") from exc
-            if built_h and sorted(set(pts)) == list(built_h.vertices):
-                return built_h
-            built_v = Polytope.from_vertices(pts, name)
+            if not built_h or sorted(set(pts)) != list(built_h.vertices):
+                built_v = Polytope.from_vertices(pts, name)
     except (ParseError, ValidationError):
         raise
     except Exception as exc:  # degenerate geometry surfaces as validation
         raise ValidationError(str(exc)) from exc
-    if built_h and built_v:
-        if built_h.vertices != built_v.vertices:
-            raise ValidationError(
-                "halfspace and vertex representations describe different polytopes"
-            )
-        return built_h
+    if built_h and built_v and built_h.vertices != built_v.vertices:
+        raise ValidationError("halfspace and vertex representations describe different polytopes")
     p = built_h or built_v
     if "dim" in data and data["dim"] != p.dim:
         raise ValidationError(f"declared dim {data['dim']} != actual {p.dim}")

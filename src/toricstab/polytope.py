@@ -39,11 +39,12 @@ integral of a PL function over P (the Chow weight samples) and the gate's
 boundary moment read records in integers; only theta's Gram matrix builds
 M_2, in one pass.
 
-The linear lattice automorphisms of P (the integer matrices with |det| = 1
-that map P onto itself) are found by backtracking over the images of n
-independent vertices, pruned by the facet values at each vertex, which every
-automorphism permutes.  The destabilizer search evaluates L once per orbit
-of its candidates under them.
+The lattice isomorphisms of P onto Q (the integer matrices with |det| = 1
+that map P onto Q) are found by backtracking over the images of n
+independent vertices of P among the vertices of Q, pruned by the facet
+values at each vertex, which every isomorphism keeps.  The automorphisms of
+P are its isomorphisms onto itself; the destabilizer search evaluates L once
+per orbit of its candidates under them.
 
 A facet chart (a facet projected along one axis) is the hull of the facet's
 vertices with that coordinate dropped.  No integral in the package reads a
@@ -726,26 +727,39 @@ def _is_reflexive(p: Polytope) -> bool:
 
 
 def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
-    """The linear lattice automorphisms of P: the integer matrices M (as
-    rows) with |det M| = 1 and M P = P, sorted; the identity is one of them.
+    """The linear lattice automorphisms of P, ``lattice_isomorphisms(p, p)``;
+    the identity is one of them."""
+    return lattice_isomorphisms(p, p)
 
-    M maps facets to facets, the facet <l, x> <= r to <l M^-1, y> <= r, so
-    it keeps the signature of every vertex v, the multiset of the values
-    <l, v> over the facets, and of every pair of vertices v, w, the multiset
-    of the pairs (<l, v>, <l, w>).  M is fixed by the images of n linearly
-    independent vertices.  Those are chosen one at a time among the
-    vertices with the signature of their preimage, and with the pair
+
+def lattice_isomorphisms(p: Polytope, q: Polytope) -> list[tuple[tuple[int, ...], ...]]:
+    """The lattice isomorphisms of P onto Q: the integer matrices M (as rows)
+    with |det M| = 1 and M P = Q, sorted.
+
+    M maps facets to facets, the facet <l, x> <= r of P to the facet
+    <l M^-1, y> <= r of Q, and the rows of P to the rows of Q (M keeps the
+    denominator), so it keeps the signature of every vertex v, the multiset
+    of the values <l, v> over the facets, and of every pair of vertices v, w,
+    the multiset of the pairs (<l, v>, <l, w>).  Unless P and Q agree in
+    dimension, denominator, vertex and facet counts and the multiset of
+    signatures, there is no M.  M is fixed by the images of n linearly
+    independent vertices of P.  Those are chosen one at a time among the
+    vertices of Q with the signature of their preimage, and with the pair
     signature of the preimages with every image chosen before; no
-    automorphism is pruned.  A full choice gives M = images * basis^-1, kept
-    when it is integral, unimodular and maps the vertex set onto itself.
+    isomorphism is pruned.  A full choice gives M = images * basis^-1, kept
+    when it is integral, unimodular and maps the vertices of P onto Q's.
     """
-    n = p.dim
-    rows = p.rows
-    values = [tuple(sum(map(mul, h.normal, r)) for h in p.halfspaces) for r in rows]
-    signature = [tuple(sorted(v)) for v in values]
+    n, rows, targets = p.dim, p.rows, q.rows
+    values, q_values = (
+        [tuple(sum(map(mul, h.normal, r)) for h in x.halfspaces) for r in x.rows] for x in (p, q)
+    )
+    signature, q_signature = ([tuple(sorted(v)) for v in vs] for vs in (values, q_values))
+    # The sorted signatures hold the vertex and facet counts.
+    if (n, p.den, sorted(signature)) != (q.dim, q.den, sorted(q_signature)):
+        return []
 
-    def pairs(j: int, k: int) -> tuple:
-        return tuple(sorted(zip(values[j], values[k])))
+    def pairs(vs: list, j: int, k: int) -> tuple:
+        return tuple(sorted(zip(vs[j], vs[k])))
 
     basis = _independent_rows(rows)
     # Row i of M solves <b_k, x> = w_k[i] for the basis rows b_k and their
@@ -754,7 +768,7 @@ def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
     identity = [[int(j == k) for j in range(n)] for k in range(n)]
     scale, columns = _solve([rows[b] for b in basis], identity)
     inverse = list(zip(*columns))
-    vertex_set = set(rows)
+    vertex_set = set(targets)
     found = []
     images: list[int] = []
 
@@ -765,10 +779,10 @@ def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
             for i in range(n):
                 row = []
                 for inv in inverse:
-                    q, rem = divmod(sum(c * rows[w][i] for c, w in zip(inv, images)), scale)
+                    entry, rem = divmod(sum(c * targets[w][i] for c, w in zip(inv, images)), scale)
                     if rem:
                         return
-                    row.append(q)
+                    row.append(entry)
                 matrix.append(tuple(row))
             if abs(determinant(matrix)) != 1:
                 return
@@ -776,10 +790,10 @@ def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
                 found.append(tuple(matrix))
             return
         b = basis[k]
-        for w in range(len(rows)):
-            if w in images or signature[w] != signature[b]:
+        for w in range(len(targets)):
+            if w in images or q_signature[w] != signature[b]:
                 continue
-            if any(pairs(basis[i], b) != pairs(images[i], w) for i in range(k)):
+            if any(pairs(values, basis[i], b) != pairs(q_values, images[i], w) for i in range(k)):
                 continue
             images.append(w)
             extend()

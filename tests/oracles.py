@@ -14,8 +14,10 @@ vertices from every n-subset of facets, facets from every n-subset of
 points, the node statistics summed in rationals point by point with the
 balance system solved row by row in rationals, the node sums of a PL
 function one value per point, Gaussian elimination in
-rationals, the greedy basis grown by one rank call per row, the product of
-two polynomials in one variable, and plain random data generators.
+rationals, the greedy basis grown by one rank call per row, the lattice
+isomorphisms by a scan of every tuple of vertex images, the product of two
+polynomials in one variable, the reflexive polygons enumerated from facet
+normals in a box, and plain random data generators.
 """
 
 import math
@@ -31,6 +33,7 @@ from toricstab import (
     Poly,
     Polytope,
     SingularMatrix,
+    ToricStabError,
     Unbounded,
     integrate,
     integrate_pl,
@@ -39,7 +42,13 @@ from toricstab import (
 from toricstab.lattice import lattice_points, refined_points
 from toricstab.linalg import dot, rank, rat, solve_linear
 from toricstab.plfun import AffineFn, PLFn, linearity_regions
-from toricstab.polytope import FacetChart, Simplex, facet_chart, intersect_halfspace
+from toricstab.polytope import (
+    FacetChart,
+    Simplex,
+    facet_chart,
+    intersect_halfspace,
+    lattice_isomorphisms,
+)
 from toricstab.stability import _candidates
 
 
@@ -127,12 +136,12 @@ def greedy_independent_rows(rows) -> list:
     return basis
 
 
-def brute_lattice_automorphisms(p: Polytope) -> list:
-    """The linear lattice automorphisms of P by a scan of every injective
-    n-tuple of vertices w_k as the images of the first linearly independent
-    n-subset b_k of the vertices: each gives the M with M b_k = w_k, kept
-    when it is integral, has |det M| = 1 and maps the vertex set onto
-    itself."""
+def brute_lattice_isomorphisms(p: Polytope, q: Polytope) -> list:
+    """The lattice isomorphisms of P onto Q by a scan of every injective
+    n-tuple of vertices w_k of Q as the images of the first linearly
+    independent n-subset b_k of the vertices of P: each gives the M with
+    M b_k = w_k, kept when it is integral, has |det M| = 1 and maps the
+    vertices of P onto those of Q."""
     n = p.dim
     basis = next(c for c in combinations(p.vertices, n) if fraction_determinant(c) != 0)
     # Column k of basis^-1 solves basis x = e_k, and M[i][c] is the sum over
@@ -140,11 +149,11 @@ def brute_lattice_automorphisms(p: Polytope) -> list:
     columns = [fraction_solve(basis, [F(int(j == k)) for j in range(n)]) for k in range(n)]
     scale = math.lcm(*(x.denominator for col in columns for x in col))
     inverse = [[int(col[c] * scale) for col in columns] for c in range(n)]
-    den = math.lcm(*(x.denominator for v in p.vertices for x in v))
-    rows = {v: [int(x * den) for x in v] for v in p.vertices}
-    vertices = set(p.vertices)
+    den = math.lcm(*(x.denominator for v in q.vertices for x in v))
+    rows = {v: [int(x * den) for x in v] for v in q.vertices}
+    vertices = set(q.vertices)
     found = set()
-    for images in permutations(p.vertices, n):
+    for images in permutations(q.vertices, n):
         matrix = []
         for i in range(n):
             sums = [sum(rows[w][i] * x for w, x in zip(images, inv)) for inv in inverse]
@@ -157,6 +166,28 @@ def brute_lattice_automorphisms(p: Polytope) -> list:
             if {tuple(dot(row, v) for row in matrix) for v in p.vertices} == vertices:
                 found.add(tuple(matrix))
     return sorted(found)
+
+
+def reflexive_polygons() -> list:
+    """One polygon of each lattice isomorphism class of reflexive polygons:
+    the polygons {x : <l, x> <= 1} over 3 to 6 primitive normals l in
+    [-2, 2]^2 that have one facet per normal and lattice vertices, grouped
+    by ``lattice_isomorphisms`` within buckets of equal vertex count and
+    volume."""
+    normals = [l for l in product(range(-2, 3), repeat=2) if math.gcd(*l) == 1]
+    buckets: dict = {}
+    for k in range(3, 7):
+        for chosen in combinations(normals, k):
+            try:
+                p = Polytope.from_halfspaces([(l, 1) for l in chosen])
+            except ToricStabError:
+                continue
+            if len(p.halfspaces) != k or not p.is_lattice():
+                continue
+            bucket = buckets.setdefault((len(p.rows), p.volume()), [])
+            if not any(lattice_isomorphisms(p, q) for q in bucket):
+                bucket.append(p)
+    return [p for bucket in buckets.values() for p in bucket]
 
 
 def cp1_times(p: Polytope) -> Polytope:
@@ -761,6 +792,21 @@ def interior_point(p: Polytope) -> tuple:
     n = p.dim
     m = len(p.vertices)
     return tuple(sum(v[k] for v in p.vertices) / m for k in range(n))
+
+
+def random_unimodular(rng: random.Random, n=3, steps=6) -> list:
+    """A product of random elementary integer matrices, as rows."""
+    m = [[int(r == c) for c in range(n)] for r in range(n)]
+    for _ in range(steps):
+        r, c = rng.sample(range(n), 2)
+        k = rng.choice((-2, -1, 1, 2))
+        m[r] = [x + k * y for x, y in zip(m[r], m[c])]
+    return m
+
+
+def linear_image(m, p: Polytope) -> Polytope:
+    """M P, the hull of the images of P's vertices under the matrix M (rows)."""
+    return Polytope.from_vertices([[dot(row, v) for row in m] for v in p.vertices])
 
 
 def random_fraction(rng: random.Random, num=6, den=4) -> F:

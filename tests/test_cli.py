@@ -181,11 +181,22 @@ HALFSPACE_SHAPE = 'halfspace 0: a half-space is an object with "normal" and "rhs
         ({**UNIT_TRIANGLE, "halfspaces": 5}, "the halfspaces must be a list, got int"),
         ({**UNIT_TRIANGLE, "halfspaces": 0}, "the halfspaces must be a list, got int"),
         ({"halfspaces": False}, "the halfspaces must be a list, got bool"),
+        (
+            {"halfspaces": [{"normal": [0, 1], "rhs": "1"}, {"normal": [1.0, 0], "rhs": "1"},
+                            {"normal": [-1, -1], "rhs": "1"}]},
+            "halfspace 1: cannot interpret 1.0 as an exact rational",
+        ),
+        (
+            {"halfspaces": [{"normal": [True, 0], "rhs": "1"}, {"normal": [0, 1], "rhs": "1"},
+                            {"normal": [-1, -1], "rhs": "1"}]},
+            "halfspace 0: bool is not a rational scalar",
+        ),
     ],
     ids=[
         "name-object", "name-nested-list", "halfspace-list", "halfspace-without-normal",
         "halfspaces-int", "vertices-int", "halfspaces-object", "vertices-string",
         "halfspaces-int-beside-vertices", "halfspaces-zero-beside-vertices", "halfspaces-false",
+        "normal-float", "normal-bool",
     ],
 )
 def test_polytope_file_of_the_wrong_shape_is_a_parse_error(tmp_path, doc, message):
@@ -195,7 +206,8 @@ def test_polytope_file_of_the_wrong_shape_is_a_parse_error(tmp_path, doc, messag
     # A number in place of the half-space or vertex list read as "'int'
     # object is not iterable", and an object or a string was iterated as its
     # keys or characters, and a 0 or false beside a vertex list was taken
-    # for no half-spaces.
+    # for no half-spaces.  A float or a bool in a normal surfaced through the
+    # hull as a ValidationError that named no half-space.
     path = tmp_path / "shape.json"
     path.write_text(json.dumps(doc))
     code, out = run_cli("theta", str(path), "--format", "json")

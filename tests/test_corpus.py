@@ -1,4 +1,5 @@
 import importlib.util
+import itertools
 import json
 import math
 import operator
@@ -12,6 +13,9 @@ import pytest
 
 from toricstab import AffineFn, ParseError, Polytope, ValidationError, extremal_affine
 from toricstab import corpus as corpus_mod
+from toricstab.polytope import lattice_isomorphisms
+
+import oracles
 
 
 def test_corpus_names_complete():
@@ -120,11 +124,17 @@ def test_both_representations_cross_check(cube):
     # Rows of mixed length are rejected as with vertices alone.
     with pytest.raises(ValidationError, match="^mixed ambient dimensions$"):
         corpus_mod.polytope_from_json(_both(cube, [*verts, (0, 0)]))
-    # A declared dim is not checked when both representations are given,
-    # and is when one is.
-    assert corpus_mod.polytope_from_json(_both(cube, verts, dim=2)) == cube
-    with pytest.raises(ValidationError, match="^declared dim 2 != actual 3$"):
-        corpus_mod.polytope_from_json({"vertices": _both(cube, verts)["vertices"], "dim": 2})
+    # A declared dim is checked on every path: with one representation, and
+    # with both, whether the vertex list needs no second hull or, holding a
+    # point inside, one.
+    for doc in (
+        {"vertices": _both(cube, verts)["vertices"]},
+        _both(cube, verts),
+        _both(cube, [*verts, (0, 0, 0)]),
+    ):
+        assert corpus_mod.polytope_from_json({**doc, "dim": 3}) == cube
+        with pytest.raises(ValidationError, match="^declared dim 2 != actual 3$"):
+            corpus_mod.polytope_from_json({**doc, "dim": 2})
 
 
 def test_load_corpus_hulls_each_entry_once(monkeypatch):
@@ -271,27 +281,17 @@ def _invariants(p):
     )
 
 
-def _random_unimodular(rng, n=3, steps=6):
-    """A product of random elementary integer matrices, as rows."""
-    m = [[int(r == c) for c in range(n)] for r in range(n)]
-    for _ in range(steps):
-        r, c = rng.sample(range(n), 2)
-        k = rng.choice((-2, -1, 1, 2))
-        m[r] = [x + k * y for x, y in zip(m[r], m[c])]
-    return m
-
-
 def test_smooth_fano_entries_are_pairwise_distinct(corpus_entries):
-    # The 18 smooth Fano entries are 18 varieties: a tuple that a seeded
-    # unimodular map and translation keep differs for every pair.  Without
-    # theta's flag B3/B4, C3/C4 and F1/F2 would collide.
+    # The 18 smooth Fano entries are 18 varieties: no lattice isomorphism
+    # maps one onto another, and a tuple that a seeded unimodular map and
+    # translation keep differs for every pair.  Without theta's flag
+    # B3/B4, C3/C4 and F1/F2 would collide.
     rng = random.Random(18)
     keys = {}
-    for entry in corpus_entries.values():
-        if entry.rays is None:
-            continue
+    smooth = [entry for entry in corpus_entries.values() if entry.rays is not None]
+    for entry in smooth:
         p = entry.polytope
-        m = _random_unimodular(rng)
+        m = oracles.random_unimodular(rng)
         shift = [rng.randint(-3, 3) for _ in range(3)]
         image = Polytope.from_vertices(
             [[sum(map(operator.mul, row, v)) + s for row, s in zip(m, shift)] for v in p.vertices]
@@ -299,3 +299,7 @@ def test_smooth_fano_entries_are_pairwise_distinct(corpus_entries):
         keys[entry.name] = _invariants(p)
         assert _invariants(image) == keys[entry.name], entry.name
     assert len(keys) == 18 and len(set(keys.values())) == 18, keys
+    for a, b in (("B3", "B4"), ("C3", "C4"), ("F1", "F2")):
+        assert keys[a][:-1] == keys[b][:-1], (a, b)
+    for e, f in itertools.combinations(smooth, 2):
+        assert lattice_isomorphisms(e.polytope, f.polytope) == [], (e.name, f.name)

@@ -1,5 +1,6 @@
 import math
 import random
+from collections import Counter
 from fractions import Fraction as F
 
 import pytest
@@ -19,7 +20,13 @@ from toricstab import (
 )
 from toricstab.errors import ValidationError
 from toricstab.plfun import AffineFn, PLFn
-from toricstab.polytope import Simplex, facet_chart, intersect_halfspace, lattice_automorphisms
+from toricstab.polytope import (
+    Simplex,
+    facet_chart,
+    intersect_halfspace,
+    lattice_automorphisms,
+    lattice_isomorphisms,
+)
 
 import oracles
 
@@ -409,13 +416,15 @@ GROUP_ORDERS = {
 def test_lattice_automorphisms_match_the_brute_scan(cube, cp2, simplex2d, corpus_entries):
     # The pruned enumeration against a scan of every injective tuple of
     # vertex images; each matrix is integral, unimodular and permutes the
-    # vertices.
+    # vertices.  The isomorphisms of P onto a seeded unimodular image M P
+    # are as many as the automorphisms, and M is one of them.
+    rng = random.Random(39)
     polytopes = [cube, cp2, simplex2d, oracles.cp1_times(corpus_entries["B1"].polytope)]
     polytopes += [corpus_entries[name].polytope for name in ("CP3", "C3", "B1", "E2")]
     for p in polytopes:
         group = lattice_automorphisms(p)
         assert len(group) == GROUP_ORDERS[p.name], p.name
-        assert group == oracles.brute_lattice_automorphisms(p), p.name
+        assert group == oracles.brute_lattice_isomorphisms(p, p), p.name
         assert tuple(tuple(int(i == j) for j in range(p.dim)) for i in range(p.dim)) in group
         vertices = set(p.vertices)
         for m in group:
@@ -423,3 +432,67 @@ def test_lattice_automorphisms_match_the_brute_scan(cube, cp2, simplex2d, corpus
             assert abs(oracles.fraction_determinant(m)) == 1
             images = {tuple(sum(a * x for a, x in zip(row, v)) for row in m) for v in p.vertices}
             assert images == vertices
+        m = oracles.random_unimodular(rng, p.dim)
+        image = oracles.linear_image(m, p)
+        maps = lattice_isomorphisms(p, image)
+        assert maps == oracles.brute_lattice_isomorphisms(p, image), p.name
+        assert len(maps) == len(group) and tuple(map(tuple, m)) in maps, p.name
+
+
+def test_lattice_isomorphisms_reject_what_the_prune_lets_through():
+    # In each case a full choice of vertex images passes the signature prune
+    # and one final check must reject it.  The square [-1, 1]^2 is the image
+    # of the diamond |x| + |y| <= 1 under (x, y) -> (x + y, x - y), of
+    # determinant -2.
+    diamond = Polytope.from_vertices([(1, 0), (0, 1), (-1, 0), (0, -1)])
+    square = Polytope.from_vertices([(1, 1), (1, -1), (-1, 1), (-1, -1)])
+    assert lattice_isomorphisms(diamond, square) == []
+    assert oracles.brute_lattice_isomorphisms(diamond, square) == []
+    # A rational map onto the image of this parallelogram, rounded down,
+    # would be an isomorphism found a second time.
+    p = Polytope.from_vertices([(-3, 3), (-1, -3), (1, 3), (3, -3)])
+    q = oracles.linear_image(((-3, -1), (4, 1)), p)
+    assert lattice_isomorphisms(p, q) == [((-3, -1), (4, 1)), ((3, 1), (-4, -1))]
+    assert lattice_isomorphisms(p, q) == oracles.brute_lattice_isomorphisms(p, q)
+    # (x, y) -> (x, -x - y) keeps this hexagon's normals and swaps its vertex
+    # basis (-2, 0), (-2, 2), but maps the vertex (-1, -1) to (-1, 2).
+    hexagon = Polytope.from_halfspaces(
+        [((1, 0), 1), ((-1, 0), 2), ((0, 1), 2), ((0, -1), 1), ((1, 1), 2), ((-1, -1), 2)]
+    )
+    assert lattice_automorphisms(hexagon) == [((0, -1), (-1, 0)), ((1, 0), (0, 1))]
+    assert lattice_automorphisms(hexagon) == oracles.brute_lattice_isomorphisms(hexagon, hexagon)
+
+
+@pytest.fixture(scope="module")
+def reflexive_polygons():
+    return oracles.reflexive_polygons()
+
+
+# The three reflexive polygons on which the radial certificate fails and the
+# destabilizer search finds no witness up to grid 4.
+HARD_POLYGONS = (
+    [(-1, 1), (0, -1), (3, -1)],
+    [(-1, 1), (0, -1), (0, 1), (2, -3)],
+    [(-1, 1), (0, -1), (1, -2), (1, 0)],
+)
+
+
+def test_there_are_sixteen_reflexive_polygons(reflexive_polygons):
+    # Poonen and Rodriguez-Villegas, "Lattice polygons and the number 12"
+    # (Amer. Math. Monthly 107, 2000): 16 classes up to GL(2, Z).  With 0
+    # the one interior point, Pick's formula gives b = 2 vol boundary points.
+    assert len(reflexive_polygons) == 16
+    boundary = Counter(2 * p.volume() for p in reflexive_polygons)
+    assert boundary == {3: 1, 4: 3, 5: 2, 6: 4, 7: 2, 8: 3, 9: 1}
+    for vertices in HARD_POLYGONS:
+        hard = Polytope.from_vertices(vertices)
+        assert sum(bool(lattice_isomorphisms(hard, q)) for q in reflexive_polygons) == 1, vertices
+
+
+def test_reflexive_polygons_are_closed_under_polar_duality(reflexive_polygons):
+    # The dual of a reflexive polygon with b boundary points is a reflexive
+    # polygon with 12 - b.
+    for p in reflexive_polygons:
+        dual = polar_dual(p)
+        matches = [q for q in reflexive_polygons if lattice_isomorphisms(dual, q)]
+        assert len(matches) == 1 and 2 * matches[0].volume() == 12 - 2 * p.volume()
