@@ -19,7 +19,7 @@ from fractions import Fraction
 from pathlib import Path
 from typing import Optional
 
-from .errors import ParseError, ValidationError
+from .errors import ParseError, ToricStabError, ValidationError
 from .integrate import moment_vector
 from .lattice import _level_sums, check_levels, ehrhart
 from .linalg import quoted, rat, rat_str
@@ -97,9 +97,9 @@ def polytope_from_json(data: dict, name: Optional[str] = None) -> Polytope:
                     raise ParseError(f"vertex {k}: {exc}") from exc
             if not built_h or sorted(set(pts)) != list(built_h.vertices):
                 built_v = Polytope.from_vertices(pts, name)
-    except (ParseError, ValidationError):
+    except ToricStabError:
         raise
-    except Exception as exc:  # degenerate geometry surfaces as validation
+    except Exception as exc:  # a foreign exception surfaces as validation, never a traceback
         raise ValidationError(str(exc)) from exc
     if built_h and built_v and built_h.vertices != built_v.vertices:
         raise ValidationError("halfspace and vertex representations describe different polytopes")

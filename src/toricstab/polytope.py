@@ -43,8 +43,8 @@ The lattice isomorphisms of P onto Q (the integer matrices with |det| = 1
 that map P onto Q) are found by backtracking over the images of n
 independent vertices of P among the vertices of Q, pruned by the facet
 values at each vertex, which every isomorphism keeps.  The automorphisms of
-P are its isomorphisms onto itself; the destabilizer search evaluates L once
-per orbit of its candidates under them.
+P are its isomorphisms onto itself, ``lattice_isomorphisms(p, p)``; the
+destabilizer search evaluates L once per orbit of its candidates under them.
 
 A facet chart (a facet projected along one axis) is the hull of the facet's
 vertices with that coordinate dropped.  No integral in the package reads a
@@ -151,9 +151,7 @@ class Simplex:
 
 
 def _affine_rank(points) -> int:
-    """Dimension of the affine span of a point list."""
-    if not points:
-        return -1
+    """Dimension of the affine span of a non-empty point list."""
     base = points[0]
     return rank([[p[i] - base[i] for i in range(len(base))] for p in points[1:]])
 
@@ -724,12 +722,6 @@ def _is_reflexive(p: Polytope) -> bool:
     """Every facet at level 1 and every vertex a lattice point.  A positive
     rhs on every facet already puts 0 in the interior."""
     return all(h.rhs == 1 for h in p.halfspaces) and p.is_lattice()
-
-
-def lattice_automorphisms(p: Polytope) -> list[tuple[tuple[int, ...], ...]]:
-    """The linear lattice automorphisms of P, ``lattice_isomorphisms(p, p)``;
-    the identity is one of them."""
-    return lattice_isomorphisms(p, p)
 
 
 def lattice_isomorphisms(p: Polytope, q: Polytope) -> list[tuple[tuple[int, ...], ...]]:

@@ -38,7 +38,7 @@ polynomials in i, decide the system at every level at once.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from itertools import product
 from operator import mul
@@ -74,10 +74,10 @@ from .polytope import (
     _is_reflexive,
     intersect_halfspace,
     is_reflexive_delzant,
-    lattice_automorphisms,
+    lattice_isomorphisms,
     primitive_normal,
 )
-from .univariate import sign_on
+from .univariate import divide, sign_on
 
 
 # ---------------------------------------------------------------------------
@@ -285,19 +285,22 @@ def reflexive_translate(p: Polytope) -> Optional[Polytope]:
     The classifier's constants (the threshold 1, the 1-c term) are only
     meaningful in this normalized position; working on the translate makes
     the verdict invariant under integer translations of the input.  A
-    reflexive P is its own translate (the shift is 0) and is returned as is.
+    reflexive P is returned as is; otherwise, for lattice P, the integral
+    shift t with <l, t> = rhs - 1 on every facet gives P - t, read off P's
+    rows (less t, still sorted) and facets with no hull.
     """
     if _is_reflexive(p):
         return p
-    # <l, t> = rhs - 1 for independent facets; the normals of P span
+    # t solves the system on independent facets; the normals of P span.
     basis = [p.halfspaces[k] for k in _independent_rows([h.normal for h in p.halfspaces])]
     shift = solve_linear([h.normal for h in basis], [h.rhs - 1 for h in basis])
-    if any(x.denominator != 1 for x in shift):
+    if not p.is_lattice() or any(x.denominator != 1 for x in shift) or any(
+        h.rhs - dot(h.normal, shift) != 1 for h in p.halfspaces
+    ):
         return None
-    translated = Polytope.from_halfspaces(
-        [(h.normal, h.rhs - dot(h.normal, shift)) for h in p.halfspaces], p.name
-    )
-    return translated if _is_reflexive(translated) else None
+    rows = [tuple(a - b.numerator for a, b in zip(r, shift)) for r in p.rows]
+    facets = [replace(h, rhs=Fraction(1)) for h in p.halfspaces]
+    return Polytope(facets, 1, rows, p.incidence, p.name)
 
 
 class RadialCertificate(NamedTuple):
@@ -333,8 +336,9 @@ def radial_certificate(p: Polytope, ed: ExtremalData) -> RadialCertificate:
     In integers: P's vertices are lattice points, so with d the least
     common denominator of theta's coefficients, t.v and theta_c are
     integers over d, and d n (n+1) (n+2) G has integer coefficients; Q is
-    its quotient by 1 - a, taken by synthetic division, and ``scale`` is
-    d n (n+1) (n+2).  Input must be reflexive (:class:`NotReflexive`).
+    its quotient by 1 - a (:func:`~toricstab.univariate.divide`), padded to
+    n + 2 coefficients, and ``scale`` is d n (n+1) (n+2).  Input must be
+    reflexive (:class:`NotReflexive`).
     """
     if not _is_reflexive(p):
         raise NotReflexive("the radial certificate needs every facet at lattice distance 1")
@@ -350,14 +354,10 @@ def radial_certificate(p: Polytope, ed: ExtremalData) -> RadialCertificate:
         g[1] = c * (n + 1) * (n + 2) + lam * n * (n + 2)
         g[n + 1] = -(d - c) * n * (n + 2) - c * (n + 1) * (n + 2)
         g[n + 2] = -lam * n
-        # g / (a - 1) by Horner at 1, from the top; its value at 1 must be 0
-        quotient, acc = [], 0
-        for x in reversed(g):
-            acc += x
-            quotient.append(acc)
-        if quotient.pop():
+        quotient, rest = divide(g, [1, -1])
+        if rest:
             raise InternalInvariant("the radial form does not vanish at a = 1")
-        polys.append(tuple(-x for x in reversed(quotient)))
+        polys.append(tuple(quotient + [0] * (n + 2 - len(quotient))))
     return RadialCertificate(
         interval=(Fraction(min(lams), d), Fraction(max(lams), d)),
         polys=tuple(polys),
@@ -397,9 +397,7 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
     lhs = 1 - ed.theta.c
     rhs = _mean_square(minus, ed)
     if lhs < rhs:
-        witness = PLFn.convex(
-            [AffineFn.zero(p.dim), AffineFn(ed.theta.a, ed.theta.c - 1)]
-        )
+        witness = PLFn.simple(ed.theta.a, ed.theta.c - 1)
         value = l_functional(p, ed, witness)
         if value >= 0:
             raise InternalInvariant("criterion held but the witness failed to go negative")
@@ -408,10 +406,9 @@ def k_classify(p: Polytope, grid: int = 1) -> KVerdict:
         )
     if radial_certificate(p, ed).holds:
         return KVerdict(UNDETERMINED, ed.theta, minus, lhs, rhs, None, None)
-    witness = destabilizer_search(p, ed, grid)
-    if witness is not None:
-        value = l_functional(p, ed, witness)
-        return KVerdict(UNSTABLE_WITNESS, ed.theta, minus, lhs, rhs, witness, value)
+    found = destabilizer_search(p, ed, grid)
+    if found is not None:
+        return KVerdict(UNSTABLE_WITNESS, ed.theta, minus, lhs, rhs, *found)
     return KVerdict(UNDETERMINED, ed.theta, minus, lhs, rhs, None, None)
 
 
@@ -457,19 +454,19 @@ def _candidates(p: Polytope, ed: ExtremalData, grid: int):
 
     Directions: at ``grid`` 0 only the potential gradient; at G >= 1 the
     facet normals, the primitive vertex directions, the potential gradient
-    and the integer box [-G, G]^n, in that order.  Offsets are the
-    vertex-critical values of each direction (where the cut plane meets a
-    vertex) and their midpoints.
+    and the integer box [-G, G]^n, in that order.  Offsets are the inner
+    values of each direction at which the cut plane meets a vertex, and the
+    midpoints of consecutive ones, so no cut leaves P whole or empty.
 
     Orbits are taken under (b, d) -> (s M^T b, s d), for the lattice
-    automorphisms M of P and the signs s, on the primitive form (b/g, d/g),
-    g = gcd(b).  Each map keeps L: x -> M x preserves P and the lattice
-    measure of its facets, and theta o M = theta since theta is unique
-    (checked exactly here); L vanishes on affine functions and
-    max{0, -f} = max{0, f} - f; and max{0, k(b.x + d)} has k times the L of
-    max{0, b.x + d}.  So a candidate is skipped only when one met before has
-    a positive multiple of its L, and the first witness is the one a scan of
-    every candidate finds.  At grid 0 the one direction t has
+    isomorphisms M of P onto itself and the signs s, on the primitive form
+    (b/g, d/g), g = gcd(b).  Each map keeps L: x -> M x preserves P and the
+    lattice measure of its facets, and theta o M = theta since theta is
+    unique (checked exactly here); L vanishes on affine functions and
+    max{0, -f} = max{0, f} - f; and max{0, k(b.x + d)} has k times the L
+    of max{0, b.x + d}.  So a candidate is skipped only when one met before
+    has a positive multiple of its L, and the first witness is the one a
+    scan of every candidate finds.  At grid 0 the one direction t has
     M^T t = t, so no automorphism is computed.
     """
     _check_search_level(grid, p.dim)
@@ -493,7 +490,7 @@ def _candidates(p: Polytope, ed: ExtremalData, grid: int):
 
     # The transposes M^T; at grid 0 none, and the orbit of (b, d) is itself
     # and its mirror.
-    transposes = [tuple(zip(*m)) for m in (lattice_automorphisms(p) if grid > 0 else ())]
+    transposes = [tuple(zip(*m)) for m in (lattice_isomorphisms(p, p) if grid > 0 else ())]
     for mt in transposes:
         if tuple(dot(row, ed.theta.a) for row in mt) != ed.theta.a:
             raise InternalInvariant("theta is not invariant under a lattice automorphism of P")
@@ -520,8 +517,10 @@ def _candidates(p: Polytope, ed: ExtremalData, grid: int):
             yield b, d, q
 
 
-def destabilizer_search(p: Polytope, ed: ExtremalData, grid: int = 1) -> Optional[PLFn]:
-    """First simple PL function on the grid with L < 0, or None.
+def destabilizer_search(
+    p: Polytope, ed: ExtremalData, grid: int = 1
+) -> Optional[tuple[PLFn, Fraction]]:
+    """The first simple PL function on the grid with L < 0 and its L, or None.
 
     A candidate costs one cut R = P meet {l >= 0}, l = b.x + d, and one call
     of the L core (:func:`_simple_l`).  On reflexive P it is skipped when,
@@ -546,16 +545,15 @@ def destabilizer_search(p: Polytope, ed: ExtremalData, grid: int = 1) -> Optiona
             s = -1 if d > 0 else 1
             if all(s * (q * sum(map(mul, b, r)) + d * den_e) <= 0 for r in excess):
                 continue
-        if _simple_l(p, core, b, d, q) < 0:
-            return PLFn.simple(b, Fraction(d, q))
+        value = _simple_l(p, core, b, d, q)
+        if value < 0:
+            return PLFn.simple(b, Fraction(d, q)), value
     return None
 
 
 def _simple_l(p: Polytope, core: _LCore, b: Sequence[int], d: int, q: int) -> Fraction:
     """L(max{0, b.x + d / q}) from one cut and one call of the L core."""
     region = intersect_halfspace(p, [-x for x in b], Fraction(d, q))
-    if region is None:
-        return Fraction(0)
     return core.value(*core.terms(region, [q * x for x in b], d, q))
 
 

@@ -1,6 +1,7 @@
 import argparse
 import copy
 import hashlib
+import importlib.util
 import io
 import json
 import os
@@ -15,6 +16,7 @@ import pytest
 
 from toricstab.cli import main
 from toricstab.corpus import DATA_DIR
+from toricstab.errors import InternalInvariant
 
 
 def run_cli(*argv):
@@ -82,6 +84,73 @@ def test_corpus_list():
     code, out = run_cli("corpus", "list")
     assert code == 0
     assert "B1" in out and "explicit" in out and "database" in out
+
+
+def test_corpus_list_json():
+    code, out = run_cli("corpus", "list", "--format", "json")
+    assert code == 0
+    rows = json.loads(out)
+    assert len(rows) == 19 and rows[:2] == [
+        {"name": "CP3", "provenance": "explicit"}, {"name": "B1", "provenance": "explicit"}
+    ]
+    assert {row["provenance"] for row in rows} == {"explicit", "database"}
+
+
+def test_analyze_csv_strict():
+    # B1's verdict is undetermined, so --strict exits 4 after the report.
+    code, out = run_cli("analyze", "corpus:B1", "--format", "csv", "--strict")
+    assert code == 4
+    assert out.splitlines() == [
+        "field,value",
+        "name,B1",
+        "volume,31/3",
+        "average_scalar,3",
+        "theta,-620/349*x3 - 240/349",
+        "futaki,8/3 8/3 -4",
+        "k_stability,undetermined",
+        *(f"chow_i{i},holds" for i in range(1, 7)),
+    ]
+
+
+def test_corpus_index_that_is_not_a_list_of_names_exits_2(tmp_path, monkeypatch):
+    (tmp_path / "index.json").write_text(json.dumps({"names": ["B1"]}))
+    monkeypatch.setenv("TORICSTAB_CORPUS_DIR", str(tmp_path))
+    code, out = run_cli("corpus", "list", "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["exit_code"]) == ("ParseError", 2)
+    index = tmp_path / "index.json"
+    assert error["message"] == f"{index}: the index must be a JSON list of entry names"
+
+
+# A published excess region the entry does not have, per entry: the key and
+# its doctored value, and the gate's problem.
+DOCTORED_EXCESS = {
+    "B1": ("delta_minus_vertices", "empty", "excess region expected empty but has interior"),
+    "B2": (
+        "delta_minus_vertices", [["0", "0", "0"]], "excess region expected nonempty but is empty"
+    ),
+    "B3": ("delta_minus_volume", "1", "delta_minus_volume expected but region is empty"),
+}
+
+
+def test_tables_prints_a_corpus_error_row(tmp_path, monkeypatch):
+    # An entry that fails the integrity gate is one CORPUS ERROR row naming
+    # the problem; the entries that pass are printed as usual.
+    for name, (key, value, _) in DOCTORED_EXCESS.items():
+        doc = json.loads((DATA_DIR / f"{name}.json").read_text())
+        doc["expected"][key] = value
+        (tmp_path / f"{name}.json").write_text(json.dumps(doc))
+    (tmp_path / "B4.json").write_text((DATA_DIR / "B4.json").read_text())
+    (tmp_path / "index.json").write_text(json.dumps([*DOCTORED_EXCESS, "B4"]))
+    monkeypatch.setenv("TORICSTAB_CORPUS_DIR", str(tmp_path))
+    code, out = run_cli("tables", "--i-max", "1")
+    assert code == 0
+    lines = out.splitlines()
+    assert lines[:3] == [
+        f"{name:12s} CORPUS ERROR: {problem}" for name, (*_, problem) in DOCTORED_EXCESS.items()
+    ]
+    assert lines[3] == "B4           [database]"
 
 
 def test_missing_file_exit_2():
@@ -242,6 +311,62 @@ def test_mixed_vertex_lengths_exit_2(tmp_path):
     error = json.loads(out)["error"]
     assert error["type"] == "ValidationError"
     assert error["message"] == "mixed ambient dimensions"
+
+
+def test_empty_vertex_exits_2(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text(json.dumps({"vertices": [[]]}))
+    code, out = run_cli("theta", str(path), "--format", "json")
+    assert code == 2
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == (
+        "ValidationError", "ambient dimension must be positive"
+    )
+
+
+def test_chow_with_no_sample_points_exits_3(tmp_path):
+    # This small triangle holds no point of the lattice (Z/1)^2.
+    path = tmp_path / "small.json"
+    path.write_text(json.dumps({"vertices": [["1/3", "1/3"], ["2/3", "1/3"], ["1/3", "2/3"]]}))
+    code, out = run_cli("chow", str(path), "--format", "json")
+    assert code == 3
+    error = json.loads(out)["error"]
+    assert (error["type"], error["message"]) == (
+        "PreconditionFailed", "no refined sample points at level 1"
+    )
+
+
+def test_ehrhart_skips_a_zero_coefficient(tmp_path):
+    # The Reeve tetrahedron of height 12 counts 2 t^3 + t^2 + 1 points.
+    path = tmp_path / "reeve.json"
+    path.write_text(json.dumps({"vertices": [[0, 0, 0], [1, 0, 0], [0, 1, 0], [1, 1, 12]]}))
+    code, out = run_cli("ehrhart", str(path))
+    assert code == 0
+    assert out.splitlines()[0] == "count polynomial: 2*t^3 + 1*t^2 + 1"
+
+
+@pytest.mark.parametrize(
+    "raised, kind, code",
+    [(InternalInvariant, "InternalInvariant", 3), (RuntimeError, "ValidationError", 2)],
+    ids=["library-error", "foreign-error"],
+)
+def test_loader_keeps_a_typed_error(tmp_path, monkeypatch, raised, kind, code):
+    # A library error raised while the polytope is built keeps its type and
+    # exit code; a foreign exception is still a validation error, never a
+    # traceback.
+    from toricstab.polytope import Polytope
+
+    def fail(*args):
+        raise raised("planted")
+
+    monkeypatch.setattr(Polytope, "from_halfspaces", staticmethod(fail))
+    path = tmp_path / "square.json"
+    path.write_text(json.dumps({"halfspaces": [
+        {"normal": n, "rhs": 1} for n in ([1, 0], [-1, 0], [0, 1], [0, -1])
+    ]}))
+    got, out = run_cli("theta", str(path), "--format", "json")
+    assert got == code
+    assert json.loads(out)["error"] == {"type": kind, "message": "planted", "exit_code": code}
 
 
 def test_mismatched_representations_exit_2(tmp_path):
@@ -996,17 +1121,19 @@ def test_segment_analyze(segment):
         (5, "any", "1", "-1/2"),
     ]
 
-REFERENCE = Path(__file__).resolve().parent.parent / "perfbench" / "reference.json"
-
-
-@pytest.mark.parametrize("job", ["chow-CP3", "chow-F1", "chow-C3"])
-def test_chow_deep_levels_match_reference(job):
-    # the balance system at levels 1-8 runs through the largest integer sums;
-    # the recorded digests come from the benchmark's reference file
-    ref = json.loads(REFERENCE.read_text())["jobs"][job]
-    code, out = run_cli(*ref["argv"])
-    assert code == 0
-    assert hashlib.sha256(out.encode()).hexdigest() == ref["sha256"]
+def test_benchmark_jobs_pass_their_own_checks():
+    # The benchmark's jobs (perfbench/jobs.py) check their own output: the
+    # corpus jobs against the recorded stdout digests (the chow jobs run the
+    # balance system at levels 1-8, through the largest integer sums), the
+    # hull jobs against the closed-form facets of cyclic polytopes.
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "jobs.py"
+    spec = importlib.util.spec_from_file_location("perfbench_jobs", path)
+    jobs = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(jobs)
+    built = [job for w in ("verdict", "survey", "chow") for job in jobs.build(w, 1)]
+    built += [job for seed in (1, 2, 3) for job in jobs.build("hull", seed)]
+    assert len(built) == 24
+    assert [(name, run()) for name, run in built] == [(name, None) for name, _ in built]
 
 
 # The hostile values of the mutation fuzz: one of each JSON type, a zero

@@ -49,7 +49,7 @@ from toricstab.stability import (
     reflexive_translate,
     theta_nodes,
 )
-from toricstab.polytope import HalfSpace, intersect_halfspace, lattice_automorphisms
+from toricstab.polytope import HalfSpace, intersect_halfspace, lattice_isomorphisms
 from toricstab.univariate import poly_eval
 
 import oracles
@@ -371,7 +371,15 @@ def test_k_classify_reaches_each_unstable_branch(corpus_entries, monkeypatch, br
     monkeypatch.setattr(stability, "extremal_affine", scaled)
     p = Polytope.from_halfspaces(corpus_entries["B1"].polytope.halfspaces)
     ed = scaled(p)
+    # The search hands back its witness's L; only the mean criterion
+    # evaluates its witness.
+    l_calls = []
+    original = stability.l_functional
+    monkeypatch.setattr(
+        stability, "l_functional", lambda *args: l_calls.append(args) or original(*args)
+    )
     kv = k_classify(p)
+    assert len(l_calls) == (classification == UNSTABLE_MEAN_CRITERION)
     assert (kv.classification, kv.stable, kv.theta) == (classification, False, ed.theta)
     assert (rat_str(kv.cond_lhs), rat_str(kv.cond_rhs)) == (lhs, rhs)
     assert kv.cond_lhs == 1 - ed.theta.c
@@ -414,11 +422,55 @@ def test_k_classify_requires_reflexive(corpus_entries):
 
 
 def test_reflexive_translate_roundtrip(corpus_entries):
-    p = corpus_entries["B2"].polytope
-    moved = translate(p, (2, -1, 3))
-    back = reflexive_translate(moved)
-    assert back is not None
-    assert sorted(back.vertices) == sorted(p.vertices)
+    # Every reflexive entry moved by an integer vector comes back as itself
+    # in every field: the translate read off the moved polytope is the hull
+    # of its half-spaces at level 1.
+    moved_back = 0
+    for entry in corpus_entries.values():
+        p = entry.polytope
+        if reflexive_translate(p) is not p:
+            continue
+        back = reflexive_translate(translate(p, (2, -1, 3)))
+        assert (back.halfspaces, back.den, back.rows, back.incidence, back.name) == (
+            p.halfspaces, p.den, p.rows, p.incidence, p.name
+        ), entry.name
+        moved_back += 1
+    assert moved_back == 18
+
+
+def test_reflexive_translate_needs_lattice_vertices():
+    # t = (1, 0) puts every facet of this triangle at level 1, but its
+    # vertex (4/3, 1/3) is no lattice point, so it has no reflexive translate.
+    p = Polytope.from_halfspaces([((2, 1), 3), ((1, 2), 2), ((-1, -1), 0)])
+    assert (F(4, 3), F(1, 3)) in p.vertices
+    assert reflexive_translate(p) is None
+
+
+def test_kstab_builds_no_hull_after_the_load(monkeypatch):
+    # ORB-530571 has no reflexive translate (three facets stay off level 1
+    # under the shift); the classifier reads that off its facets and builds
+    # no hull.
+    from toricstab import corpus, polytope
+    from toricstab.cli import main
+
+    hulls = []
+    rays, resolve = polytope._extreme_rays, corpus.resolve_input
+
+    def counting(*args):
+        hulls.append(args)
+        return rays(*args)
+
+    def loaded(spec):
+        found = resolve(spec)
+        monkeypatch.setattr(polytope, "_extreme_rays", counting)
+        return found
+
+    monkeypatch.setattr(corpus, "resolve_input", loaded)
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = main(["kstab", "corpus:ORB-530571", "--format", "json"])
+    assert (code, json.loads(out.getvalue())["error"]["type"]) == (3, "NotReflexive")
+    assert hulls == []
 
 
 def test_destabilizer_search_cube_none(cube):
@@ -998,7 +1050,7 @@ def test_candidates_skip_mirrors(cube, corpus_entries):
     # automorphisms and the sign flip; in particular no mirror is yielded.
     for p in (corpus_entries["B1"].polytope, cube):
         ed = extremal_affine(p)
-        group = lattice_automorphisms(p)
+        group = lattice_isomorphisms(p, p)
         seen = set()
         for u in oracles.search_candidates(p, ed, grid=1):
             f = u.pieces[1]
@@ -1020,7 +1072,7 @@ def test_candidates_skip_positive_multiples(corpus_entries):
     # orbit maps, and the counts are pinned.
     for name, grid, want in (("B1", 1, 44), ("B1", 2, 139), ("E2", 2, 320), ("D1", 2, 345)):
         p = corpus_entries[name].polytope
-        group = lattice_automorphisms(p)
+        group = lattice_isomorphisms(p, p)
         seen = set()
         count = 0
         for u in oracles.search_candidates(p, extremal_affine(p), grid=grid):
@@ -1040,7 +1092,7 @@ def test_skipped_multiples_have_a_multiple_of_an_evaluated_l(corpus_entries):
     # witness.
     p = corpus_entries["B1"].polytope
     ed = extremal_affine(p)
-    group = lattice_automorphisms(p)
+    group = lattice_isomorphisms(p, p)
     yielded = {}
     for u in oracles.search_candidates(p, ed, grid=2):
         f = u.pieces[1]
@@ -1069,7 +1121,7 @@ def test_l_is_invariant_under_lattice_automorphisms(cube, corpus_entries):
     rng = random.Random(1995)
     for p in [corpus_entries[name].polytope for name in ("B1", "C3", "F1")] + [cube]:
         ed = extremal_affine(p)
-        group = lattice_automorphisms(p)
+        group = lattice_isomorphisms(p, p)
         assert len(group) > 1
         candidates = list(oracles.search_candidates(p, ed, grid=1))
         for u in rng.sample(candidates, 3):
@@ -1090,7 +1142,7 @@ def test_theta_is_invariant_under_lattice_automorphisms(corpus_entries):
             continue
         reflexive += 1
         theta = extremal_affine(p).theta
-        for m in lattice_automorphisms(p):
+        for m in lattice_isomorphisms(p, p):
             for v in p.vertices:
                 assert theta([sum(a * x for a, x in zip(row, v)) for row in m]) == theta(v)
     assert reflexive == 18
