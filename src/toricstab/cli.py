@@ -39,6 +39,11 @@ def _vec(xs) -> list[str]:
     return [_frac(x) for x in xs]
 
 
+def _points(vertices) -> str:
+    """A vertex list, each vertex a list of strings, as "(x, y); (z, w)"."""
+    return "; ".join("(" + ", ".join(v) + ")" for v in vertices)
+
+
 def _opt(x) -> str | None:
     return None if x is None else _frac(x)
 
@@ -132,10 +137,7 @@ def report_text(doc: dict) -> str:
     else:
         lines.append(f"K-stability: {k['label']} ({k['classification']})")
         if k["delta_minus_vertices"]:
-            lines.append(
-                "  excess region vertices: "
-                + "; ".join("(" + ", ".join(v) + ")" for v in k["delta_minus_vertices"])
-            )
+            lines.append("  excess region vertices: " + _points(k["delta_minus_vertices"]))
             lines.append(
                 f"  excess region volume = {k['delta_minus_volume']}"
             )
@@ -255,10 +257,7 @@ def cmd_kstab(args) -> int:
         lines = [f"{d['name']}: {d['label']} ({d['classification']})"]
         lines.append(f"theta = {d['theta']}")
         if d["delta_minus_vertices"]:
-            lines.append(
-                "excess region vertices: "
-                + "; ".join("(" + ", ".join(v) + ")" for v in d["delta_minus_vertices"])
-            )
+            lines.append("excess region vertices: " + _points(d["delta_minus_vertices"]))
             lines.append(
                 f"mean criterion: 1-c = {d['mean_criterion_lhs']}"
                 f" vs mean square excess = {d['mean_criterion_rhs']}"
@@ -315,9 +314,7 @@ def cmd_tables(args) -> int:
             excess = "-"
             verdict = f"not applicable ({k['error']})"
         elif k.get("delta_minus_vertices"):
-            excess = "; ".join(
-                "(" + ", ".join(v) + ")" for v in k["delta_minus_vertices"]
-            )
+            excess = _points(k["delta_minus_vertices"])
             verdict = k["label"]
         else:
             excess = "empty"
@@ -333,7 +330,7 @@ def cmd_tables(args) -> int:
             "published_chow": entry.expected.get("published_chow_stability", ""),
             "notes": " | ".join(entry.raw.get("notes", [])),
         }
-        if row["published_k"] and row["k_verdict"] not in (row["published_k"], "error"):
+        if row["published_k"] and row["k_verdict"] != row["published_k"]:
             flag = f"computed K verdict {row['k_verdict']!r} differs from published {row['published_k']!r}"
             row["notes"] = (row["notes"] + " | " + flag).strip(" |")
         rows.append(row)

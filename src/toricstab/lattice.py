@@ -16,7 +16,7 @@ from operator import add, floordiv, mul, neg, sub
 from typing import NamedTuple, Sequence
 
 from .errors import DegreeMismatch, NotLatticePolytope, ValidationError
-from .linalg import _over_common_denominator, rat_str
+from .linalg import _over_common_denominator, quoted, rat_str
 from .plfun import CONCAVE, AffineFn, PLFn
 from .polytope import HalfSpace, Polytope
 from .univariate import interpolate_poly, poly_eval
@@ -264,9 +264,11 @@ MAX_LEVEL_NODES = 2_000_000
 
 
 def check_levels(i_max: int, *polytopes: Polytope) -> None:
-    """Reject i_max below 1, and levels 1..i_max whose node bound exceeds
-    :data:`MAX_LEVEL_NODES` on any of ``polytopes``, before any level is
-    walked."""
+    """Reject an i_max that is not an int (a bool included) or is below 1,
+    and levels 1..i_max whose node bound exceeds :data:`MAX_LEVEL_NODES` on
+    any of ``polytopes``, before any level is walked."""
+    if isinstance(i_max, bool) or not isinstance(i_max, int):
+        raise ValidationError(f"i_max must be an int, got {quoted(i_max)}")
     if i_max < 1:
         raise ValidationError("i_max must be at least 1")
     for p in polytopes:
@@ -280,14 +282,12 @@ def check_levels(i_max: int, *polytopes: Polytope) -> None:
 
 def _order(p: Polytope) -> tuple[int, ...]:
     """The walk order z_k = x_{order[k]} of P's axes: by decreasing shadow
-    A_k = sum_F |l_{F,k}| sigma(F), ties by index, with sigma(F) the mass /
-    base of facet F's moment record, compared in integers over their lcm."""
+    A_k = sum_F |l_{F,k}| sigma(F), ties by index, with sigma(F) the lattice
+    measure of facet F's moment record."""
     key = "lattice_order"
     if key not in p.cache:
         order = range(p.dim)
-        records = [p.facet_moments(f) for f in range(len(p.halfspaces))]
-        lcm = math.lcm(*(m.base for m in records))
-        sigma = [m.mass * (lcm // m.base) for m in records]
+        sigma = [p.facet_moments(f).measure for f in range(len(p.halfspaces))]
         shadow = [sum(abs(h.normal[k]) * s for h, s in zip(p.halfspaces, sigma)) for k in order]
         p.cache[key] = tuple(sorted(order, key=lambda k: -shadow[k]))
     return p.cache[key]

@@ -16,7 +16,7 @@ from typing import Optional, Sequence
 
 from .errors import DegenerateSpan, InternalInvariant, ValidationError
 from .integrate import Poly, facet_integral, integrate
-from .linalg import _independent_rows, dot, rat, rat_str, solve_linear, vec
+from .linalg import dot, rat, rat_str, vec
 from .polytope import (
     Polytope,
     _affine_rank,
@@ -232,8 +232,11 @@ def upper_hull(nodes: Sequence[tuple[Sequence, Fraction]]) -> PLFn:
     none of the graph points (a, phi(a)) lie.
 
     Returned as the min of the affine functions of the upper facets of the
-    lifted hull.  Raises :class:`DegenerateSpan` when the base points do not
-    affinely span.
+    hull of the lifted nodes and b = (a_0, min v - 1).  No upper facet holds
+    b, as the first node scores higher on every functional with a positive
+    last entry; and b makes affine heights span, their hyperplane then the
+    one upper facet.  Raises :class:`DegenerateSpan` when the base points do
+    not affinely span.
     """
     pts = [(vec(a), rat(v)) for a, v in nodes]
     if not pts:
@@ -244,12 +247,8 @@ def upper_hull(nodes: Sequence[tuple[Sequence, Fraction]]) -> PLFn:
         raise ValidationError("mixed ambient dimensions")
     if _affine_rank(bases) < dim:
         raise DegenerateSpan("hull nodes must affinely span the base space")
-    lifted = [a + (v,) for a, v in pts]
-    if _affine_rank(lifted) == dim:
-        # All graph points on one hyperplane: the hull is that affine function.
-        piece = _affine_through(pts, dim)
-        return PLFn.concave([piece])
-    facets = halfspaces_from_vertices(lifted, dim + 1)
+    below = bases[0] + (min(v for _, v in pts) - 1,)
+    facets = halfspaces_from_vertices([a + (v,) for a, v in pts] + [below], dim + 1)
     pieces = []
     for h in facets:
         lt = h.normal[-1]
@@ -262,20 +261,6 @@ def upper_hull(nodes: Sequence[tuple[Sequence, Fraction]]) -> PLFn:
         if hull(a) < v:
             raise InternalInvariant("upper hull dipped below a node value")
     return hull
-
-
-def _affine_through(pts, dim) -> AffineFn:
-    """The affine function through the graph points, read off the first
-    dim+1 affinely independent ones: those whose rows (a, 1) are linearly
-    independent."""
-    mat = [(*a, Fraction(1)) for a, _ in pts]
-    chosen = _independent_rows(mat)
-    sol = solve_linear([mat[k] for k in chosen], [pts[k][1] for k in chosen])
-    fn = AffineFn(tuple(sol[:dim]), sol[dim])
-    for a, v in pts:
-        if fn(a) != v:
-            raise InternalInvariant("graph points are not affine after all")
-    return fn
 
 
 def pl_is_rational_lattice_cone(

@@ -58,6 +58,7 @@ from .linalg import (
     _over_common_denominator,
     _solve,
     dot,
+    quoted,
     rat,
     rat_str,
     solve_linear,
@@ -434,8 +435,11 @@ MAX_SEARCH_DIRECTIONS = 10_000
 
 
 def _check_search_level(grid: int, dim: int) -> None:
-    """Reject a negative grid, and a box of more than
-    :data:`MAX_SEARCH_DIRECTIONS` directions, before any search starts."""
+    """Reject a grid that is not an int (a bool included) or is negative, and
+    a box of more than :data:`MAX_SEARCH_DIRECTIONS` directions, before any
+    search starts."""
+    if isinstance(grid, bool) or not isinstance(grid, int):
+        raise ValidationError(f"search grid must be an int, got {quoted(grid)}")
     if grid < 0:
         raise ValidationError(f"search grid must be at least 0, got {grid}")
     box = (2 * grid + 1) ** dim

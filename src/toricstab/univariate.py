@@ -21,7 +21,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .errors import DegreeMismatch
-from .linalg import RatLike, rat, rat_str, solve_linear
+from .linalg import RatLike, _integer_row, rat, rat_str, solve_linear
 
 Coeff = int | Fraction
 
@@ -93,11 +93,9 @@ def divide(p: Sequence[Coeff], q: Sequence[Coeff]) -> tuple[list, list]:
 
 
 def _primitive(p: Sequence[Coeff]) -> list[int]:
-    """A positive multiple of p with coprime integer coefficients."""
-    p = _trim(p)
-    if not all(type(c) is int for c in p):
-        den = math.lcm(*(c.denominator for c in p))
-        p = [int(c * den) for c in p]
+    """A positive multiple of p with coprime integer coefficients: p cleared
+    by :func:`~toricstab.linalg._integer_row`, then divided by its gcd."""
+    p, _ = _integer_row(_trim(p))
     g = math.gcd(*p)
     return [c // g for c in p] if g > 1 else p
 

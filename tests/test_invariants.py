@@ -113,6 +113,21 @@ def test_commands_import_no_poly_route():
     assert not found, f"the Poly route imported on a command path: {found}"
 
 
+def test_plfun_imports_no_solver():
+    # upper_hull reads flat and curved heights off one hull of the lifted
+    # nodes and a point below them; plfun solves no linear system.
+    banned = {"solve_linear", "_solve", "_independent_rows"}
+    tree = ast.parse((SRC / "plfun.py").read_text(), filename="plfun.py")
+    found = [
+        f"plfun.py:{node.lineno} imports {alias.name}"
+        for node in ast.walk(tree)
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for alias in node.names
+        if alias.name.rsplit(".", 1)[-1] in banned
+    ]
+    assert not found, f"a solver imported by plfun: {found}"
+
+
 def test_benchmark_layer_names_resolve():
     # Every per-layer metric <module>.<function>.{calls,self_s,time_s} that
     # BENCHMARK.json declares names a callable of toricstab.<module> or a

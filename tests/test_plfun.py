@@ -13,6 +13,7 @@ from toricstab import (
 from toricstab import corpus
 from toricstab.errors import ValidationError
 from toricstab.lattice import lattice_points
+from toricstab.linalg import rank
 from toricstab.plfun import (
     AffineFn,
     PLFn,
@@ -107,12 +108,38 @@ def test_boundary_integrate_pl_cube(cube):
     assert boundary_integrate_pl(cube, one, PLFn.simple((1, 0, 0), 0)) == 8
 
 
-def test_upper_hull_affine_nodes():
-    fn = AffineFn.make((2, -1), F(1, 2))
-    nodes = [((x, y), fn((x, y))) for x in range(-1, 2) for y in range(-1, 2)]
+def test_upper_hull_affine_nodes(cube):
+    # Affine heights in 1D, 2D and 3D, and constant ones on the 3 x 3 grid
+    # and the cube's nodes: one piece, the function.  With constant heights
+    # the point the hull adds below the first node is the only one off the
+    # nodes' hyperplane, so it must lie strictly below them.
+    grid = [(x, y) for x in range(-1, 2) for y in range(-1, 2)]
+    cube_nodes = lattice_points(cube, 1)
+    cases = [
+        (AffineFn.make((2, -1), F(1, 2)), grid),
+        (AffineFn.make((F(-3, 4),), 2), [(3,), (-1,), (F(1, 2),), (0,)]),
+        (AffineFn.make((1, F(-1, 3), 0), F(-7, 5)), cube_nodes),
+        (AffineFn.make((0, 0), F(5, 2)), grid),
+        (AffineFn.make((0, 0, 0), F(5, 2)), cube_nodes),
+    ]
+    for fn, bases in cases:
+        hull = upper_hull([(a, fn(a)) for a in bases])
+        assert hull.pieces == (fn,)
+
+
+def test_upper_hull_repeated_base_points():
+    # A base point given twice keeps its larger value; with one affine value
+    # on every copy, the nodes stay flat.
+    fn = AffineFn.make((1, 2), -1)
+    square = [(0, 0), (1, 0), (0, 1), (1, 1)]
+    assert upper_hull([(a, fn(a)) for a in square + square[:2]]).pieces == (fn,)
+    nodes = [(a, F(0)) for a in square] + [((1, 1), F(1)), ((0, 0), F(-4))]
     hull = upper_hull(nodes)
-    assert len(hull.pieces) == 1
-    assert hull.pieces[0] == fn
+    assert hull((1, 1)) == 1 and hull((0, 0)) == 0
+    assert sorted((p.a, p.c) for p in hull.pieces) == [
+        ((F(0), F(1)), F(0)),
+        ((F(1), F(0)), F(0)),
+    ]
 
 
 def test_upper_hull_tent_1d():
@@ -142,10 +169,10 @@ def test_upper_hull_dominates_nodes_and_concave():
         hull = upper_hull(nodes)
         for a, v in nodes:
             assert hull(a) >= v
-        # each piece supports the hull at >= dim+1 nodes
+        # each piece supports the hull at dim+1 affinely independent nodes
         for piece in hull.pieces:
-            tight = sum(1 for a, v in nodes if piece(a) == hull(a) == v)
-            assert tight >= 1
+            tight = [(*a, 1) for a, v in nodes if piece(a) == hull(a) == v]
+            assert rank(tight) == 3
         # concavity along random chords
         for _ in range(10):
             a = tuple(oracles.random_fraction(rng, 2, 2) + 1 for _ in range(2))

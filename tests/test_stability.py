@@ -44,6 +44,7 @@ from toricstab.stability import (
     UNDETERMINED,
     UNSTABLE_MEAN_CRITERION,
     UNSTABLE_WITNESS,
+    chow_levels,
     excess_region,
     k_verdict_or_error,
     reflexive_translate,
@@ -526,6 +527,33 @@ def test_level_node_budget(corpus_entries):
     with pytest.raises(ValidationError, match="levels 1..31 may hold 2094360 nodes"):
         check_levels(31, e4)
     assert not any(key[0] == "lattice_points" for key in e4.cache if isinstance(key, tuple))
+
+
+@pytest.mark.parametrize(
+    "call, value, message",
+    [
+        (k_classify, 1.5, "search grid must be an int, got 1.5"),
+        (k_classify, "1", "search grid must be an int, got '1'"),
+        (k_classify, True, "search grid must be an int, got True"),
+        (chow_levels, 2.5, "i_max must be an int, got 2.5"),
+        (chow_levels, "3", "i_max must be an int, got '3'"),
+        (chow_levels, True, "i_max must be an int, got True"),
+        (chow_levels, 0, "i_max must be at least 1"),
+        (analyze, 2.0, "i_max must be an int, got 2.0"),
+        (analyze, False, "i_max must be an int, got False"),
+    ],
+)
+def test_budgets_reject_non_int(cube, call, value, message):
+    # The level and grid budgets take an int, not a float, a string or a
+    # bool, and say so before any level or search runs.
+    with pytest.raises(ValidationError) as err:
+        call(cube, value)
+    assert str(err.value) == message
+
+
+def test_budget_message_is_bounded(cube):
+    with pytest.raises(ValidationError, match=r"\(502 characters\)$"):
+        chow_levels(cube, "9" * 500)
 
 
 def test_destabilizer_search_b1_default_outcome(corpus_entries, monkeypatch):
